@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equilibrium import cfmm_tender
 from .errors import NonPositiveNetDemand
 from .payoff import CfmmArbitragePayoff
 
@@ -122,6 +123,5 @@ def optimal_arbitrage(pool: ForwardExchange, price: float) -> float:
     meets the external price, or 0 when the pool already quotes below it."""
     if price <= 0.0:
         raise ValueError(f"external price must be positive, got {price}")
-    if pool.derivative(0.0) <= price:
-        return 0.0
-    return (math.sqrt(pool.gamma * pool.r1 * pool.r2 / price) - pool.r1) / pool.gamma
+    # argmax f is the best response of a lone player (y = 0)
+    return cfmm_tender(pool.arbitrage_family(price))(0.0)

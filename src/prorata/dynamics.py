@@ -20,13 +20,13 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .equilibrium import EquilibriumResult, best_response, solve_symmetric
-from .payoff import (
-    CfmmArbitragePayoff,
-    PayoffFamily,
-    _cached_diagnostics,
-    pro_rata_payoff,
+from .equilibrium import (
+    EquilibriumResult,
+    best_response,
+    solve_symmetric,
+    unconstrained_tender,
 )
+from .payoff import PayoffFamily, _cached_diagnostics, pro_rata_payoff
 
 UPDATE_ORDERS = ("sequential", "synchronous")
 
@@ -126,16 +126,9 @@ class DynamicsTrace:
 
 
 def _make_unconstrained_br(family: PayoffFamily) -> Callable[[float], float]:
-    if isinstance(family, CfmmArbitragePayoff):
-        g, r1, r2, c = family.gamma, family.r1, family.r2, family.c
-        k0 = g * r1 * r2 / c
-        k1 = g * g * r2 / c
-
-        def br(y: float) -> float:
-            x = (math.sqrt(k0 + k1 * y) - r1) / g - y
-            return x if x > 0.0 else 0.0
-
-        return br
+    tender = unconstrained_tender(family)
+    if tender is not None:
+        return tender
 
     def br(y: float) -> float:
         return best_response(family, y).x

@@ -4,12 +4,19 @@ The unique nontrivial symmetric equilibrium has the n players jointly
 tender the q in (0, w) maximizing q**(n-1) * f(q); each plays q/n. For the
 cfmm and power families q has a closed form, used by default; any family
 can be solved numerically via golden-section search on the log objective.
+
+A best response maximizes x/t * f(t) with t = x + y. Its first-order
+condition y f(t) + (t - y) t f'(t) = 0 is a one-dimensional root: a closed
+form for the cfmm family and a monotone Newton iteration for the power
+family (see :func:`cfmm_tender` and :func:`power_tender`). Golden-section
+search remains only for tabulated and callable families.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import NoEquilibrium, NoFiniteRoot, NoPositiveRegion
 from .payoff import (
@@ -165,18 +172,74 @@ def solve_symmetric(
     )
 
 
-def _best_response_cfmm(
-    family: CfmmArbitragePayoff, y: float, budget: float
-) -> BestResponseResult:
+def cfmm_tender(family: CfmmArbitragePayoff) -> Callable[[float], float]:
+    """Unconstrained best-response tender y -> x for a cfmm family.
+
+    The first-order condition reduces to (r1 + g t)**2 = (g r1 r2 + g**2 r2 y)/c,
+    so t = (sqrt(k0 + k1 y) - r1)/g with k0 = g r1 r2/c and k1 = g**2 r2/c.
+    """
     g, r1, r2, c = family.gamma, family.r1, family.r2, family.c
-    x_free = (math.sqrt((g * r1 * r2 + g * g * r2 * y) / c) - r1) / g - y
-    if x_free <= 0.0:
-        return BestResponseResult(0.0, 0.0, "zero")
-    if x_free >= budget:
-        return BestResponseResult(
-            budget, pro_rata_payoff(family, budget, y), "budget"
-        )
-    return BestResponseResult(x_free, pro_rata_payoff(family, x_free, y), "interior")
+    k0 = g * r1 * r2 / c
+    k1 = g * g * r2 / c
+
+    def tender(y: float) -> float:
+        x = (math.sqrt(k0 + k1 * y) - r1) / g - y
+        return x if x > 0.0 else 0.0
+
+    return tender
+
+
+_NEWTON_MAX_STEPS = 100
+
+
+def power_tender(family: PowerPayoff) -> Callable[[float], float]:
+    """Unconstrained best-response tender y -> x for a power family.
+
+    Dividing the first-order condition by t**beta leaves the root of
+    h(t) = gamma t**(2-beta) - beta t - (1-beta) y. h is convex, and
+    h(y) < 0 < h(w) whenever y < w = gamma**(-1/(1-beta)), the zero of f,
+    so Newton started at w descends monotonically onto the root. When
+    h(y) >= 0 no positive tender pays. Raises :class:`NoFiniteRoot` when w
+    overflows the float range.
+    """
+    beta, gamma = family.beta, family.gamma
+    e = 1.0 - beta
+    try:
+        w = gamma ** (-1.0 / e)
+    except OverflowError:
+        raise NoFiniteRoot(
+            f"payoff zero gamma**(-1/(1-beta)) overflows for {family}"
+        ) from None
+    slope = (2.0 - beta) * gamma
+
+    def tender(y: float) -> float:
+        # h(y) = y * (gamma y**(1-beta) - 1)
+        if gamma * y**e >= 1.0:
+            return 0.0
+        t = w
+        for _ in range(_NEWTON_MAX_STEPS):
+            p = t**e
+            h = t * (gamma * p - beta) - e * y
+            if h <= 0.0:
+                break
+            nxt = t - h / (slope * p - beta)
+            if not nxt < t:
+                break
+            t = nxt
+        x = t - y
+        return x if x > 0.0 else 0.0
+
+    return tender
+
+
+def unconstrained_tender(family: PayoffFamily) -> Callable[[float], float] | None:
+    """The first-order-condition tender of a cfmm or power family, or None
+    for families that need a search (tabulated and callable)."""
+    if isinstance(family, CfmmArbitragePayoff):
+        return cfmm_tender(family)
+    if isinstance(family, PowerPayoff):
+        return power_tender(family)
+    return None
 
 
 def best_response(
@@ -186,16 +249,27 @@ def best_response(
 ) -> BestResponseResult:
     """Maximize x -> x/(x+y) f(x+y) over x in [0, budget].
 
-    Closed form for the cfmm family; golden-section on [0, min(budget, w)]
-    otherwise, with the endpoints checked explicitly. Returns x = 0 with
-    payoff 0 when no positive tender helps.
+    Power and cfmm families solve the first-order condition (see
+    :func:`unconstrained_tender`) and cap the result at the budget, which
+    is exact because the payoff is concave in x. Tabulated and callable
+    families use golden-section on [0, min(budget, w)], with the endpoints
+    checked explicitly. Returns x = 0 with payoff 0 when no positive tender
+    helps.
     """
     if y < 0.0:
         raise ValueError(f"y must be nonnegative, got {y}")
     if budget < 0.0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    if isinstance(family, CfmmArbitragePayoff):
-        return _best_response_cfmm(family, y, budget)
+    tender = unconstrained_tender(family)
+    if tender is not None:
+        x = tender(y)
+        if x <= 0.0:
+            return BestResponseResult(0.0, 0.0, "zero")
+        if x >= budget:
+            return BestResponseResult(
+                budget, pro_rata_payoff(family, budget, y), "budget"
+            )
+        return BestResponseResult(x, pro_rata_payoff(family, x, y), "interior")
 
     try:
         diag = _cached_diagnostics(family)

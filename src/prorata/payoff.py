@@ -83,7 +83,9 @@ class PowerPayoff:
         return t**self.beta - self.gamma * t
 
     def derivative(self, t):
-        # defined for t > 0 only
+        # f'(0+) = +inf, as the array path gives; Python's 0.0**-k would raise
+        if isinstance(t, (int, float)) and t == 0.0:
+            return math.inf
         return self.beta * t ** (self.beta - 1.0) - self.gamma
 
 

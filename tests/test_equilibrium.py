@@ -9,11 +9,13 @@ q(n) = ((n - 0.5)/(0.05 n))^2 = (20 - 10/n)^2:
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prorata import (
+    BestResponseResult,
     CfmmArbitragePayoff,
     NoEquilibrium,
     NoPositiveRegion,
@@ -25,6 +27,8 @@ from prorata import (
     pro_rata_payoff,
     solve_symmetric,
 )
+from prorata import equilibrium
+from prorata.dynamics import _make_unconstrained_br
 
 CFMM_Q1 = (math.sqrt(0.99 * 200.0 * 250.0) - 200.0) / 0.99  # argmax f
 
@@ -178,3 +182,84 @@ def test_generic_agrees_with_cfmm_closed_form(cfmm):
     grid = np.linspace(0.0, 40.0, 200_001)
     brute = grid[np.argmax(pro_rata_payoff(cfmm, grid, y))]
     assert r.x == pytest.approx(brute, abs=2e-4)
+
+
+# ------------------------------------------ first-order-condition route
+
+
+def power_root(beta: float, gamma: float) -> float:
+    return gamma ** (-1.0 / (1.0 - beta))
+
+
+def power_argmax(beta: float, gamma: float) -> float:
+    return (beta / gamma) ** (1.0 / (1.0 - beta))
+
+
+@given(
+    beta=st.floats(min_value=0.1, max_value=0.9),
+    gamma=st.floats(min_value=0.01, max_value=1.0),
+    y_frac=st.floats(min_value=0.0, max_value=1.2),
+    budget_frac=st.one_of(st.just(math.inf),
+                          st.floats(min_value=1e-3, max_value=1.5)),
+)
+@settings(deadline=None, max_examples=200)
+def test_power_best_response_never_loses_to_a_grid(beta, gamma, y_frac,
+                                                   budget_frac):
+    family = PowerPayoff(beta=beta, gamma=gamma)
+    root = power_root(beta, gamma)
+    y, budget = y_frac * root, budget_frac * root
+    r = best_response(family, y, budget)
+    free = best_response(family, y).x
+    assert _make_unconstrained_br(family)(y) == free
+    if y >= root:
+        assert r == BestResponseResult(0.0, 0.0, "zero")
+        return
+    assert 0.0 <= r.x <= min(budget, root)
+    assert r.achieved_payoff == pro_rata_payoff(family, r.x, y)
+    grid = np.linspace(0.0, min(budget, root), 20_001)
+    grid_best = float(np.max(pro_rata_payoff(family, grid, y)))
+    assert r.achieved_payoff >= grid_best - 1e-12 * abs(grid_best)
+    if free > budget:
+        assert r == BestResponseResult(
+            budget, pro_rata_payoff(family, budget, y), "budget"
+        )
+
+
+@pytest.mark.parametrize("beta, gamma", [
+    (0.5, 0.05), (0.1, 0.01), (0.1, 1.0), (0.3, 0.2), (0.9, 0.01),
+    (0.9, 1.0), (0.95, 0.001),
+])
+def test_lone_power_player_plays_closed_form_argmax(beta, gamma):
+    family = PowerPayoff(beta=beta, gamma=gamma)
+    r = best_response(family, 0.0)
+    assert r.x == pytest.approx(power_argmax(beta, gamma), rel=1e-14)
+    assert r.at_boundary == "interior"
+
+
+@pytest.mark.parametrize("y_frac", [1.0, 1.0 + 1e-12, 1.2, 50.0])
+def test_power_crowded_past_the_root_abstains(power, y_frac):
+    r = best_response(power, y_frac * power_root(0.5, 0.05))
+    assert r == BestResponseResult(0.0, 0.0, "zero")
+
+
+def test_power_best_response_ignores_the_diagnostics_cap():
+    # the zero of f is 1e60, far past the diagnostics doubling cap of 1e12
+    family = PowerPayoff(beta=0.95, gamma=0.001)
+    r = best_response(family, 1.0)
+    assert r.at_boundary == "interior"
+    assert r.x == pytest.approx(power_argmax(0.95, 0.001), rel=1e-12)
+    for dx in (-1e-6 * r.x, 1e-6 * r.x):
+        assert pro_rata_payoff(family, r.x + dx, 1.0) <= r.achieved_payoff
+
+
+def test_power_and_cfmm_best_responses_skip_golden_section(
+    cfmm, power, monkeypatch
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("golden-section search on a closed route")
+
+    monkeypatch.setattr(equilibrium, "golden_section_maximize", forbidden)
+    for family in (cfmm, power):
+        for y in (0.0, 3.0, 30.0, 1e4):
+            for budget in (math.inf, 5.0):
+                best_response(family, y, budget)

@@ -67,6 +67,16 @@ def test_derivative_matches_central_difference(family, lo, hi):
         assert family.derivative(t) == pytest.approx(fd, rel=1e-6)
 
 
+def test_power_derivative_at_zero_is_infinite_on_both_paths(power):
+    # f'(0+) = +inf for beta < 1; the scalar path used to divide by zero
+    with np.errstate(divide="ignore"):
+        arr = power.derivative(np.array([0.0, 4.0]))
+    assert power.derivative(0.0) == math.inf
+    assert power.derivative(0) == math.inf
+    assert arr[0] == power.derivative(0.0)
+    assert arr[1] == power.derivative(4.0)
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         CfmmArbitragePayoff(gamma=0.0, r1=200.0, r2=250.0, c=1.0)
