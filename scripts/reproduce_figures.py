@@ -20,14 +20,9 @@ import pathlib
 import sys
 import time
 
+from prorata.cli import FIGURES
 from prorata.cli import main as prorata_main
 
-FIGURES = (
-    ("scenario1", "scenario1.csv"),
-    ("scenario2-delta", "scenario2_delta.csv"),
-    ("whale", "whale.csv"),
-    ("poa-curve", "poa_curve.csv"),
-)
 SEEDED = {"scenario1", "scenario2-delta", "whale"}
 
 
@@ -40,8 +35,8 @@ def run(argv=None) -> int:
     args = ap.parse_args(argv)
 
     args.outdir.mkdir(parents=True, exist_ok=True)
-    for figure, filename in FIGURES:
-        out = args.outdir / filename
+    for figure in FIGURES:
+        out = args.outdir / f"{figure.replace('-', '_')}.csv"
         cli = ["reproduce", figure, "--output", str(out)]
         if figure in SEEDED:
             cli += ["--trials", str(args.trials), "--seed", str(args.seed)]

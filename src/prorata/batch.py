@@ -10,6 +10,7 @@ reordering traders cannot change anyone's fill, bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import NonPositiveNetDemand
 from .payoff import CfmmArbitragePayoff
 
 MAX_TRADERS = 10_000
+_SUM_LIMIT = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,16 @@ class BatchInstance:
             raise ValueError(f"need 1..{MAX_TRADERS} traders, got {arr.shape[0]}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("deltas must be finite")
+        # clear() takes exact sums of the deltas and of their positive parts;
+        # below _SUM_LIMIT in absolute total neither can overflow
+        with np.errstate(over="ignore"):
+            bounded = np.abs(arr).sum() < _SUM_LIMIT
+        if not bounded:
+            try:
+                math.fsum(arr.tolist())
+                math.fsum(np.maximum(arr, 0.0).tolist())
+            except OverflowError:
+                raise ValueError("the sum of the deltas overflows") from None
         arr.setflags(write=False)
         object.__setattr__(self, "deltas", arr)
 

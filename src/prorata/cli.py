@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -550,7 +551,9 @@ def _add_io_flags(sub: argparse.ArgumentParser) -> None:
                      help="output format (default: table on stdout, csv to files)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="prorata",
         description="concave pro-rata games: equilibria, dynamics, batches",

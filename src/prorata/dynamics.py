@@ -10,6 +10,16 @@ Three scenarios: unconstrained responses, per-round movement caps
 (BoundedUpdate), and hard per-player budgets (Budgeted). Caps and budgets
 are applied by projecting the unconstrained best response, which is exact
 for concave payoffs.
+
+One round engine serves :func:`simulate`, :func:`convergence_study` and
+:func:`whale_fish_experiment`: it plays all trials of a study point (or a
+whale row) in lockstep as one (trials, n) array, sequential over players
+and vectorized across trials, and drops each trial from the array at the
+round it stops. ``simulate`` is the one-trial case. The cfmm best response
+is computed on the whole column of trials; power, tabulated and callable
+families go lane by lane through their scalar best response, because
+numpy's vectorized power differs from Python's ``**`` in the last bit on
+some inputs and results must not depend on how many trials run together.
 """
 
 from __future__ import annotations
@@ -23,12 +33,24 @@ import numpy as np
 from .equilibrium import (
     EquilibriumResult,
     best_response,
+    cfmm_tender_terms,
     solve_symmetric,
     unconstrained_tender,
 )
-from .payoff import PayoffFamily, _cached_diagnostics, pro_rata_payoff
+from .payoff import (
+    CfmmArbitragePayoff,
+    PayoffFamily,
+    _cached_diagnostics,
+    pro_rata_payoff,
+)
 
 UPDATE_ORDERS = ("sequential", "synchronous")
+
+# A sweep's numpy calls on few-element columns cost far more than their
+# arithmetic, and a 0-d array operand is cheaper than a Python float. On
+# ties between zeros of either sign np.maximum/np.minimum return their second
+# argument, so each call puts second the value the scalar rule would keep.
+_ZERO = np.array(0.0)
 
 
 @dataclass(frozen=True)
@@ -114,15 +136,22 @@ class StrategyProfile:
 
 @dataclass(frozen=True, eq=False)
 class DynamicsTrace:
-    profiles: list[StrategyProfile]
+    """One run of :func:`simulate`."""
+
+    tenders: np.ndarray        # (rounds+1, n): the start, then every round
     converged_at: int | None   # round index; 0 means already at equilibrium
     stop_reason: str           # "converged" or "iteration-cap"
     equilibrium: EquilibriumResult
     final_payoffs: np.ndarray
 
     def history(self) -> np.ndarray:
-        """Tender vectors stacked as a (rounds+1, n) array."""
-        return np.stack([p.actions for p in self.profiles])
+        """Tender vectors stacked as a read-only (rounds+1, n) array."""
+        return self.tenders
+
+    @property
+    def profiles(self) -> list[StrategyProfile]:
+        """The rows of :meth:`history` as profiles, built on each access."""
+        return [StrategyProfile(row) for row in self.tenders]
 
 
 def _make_unconstrained_br(family: PayoffFamily) -> Callable[[float], float]:
@@ -136,37 +165,124 @@ def _make_unconstrained_br(family: PayoffFamily) -> Callable[[float], float]:
     return br
 
 
-def _round_bounds(scenario: Scenario, x: np.ndarray):
-    if isinstance(scenario, BoundedUpdate):
-        return np.maximum(0.0, x - scenario.delta), x + scenario.delta
-    if isinstance(scenario, Budgeted):
-        return np.zeros_like(x), np.asarray(scenario.budgets, dtype=float)
-    return np.zeros_like(x), np.full_like(x, math.inf)
+def _column_tender(family: PayoffFamily) -> Callable[[np.ndarray], np.ndarray]:
+    """Unconstrained best responses to a column of totals y, one per row.
+
+    The cfmm closed form runs on the whole column (np.sqrt is correctly
+    rounded, like math.sqrt). Other families apply the scalar tender lane by
+    lane: np.power differs from Python's ** in the last bit on some inputs,
+    which would change results and break agreement with best_response.
+    """
+    if isinstance(family, CfmmArbitragePayoff):
+        g, r1, k0, k1 = map(np.array, cfmm_tender_terms(family))
+
+        def column(y: np.ndarray) -> np.ndarray:
+            return np.maximum((np.sqrt(k0 + k1 * y) - r1) / g - y, _ZERO)
+
+        return column
+    br = _make_unconstrained_br(family)
+
+    def lanes(y: np.ndarray) -> np.ndarray:
+        return np.array([br(v) for v in y.tolist()])
+
+    return lanes
 
 
-def _step(
-    x: np.ndarray,
+def _sweep(
+    X: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     order: str,
-    br: Callable[[float], float],
+    tender: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
+    """One best-response round on every row of X, shape (rows, n).
+
+    Players move one after another, each row on its own: sequential order
+    sees the moves already made this round, synchronous order only last
+    round's profile. Each move is clipped to [lower, upper] (arrays
+    broadcastable to X). Rows never mix, so a row's result is the same
+    whatever else is in X.
+    """
     sequential = order == "sequential"
-    out = x.copy()
-    total = float(x.sum())
-    for i in range(x.shape[0]):
-        y = total - (out[i] if sequential else x[i])
-        if y < 0.0:
-            y = 0.0
-        xi = br(y)
-        if xi < lower[i]:
-            xi = lower[i]
-        elif xi > upper[i]:
-            xi = upper[i]
+    out = X.copy()
+    total = X.sum(axis=1)
+    for i in range(X.shape[1]):
+        y = np.maximum(_ZERO, total - (out[:, i] if sequential else X[:, i]))
+        x = np.minimum(upper[:, i], np.maximum(lower[:, i], tender(y)))
         if sequential:
-            total += xi - out[i]
-        out[i] = xi
+            total = total + (x - out[:, i])
+        out[:, i] = x
     return out
+
+
+def _play(
+    X: np.ndarray,
+    upper: np.ndarray,
+    delta: float | None,
+    order: str,
+    tender: Callable[[np.ndarray], np.ndarray],
+    max_iterations: int,
+    stopped: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    history: list[np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run rounds on every row of X until ``stopped(new, old)`` holds for
+    the row or ``max_iterations`` rounds have run.
+
+    ``upper`` caps each tender (per row and player), ``delta`` caps each
+    move. A stopped row leaves the active set, so rows stop independently.
+    Returns the final profiles and each row's stopping round (-1 for rows
+    cut off by the cap). ``history`` collects every round's active rows.
+    """
+    final = X.copy()
+    stop_at = np.full(X.shape[0], -1)
+    rows = np.arange(X.shape[0])
+    lower = np.zeros((1, X.shape[1]))
+    for t in range(1, max_iterations + 1):
+        if not rows.size:
+            break
+        if delta is None:
+            new = _sweep(X, lower, upper, order, tender)
+        else:
+            new = _sweep(X, np.maximum(0.0, X - delta), X + delta, order, tender)
+        if history is not None:
+            history.append(new)
+        done = stopped(new, X)
+        X = new
+        if done.any():
+            final[rows[done]] = X[done]
+            stop_at[rows[done]] = t
+            keep = ~done
+            X, rows, upper = X[keep], rows[keep], upper[keep]
+    final[rows] = X
+    return final, stop_at
+
+
+def _play_to_equilibrium(
+    config: GameConfig,
+    eq: EquilibriumResult,
+    X: np.ndarray,
+    history: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """Rounds on every row of X until it is within the threshold of the
+    symmetric equilibrium ``eq`` (sup norm), checked from round 0. Returns
+    each row's stopping round (-1 at the iteration cap)."""
+    threshold = config.convergence_threshold
+
+    def near(new: np.ndarray, old: np.ndarray | None = None) -> np.ndarray:
+        return np.abs(new - eq.per_player).max(axis=1) < threshold
+
+    scenario = config.scenario
+    caps = scenario.budgets if isinstance(scenario, Budgeted) else math.inf
+    delta = scenario.delta if isinstance(scenario, BoundedUpdate) else None
+    stop_at = np.zeros(X.shape[0], dtype=int)
+    todo = np.flatnonzero(~near(X))
+    if todo.size:
+        _, stop_at[todo] = _play(
+            X[todo], np.full((todo.size, config.n), caps), delta,
+            config.update_order, _column_tender(config.family),
+            config.max_iterations, near, history,
+        )
+    return stop_at
 
 
 def draw_initial_profile(
@@ -198,28 +314,18 @@ def simulate(
     if np.any(x < 0.0):
         raise ValueError("initial tenders must be nonnegative")
 
-    br = _make_unconstrained_br(family)
-    profiles = [StrategyProfile(x)]
-    converged_at: int | None = None
-    stop_reason = "iteration-cap"
-    if float(np.max(np.abs(x - eq.per_player))) < config.convergence_threshold:
-        converged_at, stop_reason = 0, "converged"
-    else:
-        for t in range(1, config.max_iterations + 1):
-            lower, upper = _round_bounds(config.scenario, x)
-            x = _step(x, lower, upper, config.update_order, br)
-            profiles.append(StrategyProfile(x))
-            if float(np.max(np.abs(x - eq.per_player))) < config.convergence_threshold:
-                converged_at, stop_reason = t, "converged"
-                break
-
-    final = profiles[-1]
+    history = [x[None, :]]
+    stop_at = _play_to_equilibrium(config, eq, history[0], history)
+    tenders = np.concatenate(history)
+    tenders.setflags(write=False)
+    converged_at = int(stop_at[0]) if stop_at[0] >= 0 else None
+    final = tenders[-1]
     return DynamicsTrace(
-        profiles=profiles,
+        tenders=tenders,
         converged_at=converged_at,
-        stop_reason=stop_reason,
+        stop_reason="iteration-cap" if converged_at is None else "converged",
         equilibrium=eq,
-        final_payoffs=final.payoffs(family),
+        final_payoffs=pro_rata_payoff(family, final, float(final.sum()) - final),
     )
 
 
@@ -264,31 +370,38 @@ def convergence_study(
     """Rounds-to-convergence statistics over seeded random restarts.
 
     Trial (n, k) draws its initial profile from a child generator seeded
-    with [seed, n, k], so any subset of the grid reproduces exactly.
+    with [seed, n, k], so any subset of the grid reproduces exactly. The
+    trials of one n run in lockstep, as the rows of one array; each row
+    stops on its own and ends exactly as it would alone.
     """
     records = []
     for n in n_values:
+        n = int(n)
         config = GameConfig(
             family=family,
-            n=int(n),
+            n=n,
             scenario=scenario,
             convergence_threshold=convergence_threshold,
             max_iterations=max_iterations,
             seed=seed,
             update_order=update_order,
         )
-        for trial in range(trials):
-            rng = np.random.default_rng([seed, int(n), trial])
-            x0 = draw_initial_profile(family, int(n), rng)
-            trace = simulate(config, initial=x0)
-            records.append(
-                StudyRecord(
-                    n=int(n),
-                    trial=trial,
-                    iterations=trace.converged_at,
-                    converged=trace.converged_at is not None,
-                )
+        if trials < 1:
+            continue
+        X = np.array([
+            draw_initial_profile(family, n, np.random.default_rng([seed, n, trial]))
+            for trial in range(trials)
+        ])
+        stop_at = _play_to_equilibrium(config, solve_symmetric(family, n), X)
+        records.extend(
+            StudyRecord(
+                n=n,
+                trial=trial,
+                iterations=rounds if rounds >= 0 else None,
+                converged=rounds >= 0,
             )
+            for trial, rounds in enumerate(stop_at.tolist())
+        )
     return StudyResult(records=tuple(records))
 
 
@@ -325,6 +438,7 @@ def whale_fish_experiment(
     equilibrium tender — and fish start uniform within budget; the whale
     starts uniform on (0, w/n_total) and is uncapped. Rounds stop when no
     player moved more than ``convergence_threshold`` in the last round.
+    All trials run in lockstep, as the rows of one array.
     """
     if n_fish < 0:
         raise ValueError(f"n_fish must be nonnegative, got {n_fish}")
@@ -333,34 +447,30 @@ def whale_fish_experiment(
     fair_strategy = eq.per_player
     fair_payoff = eq.equilibrium_payoff
     w = _cached_diagnostics(family).root
-    br = _make_unconstrained_br(family)
 
-    pct_strategy = np.empty(trials)
-    pct_profit = np.empty(trials)
-    strategies = np.empty(trials)
-    profits = np.empty(trials)
-    converged = 0
-    saturated = 0
+    X = np.empty((trials, n_total))
+    upper = np.full((trials, n_total), math.inf)
     for trial in range(trials):
         rng = np.random.default_rng([seed, n_fish, trial])
-        fish_budgets = rng.uniform(0.0, fair_strategy, size=n_fish)
-        x = np.empty(n_total)
-        x[0] = rng.uniform(0.0, w / n_total)
-        x[1:] = rng.uniform(0.0, fish_budgets) if n_fish else []
-        lower = np.zeros(n_total)
-        upper = np.concatenate(([math.inf], fish_budgets))
-        for _ in range(max_iterations):
-            prev = x
-            x = _step(x, lower, upper, "sequential", br)
-            if float(np.max(np.abs(x - prev))) < convergence_threshold:
-                converged += 1
-                break
-        if n_fish == 0 or np.array_equal(x[1:], fish_budgets):
-            saturated += 1
-        strategies[trial] = x[0]
-        profits[trial] = pro_rata_payoff(family, float(x[0]), float(x[1:].sum()))
-        pct_strategy[trial] = 100.0 * (x[0] - fair_strategy) / fair_strategy
-        pct_profit[trial] = 100.0 * (profits[trial] - fair_payoff) / fair_payoff
+        upper[trial, 1:] = rng.uniform(0.0, fair_strategy, size=n_fish)
+        X[trial, 0] = rng.uniform(0.0, w / n_total)
+        X[trial, 1:] = rng.uniform(0.0, upper[trial, 1:]) if n_fish else []
+
+    def settled(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+        return np.abs(new - old).max(axis=1) < convergence_threshold
+
+    final, stop_at = _play(
+        X, upper, None, "sequential", _column_tender(family), max_iterations,
+        settled,
+    )
+    strategies = final[:, 0]
+    profits = np.array([
+        pro_rata_payoff(family, float(x[0]), float(x[1:].sum())) for x in final
+    ])
+    pct_strategy = 100.0 * (strategies - fair_strategy) / fair_strategy
+    pct_profit = 100.0 * (profits - fair_payoff) / fair_payoff
+    converged = int(np.count_nonzero(stop_at >= 0))
+    saturated = int(np.count_nonzero((final[:, 1:] == upper[:, 1:]).all(axis=1)))
 
     return WhaleFishReport(
         n_fish=n_fish,

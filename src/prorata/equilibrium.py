@@ -172,15 +172,20 @@ def solve_symmetric(
     )
 
 
-def cfmm_tender(family: CfmmArbitragePayoff) -> Callable[[float], float]:
-    """Unconstrained best-response tender y -> x for a cfmm family.
+def cfmm_tender_terms(family: CfmmArbitragePayoff) -> tuple[float, ...]:
+    """(g, r1, k0, k1) of the cfmm best response t = (sqrt(k0 + k1 y) - r1)/g.
 
     The first-order condition reduces to (r1 + g t)**2 = (g r1 r2 + g**2 r2 y)/c,
-    so t = (sqrt(k0 + k1 y) - r1)/g with k0 = g r1 r2/c and k1 = g**2 r2/c.
+    so k0 = g r1 r2/c and k1 = g**2 r2/c.
     """
     g, r1, r2, c = family.gamma, family.r1, family.r2, family.c
-    k0 = g * r1 * r2 / c
-    k1 = g * g * r2 / c
+    return g, r1, g * r1 * r2 / c, g * g * r2 / c
+
+
+def cfmm_tender(family: CfmmArbitragePayoff) -> Callable[[float], float]:
+    """Unconstrained best-response tender y -> x = t - y for a cfmm family
+    (see :func:`cfmm_tender_terms`)."""
+    g, r1, k0, k1 = cfmm_tender_terms(family)
 
     def tender(y: float) -> float:
         x = (math.sqrt(k0 + k1 * y) - r1) / g - y
@@ -285,6 +290,10 @@ def best_response(
     hi = budget if diag is None else min(budget, diag.root)
     if isinstance(family, TabulatedPayoff):
         hi = min(hi, family.domain_max - y)
+        # (domain_max - y) + y can round past the last knot: step hi down
+        # by the excess (at least one ulp) until the sum stays on the table
+        while hi > 0.0 and hi + y > family.domain_max:
+            hi = min(math.nextafter(hi, 0.0), hi - (hi + y - family.domain_max))
     if hi <= 0.0:
         return BestResponseResult(0.0, 0.0, "zero")
 

@@ -89,6 +89,16 @@ def test_instance_validation(pool):
         ForwardExchange(gamma=0.0, r1=200.0, r2=250.0)
 
 
+def test_overflowing_sums_rejected(pool):
+    # the exact sums clear() takes would overflow: a ValueError up front,
+    # not an OverflowError from math.fsum
+    for deltas in ([1e308, 1e308], [1e308, -1e308, 1e308]):
+        with pytest.raises(ValueError, match="overflows"):
+            BatchInstance(deltas=np.array(deltas), pool=pool)
+    out = clear(BatchInstance(deltas=np.array([1e308, -1e308, 5.0]), pool=pool))
+    assert out.pool_input == 5.0
+
+
 @given(deltas=deltas_strategy())
 @settings(deadline=None, max_examples=300)
 def test_clearing_invariants(deltas):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from prorata.cli import main
+from prorata.cli import build_parser, main
 
 POWER = ["--family", "power", "--beta", "0.5", "--gamma", "0.05"]
 CFMM = ["--family", "cfmm", "--gamma", "0.99", "--r1", "200", "--r2", "250",
@@ -253,6 +253,24 @@ def test_nonpositive_batch_exits_4(capsys):
     )
     assert code == 4
     assert err.startswith("error: ")
+
+
+def test_overflowing_batch_exits_2(capsys):
+    code, out, err = run(
+        capsys, "batch", "--deltas", "1e308,1e308", "--gamma", "0.99",
+        "--r1", "200", "--r2", "250",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: config-error: the sum of the deltas overflows\n"
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    usage_error = run(capsys, "reproduce", "fig-nope")
+    assert usage_error[0] == 2 and "invalid choice" in usage_error[2]
+    assert run(capsys, "reproduce", "fig-nope") == usage_error
+    assert run(capsys, "equilibrium", *POWER, "--n", "2")[0] == 0
+    assert run(capsys, "reproduce", "fig-nope") == usage_error
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -10,8 +10,11 @@ from prorata import (
     Budgeted,
     CfmmArbitragePayoff,
     GameConfig,
+    PowerPayoff,
     StrategyProfile,
+    StudyRecord,
     Unconstrained,
+    WhaleFishReport,
     convergence_study,
     diagnostics,
     draw_initial_profile,
@@ -20,8 +23,11 @@ from prorata import (
     solve_symmetric,
     whale_fish_experiment,
 )
+from prorata.dynamics import _column_tender, _make_unconstrained_br, _sweep
+from prorata.equilibrium import cfmm_tender
 
 CFMM = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0)
+POWER = PowerPayoff(beta=0.5, gamma=0.05)
 
 
 # ------------------------------------------------------------- config
@@ -214,3 +220,191 @@ def test_whale_outplays_the_symmetric_split(cfmm):
     assert rep.whale_profit > rep.fair_payoff
     assert rep.pct_strategy_increase > 0.0
     assert rep.pct_profit_increase > 0.0
+
+
+# ------------------------------------ lockstep against the scalar rule
+#
+# The engine runs all trials of a study or whale row as one (trials, n)
+# array. The reference below is the scalar rule it replaced: one trial,
+# one player at a time, Python floats. Results must be equal, not close.
+
+
+def _reference_round(x, lower, upper, order, br):
+    sequential = order == "sequential"
+    out = x.copy()
+    total = float(x.sum())
+    for i in range(x.shape[0]):
+        y = total - (out[i] if sequential else x[i])
+        if y < 0.0:
+            y = 0.0
+        xi = br(y)
+        if xi < lower[i]:
+            xi = lower[i]
+        elif xi > upper[i]:
+            xi = upper[i]
+        if sequential:
+            total += xi - out[i]
+        out[i] = xi
+    return out
+
+
+def _reference_bounds(scenario, x):
+    if isinstance(scenario, BoundedUpdate):
+        return np.maximum(0.0, x - scenario.delta), x + scenario.delta
+    if isinstance(scenario, Budgeted):
+        return np.zeros_like(x), np.asarray(scenario.budgets, dtype=float)
+    return np.zeros_like(x), np.full_like(x, math.inf)
+
+
+def _reference_trial(config, x):
+    """The profiles of one trial and the round it converged at (or None)."""
+    target = solve_symmetric(config.family, config.n).per_player
+    br = _make_unconstrained_br(config.family)
+    profiles = [x]
+    if float(np.max(np.abs(x - target))) < config.convergence_threshold:
+        return profiles, 0
+    for t in range(1, config.max_iterations + 1):
+        lower, upper = _reference_bounds(config.scenario, x)
+        x = _reference_round(x, lower, upper, config.update_order, br)
+        profiles.append(x)
+        if float(np.max(np.abs(x - target))) < config.convergence_threshold:
+            return profiles, t
+    return profiles, None
+
+
+# (family, scenario, n values, threshold, round cap): each mixes trials
+# converged at round 0, converged later, and cut off by the cap
+LOCKSTEP_CASES = [
+    (CFMM, Unconstrained(), (1, 2, 3, 5), 2.0, 2),
+    (CFMM, BoundedUpdate(delta=0.7), (1, 2, 3, 5), 2.0, 3),
+    (CFMM, Budgeted(budgets=(30.0, math.inf, 12.5)), (3,), 2.0, 1),
+    (POWER, Unconstrained(), (1, 2, 3, 5), 10.0, 2),
+    (POWER, BoundedUpdate(delta=10.0), (1, 2, 3, 5), 10.0, 3),
+    (POWER, Budgeted(budgets=(200.0, math.inf, 100.0)), (3,), 20.0, 1),
+]
+
+
+@pytest.mark.parametrize("order", ["sequential", "synchronous"])
+@pytest.mark.parametrize("family,scenario,n_values,threshold,cap", LOCKSTEP_CASES)
+def test_study_equals_trial_by_trial_reference(
+    family, scenario, n_values, threshold, cap, order
+):
+    trials, seed = 16 // len(n_values), 3
+    study = convergence_study(
+        family, n_values, trials=trials, seed=seed, scenario=scenario,
+        convergence_threshold=threshold, max_iterations=cap, update_order=order,
+    )
+    want = []
+    for n in n_values:
+        config = GameConfig(
+            family=family, n=n, scenario=scenario,
+            convergence_threshold=threshold, max_iterations=cap,
+            update_order=order,
+        )
+        for trial in range(trials):
+            rng = np.random.default_rng([seed, n, trial])
+            _, rounds = _reference_trial(
+                config, draw_initial_profile(family, n, rng)
+            )
+            want.append(StudyRecord(n, trial, rounds, rounds is not None))
+    assert study.records == tuple(want)
+    outcomes = {r.iterations for r in study.records}
+    assert 0 in outcomes and None in outcomes
+    assert any(i not in (0, None) for i in outcomes)
+
+
+@pytest.mark.parametrize("order", ["sequential", "synchronous"])
+@pytest.mark.parametrize("family,scenario,n_values,threshold,cap", LOCKSTEP_CASES)
+def test_simulate_history_equals_reference(
+    family, scenario, n_values, threshold, cap, order
+):
+    n = n_values[-1]
+    config = GameConfig(
+        family=family, n=n, scenario=scenario,
+        convergence_threshold=threshold / 100.0, max_iterations=40,
+        update_order=order, seed=9,
+    )
+    trace = simulate(config)
+    x0 = draw_initial_profile(family, n, np.random.default_rng(9))
+    profiles, rounds = _reference_trial(config, x0)
+    assert np.array_equal(trace.history(), np.array(profiles))
+    assert trace.converged_at == rounds
+    final = profiles[-1]
+    assert np.array_equal(
+        trace.final_payoffs,
+        pro_rata_payoff(family, final, float(final.sum()) - final),
+    )
+
+
+def _reference_whale(family, n_fish, trials, seed, threshold, cap):
+    n_total = n_fish + 1
+    eq = solve_symmetric(family, n_total)
+    fair_strategy, fair_payoff = eq.per_player, eq.equilibrium_payoff
+    w = diagnostics(family).root
+    br = _make_unconstrained_br(family)
+    strategies, profits = np.empty(trials), np.empty(trials)
+    converged = saturated = 0
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, n_fish, trial])
+        budgets = rng.uniform(0.0, fair_strategy, size=n_fish)
+        x = np.empty(n_total)
+        x[0] = rng.uniform(0.0, w / n_total)
+        x[1:] = rng.uniform(0.0, budgets) if n_fish else []
+        lower = np.zeros(n_total)
+        upper = np.concatenate(([math.inf], budgets))
+        for _ in range(cap):
+            prev = x
+            x = _reference_round(x, lower, upper, "sequential", br)
+            if float(np.max(np.abs(x - prev))) < threshold:
+                converged += 1
+                break
+        saturated += np.array_equal(x[1:], budgets)
+        strategies[trial] = x[0]
+        profits[trial] = pro_rata_payoff(family, float(x[0]), float(x[1:].sum()))
+    pct_strategy = 100.0 * (strategies - fair_strategy) / fair_strategy
+    pct_profit = 100.0 * (profits - fair_payoff) / fair_payoff
+    return WhaleFishReport(
+        n_fish, trials, fair_strategy, fair_payoff,
+        float(strategies.mean()), float(profits.mean()),
+        float(pct_strategy.mean()), float(pct_profit.mean()),
+        float(pct_strategy.std()), float(pct_profit.std()),
+        converged, saturated,
+    )
+
+
+@pytest.mark.parametrize("family", [CFMM, POWER])
+def test_whale_equals_trial_by_trial_reference(family):
+    converged = set()
+    for n_fish in range(5):
+        for cap in (2, 3, 2000):
+            got = whale_fish_experiment(
+                family, n_fish, trials=6, seed=2, max_iterations=cap
+            )
+            assert got == _reference_whale(family, n_fish, 6, 2, 0.1, cap)
+            converged.add(got.converged_trials)
+    # rows where no trial and every trial settled; with cfmm also rows
+    # where only some did (power whales all settle at round 2)
+    assert {0, 6} <= converged
+    assert len(converged) > 2 or family is POWER
+
+
+def test_cfmm_column_tender_equals_scalar_tender():
+    ys = np.random.default_rng(0).uniform(0.0, 60.0, size=20_000)
+    ys[:3] = (0.0, diagnostics(CFMM).root, 1e6)
+    scalar = cfmm_tender(CFMM)
+    assert _column_tender(CFMM)(ys).tolist() == [scalar(y) for y in ys.tolist()]
+
+
+@pytest.mark.parametrize("family", [CFMM, POWER])
+@pytest.mark.parametrize("order", ["sequential", "synchronous"])
+def test_sweep_equals_reference_round_on_wide_rows(family, order):
+    # tenders spread over 20 decades: the running total loses the small
+    # ones, so some totals fall below a player's tender and y is clamped
+    rng = np.random.default_rng(4)
+    X = 10.0 ** rng.uniform(-3.0, 17.0, size=(64, 5))
+    lower, upper = np.zeros_like(X), np.full_like(X, math.inf)
+    got = _sweep(X, lower, upper, order, _column_tender(family))
+    br = _make_unconstrained_br(family)
+    for k in range(X.shape[0]):
+        want = _reference_round(X[k], lower[k], upper[k], order, br)
+        assert got[k].tolist() == want.tolist()

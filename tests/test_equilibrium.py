@@ -106,6 +106,20 @@ def test_tabulated_family_solves_numerically():
         solve_symmetric(tab, 2, method="closed")
 
 
+def test_table_best_response_capped_by_the_last_knot():
+    # (domain_max - y) + y rounds one ulp past the last knot for this table;
+    # the search range must stay on the table instead of raising
+    b, g = 0.3812127477359683, 0.09632339838354469
+    ts = np.linspace(0.0, 1.2 * g ** (-1.0 / (1.0 - b)), 41)
+    tab = TabulatedPayoff(ts=tuple(ts), fs=tuple(ts**b - g * ts))
+    y = 16.657586647319373
+    assert (tab.domain_max - y) + y > tab.domain_max
+    r = best_response(tab, y)
+    assert 0.0 < r.x and r.x + y <= tab.domain_max
+    grid = np.linspace(0.0, tab.domain_max - y, 4001)[:-1]
+    assert r.achieved_payoff >= float(np.max(pro_rata_payoff(tab, grid, y)))
+
+
 def test_first_order_residual_values(power):
     # (n-1) f(q) + q f'(q) at n=2, q=100: f'(100) = 0 so the value is f(100) = 5
     assert foc_residual(power, 2, 100.0) == pytest.approx(5.0, rel=1e-12)
