@@ -12,8 +12,6 @@ from .analysis import (
 from .batch import (
     BatchInstance,
     BatchOutcome,
-    ForwardExchange,
-    arbitrage_payoff,
     clear,
     optimal_arbitrage,
 )
@@ -51,6 +49,7 @@ from .errors import (
 from .payoff import (
     CallablePayoff,
     CfmmArbitragePayoff,
+    ForwardExchange,
     PayoffDiagnostics,
     PayoffFamily,
     PowerPayoff,

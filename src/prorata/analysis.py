@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .equilibrium import solve_symmetric
-from .payoff import PayoffFamily, PowerPayoff, _cached_diagnostics
+from .payoff import PayoffFamily, PowerPayoff, diagnostics
 
 _CLOSED_FORM_CHECK_RTOL = 1e-6
 
@@ -36,7 +36,7 @@ def poa(family: PayoffFamily, n: int) -> PoaReport:
     on the solver; disagreement means a numeric failure.
     """
     eq = solve_symmetric(family, n)
-    diag = _cached_diagnostics(family)
+    diag = diagnostics(family)
     ratio = diag.max_value / (eq.equilibrium_payoff * n)
     if isinstance(family, PowerPayoff):
         expected = power_poa_closed_form(family.beta, n)

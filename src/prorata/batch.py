@@ -17,37 +17,10 @@ import numpy as np
 
 from .equilibrium import cfmm_tender
 from .errors import NonPositiveNetDemand
-from .payoff import CfmmArbitragePayoff
+from .payoff import ForwardExchange
 
 MAX_TRADERS = 10_000
 _SUM_LIMIT = sys.float_info.max / 2
-
-
-@dataclass(frozen=True)
-class ForwardExchange:
-    """Quote curve g(t) = gamma*r2*t / (r1 + gamma*t) of a two-asset
-    constant-product pool with fee multiplier gamma."""
-
-    gamma: float
-    r1: float
-    r2: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.r1 <= 0.0 or self.r2 <= 0.0:
-            raise ValueError(f"reserves must be positive, got r1={self.r1}, r2={self.r2}")
-
-    def quote(self, t):
-        return self.gamma * self.r2 * t / (self.r1 + self.gamma * t)
-
-    def derivative(self, t):
-        denom = self.r1 + self.gamma * t
-        return self.gamma * self.r1 * self.r2 / (denom * denom)
-
-    def arbitrage_family(self, price: float) -> CfmmArbitragePayoff:
-        """The induced payoff f(t) = g(t) - price*t as a payoff family."""
-        return CfmmArbitragePayoff(gamma=self.gamma, r1=self.r1, r2=self.r2, c=price)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +65,8 @@ def clear(instance: BatchInstance) -> BatchOutcome:
     demand); buyers (delta <= 0) carry residual 0 and receive no B — their
     fills net out internally in asset A. When no demand is netted
     (all deltas >= 0) the scale is exactly 1 and residuals equal deltas.
-    Raises :class:`NonPositiveNetDemand` when the batch nets to <= 0.
+    Raises :class:`NonPositiveNetDemand` when the batch nets to <= 0, and
+    ValueError when the net is so large that the quote overflows a float.
     """
     deltas = instance.deltas
     net = math.fsum(deltas)
@@ -104,6 +78,8 @@ def clear(instance: BatchInstance) -> BatchOutcome:
     residuals = positive * scale
     pool_input = math.fsum(residuals)
     pool_output = instance.pool.quote(pool_input)
+    if not math.isfinite(pool_output):
+        raise ValueError(f"the pool quote for input {pool_input!r} overflows")
     per_trader_b = residuals * (pool_output / pool_input)
     residuals.setflags(write=False)
     per_trader_b.setflags(write=False)
@@ -113,21 +89,6 @@ def clear(instance: BatchInstance) -> BatchOutcome:
         pool_output=pool_output,
         per_trader_b=per_trader_b,
     )
-
-
-def arbitrage_payoff(pool: ForwardExchange, price: float, x, y):
-    """Pro-rata arbitrage profit x/(x+y)*g(x+y) - price*x of tendering x
-    alongside y, with the pool output valued at the external price."""
-    if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-        if x <= 0.0:
-            return 0.0
-        t = x + y
-        return (x / t) * pool.quote(t) - price * x
-    x_arr = np.asarray(x, dtype=float)
-    t = x_arr + np.asarray(y, dtype=float)
-    x_b = np.broadcast_to(x_arr, t.shape)
-    share = np.divide(x_b, t, out=np.zeros(t.shape), where=t > 0.0)
-    return np.where(x_b > 0.0, share * pool.quote(np.where(t > 0.0, t, 1.0)) - price * x_b, 0.0)
 
 
 def optimal_arbitrage(pool: ForwardExchange, price: float) -> float:

@@ -10,6 +10,7 @@ exit code 2 (bad input), 3 (no equilibrium / no root exists), or
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -20,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import poa, poa_growth_check
-from .batch import BatchInstance, ForwardExchange, clear
+from .analysis import poa_growth_check
+from .batch import BatchInstance, clear
 from .dynamics import (
     BoundedUpdate,
     Budgeted,
@@ -42,36 +43,33 @@ from .errors import (
     NoPositiveRegion,
     ProRataError,
 )
-from .payoff import family_from_dict
+from .payoff import ForwardExchange, family_from_dict
 from .verify import (
     check_chord_condition,
     detect_linear_segment_at_zero,
     rosen_probe,
 )
 
-# Reference parameter sets used by the `reproduce` figures.
-REFERENCE_CFMM = {"kind": "cfmm", "gamma": 0.99, "r1": 200.0, "r2": 250.0, "c": 1.0}
-REFERENCE_POWER = {"kind": "power", "beta": 0.5, "gamma": 0.05}
-
-FIGURES = ("scenario1", "scenario2-delta", "whale", "poa-curve")
-
-_CONFIG_KEYS = {
-    "equilibrium": {"family", "n", "method"},
-    "bestresponse": {"family", "y", "budget"},
-    "simulate": {
-        "family", "n", "trials", "seed", "threshold", "max_iterations",
-        "update_order", "scenario", "delta", "budgets",
-    },
-    "study": {
-        "family", "n_values", "trials", "seed", "threshold", "max_iterations",
-        "update_order", "scenario", "delta", "budgets",
-    },
-    "whale": {"family", "n_fish_values", "trials", "seed", "threshold",
-              "max_iterations"},
-    "poa": {"family", "n_values", "n0"},
-    "batch": {"deltas", "gamma", "r1", "r2", "input"},
-    "verify": {"family", "conditions", "samples", "seed", "rosen_n", "domain_hi"},
+# Reference parameter sets of the `reproduce` figures, by family kind.
+REFERENCE = {
+    "cfmm": {"kind": "cfmm", "gamma": 0.99, "r1": 200.0, "r2": 250.0, "c": 1.0},
+    "power": {"kind": "power", "beta": 0.5, "gamma": 0.05},
 }
+
+# The flags that spell out a family; a config file gives one "family" object.
+_FAMILY_FLAGS = (
+    ("beta", float, "power exponent in (0,1)"),
+    ("gamma", float, "power linear cost, or cfmm fee multiplier"),
+    ("r1", float, "cfmm reserve of asset A"),
+    ("r2", float, "cfmm reserve of asset B"),
+    ("price", float, "cfmm external price of B"),
+    ("ts", None, "table knot positions, comma-separated"),
+    ("fs", None, "table knot values, comma-separated"),
+)
+
+# A command's result: column names, rows, and text that follows the table
+# (on stdout) in table format.
+Table = tuple[list[str], list[list], str]
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -106,7 +104,18 @@ def _parse_int_values(text) -> list[int]:
     return out
 
 
-def _load_config(path: str | None, command: str) -> dict:
+@contextlib.contextmanager
+def _bad_input():
+    """Report a library argument check (a ValueError) as a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _load_config(args) -> dict:
+    """The ``--config`` file, holding only keys the command has flags for."""
+    path = getattr(args, "config", None)
     if path is None:
         return {}
     try:
@@ -118,10 +127,9 @@ def _load_config(path: str | None, command: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    allowed = _CONFIG_KEYS[command] | {"output", "format"}
-    unknown = set(cfg) - allowed
+    unknown = set(cfg) - args.config_keys
     if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
     return cfg
 
 
@@ -173,7 +181,8 @@ def _resolve_scenario(args, config: dict, n: int):
         delta = _resolve(args, config, "delta", None)
         if delta is None:
             raise ConfigError("scenario 'bounded' needs --delta")
-        return BoundedUpdate(delta=float(delta))
+        with _bad_input():
+            return BoundedUpdate(delta=float(delta))
     if name == "budgeted":
         budgets = _resolve(args, config, "budgets", None)
         if budgets is None:
@@ -185,8 +194,23 @@ def _resolve_scenario(args, config: dict, n: int):
             budgets = budgets * n
         if len(budgets) != n:
             raise ConfigError(f"need 1 or {n} budgets, got {len(budgets)}")
-        return Budgeted(budgets=tuple(budgets))
+        with _bad_input():
+            return Budgeted(budgets=tuple(budgets))
     raise ConfigError(f"unknown scenario {name!r}")
+
+
+def _game(args, config: dict, family, n: int, scenario) -> GameConfig:
+    """The run settings shared by simulate and study, checked as input."""
+    with _bad_input():
+        return GameConfig(
+            family=family,
+            n=n,
+            scenario=scenario,
+            convergence_threshold=float(_resolve(args, config, "threshold", 0.1)),
+            max_iterations=int(_resolve(args, config, "max_iterations", 2000)),
+            seed=int(_resolve(args, config, "seed", 0)),
+            update_order=str(_resolve(args, config, "update_order", "sequential")),
+        )
 
 
 def _cell(value) -> str:
@@ -236,8 +260,7 @@ def _io_args(args, config) -> tuple[str, str | None]:
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_equilibrium(args) -> int:
-    config = _load_config(args.config, "equilibrium")
+def _cmd_equilibrium(args, config) -> Table:
     family = _resolve_family(args, config)
     n = int(_resolve(args, config, "n", 2))
     if n < 1:
@@ -246,49 +269,34 @@ def _cmd_equilibrium(args) -> int:
     if method not in SOLVE_METHODS:
         raise ConfigError(f"method must be one of {SOLVE_METHODS}")
     res = solve_symmetric(family, n, method=method)
-    fmt, path = _io_args(args, config)
-    _emit(
+    return (
         ["n", "q", "per_player", "eq_payoff", "foc_residual", "method"],
         [[res.n, res.q, res.per_player, res.equilibrium_payoff,
           res.foc_residual, res.method]],
-        fmt, path,
+        "",
     )
-    return 0
 
 
-def _cmd_bestresponse(args) -> int:
-    config = _load_config(args.config, "bestresponse")
+def _cmd_bestresponse(args, config) -> Table:
     family = _resolve_family(args, config)
     y = float(_resolve(args, config, "y", 0.0))
     budget = float(_resolve(args, config, "budget", math.inf))
     res = best_response(family, y, budget=budget)
-    fmt, path = _io_args(args, config)
-    _emit(
+    return (
         ["y", "budget", "x", "payoff", "boundary"],
         [[y, budget, res.x, res.achieved_payoff, res.at_boundary]],
-        fmt, path,
+        "",
     )
-    return 0
 
 
-def _cmd_simulate(args) -> int:
-    config = _load_config(args.config, "simulate")
+def _cmd_simulate(args, config) -> Table:
     family = _resolve_family(args, config)
     n = int(_resolve(args, config, "n", 2))
     trials = int(_resolve(args, config, "trials", 1))
-    seed = int(_resolve(args, config, "seed", 0))
-    game = GameConfig(
-        family=family,
-        n=n,
-        scenario=_resolve_scenario(args, config, n),
-        convergence_threshold=float(_resolve(args, config, "threshold", 0.1)),
-        max_iterations=int(_resolve(args, config, "max_iterations", 2000)),
-        seed=seed,
-        update_order=str(_resolve(args, config, "update_order", "sequential")),
-    )
+    game = _game(args, config, family, n, _resolve_scenario(args, config, n))
     rows = []
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
+        rng = np.random.default_rng([game.seed, trial])
         trace = simulate(game, initial=draw_initial_profile(family, n, rng))
         for it, profile in enumerate(trace.profiles):
             payoffs = profile.payoffs(family)
@@ -297,99 +305,99 @@ def _cmd_simulate(args) -> int:
                     [trial, it, player, float(profile.actions[player]),
                      float(payoffs[player])]
                 )
-    fmt, path = _io_args(args, config)
-    _emit(["trial", "iteration", "player", "strategy", "payoff"], rows, fmt, path)
-    return 0
+    return ["trial", "iteration", "player", "strategy", "payoff"], rows, ""
 
 
-def _cmd_study(args) -> int:
-    config = _load_config(args.config, "study")
+def _cmd_study(args, config) -> Table:
     family = _resolve_family(args, config)
     n_values = _parse_int_values(_resolve(args, config, "n_values", "2:16"))
     scenario = _resolve_scenario(args, config, n_values[0])
     if isinstance(scenario, Budgeted) and len(set(n_values)) > 1:
         raise ConfigError("a budgeted study needs a single n value")
+    game, *_ = [_game(args, config, family, n, scenario) for n in n_values]
     result = convergence_study(
         family,
         n_values,
         trials=int(_resolve(args, config, "trials", 100)),
-        seed=int(_resolve(args, config, "seed", 0)),
+        seed=game.seed,
         scenario=scenario,
-        convergence_threshold=float(_resolve(args, config, "threshold", 0.1)),
-        max_iterations=int(_resolve(args, config, "max_iterations", 2000)),
-        update_order=str(_resolve(args, config, "update_order", "sequential")),
+        convergence_threshold=game.convergence_threshold,
+        max_iterations=game.max_iterations,
+        update_order=game.update_order,
     )
     rows = [[r.n, r.trial, r.iterations, r.converged] for r in result.records]
-    fmt, path = _io_args(args, config)
-    _emit(["n", "trial", "iterations", "converged"], rows, fmt, path)
-    if fmt == "table":
-        means = result.mean_iterations()
-        sys.stdout.write("\nmean iterations to converge:\n")
-        for n, mean in means.items():
-            sys.stdout.write(f"  n={n}: {mean:.2f}\n")
-    return 0
+    summary = "".join(f"  n={n}: {mean:.2f}\n"
+                      for n, mean in result.mean_iterations().items())
+    return (["n", "trial", "iterations", "converged"], rows,
+            "\nmean iterations to converge:\n" + summary)
 
 
-def _cmd_whale(args) -> int:
-    config = _load_config(args.config, "whale")
+def _delta_sweep(args, config) -> Table:
+    """The study at one n for each movement cap delta, keyed by delta."""
+    rows = []
+    for delta in _parse_floats(config["deltas"]):
+        bounded = {**config, "scenario": "bounded", "delta": delta}
+        rows.extend([delta, *row[1:]] for row in _cmd_study(args, bounded)[1])
+    return ["delta", "trial", "iterations", "converged"], rows, ""
+
+
+def _cmd_whale(args, config) -> Table:
     family = _resolve_family(args, config)
     n_fish_values = _parse_int_values(_resolve(args, config, "n_fish_values", "1:20"))
+    trials = int(_resolve(args, config, "trials", 100))
+    # whale_fish_experiment's own checks, made before any row runs
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
+    bad = next((v for v in n_fish_values if v < 0), None)
+    if bad is not None:
+        raise ConfigError(f"n_fish must be nonnegative, got {bad}")
+    run = dict(
+        trials=trials,
+        seed=int(_resolve(args, config, "seed", 0)),
+        convergence_threshold=float(_resolve(args, config, "threshold", 0.1)),
+        max_iterations=int(_resolve(args, config, "max_iterations", 2000)),
+    )
     rows = []
     for n_fish in n_fish_values:
-        rep = whale_fish_experiment(
-            family,
-            n_fish,
-            trials=int(_resolve(args, config, "trials", 100)),
-            seed=int(_resolve(args, config, "seed", 0)),
-            convergence_threshold=float(_resolve(args, config, "threshold", 0.1)),
-            max_iterations=int(_resolve(args, config, "max_iterations", 2000)),
-        )
+        rep = whale_fish_experiment(family, n_fish, **run)
         rows.append([
             rep.n_fish, rep.trials, rep.whale_strategy, rep.whale_profit,
             rep.pct_strategy_increase, rep.pct_strategy_std,
             rep.pct_profit_increase, rep.pct_profit_std,
             rep.converged_trials, rep.fish_saturated_trials,
         ])
-    fmt, path = _io_args(args, config)
-    _emit(
+    return (
         ["n_fish", "trials", "whale_strategy", "whale_profit",
          "pct_strategy_increase", "pct_strategy_increase_std",
          "pct_profit_increase", "pct_profit_increase_std",
          "converged_trials", "fish_saturated_trials"],
-        rows, fmt, path,
+        rows, "",
     )
-    return 0
 
 
-def _cmd_poa(args) -> int:
-    config = _load_config(args.config, "poa")
+def _cmd_poa(args, config) -> Table:
     family = _resolve_family(args, config)
     n_values = _parse_int_values(_resolve(args, config, "n_values", "1:50"))
+    bad = next((n for n in n_values if n < 1), None)
+    if bad is not None:  # solve_symmetric's own check
+        raise ConfigError(f"n must be a positive integer, got {bad}")
     result = poa_growth_check(
         family, n_values, n0=int(_resolve(args, config, "n0", 10))
     )
     rows = [[r.n, r.eq_payoff, r.fair_payoff, r.poa] for r in result.reports]
-    fmt, path = _io_args(args, config)
-    _emit(["n", "eq_payoff", "fair_payoff", "poa"], rows, fmt, path)
-    if fmt == "table":
-        sys.stdout.write(
-            f"\nnondecreasing={str(result.nondecreasing).lower()} "
-            f"poa(n)/n floor for n>={result.n0}: {result.ratio_floor!r}\n"
-        )
-    return 0
+    return (
+        ["n", "eq_payoff", "fair_payoff", "poa"], rows,
+        f"\nnondecreasing={str(result.nondecreasing).lower()} "
+        f"poa(n)/n floor for n>={result.n0}: {result.ratio_floor!r}\n",
+    )
 
 
-def _cmd_batch(args) -> int:
-    config = _load_config(args.config, "batch")
-    gamma = _resolve(args, config, "gamma", None)
-    r1 = _resolve(args, config, "r1", None)
-    r2 = _resolve(args, config, "r2", None)
-    if gamma is None or r1 is None or r2 is None:
+def _cmd_batch(args, config) -> Table:
+    pool_args = [_resolve(args, config, key, None) for key in ("gamma", "r1", "r2")]
+    if None in pool_args:
         raise ConfigError("batch needs pool parameters --gamma, --r1, --r2")
-    try:
-        pool = ForwardExchange(gamma=float(gamma), r1=float(r1), r2=float(r2))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with _bad_input():
+        pool = ForwardExchange(*map(float, pool_args))
 
     ids: list[str]
     input_path = _resolve(args, config, "input", None)
@@ -418,23 +426,18 @@ def _cmd_batch(args) -> int:
     else:
         raise ConfigError("batch needs --input or --deltas")
 
-    try:
+    with _bad_input():
         outcome = clear(BatchInstance(deltas=np.asarray(deltas, dtype=float),
                                       pool=pool))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     rows = [
         [tid, float(d), float(r), float(b)]
         for tid, d, r, b in zip(ids, deltas, outcome.residuals,
                                 outcome.per_trader_b)
     ]
-    fmt, path = _io_args(args, config)
-    _emit(["trader_id", "delta", "residual", "received_b"], rows, fmt, path)
-    return 0
+    return ["trader_id", "delta", "residual", "received_b"], rows, ""
 
 
-def _cmd_verify(args) -> int:
-    config = _load_config(args.config, "verify")
+def _cmd_verify(args, config) -> Table:
     family = _resolve_family(args, config)
     conditions = _resolve(args, config, "conditions", "chord,linear,rosen")
     if isinstance(conditions, str):
@@ -447,85 +450,48 @@ def _cmd_verify(args) -> int:
     domain_hi = _resolve(args, config, "domain_hi", None)
     domain_hi = float(domain_hi) if domain_hi is not None else None
     rosen_n = int(_resolve(args, config, "rosen_n", 2))
+    if "rosen" in conditions and rosen_n < 2:  # rosen_probe's own check
+        raise ConfigError(f"n must be an integer >= 2, got {rosen_n}")
 
     rows = []
     for name in conditions:
-        if name == "chord":
-            rep = check_chord_condition(family, samples=samples, seed=seed,
-                                        domain_hi=domain_hi)
-            for w in rep.witness or ((None, None, None),):
-                rows.append([rep.condition, rep.holds, *w])
-        elif name == "linear":
-            rep = detect_linear_segment_at_zero(family, samples=samples,
-                                                seed=seed, domain_hi=domain_hi)
-            for w in rep.witness or ((None, None, None),):
-                rows.append([rep.condition, rep.holds, *w])
-        else:
+        if name == "rosen":
             rep = rosen_probe(family, rosen_n)
             rows.append([rep.condition, rep.holds, float(rosen_n),
                          rosen_n / 2.0, rep.details["e_value"]])
-    fmt, path = _io_args(args, config)
-    _emit(["condition", "holds", "witness_a", "witness_b", "witness_value"],
-          rows, fmt, path)
-    return 0
+            continue
+        check = check_chord_condition if name == "chord" \
+            else detect_linear_segment_at_zero
+        rep = check(family, samples=samples, seed=seed, domain_hi=domain_hi)
+        rows.extend([rep.condition, rep.holds, *w]
+                    for w in rep.witness or ((None, None, None),))
+    return (["condition", "holds", "witness_a", "witness_b", "witness_value"],
+            rows, "")
 
 
-def _cmd_reproduce(args) -> int:
-    figure = args.figure
-    default_family = {"scenario1": "cfmm", "scenario2-delta": "power",
-                      "whale": "cfmm", "poa-curve": "power"}[figure]
-    kind = args.family or default_family
-    family = family_from_dict(
-        REFERENCE_CFMM if kind == "cfmm" else REFERENCE_POWER
-    )
-    trials = args.trials if args.trials is not None else 100
-    seed = args.seed if args.seed is not None else 0
-    path = args.output
+# Each figure is a preset run of a command: (handler, reference family kind,
+# config from the reproduce flags). An empty or zero flag keeps the default.
+FIGURES = {
+    "scenario1": (_cmd_study, "cfmm",
+                  lambda a: {"n_values": a.n_values or "2:16"}),
+    "scenario2-delta": (_delta_sweep, "power",
+                        lambda a: {"n_values": [a.n or 10],
+                                   "deltas": a.deltas or "0.5,1,2,5,10"}),
+    "whale": (_cmd_whale, "cfmm",
+              lambda a: {"n_fish_values": a.n_values or f"1:{a.max_fish or 20}"}),
+    "poa-curve": (_cmd_poa, "power",
+                  lambda a: {"n_values": a.n_values or "1:50"}),
+}
 
-    if figure == "scenario1":
-        n_values = _parse_int_values(args.n_values or "2:16")
-        result = convergence_study(family, n_values, trials=trials, seed=seed)
-        rows = [[r.n, r.trial, r.iterations, r.converged] for r in result.records]
-        _emit(["n", "trial", "iterations", "converged"], rows, "csv", path)
-    elif figure == "scenario2-delta":
-        n = int(args.n or 10)
-        deltas = _parse_floats(args.deltas or "0.5,1,2,5,10")
-        rows = []
-        for delta in deltas:
-            result = convergence_study(
-                family, [n], trials=trials, seed=seed,
-                scenario=BoundedUpdate(delta=delta),
-            )
-            rows.extend(
-                [delta, r.trial, r.iterations, r.converged]
-                for r in result.records
-            )
-        _emit(["delta", "trial", "iterations", "converged"], rows, "csv", path)
-    elif figure == "whale":
-        default_range = f"1:{args.max_fish}" if args.max_fish else "1:20"
-        n_fish_values = _parse_int_values(args.n_values or default_range)
-        rows = []
-        for n_fish in n_fish_values:
-            rep = whale_fish_experiment(family, n_fish, trials=trials, seed=seed)
-            rows.append([
-                rep.n_fish, rep.trials, rep.whale_strategy, rep.whale_profit,
-                rep.pct_strategy_increase, rep.pct_strategy_std,
-                rep.pct_profit_increase, rep.pct_profit_std,
-                rep.converged_trials, rep.fish_saturated_trials,
-            ])
-        _emit(
-            ["n_fish", "trials", "whale_strategy", "whale_profit",
-             "pct_strategy_increase", "pct_strategy_increase_std",
-             "pct_profit_increase", "pct_profit_increase_std",
-             "converged_trials", "fish_saturated_trials"],
-            rows, "csv", path,
-        )
-    else:  # poa-curve
-        n_values = _parse_int_values(args.n_values or "1:50")
-        rows = [[r.n, r.eq_payoff, r.fair_payoff, r.poa]
-                for r in (poa(family, n) for n in n_values)]
-        _emit(["n", "eq_payoff", "fair_payoff", "poa"], rows, "csv", path)
-    return 0
+
+def _cmd_reproduce(args, config) -> Table:
+    handler, kind, preset = FIGURES[args.figure]
+    figure = {"family": REFERENCE[args.family or kind], **preset(args)}
+    for key in ("trials", "seed"):
+        if getattr(args, key) is not None:
+            figure[key] = getattr(args, key)
+    # no flags: the handler reads everything from the preset
+    return handler(argparse.Namespace(), figure)
 
 
 # ----------------------------------------------------------------- parser
@@ -534,14 +500,8 @@ def _cmd_reproduce(args) -> int:
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", choices=("power", "cfmm", "table"),
                      help="payoff family kind")
-    sub.add_argument("--beta", type=float, help="power exponent in (0,1)")
-    sub.add_argument("--gamma", type=float,
-                     help="power linear cost, or cfmm fee multiplier")
-    sub.add_argument("--r1", type=float, help="cfmm reserve of asset A")
-    sub.add_argument("--r2", type=float, help="cfmm reserve of asset B")
-    sub.add_argument("--price", type=float, help="cfmm external price of B")
-    sub.add_argument("--ts", help="table knot positions, comma-separated")
-    sub.add_argument("--fs", help="table knot values, comma-separated")
+    for name, kind, helptext in _FAMILY_FLAGS:
+        sub.add_argument(f"--{name}", type=kind, help=helptext)
 
 
 def _add_io_flags(sub: argparse.ArgumentParser) -> None:
@@ -549,6 +509,22 @@ def _add_io_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", help="write to this path instead of stdout")
     sub.add_argument("--format", choices=("csv", "table"),
                      help="output format (default: table on stdout, csv to files)")
+
+
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--trials", type=int)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--threshold", type=float)
+    sub.add_argument("--max-iterations", dest="max_iterations", type=int)
+
+
+def _command(sub, name: str, helptext: str, fn, family: bool = True):
+    p = sub.add_parser(name, help=helptext)
+    if family:
+        _add_family_flags(p)
+    _add_io_flags(p)
+    p.set_defaults(fn=fn)
+    return p
 
 
 @functools.cache
@@ -560,79 +536,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("equilibrium", help="symmetric equilibrium")
-    _add_family_flags(p)
-    _add_io_flags(p)
+    p = _command(sub, "equilibrium", "symmetric equilibrium", _cmd_equilibrium)
     p.add_argument("--n", type=int)
     p.add_argument("--method", choices=SOLVE_METHODS)
-    p.set_defaults(fn=_cmd_equilibrium)
 
-    p = sub.add_parser("bestresponse", help="single-player best response")
-    _add_family_flags(p)
-    _add_io_flags(p)
+    p = _command(sub, "bestresponse", "single-player best response",
+                 _cmd_bestresponse)
     p.add_argument("--y", type=float, help="everyone else's total tender")
     p.add_argument("--budget", type=float)
-    p.set_defaults(fn=_cmd_bestresponse)
 
-    for name, helptext in (("simulate", "trace best-response rounds"),
-                           ("study", "rounds-to-convergence statistics")):
-        p = sub.add_parser(name, help=helptext)
-        _add_family_flags(p)
-        _add_io_flags(p)
+    for name, helptext, fn in (
+            ("simulate", "trace best-response rounds", _cmd_simulate),
+            ("study", "rounds-to-convergence statistics", _cmd_study)):
+        p = _command(sub, name, helptext, fn)
         if name == "simulate":
             p.add_argument("--n", type=int)
         else:
             p.add_argument("--n-values", dest="n_values",
                            help="e.g. '2:16' or '2,4,8'")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threshold", type=float)
-        p.add_argument("--max-iterations", dest="max_iterations", type=int)
+        _add_run_flags(p)
         p.add_argument("--update-order", dest="update_order",
                        choices=("sequential", "synchronous"))
         p.add_argument("--scenario",
                        choices=("unconstrained", "bounded", "budgeted"))
         p.add_argument("--delta", type=float, help="bounded-update step cap")
         p.add_argument("--budgets", help="comma list (1 value broadcasts)")
-        p.set_defaults(fn=_cmd_simulate if name == "simulate" else _cmd_study)
 
-    p = sub.add_parser("whale", help="one deep player vs budget-capped fish")
-    _add_family_flags(p)
-    _add_io_flags(p)
+    p = _command(sub, "whale", "one deep player vs budget-capped fish", _cmd_whale)
     p.add_argument("--n-fish-values", dest="n_fish_values",
                    help="e.g. '1:20'")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.set_defaults(fn=_cmd_whale)
+    _add_run_flags(p)
 
-    p = sub.add_parser("poa", help="price-of-anarchy curve")
-    _add_family_flags(p)
-    _add_io_flags(p)
+    p = _command(sub, "poa", "price-of-anarchy curve", _cmd_poa)
     p.add_argument("--n-values", dest="n_values")
     p.add_argument("--n0", type=int, help="tail start for the poa/n floor")
-    p.set_defaults(fn=_cmd_poa)
 
-    p = sub.add_parser("batch", help="clear a batch of signed demands")
-    _add_io_flags(p)
+    p = _command(sub, "batch", "clear a batch of signed demands", _cmd_batch,
+                 family=False)
     p.add_argument("--input", help="CSV with columns trader_id, delta")
     p.add_argument("--deltas", help="inline comma list of signed demands")
     p.add_argument("--gamma", type=float)
     p.add_argument("--r1", type=float)
     p.add_argument("--r2", type=float)
-    p.set_defaults(fn=_cmd_batch)
 
-    p = sub.add_parser("verify", help="certify concavity side conditions")
-    _add_family_flags(p)
-    _add_io_flags(p)
+    p = _command(sub, "verify", "certify concavity side conditions", _cmd_verify)
     p.add_argument("--conditions", "--condition", dest="conditions",
                    help="subset of chord,linear,rosen")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--domain-hi", dest="domain_hi", type=float)
     p.add_argument("--rosen-n", dest="rosen_n", type=int)
-    p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("reproduce", help="regenerate a reference figure CSV")
     p.add_argument("figure", type=lambda s: s.removeprefix("fig-"),
@@ -645,8 +598,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-fish", dest="max_fish", type=int)
     p.add_argument("--deltas")
     p.add_argument("--output")
-    p.set_defaults(fn=_cmd_reproduce)
+    p.set_defaults(fn=_cmd_reproduce, format="csv")
 
+    # a config file may set what the command's flags set, with the family
+    # as one object in place of its flags
+    family_flags = {name for name, _, _ in _FAMILY_FLAGS}
+    for p in sub.choices.values():
+        keys = {a.dest for a in p._actions} - {"help", "config"}
+        if "family" in keys:
+            keys -= family_flags
+        p.set_defaults(config_keys=frozenset(keys))
     return parser
 
 
@@ -667,7 +628,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        config = _load_config(args)
+        columns, rows, after = args.fn(args, config)
+        fmt, path = _io_args(args, config)
+        _emit(columns, rows, fmt, path)
+        if fmt == "table":
+            sys.stdout.write(after)
+        return 0
     except ProRataError as exc:
         for klass, slug, code in _ERROR_SLUGS:
             if isinstance(exc, klass):

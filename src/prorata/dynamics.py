@@ -40,7 +40,7 @@ from .equilibrium import (
 from .payoff import (
     CfmmArbitragePayoff,
     PayoffFamily,
-    _cached_diagnostics,
+    diagnostics,
     pro_rata_payoff,
 )
 
@@ -289,7 +289,7 @@ def draw_initial_profile(
     family: PayoffFamily, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Each tender uniform on (0, w/n), the natural per-player scale."""
-    w = _cached_diagnostics(family).root
+    w = diagnostics(family).root
     return rng.uniform(0.0, w / n, size=n)
 
 
@@ -442,11 +442,13 @@ def whale_fish_experiment(
     """
     if n_fish < 0:
         raise ValueError(f"n_fish must be nonnegative, got {n_fish}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     n_total = n_fish + 1
     eq = solve_symmetric(family, n_total)
     fair_strategy = eq.per_player
     fair_payoff = eq.equilibrium_payoff
-    w = _cached_diagnostics(family).root
+    w = diagnostics(family).root
 
     X = np.empty((trials, n_total))
     upper = np.full((trials, n_total), math.inf)

@@ -24,7 +24,7 @@ from .payoff import (
     PayoffFamily,
     PowerPayoff,
     TabulatedPayoff,
-    _cached_diagnostics,
+    diagnostics,
     pro_rata_payoff,
 )
 from .search import golden_section_maximize
@@ -148,7 +148,7 @@ def solve_symmetric(
             q = _closed_form_cfmm(family, n)
             used = "closed-form-quadratic"
     else:
-        diag = _cached_diagnostics(family)
+        diag = diagnostics(family)
         lo = diag.argmax * (0.5 if n == 1 else 1.0 - 1e-9)
         hi = diag.root * (1.0 - 1e-12)
 
@@ -277,7 +277,7 @@ def best_response(
         return BestResponseResult(x, pro_rata_payoff(family, x, y), "interior")
 
     try:
-        diag = _cached_diagnostics(family)
+        diag = diagnostics(family)
     except NoPositiveRegion:
         # nothing positive to gain at any tender
         return BestResponseResult(0.0, 0.0, "zero")

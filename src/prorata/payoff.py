@@ -3,8 +3,9 @@
 A payoff family maps the total tendered amount t = 1'x to the pool-level
 payout f(t); players receive pro-rata shares of it. Three parametric
 families cover the common cases (a constant-product-pool arbitrage profit,
-a power curve, and a piecewise-linear table), plus a thin adapter for
-ad-hoc callables used by the verification probes.
+built on the pool's quote curve ``ForwardExchange``, a power curve, and a
+piecewise-linear table), plus a thin adapter for ad-hoc callables used by
+the verification probes.
 
 All ``value``/``derivative`` methods accept floats or numpy arrays.
 """
@@ -26,42 +27,64 @@ from .search import bisect_root, golden_section_maximize
 # a short upward leg covers non-concave callables.
 _SCAN_DOWN_STEPS = 200
 _SCAN_UP_STEPS = 60
-DEFAULT_BRACKET_RTOL = 1e-10
-DEFAULT_EXPANSION_CAP = 1e12
-DEFAULT_FD_STEP_SCALE = 1e-6
+# the root search gives up past this multiple of its starting point
+_EXPANSION_CAP = 1e12
+# finite-difference step, relative to max(1, |t|)
+_FD_STEP_SCALE = 1e-6
 
 
 @dataclass(frozen=True)
-class CfmmArbitragePayoff:
-    """Arbitrage profit against a two-asset constant-product pool.
-
-    f(t) = gamma*r2*t / (r1 + gamma*t) - c*t: the pool's output for input t
-    valued at the external unit price, minus the cost of the tendered t.
-    ``gamma`` is the fee multiplier (1 = no fee), ``r1``/``r2`` the pool
-    reserves, ``c`` the external price of asset B in units of asset A.
-    """
+class ForwardExchange:
+    """Quote curve g(t) = gamma*r2*t / (r1 + gamma*t) of a two-asset
+    constant-product pool with fee multiplier gamma."""
 
     gamma: float
     r1: float
     r2: float
-    c: float
-
-    kind: ClassVar[str] = "cfmm"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.r1 <= 0.0 or self.r2 <= 0.0:
             raise ValueError(f"reserves must be positive, got r1={self.r1}, r2={self.r2}")
+
+    def quote(self, t):
+        return self.gamma * self.r2 * t / (self.r1 + self.gamma * t)
+
+    def derivative(self, t):
+        denom = self.r1 + self.gamma * t
+        return self.gamma * self.r1 * self.r2 / (denom * denom)
+
+    def arbitrage_family(self, price: float) -> CfmmArbitragePayoff:
+        """The induced payoff f(t) = g(t) - price*t as a payoff family."""
+        return CfmmArbitragePayoff(gamma=self.gamma, r1=self.r1, r2=self.r2, c=price)
+
+
+@dataclass(frozen=True)
+class CfmmArbitragePayoff(ForwardExchange):
+    """Arbitrage profit against a two-asset constant-product pool.
+
+    f(t) = g(t) - c*t with g the pool's quote: the pool's output for input
+    t valued at the external unit price, minus the cost of the tendered t.
+    ``gamma`` is the fee multiplier (1 = no fee), ``r1``/``r2`` the pool
+    reserves, ``c`` the external price of asset B in units of asset A.
+    """
+
+    c: float
+
+    kind: ClassVar[str] = "cfmm"
+
+    def __post_init__(self) -> None:
+        ForwardExchange.__post_init__(self)
         if self.c <= 0.0:
             raise ValueError(f"external price must be positive, got {self.c}")
 
     def value(self, t):
-        return self.gamma * self.r2 * t / (self.r1 + self.gamma * t) - self.c * t
+        return self.quote(t) - self.c * t
 
     def derivative(self, t):
-        denom = self.r1 + self.gamma * t
-        return self.gamma * self.r1 * self.r2 / (denom * denom) - self.c
+        # an explicit base call: super() costs a measurable share of a call
+        return ForwardExchange.derivative(self, t) - self.c
 
 
 @dataclass(frozen=True)
@@ -128,9 +151,9 @@ class TabulatedPayoff:
         out = np.interp(arr, self.ts, self.fs)
         return float(out) if np.ndim(t) == 0 else out
 
-    def derivative(self, t, step_scale: float = DEFAULT_FD_STEP_SCALE):
+    def derivative(self, t):
         arr = np.asarray(t, dtype=float)
-        h = step_scale * np.maximum(1.0, np.abs(arr))
+        h = _FD_STEP_SCALE * np.maximum(1.0, np.abs(arr))
         hi = np.minimum(arr + h, self.ts[-1])
         lo = np.maximum(arr - h, 0.0)
         out = (self.value(hi) - self.value(lo)) / (hi - lo)
@@ -158,10 +181,10 @@ class CallablePayoff:
     def value(self, t):
         return self.fn(t)
 
-    def derivative(self, t, step_scale: float = DEFAULT_FD_STEP_SCALE):
+    def derivative(self, t):
         if self.deriv is not None:
             return self.deriv(t)
-        h = step_scale * np.maximum(1.0, np.abs(t))
+        h = _FD_STEP_SCALE * np.maximum(1.0, np.abs(t))
         return (self.fn(t + h) - self.fn(t - h)) / (2.0 * h)
 
 
@@ -218,22 +241,20 @@ def _find_positive_point(family: PayoffFamily) -> float:
     raise NoPositiveRegion("no point with f > 0 found on a geometric scan")
 
 
-def diagnostics(
-    family: PayoffFamily,
-    bracket_rtol: float = DEFAULT_BRACKET_RTOL,
-    expansion_cap: float = DEFAULT_EXPANSION_CAP,
-) -> PayoffDiagnostics:
+@functools.lru_cache(maxsize=256)
+def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
     """Locate the positive root, the maximum, and a positivity witness.
 
     The root is bracketed by doubling from a point with f > 0 until the
-    sign flips (capped at ``expansion_cap`` times the start, or at the last
-    knot for tabulated families) and then refined by bisection. The
-    maximum over [0, root] comes from golden-section search; for tabulated
-    families it is read off the knots, where piecewise-linear maxima live.
+    sign flips (capped at 1e12 times the start, or at the last knot for
+    tabulated families) and then refined by bisection. The maximum over
+    [0, root] comes from golden-section search; for tabulated families it
+    is read off the knots, where piecewise-linear maxima live. Results are
+    memoized per family (families are frozen and hashable).
     """
     t_pos = _find_positive_point(family)
     domain_hi = family.domain_max if isinstance(family, TabulatedPayoff) else math.inf
-    cap = expansion_cap * max(t_pos, 1.0)
+    cap = _EXPANSION_CAP * max(t_pos, 1.0)
 
     root = None
     lo = hi = t_pos
@@ -254,7 +275,7 @@ def diagnostics(
         if nxt > cap:
             raise NoFiniteRoot(f"payoff still positive at t={nxt:g} (cap reached)")
     if root is None:
-        root = bisect_root(family.value, lo, hi, rel_tol=bracket_rtol)
+        root = bisect_root(family.value, lo, hi)
 
     if isinstance(family, TabulatedPayoff):
         ts = np.asarray(family.ts)
@@ -277,12 +298,6 @@ def diagnostics(
     return PayoffDiagnostics(
         root=root, max_value=max_value, argmax=argmax, positive_witness=witness
     )
-
-
-@functools.lru_cache(maxsize=256)
-def _cached_diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
-    """Default-tolerance diagnostics, memoized (families are frozen/hashable)."""
-    return diagnostics(family)
 
 
 _FAMILY_KEYS = {

@@ -10,14 +10,16 @@ import math
 from typing import Callable
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# stop once the bracket is this small relative to max(1, |ends|)
+_GOLDEN_RTOL = 1e-12
+_BISECT_RTOL = 1e-10
+_MAX_ITER = 200
 
 
 def golden_section_maximize(
     fn: Callable[[float], float],
     lo: float,
     hi: float,
-    rel_tol: float = 1e-12,
-    max_iter: int = 200,
     polish: bool = True,
 ) -> float:
     """Return the maximizer of a unimodal ``fn`` on ``[lo, hi]``.
@@ -34,8 +36,8 @@ def golden_section_maximize(
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if (b - a) <= rel_tol * max(1.0, abs(a), abs(b)):
+    for _ in range(_MAX_ITER):
+        if (b - a) <= _GOLDEN_RTOL * max(1.0, abs(a), abs(b)):
             break
         if fc < fd:
             a, c, fc = c, d, fd
@@ -58,13 +60,7 @@ def golden_section_maximize(
     return x
 
 
-def bisect_root(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-10,
-    max_iter: int = 200,
-) -> float:
+def bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """Return a root of ``fn`` on ``[lo, hi]`` given ``fn(lo)`` and ``fn(hi)``
     of opposite (or zero) sign."""
     f_lo, f_hi = fn(lo), fn(hi)
@@ -74,9 +70,9 @@ def bisect_root(
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if (hi - lo) <= rel_tol * max(1.0, abs(lo), abs(hi)):
+        if (hi - lo) <= _BISECT_RTOL * max(1.0, abs(lo), abs(hi)):
             return mid
         f_mid = fn(mid)
         if f_mid == 0.0:

@@ -27,7 +27,7 @@ from .payoff import (
     CallablePayoff,
     PayoffFamily,
     TabulatedPayoff,
-    _cached_diagnostics,
+    diagnostics,
 )
 
 CHORD_STRICT = "chord-strict"
@@ -35,8 +35,10 @@ LINEAR_SEGMENT_AT_ZERO = "linear-segment-at-zero"
 ROSEN_MONOTONE_PROBE = "rosen-monotone-probe"
 
 DEFAULT_SAMPLES = 10_000
-DEFAULT_STRICT_MARGIN = 1e-12
-DEFAULT_RATIO_RTOL = 1e-10
+# a chord gap within this relative margin of equality counts as a violation
+STRICT_MARGIN = 1e-12
+# f(t)/t ratios this close (relative) are a candidate linear segment
+RATIO_RTOL = 1e-10
 _MAX_WITNESSES = 8
 
 
@@ -54,10 +56,10 @@ def _sample_ceiling(family: PayoffFamily, domain_hi: float | None) -> float:
     if isinstance(family, TabulatedPayoff):
         # bounded tables may have no root (f still positive at the end)
         try:
-            return _cached_diagnostics(family).root
+            return diagnostics(family).root
         except NoFiniteRoot:
             return family.domain_max
-    return _cached_diagnostics(family).root
+    return diagnostics(family).root
 
 
 def check_chord_condition(
@@ -65,14 +67,13 @@ def check_chord_condition(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     domain_hi: float | None = None,
-    strict_margin: float = DEFAULT_STRICT_MARGIN,
 ) -> ConditionReport:
     """Sample the strict chord inequality f(alpha*t) > alpha*f(t).
 
     alpha ~ U(0, 1) and t ~ U(0, hi) with hi the positive root (or the
     table end); a deterministic geometric ladder of (alpha=1/2, t) probes
     is added so segments hiding near zero are found regardless of seed.
-    Violations within ``strict_margin`` (relative) of equality count as
+    Violations within ``STRICT_MARGIN`` (relative) of equality count as
     failures; up to eight are returned as (alpha, t, gap) witnesses.
     """
     hi = _sample_ceiling(family, domain_hi)
@@ -92,7 +93,7 @@ def check_chord_condition(
     rhs = alpha * family.value(t)
     gap = lhs - rhs
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0e-300)
-    bad = gap <= strict_margin * scale
+    bad = gap <= STRICT_MARGIN * scale
     idx = np.flatnonzero(bad)
     witness = tuple(
         (float(alpha[i]), float(t[i]), float(gap[i])) for i in idx[:_MAX_WITNESSES]
@@ -105,7 +106,7 @@ def check_chord_condition(
             "samples": int(t.size),
             "violations": int(idx.size),
             "hi": hi,
-            "strict_margin": strict_margin,
+            "strict_margin": STRICT_MARGIN,
         },
     )
 
@@ -124,10 +125,9 @@ def detect_linear_segment_at_zero(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     domain_hi: float | None = None,
-    ratio_rtol: float = DEFAULT_RATIO_RTOL,
 ) -> ConditionReport:
     """Look for distinct t < t' with f(t)/t == f(t')/t' (within
-    ``ratio_rtol``), then confirm f is collinear with the origin on (0, t]
+    ``RATIO_RTOL``), then confirm f is collinear with the origin on (0, t]
     before reporting a segment. ``holds=True`` means a segment was found.
 
     Pairs come from ``t_pairs`` when given, otherwise from seeded uniform
@@ -158,7 +158,7 @@ def detect_linear_segment_at_zero(
         raise ValueError("pairs must satisfy 0 < t < t'")
     r_lo = family.value(t) / t
     r_hi = family.value(tp) / tp
-    close = np.abs(r_lo - r_hi) <= ratio_rtol * np.maximum(np.abs(r_lo), np.abs(r_hi))
+    close = np.abs(r_lo - r_hi) <= RATIO_RTOL * np.maximum(np.abs(r_lo), np.abs(r_hi))
     confirmed = []
     for i in np.flatnonzero(close):
         if _collinear_through_origin(family, float(r_hi[i]), float(t[i])):
@@ -173,7 +173,7 @@ def detect_linear_segment_at_zero(
             "pairs": int(t.size),
             "ratio_matches": int(np.count_nonzero(close)),
             "hi": hi,
-            "ratio_rtol": ratio_rtol,
+            "ratio_rtol": RATIO_RTOL,
         },
     )
 
@@ -206,7 +206,7 @@ def replay_witness(family: PayoffFamily, report: ConditionReport) -> bool:
     """Recompute a report's witnesses from scratch; True when every row
     still supports the recorded verdict."""
     if report.condition == CHORD_STRICT:
-        margin = report.details.get("strict_margin", DEFAULT_STRICT_MARGIN)
+        margin = report.details.get("strict_margin", STRICT_MARGIN)
         if report.holds:
             return not report.witness
         for alpha, t, _ in report.witness:
@@ -219,7 +219,7 @@ def replay_witness(family: PayoffFamily, report: ConditionReport) -> bool:
     if report.condition == LINEAR_SEGMENT_AT_ZERO:
         if not report.holds:
             return not report.witness
-        rtol = report.details.get("ratio_rtol", DEFAULT_RATIO_RTOL)
+        rtol = report.details.get("ratio_rtol", RATIO_RTOL)
         for t, tp, _ in report.witness:
             r_lo = family.value(t) / t
             r_hi = family.value(tp) / tp

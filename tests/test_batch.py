@@ -18,7 +18,6 @@ from prorata import (
     CfmmArbitragePayoff,
     ForwardExchange,
     NonPositiveNetDemand,
-    arbitrage_payoff,
     clear,
     optimal_arbitrage,
     pro_rata_payoff,
@@ -99,6 +98,14 @@ def test_overflowing_sums_rejected(pool):
     assert out.pool_input == 5.0
 
 
+@pytest.mark.parametrize("deltas", [[1e306], [8e307, 8e307]])
+def test_overflowing_quote_rejected(pool, deltas):
+    # the sums are finite but gamma*r2*t is not: no infinite pool output
+    instance = BatchInstance(deltas=np.array(deltas), pool=pool)
+    with pytest.raises(ValueError, match="pool quote .* overflows"):
+        clear(instance)
+
+
 @given(deltas=deltas_strategy())
 @settings(deadline=None, max_examples=300)
 def test_clearing_invariants(deltas):
@@ -142,23 +149,6 @@ def test_delegation_matches_direct_pro_rata(pool):
 # ------------------------------------------------------------ arbitrage
 
 
-def test_arbitrage_payoff_matches_family(pool):
-    x = y = 11.3555
-    got = arbitrage_payoff(pool, 1.0, x, y)
-    family = pool.arbitrage_family(1.0)
-    assert got == pytest.approx(pro_rata_payoff(family, x, y), rel=1e-12)
-    assert got == pytest.approx(1.2768, abs=2e-4)
-    assert isinstance(family, CfmmArbitragePayoff)
-    assert arbitrage_payoff(pool, 1.0, 0.0, 4.0) == 0.0
-    xs = np.array([0.0, 3.0, 11.3555])
-    ys = np.array([4.0, 0.0, 11.3555])
-    assert np.allclose(
-        arbitrage_payoff(pool, 1.0, xs, ys),
-        [arbitrage_payoff(pool, 1.0, float(a), float(b)) for a, b in zip(xs, ys)],
-        rtol=1e-15,
-    )
-
-
 def test_optimal_arbitrage_first_order_condition(pool):
     t = optimal_arbitrage(pool, 1.0)
     assert t == pytest.approx(22.713085467545344, rel=1e-12)
@@ -181,6 +171,8 @@ def test_optimal_arbitrage_matches_grid_search(pool):
 def test_split_arbitrageurs_form_an_equilibrium(pool):
     # n arbitrageurs each tendering q/n: no grid deviation improves on it
     family = pool.arbitrage_family(1.0)
+    assert isinstance(family, CfmmArbitragePayoff)
+    assert pro_rata_payoff(family, 11.3555, 11.3555) == pytest.approx(1.2768, abs=2e-4)
     for n in (2, 5):
         eq = solve_symmetric(family, n)
         y = eq.q - eq.per_player

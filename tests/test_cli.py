@@ -1,12 +1,17 @@
 """Command-line surface: schemas, config resolution, exit codes."""
 
 import csv
+import importlib.util
 import io
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
-from prorata.cli import build_parser, main
+from prorata.cli import FIGURES, build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 POWER = ["--family", "power", "--beta", "0.5", "--gamma", "0.05"]
 CFMM = ["--family", "cfmm", "--gamma", "0.99", "--r1", "200", "--r2", "250",
@@ -284,3 +289,141 @@ def test_determinism_across_reruns(capsys, tmp_path):
     assert main(argv + ["--output", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_overflowing_quote_exits_2(capsys):
+    code, out, err = run(
+        capsys, "batch", "--deltas", "8e307,8e307", "--gamma", "0.99",
+        "--r1", "200", "--r2", "250",
+    )
+    assert (code, out) == (2, "")
+    assert err == ("error: config-error: the pool quote for input 1.6e+308 "
+                   "overflows\n")
+
+
+BAD_RUN_PARAMETERS = [
+    (["study", *CFMM, "--threshold", "0"],
+     "convergence_threshold must be positive"),
+    (["study", *CFMM, "--n-values", "0"], "n must be a positive integer, got 0"),
+    (["study", *CFMM, "--max-iterations", "0"],
+     "max_iterations must be at least 1"),
+    (["study", *CFMM, "--n-values", "3", "--scenario", "budgeted",
+      "--budgets", "-1"], "budgets must be nonnegative"),
+    (["simulate", *CFMM, "--n", "0"], "n must be a positive integer, got 0"),
+    (["whale", *CFMM, "--n-fish-values=-1"], "n_fish must be nonnegative, got -1"),
+    (["whale", *CFMM, "--trials", "0"], "trials must be at least 1, got 0"),
+    (["verify", *POWER, "--conditions", "rosen", "--rosen-n", "1"],
+     "n must be an integer >= 2, got 1"),
+    (["reproduce", "scenario2-delta", "--deltas", "0"],
+     "delta must be positive, got 0.0"),
+    (["reproduce", "poa-curve", "--n-values", "0:2"],
+     "n must be a positive integer, got 0"),
+    (["reproduce", "whale", "--trials", "0"], "trials must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_RUN_PARAMETERS, ids=[
+    "study-threshold", "study-n", "study-max-iterations", "study-budgets",
+    "simulate-n", "whale-n-fish", "whale-trials", "verify-rosen-n",
+    "reproduce-deltas", "reproduce-poa-n", "reproduce-whale-trials",
+])
+def test_bad_run_parameters_exit_2(capsys, argv, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: config-error: {message}\n"
+    assert caught == []
+
+
+# ------------------------------------------ reproduce presets = commands
+
+
+def test_reproduce_figures_are_command_presets(capsys):
+    pairs = [
+        (["reproduce", "scenario1", "--n-values", "2:4", "--trials", "3",
+          "--seed", "1"],
+         ["study", *CFMM, "--n-values", "2:4", "--trials", "3", "--seed", "1"]),
+        (["reproduce", "whale", "--max-fish", "2", "--trials", "3"],
+         ["whale", *CFMM, "--n-fish-values", "1:2", "--trials", "3"]),
+        (["reproduce", "poa-curve", "--n-values", "1:6"],
+         ["poa", *POWER, "--n-values", "1:6"]),
+        (["reproduce", "poa-curve", "--family", "cfmm", "--n-values", "2,5"],
+         ["poa", *CFMM, "--n-values", "2,5"]),
+    ]
+    for figure, command in pairs:
+        code, expected, _ = run(capsys, *command, "--format", "csv")
+        assert code == 0
+        assert run(capsys, *figure) == (0, expected, "")
+
+
+def test_reproduce_delta_sweep_is_bounded_studies(capsys):
+    code, out, _ = run(capsys, "reproduce", "scenario2-delta", "--n", "3",
+                       "--deltas", "1,5", "--trials", "2", "--seed", "4")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "delta,trial,iterations,converged"
+    expected = []
+    for delta in ("1", "5"):
+        _, study, _ = run(capsys, "study", *POWER, "--n-values", "3",
+                          "--trials", "2", "--seed", "4", "--scenario",
+                          "bounded", "--delta", delta, "--format", "csv")
+        expected += [f"{float(delta)!r},{line.split(',', 1)[1]}"
+                     for line in study.splitlines()[1:]]
+    assert lines[1:] == expected
+
+
+def test_reproduce_figures_script_matches_reproduce(capsys, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_figures", ROOT / "scripts" / "reproduce_figures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.run(["--outdir", str(tmp_path), "--trials", "2"]) == 0
+    capsys.readouterr()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(f"{f.replace('-', '_')}.csv" for f in FIGURES)
+    for figure in FIGURES:
+        code, out, _ = run(capsys, "reproduce", figure, "--trials", "2")
+        assert code == 0
+        assert (tmp_path / f"{figure.replace('-', '_')}.csv").read_text() == out
+
+
+# ----------------------------------------------------- config keys
+
+
+# the keys each command's config file accepts, written out here so that a
+# flag change cannot silently change them
+CONFIG_KEYS = {
+    "equilibrium": {"family", "n", "method"},
+    "bestresponse": {"family", "y", "budget"},
+    "simulate": {"family", "n", "trials", "seed", "threshold", "max_iterations",
+                 "update_order", "scenario", "delta", "budgets"},
+    "study": {"family", "n_values", "trials", "seed", "threshold",
+              "max_iterations", "update_order", "scenario", "delta", "budgets"},
+    "whale": {"family", "n_fish_values", "trials", "seed", "threshold",
+              "max_iterations"},
+    "poa": {"family", "n_values", "n0"},
+    "batch": {"deltas", "gamma", "r1", "r2", "input"},
+    "verify": {"family", "conditions", "samples", "seed", "rosen_n",
+               "domain_hi"},
+}
+
+
+def _with_config(capsys, tmp_path, command, cfg):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    return run(capsys, command, "--config", str(path))
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+def test_config_keys_follow_the_flags(capsys, tmp_path, command):
+    for key in sorted(CONFIG_KEYS[command] | {"output", "format"}):
+        # a null value fails later, at the family or pool, not as a key
+        code, _, err = _with_config(capsys, tmp_path, command, {key: None})
+        assert code == 2 and "unknown config keys" not in err, key
+    foreign = "method" if command == "whale" else "n_fish_values"
+    for key in ("beta", "price", "ts", foreign):
+        code, _, err = _with_config(capsys, tmp_path, command, {key: 1})
+        assert code == 2
+        assert err == (f"error: config-error: unknown config keys for "
+                       f"{command}: [{key!r}]\n")

@@ -222,6 +222,13 @@ def test_whale_outplays_the_symmetric_split(cfmm):
     assert rep.pct_profit_increase > 0.0
 
 
+@pytest.mark.parametrize("n_fish, trials", [(-1, 5), (2, 0), (2, -3)])
+def test_whale_rejects_bad_counts(cfmm, n_fish, trials):
+    # no trials would average an empty array into nan
+    with pytest.raises(ValueError, match="n_fish must|trials must"):
+        whale_fish_experiment(cfmm, n_fish=n_fish, trials=trials, seed=0)
+
+
 # ------------------------------------ lockstep against the scalar rule
 #
 # The engine runs all trials of a study or whale row as one (trials, n)
