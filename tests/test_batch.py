@@ -149,6 +149,20 @@ def test_delegation_matches_direct_pro_rata(pool):
 # ------------------------------------------------------------ arbitrage
 
 
+def test_arbitrage_payoff_matches_family(pool):
+    family = pool.arbitrage_family(1.0)
+    assert isinstance(family, CfmmArbitragePayoff)
+    assert pro_rata_payoff(family, 11.3555, 11.3555) == pytest.approx(1.2768, abs=2e-4)
+    assert pro_rata_payoff(family, 0.0, 4.0) == 0.0
+    xs = np.array([0.0, 3.0, 11.3555])
+    ys = np.array([4.0, 0.0, 11.3555])
+    assert np.allclose(
+        pro_rata_payoff(family, xs, ys),
+        [pro_rata_payoff(family, float(a), float(b)) for a, b in zip(xs, ys)],
+        rtol=1e-15,
+    )
+
+
 def test_optimal_arbitrage_first_order_condition(pool):
     t = optimal_arbitrage(pool, 1.0)
     assert t == pytest.approx(22.713085467545344, rel=1e-12)
@@ -171,8 +185,6 @@ def test_optimal_arbitrage_matches_grid_search(pool):
 def test_split_arbitrageurs_form_an_equilibrium(pool):
     # n arbitrageurs each tendering q/n: no grid deviation improves on it
     family = pool.arbitrage_family(1.0)
-    assert isinstance(family, CfmmArbitragePayoff)
-    assert pro_rata_payoff(family, 11.3555, 11.3555) == pytest.approx(1.2768, abs=2e-4)
     for n in (2, 5):
         eq = solve_symmetric(family, n)
         y = eq.q - eq.per_player
