@@ -82,7 +82,8 @@ def _parse_floats(text: str) -> list[float]:
 def _parse_int_values(text) -> list[int]:
     """Comma list with inclusive a:b ranges, e.g. '1,4:8,16'."""
     if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
+        with _bad_input():
+            return [int(v) for v in text]
     out: list[int] = []
     for part in str(text).split(","):
         part = part.strip()
@@ -106,10 +107,11 @@ def _parse_int_values(text) -> list[int]:
 
 @contextlib.contextmanager
 def _bad_input():
-    """Report a library argument check (a ValueError) as a config error."""
+    """Report a library argument check (a ValueError), or a config value of
+    the wrong type, as a config error."""
     try:
         yield
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -133,13 +135,19 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _resolve(args, config: dict, name: str, default):
+def _resolve(args, config: dict, name: str, default, kind=None):
+    """The flag's value, else the config's (null counts as not given), else
+    ``default``. A given value is converted to ``kind`` when one is named;
+    one that does not convert is a config error."""
     value = getattr(args, name, None)
-    if value is not None:
+    if value is None:
+        value = config.get(name)
+    if value is None:
+        return default
+    if kind is None:
         return value
-    if name in config:
-        return config[name]
-    return default
+    with _bad_input():
+        return kind(value)
 
 
 def _resolve_family(args, config: dict):
@@ -178,18 +186,19 @@ def _resolve_scenario(args, config: dict, n: int):
     if name == "unconstrained":
         return Unconstrained()
     if name == "bounded":
-        delta = _resolve(args, config, "delta", None)
+        delta = _resolve(args, config, "delta", None, float)
         if delta is None:
             raise ConfigError("scenario 'bounded' needs --delta")
         with _bad_input():
-            return BoundedUpdate(delta=float(delta))
+            return BoundedUpdate(delta=delta)
     if name == "budgeted":
         budgets = _resolve(args, config, "budgets", None)
         if budgets is None:
             raise ConfigError("scenario 'budgeted' needs --budgets")
         if isinstance(budgets, str):
             budgets = _parse_floats(budgets)
-        budgets = [float(b) for b in budgets]
+        with _bad_input():
+            budgets = [float(b) for b in budgets]
         if len(budgets) == 1:
             budgets = budgets * n
         if len(budgets) != n:
@@ -206,11 +215,19 @@ def _game(args, config: dict, family, n: int, scenario) -> GameConfig:
             family=family,
             n=n,
             scenario=scenario,
-            convergence_threshold=float(_resolve(args, config, "threshold", 0.1)),
-            max_iterations=int(_resolve(args, config, "max_iterations", 2000)),
-            seed=int(_resolve(args, config, "seed", 0)),
-            update_order=str(_resolve(args, config, "update_order", "sequential")),
+            convergence_threshold=_resolve(args, config, "threshold", 0.1, float),
+            max_iterations=_resolve(args, config, "max_iterations", 2000, int),
+            seed=_resolve(args, config, "seed", 0, int),
+            update_order=_resolve(args, config, "update_order", "sequential", str),
         )
+
+
+def _trials(args, config: dict, default: int) -> int:
+    """The trial count, checked as the library checks it, before any run."""
+    trials = _resolve(args, config, "trials", default, int)
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
+    return trials
 
 
 def _cell(value) -> str:
@@ -262,10 +279,10 @@ def _io_args(args, config) -> tuple[str, str | None]:
 
 def _cmd_equilibrium(args, config) -> Table:
     family = _resolve_family(args, config)
-    n = int(_resolve(args, config, "n", 2))
+    n = _resolve(args, config, "n", 2, int)
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    method = str(_resolve(args, config, "method", "auto"))
+    method = _resolve(args, config, "method", "auto", str)
     if method not in SOLVE_METHODS:
         raise ConfigError(f"method must be one of {SOLVE_METHODS}")
     res = solve_symmetric(family, n, method=method)
@@ -279,8 +296,8 @@ def _cmd_equilibrium(args, config) -> Table:
 
 def _cmd_bestresponse(args, config) -> Table:
     family = _resolve_family(args, config)
-    y = float(_resolve(args, config, "y", 0.0))
-    budget = float(_resolve(args, config, "budget", math.inf))
+    y = _resolve(args, config, "y", 0.0, float)
+    budget = _resolve(args, config, "budget", math.inf, float)
     res = best_response(family, y, budget=budget)
     return (
         ["y", "budget", "x", "payoff", "boundary"],
@@ -291,9 +308,9 @@ def _cmd_bestresponse(args, config) -> Table:
 
 def _cmd_simulate(args, config) -> Table:
     family = _resolve_family(args, config)
-    n = int(_resolve(args, config, "n", 2))
-    trials = int(_resolve(args, config, "trials", 1))
+    n = _resolve(args, config, "n", 2, int)
     game = _game(args, config, family, n, _resolve_scenario(args, config, n))
+    trials = _trials(args, config, 1)
     rows = []
     for trial in range(trials):
         rng = np.random.default_rng([game.seed, trial])
@@ -318,7 +335,7 @@ def _cmd_study(args, config) -> Table:
     result = convergence_study(
         family,
         n_values,
-        trials=int(_resolve(args, config, "trials", 100)),
+        trials=_trials(args, config, 100),
         seed=game.seed,
         scenario=scenario,
         convergence_threshold=game.convergence_threshold,
@@ -334,8 +351,11 @@ def _cmd_study(args, config) -> Table:
 
 def _delta_sweep(args, config) -> Table:
     """The study at one n for each movement cap delta, keyed by delta."""
+    deltas = _parse_floats(config["deltas"])
+    if not deltas:
+        raise ConfigError(f"no values in {config['deltas']!r}")
     rows = []
-    for delta in _parse_floats(config["deltas"]):
+    for delta in deltas:
         bounded = {**config, "scenario": "bounded", "delta": delta}
         rows.extend([delta, *row[1:]] for row in _cmd_study(args, bounded)[1])
     return ["delta", "trial", "iterations", "converged"], rows, ""
@@ -344,18 +364,16 @@ def _delta_sweep(args, config) -> Table:
 def _cmd_whale(args, config) -> Table:
     family = _resolve_family(args, config)
     n_fish_values = _parse_int_values(_resolve(args, config, "n_fish_values", "1:20"))
-    trials = int(_resolve(args, config, "trials", 100))
-    # whale_fish_experiment's own checks, made before any row runs
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
+    trials = _trials(args, config, 100)
+    # whale_fish_experiment's own check, made before any row runs
     bad = next((v for v in n_fish_values if v < 0), None)
     if bad is not None:
         raise ConfigError(f"n_fish must be nonnegative, got {bad}")
     run = dict(
         trials=trials,
-        seed=int(_resolve(args, config, "seed", 0)),
-        convergence_threshold=float(_resolve(args, config, "threshold", 0.1)),
-        max_iterations=int(_resolve(args, config, "max_iterations", 2000)),
+        seed=_resolve(args, config, "seed", 0, int),
+        convergence_threshold=_resolve(args, config, "threshold", 0.1, float),
+        max_iterations=_resolve(args, config, "max_iterations", 2000, int),
     )
     rows = []
     for n_fish in n_fish_values:
@@ -382,7 +400,7 @@ def _cmd_poa(args, config) -> Table:
     if bad is not None:  # solve_symmetric's own check
         raise ConfigError(f"n must be a positive integer, got {bad}")
     result = poa_growth_check(
-        family, n_values, n0=int(_resolve(args, config, "n0", 10))
+        family, n_values, n0=_resolve(args, config, "n0", 10, int)
     )
     rows = [[r.n, r.eq_payoff, r.fair_payoff, r.poa] for r in result.reports]
     return (
@@ -393,11 +411,12 @@ def _cmd_poa(args, config) -> Table:
 
 
 def _cmd_batch(args, config) -> Table:
-    pool_args = [_resolve(args, config, key, None) for key in ("gamma", "r1", "r2")]
+    pool_args = [_resolve(args, config, key, None, float)
+                 for key in ("gamma", "r1", "r2")]
     if None in pool_args:
         raise ConfigError("batch needs pool parameters --gamma, --r1, --r2")
     with _bad_input():
-        pool = ForwardExchange(*map(float, pool_args))
+        pool = ForwardExchange(*pool_args)
 
     ids: list[str]
     input_path = _resolve(args, config, "input", None)
@@ -445,11 +464,10 @@ def _cmd_verify(args, config) -> Table:
     unknown = set(conditions) - {"chord", "linear", "rosen"}
     if unknown:
         raise ConfigError(f"unknown conditions: {sorted(unknown)}")
-    samples = int(_resolve(args, config, "samples", 10_000))
-    seed = int(_resolve(args, config, "seed", 0))
-    domain_hi = _resolve(args, config, "domain_hi", None)
-    domain_hi = float(domain_hi) if domain_hi is not None else None
-    rosen_n = int(_resolve(args, config, "rosen_n", 2))
+    samples = _resolve(args, config, "samples", 10_000, int)
+    seed = _resolve(args, config, "seed", 0, int)
+    domain_hi = _resolve(args, config, "domain_hi", None, float)
+    rosen_n = _resolve(args, config, "rosen_n", 2, int)
     if "rosen" in conditions and rosen_n < 2:  # rosen_probe's own check
         raise ConfigError(f"n must be an integer >= 2, got {rosen_n}")
 
@@ -469,18 +487,25 @@ def _cmd_verify(args, config) -> Table:
             rows, "")
 
 
+def _given(flag, default):
+    """A reproduce flag's value, or the figure's default when not given."""
+    return default if flag is None else flag
+
+
 # Each figure is a preset run of a command: (handler, reference family kind,
-# config from the reproduce flags). An empty or zero flag keeps the default.
+# config from the reproduce flags). A flag that is not given keeps the
+# default; a given one, even zero or empty, goes to the handler's checks.
 FIGURES = {
     "scenario1": (_cmd_study, "cfmm",
-                  lambda a: {"n_values": a.n_values or "2:16"}),
+                  lambda a: {"n_values": _given(a.n_values, "2:16")}),
     "scenario2-delta": (_delta_sweep, "power",
-                        lambda a: {"n_values": [a.n or 10],
-                                   "deltas": a.deltas or "0.5,1,2,5,10"}),
+                        lambda a: {"n_values": [_given(a.n, 10)],
+                                   "deltas": _given(a.deltas, "0.5,1,2,5,10")}),
     "whale": (_cmd_whale, "cfmm",
-              lambda a: {"n_fish_values": a.n_values or f"1:{a.max_fish or 20}"}),
+              lambda a: {"n_fish_values": _given(
+                  a.n_values, f"1:{_given(a.max_fish, 20)}")}),
     "poa-curve": (_cmd_poa, "power",
-                  lambda a: {"n_values": a.n_values or "1:50"}),
+                  lambda a: {"n_values": _given(a.n_values, "1:50")}),
 }
 
 

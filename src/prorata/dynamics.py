@@ -13,13 +13,12 @@ for concave payoffs.
 
 One round engine serves :func:`simulate`, :func:`convergence_study` and
 :func:`whale_fish_experiment`: it plays all trials of a study point (or a
-whale row) in lockstep as one (trials, n) array, sequential over players
-and vectorized across trials, and drops each trial from the array at the
-round it stops. ``simulate`` is the one-trial case. The cfmm best response
-is computed on the whole column of trials; power, tabulated and callable
-families go lane by lane through their scalar best response, because
-numpy's vectorized power differs from Python's ``**`` in the last bit on
-some inputs and results must not depend on how many trials run together.
+whale row) in lockstep as the rows of one (trials, n) array, drops each
+trial from the array at the round it stops, and checks the stop rules on
+the whole array. ``simulate`` is the one-trial case. Within a round each
+row is swept in Python floats, player after player, through the family's
+one scalar best-response tender, so a trial ends exactly as it would alone
+and every move equals :func:`best_response`'s unconstrained answer.
 """
 
 from __future__ import annotations
@@ -33,24 +32,12 @@ import numpy as np
 from .equilibrium import (
     EquilibriumResult,
     best_response,
-    cfmm_tender_terms,
     solve_symmetric,
     unconstrained_tender,
 )
-from .payoff import (
-    CfmmArbitragePayoff,
-    PayoffFamily,
-    diagnostics,
-    pro_rata_payoff,
-)
+from .payoff import PayoffFamily, diagnostics, pro_rata_payoff
 
 UPDATE_ORDERS = ("sequential", "synchronous")
-
-# A sweep's numpy calls on few-element columns cost far more than their
-# arithmetic, and a 0-d array operand is cheaper than a Python float. On
-# ties between zeros of either sign np.maximum/np.minimum return their second
-# argument, so each call puts second the value the scalar rule would keep.
-_ZERO = np.array(0.0)
 
 
 @dataclass(frozen=True)
@@ -165,54 +152,47 @@ def _make_unconstrained_br(family: PayoffFamily) -> Callable[[float], float]:
     return br
 
 
-def _column_tender(family: PayoffFamily) -> Callable[[np.ndarray], np.ndarray]:
-    """Unconstrained best responses to a column of totals y, one per row.
-
-    The cfmm closed form runs on the whole column (np.sqrt is correctly
-    rounded, like math.sqrt). Other families apply the scalar tender lane by
-    lane: np.power differs from Python's ** in the last bit on some inputs,
-    which would change results and break agreement with best_response.
-    """
-    if isinstance(family, CfmmArbitragePayoff):
-        g, r1, k0, k1 = map(np.array, cfmm_tender_terms(family))
-
-        def column(y: np.ndarray) -> np.ndarray:
-            return np.maximum((np.sqrt(k0 + k1 * y) - r1) / g - y, _ZERO)
-
-        return column
-    br = _make_unconstrained_br(family)
-
-    def lanes(y: np.ndarray) -> np.ndarray:
-        return np.array([br(v) for v in y.tolist()])
-
-    return lanes
-
-
 def _sweep(
     X: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     order: str,
-    tender: Callable[[np.ndarray], np.ndarray],
+    tender: Callable[[float], float],
 ) -> np.ndarray:
     """One best-response round on every row of X, shape (rows, n).
 
-    Players move one after another, each row on its own: sequential order
-    sees the moves already made this round, synchronous order only last
-    round's profile. Each move is clipped to [lower, upper] (arrays
-    broadcastable to X). Rows never mix, so a row's result is the same
-    whatever else is in X.
+    Players move one after another, each row on its own and in Python
+    floats: sequential order sees the moves already made this round,
+    synchronous order only last round's profile. Each move is clipped to
+    [lower, upper] (arrays broadcastable to X). Rows never mix, so a row's
+    result is the same whatever else is in X.
     """
     sequential = order == "sequential"
-    out = X.copy()
-    total = X.sum(axis=1)
-    for i in range(X.shape[1]):
-        y = np.maximum(_ZERO, total - (out[:, i] if sequential else X[:, i]))
-        x = np.minimum(upper[:, i], np.maximum(lower[:, i], tender(y)))
-        if sequential:
-            total = total + (x - out[:, i])
-        out[:, i] = x
-    return out
+    rows = []
+    for x, los, ups, total in zip(
+        X.tolist(),
+        np.broadcast_to(lower, X.shape).tolist(),
+        np.broadcast_to(upper, X.shape).tolist(),
+        X.sum(axis=1).tolist(),
+    ):
+        out = []
+        for xi, lo, up in zip(x, los, ups):
+            # before its move a player's entry is still last round's, in
+            # either order. A clamp replaces only a value strictly past its
+            # bound: a zero of either sign, or a NaN, is kept as computed.
+            y = total - xi
+            if y < 0.0:
+                y = 0.0
+            t = tender(y)
+            if t < lo:
+                t = lo
+            if up < t:
+                t = up
+            if sequential:
+                total += t - xi
+            out.append(t)
+        rows.append(out)
+    return np.array(rows)
 
 
 def _play(
@@ -220,7 +200,7 @@ def _play(
     upper: np.ndarray,
     delta: float | None,
     order: str,
-    tender: Callable[[np.ndarray], np.ndarray],
+    tender: Callable[[float], float],
     max_iterations: int,
     stopped: Callable[[np.ndarray, np.ndarray], np.ndarray],
     history: list[np.ndarray] | None = None,
@@ -279,7 +259,7 @@ def _play_to_equilibrium(
     if todo.size:
         _, stop_at[todo] = _play(
             X[todo], np.full((todo.size, config.n), caps), delta,
-            config.update_order, _column_tender(config.family),
+            config.update_order, _make_unconstrained_br(config.family),
             config.max_iterations, near, history,
         )
     return stop_at
@@ -374,6 +354,8 @@ def convergence_study(
     trials of one n run in lockstep, as the rows of one array; each row
     stops on its own and ends exactly as it would alone.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     records = []
     for n in n_values:
         n = int(n)
@@ -386,8 +368,6 @@ def convergence_study(
             seed=seed,
             update_order=update_order,
         )
-        if trials < 1:
-            continue
         X = np.array([
             draw_initial_profile(family, n, np.random.default_rng([seed, n, trial]))
             for trial in range(trials)
@@ -462,8 +442,8 @@ def whale_fish_experiment(
         return np.abs(new - old).max(axis=1) < convergence_threshold
 
     final, stop_at = _play(
-        X, upper, None, "sequential", _column_tender(family), max_iterations,
-        settled,
+        X, upper, None, "sequential", _make_unconstrained_br(family),
+        max_iterations, settled,
     )
     strategies = final[:, 0]
     profits = np.array([

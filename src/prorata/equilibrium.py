@@ -172,20 +172,12 @@ def solve_symmetric(
     )
 
 
-def cfmm_tender_terms(family: CfmmArbitragePayoff) -> tuple[float, ...]:
-    """(g, r1, k0, k1) of the cfmm best response t = (sqrt(k0 + k1 y) - r1)/g.
-
-    The first-order condition reduces to (r1 + g t)**2 = (g r1 r2 + g**2 r2 y)/c,
-    so k0 = g r1 r2/c and k1 = g**2 r2/c.
-    """
-    g, r1, r2, c = family.gamma, family.r1, family.r2, family.c
-    return g, r1, g * r1 * r2 / c, g * g * r2 / c
-
-
 def cfmm_tender(family: CfmmArbitragePayoff) -> Callable[[float], float]:
-    """Unconstrained best-response tender y -> x = t - y for a cfmm family
-    (see :func:`cfmm_tender_terms`)."""
-    g, r1, k0, k1 = cfmm_tender_terms(family)
+    """Unconstrained best-response tender y -> x = t - y for a cfmm family."""
+    # The first-order condition reduces to (r1 + g t)**2 = (g r1 r2 + g**2 r2 y)/c,
+    # so t = (sqrt(k0 + k1 y) - r1)/g with k0 = g r1 r2/c and k1 = g**2 r2/c.
+    g, r1, r2, c = family.gamma, family.r1, family.r2, family.c
+    k0, k1 = g * r1 * r2 / c, g * g * r2 / c
 
     def tender(y: float) -> float:
         x = (math.sqrt(k0 + k1 * y) - r1) / g - y

@@ -319,6 +319,16 @@ BAD_RUN_PARAMETERS = [
     (["reproduce", "poa-curve", "--n-values", "0:2"],
      "n must be a positive integer, got 0"),
     (["reproduce", "whale", "--trials", "0"], "trials must be at least 1, got 0"),
+    # zero or empty counts and figure flags reach the handlers' checks
+    (["study", *CFMM, "--trials", "0"], "trials must be at least 1, got 0"),
+    (["simulate", *CFMM, "--trials", "0"], "trials must be at least 1, got 0"),
+    (["reproduce", "scenario2-delta", "--n", "0"],
+     "n must be a positive integer, got 0"),
+    (["reproduce", "whale", "--max-fish", "0"],
+     "bad integer list '1:0': empty range 1:0"),
+    (["reproduce", "scenario1", "--n-values="], "no values in ''"),
+    (["reproduce", "whale", "--n-values="], "no values in ''"),
+    (["reproduce", "scenario2-delta", "--deltas="], "no values in ''"),
 ]
 
 
@@ -326,6 +336,9 @@ BAD_RUN_PARAMETERS = [
     "study-threshold", "study-n", "study-max-iterations", "study-budgets",
     "simulate-n", "whale-n-fish", "whale-trials", "verify-rosen-n",
     "reproduce-deltas", "reproduce-poa-n", "reproduce-whale-trials",
+    "study-trials", "simulate-trials", "reproduce-delta-n",
+    "reproduce-whale-max-fish", "reproduce-scenario1-n-values",
+    "reproduce-whale-n-values", "reproduce-delta-deltas",
 ])
 def test_bad_run_parameters_exit_2(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
@@ -427,3 +440,38 @@ def test_config_keys_follow_the_flags(capsys, tmp_path, command):
         assert code == 2
         assert err == (f"error: config-error: unknown config keys for "
                        f"{command}: [{key!r}]\n")
+
+
+CFMM_SPEC = {"kind": "cfmm", "gamma": 0.99, "r1": 200.0, "r2": 250.0, "c": 1.0}
+
+# (command, config) pairs, each with one value of the wrong type
+WRONGLY_TYPED = [
+    pytest.param(command, {**base, key: value},
+                 id=f"{command}-{key}-{type(value).__name__}")
+    for command, base, keys in (
+        ("study", {"n_values": "2"},
+         ("trials", "seed", "threshold", "max_iterations", "n_values")),
+        ("simulate", {}, ("n", "trials", "seed", "threshold", "max_iterations")),
+        ("simulate", {"scenario": "bounded"}, ("delta",)),
+        ("simulate", {"scenario": "budgeted"}, ("budgets",)),
+        ("whale", {"n_fish_values": "1"},
+         ("trials", "seed", "threshold", "max_iterations", "n_fish_values")),
+        ("equilibrium", {}, ("n",)),
+        ("bestresponse", {}, ("y", "budget")),
+        ("poa", {}, ("n_values", "n0")),
+        ("verify", {"samples": 100},
+         ("samples", "seed", "rosen_n", "domain_hi")),
+    )
+    for key in keys
+    for value in ("abc", ["abc"], {})
+]
+
+
+@pytest.mark.parametrize("command, cfg", WRONGLY_TYPED)
+def test_wrongly_typed_config_values_exit_2(capsys, tmp_path, command, cfg):
+    code, out, err = _with_config(
+        capsys, tmp_path, command, {"family": CFMM_SPEC, **cfg}
+    )
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: config-error: ")

@@ -13,6 +13,7 @@ from prorata import (
     PowerPayoff,
     StrategyProfile,
     StudyRecord,
+    TabulatedPayoff,
     Unconstrained,
     WhaleFishReport,
     convergence_study,
@@ -23,11 +24,13 @@ from prorata import (
     solve_symmetric,
     whale_fish_experiment,
 )
-from prorata.dynamics import _column_tender, _make_unconstrained_br, _sweep
-from prorata.equilibrium import cfmm_tender
+from prorata.dynamics import _make_unconstrained_br, _play, _sweep
 
 CFMM = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0)
 POWER = PowerPayoff(beta=0.5, gamma=0.05)
+# the power family sampled at 41 knots: its best response is a search
+_KNOTS = np.linspace(0.0, 400.0, 41)
+TABLE = TabulatedPayoff(ts=tuple(_KNOTS), fs=tuple(_KNOTS**0.5 - 0.05 * _KNOTS))
 
 
 # ------------------------------------------------------------- config
@@ -229,6 +232,13 @@ def test_whale_rejects_bad_counts(cfmm, n_fish, trials):
         whale_fish_experiment(cfmm, n_fish=n_fish, trials=trials, seed=0)
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_study_rejects_bad_trial_counts(cfmm, trials):
+    # no trials would report no records and no means
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        convergence_study(cfmm, [2, 3], trials=trials, seed=0)
+
+
 # ------------------------------------ lockstep against the scalar rule
 #
 # The engine runs all trials of a study or whale row as one (trials, n)
@@ -395,11 +405,59 @@ def test_whale_equals_trial_by_trial_reference(family):
     assert len(converged) > 2 or family is POWER
 
 
-def test_cfmm_column_tender_equals_scalar_tender():
-    ys = np.random.default_rng(0).uniform(0.0, 60.0, size=20_000)
-    ys[:3] = (0.0, diagnostics(CFMM).root, 1e6)
-    scalar = cfmm_tender(CFMM)
-    assert _column_tender(CFMM)(ys).tolist() == [scalar(y) for y in ys.tolist()]
+# (family, scenario, threshold): with n=3, 6 trials and 4 rounds, the
+# trials of each case stop at different rounds or hit the cap
+ALONE_CASES = [
+    (family, scenario, threshold)
+    for family, threshold, delta, budgets in (
+        (CFMM, 5.0, 0.7, (30.0, math.inf, 12.5)),
+        (POWER, 20.0, 10.0, (200.0, math.inf, 100.0)),
+        (TABLE, 20.0, 10.0, (200.0, math.inf, 100.0)),
+    )
+    for scenario in (Unconstrained(), BoundedUpdate(delta=delta),
+                     Budgeted(budgets=budgets))
+]
+
+
+@pytest.mark.parametrize("order", ["sequential", "synchronous"])
+@pytest.mark.parametrize("family,scenario,threshold", ALONE_CASES)
+def test_lockstep_trial_equals_trial_alone(family, scenario, threshold, order):
+    n, trials, seed, cap = 3, 6, 5, 4
+    config = GameConfig(
+        family=family, n=n, scenario=scenario, convergence_threshold=threshold,
+        max_iterations=cap, seed=seed, update_order=order,
+    )
+    study = convergence_study(
+        family, [n], trials=trials, seed=seed, scenario=scenario,
+        convergence_threshold=threshold, max_iterations=cap, update_order=order,
+    )
+    X = np.array([
+        draw_initial_profile(family, n, np.random.default_rng([seed, n, k]))
+        for k in range(trials)
+    ])
+    target = solve_symmetric(family, n).per_player
+    caps = scenario.budgets if isinstance(scenario, Budgeted) else math.inf
+    upper = np.full(X.shape, caps)
+    delta = scenario.delta if isinstance(scenario, BoundedUpdate) else None
+
+    def near(new, old):
+        return np.abs(new - target).max(axis=1) < threshold
+
+    tender = _make_unconstrained_br(family)
+    final, stop_at = _play(X, upper, delta, order, tender, cap, near)
+    for k, record in enumerate(study.records):
+        trace = simulate(config, initial=X[k])
+        assert (record.iterations, record.converged) == (
+            trace.converged_at, trace.converged_at is not None
+        )
+        alone, alone_stop = _play(
+            X[k:k + 1], upper[k:k + 1], delta, order, tender, cap, near
+        )
+        assert final[k].tolist() == alone[0].tolist()
+        assert stop_at[k] == alone_stop[0]
+        if trace.converged_at != 0:  # simulate plays no round from round 0
+            assert final[k].tolist() == trace.tenders[-1].tolist()
+    assert len({r.iterations for r in study.records}) > 1
 
 
 @pytest.mark.parametrize("family", [CFMM, POWER])
@@ -410,8 +468,8 @@ def test_sweep_equals_reference_round_on_wide_rows(family, order):
     rng = np.random.default_rng(4)
     X = 10.0 ** rng.uniform(-3.0, 17.0, size=(64, 5))
     lower, upper = np.zeros_like(X), np.full_like(X, math.inf)
-    got = _sweep(X, lower, upper, order, _column_tender(family))
     br = _make_unconstrained_br(family)
+    got = _sweep(X, lower, upper, order, br)
     for k in range(X.shape[0]):
         want = _reference_round(X[k], lower[k], upper[k], order, br)
         assert got[k].tolist() == want.tolist()
