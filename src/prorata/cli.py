@@ -82,8 +82,7 @@ def _parse_floats(text: str) -> list[float]:
 def _parse_int_values(text) -> list[int]:
     """Comma list with inclusive a:b ranges, e.g. '1,4:8,16'."""
     if isinstance(text, (list, tuple)):
-        with _bad_input():
-            return [int(v) for v in text]
+        return [_convert(int, v) for v in text]
     out: list[int] = []
     for part in str(text).split(","):
         part = part.strip()
@@ -105,13 +104,20 @@ def _parse_int_values(text) -> list[int]:
     return out
 
 
+def _convert(kind, value):
+    """``kind(value)``; a config value that does not convert is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @contextlib.contextmanager
 def _bad_input():
-    """Report a library argument check (a ValueError), or a config value of
-    the wrong type, as a config error."""
+    """Report a library argument check (a ValueError) as a config error."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -144,10 +150,7 @@ def _resolve(args, config: dict, name: str, default, kind=None):
         value = config.get(name)
     if value is None:
         return default
-    if kind is None:
-        return value
-    with _bad_input():
-        return kind(value)
+    return value if kind is None else _convert(kind, value)
 
 
 def _resolve_family(args, config: dict):
@@ -197,8 +200,7 @@ def _resolve_scenario(args, config: dict, n: int):
             raise ConfigError("scenario 'budgeted' needs --budgets")
         if isinstance(budgets, str):
             budgets = _parse_floats(budgets)
-        with _bad_input():
-            budgets = [float(b) for b in budgets]
+        budgets = [_convert(float, b) for b in _convert(list, budgets)]
         if len(budgets) == 1:
             budgets = budgets * n
         if len(budgets) != n:

@@ -165,7 +165,9 @@ def _sweep(
     floats: sequential order sees the moves already made this round,
     synchronous order only last round's profile. Each move is clipped to
     [lower, upper] (arrays broadcastable to X). Rows never mix, so a row's
-    result is the same whatever else is in X.
+    result is the same whatever else is in X. Each row and player costs
+    ~0.6 µs (cfmm, tender included), which beats per-player numpy calls
+    below ~15-20 rows and loses to them above.
     """
     sequential = order == "sequential"
     rows = []

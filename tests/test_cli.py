@@ -475,3 +475,15 @@ def test_wrongly_typed_config_values_exit_2(capsys, tmp_path, command, cfg):
     assert (code, out) == (2, "")
     (line,) = err.splitlines()
     assert line.startswith("error: config-error: ")
+
+
+def test_library_type_error_is_not_a_config_error(capsys, monkeypatch):
+    # only config conversion maps TypeError to config-error; one raised by
+    # library work is a program fault and propagates
+    def broken(instance):
+        raise TypeError("a fault inside clear")
+
+    monkeypatch.setattr("prorata.cli.clear", broken)
+    with pytest.raises(TypeError, match="a fault inside clear"):
+        main(["batch", "--deltas", "5,-2", "--gamma", "0.99",
+              "--r1", "200", "--r2", "250"])
