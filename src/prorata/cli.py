@@ -105,7 +105,14 @@ def _parse_int_values(text) -> list[int]:
 
 
 def _convert(kind, value):
-    """``kind(value)``; a config value that does not convert is a config error."""
+    """``kind(value)``; a config value that does not convert is a config error.
+    An integer is not taken from a bool or a float with a fractional part,
+    which ``int`` would accept or truncate."""
+    if kind is int and (
+        isinstance(value, bool)
+        or isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"expected an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:

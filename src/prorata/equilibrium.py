@@ -3,13 +3,15 @@
 The unique nontrivial symmetric equilibrium has the n players jointly
 tender the q in (0, w) maximizing q**(n-1) * f(q); each plays q/n. For the
 cfmm and power families q has a closed form, used by default; any family
-can be solved numerically via golden-section search on the log objective.
+can be solved numerically by bisecting the first-order condition
+(n-1) f(q) + q f'(q), which decreases on (argmax f, w).
 
 A best response maximizes x/t * f(t) with t = x + y. Its first-order
-condition y f(t) + (t - y) t f'(t) = 0 is a one-dimensional root: a closed
-form for the cfmm family and a monotone Newton iteration for the power
-family (see :func:`cfmm_tender` and :func:`power_tender`). Golden-section
-search remains only for tabulated and callable families.
+condition y f(t) + x t f'(t) = 0 is a one-dimensional root: a closed form
+for the cfmm family and a monotone Newton iteration for the power family
+(see :func:`cfmm_tender` and :func:`power_tender`). Tabulated and callable
+families bisect the same condition, which is nonincreasing in x because
+the own payoff is concave.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .payoff import (
     diagnostics,
     pro_rata_payoff,
 )
-from .search import golden_section_maximize
+from .search import bisect_root
 
 SOLVE_METHODS = ("auto", "closed", "numeric")
 
@@ -51,44 +53,11 @@ class BestResponseResult:
 
 def foc_residual(family: PayoffFamily, n: int, q: float) -> float:
     """First-order-condition residual |(n-1) f(q) + q f'(q)| at total q."""
-    return abs((n - 1) * family.value(q) + q * family.derivative(q))
+    return abs(_signed_foc(family, n, q))
 
 
 def _signed_foc(family: PayoffFamily, n: int, q: float) -> float:
     return (n - 1) * family.value(q) + q * family.derivative(q)
-
-
-def _refine_foc_root(
-    family: PayoffFamily, n: int, q: float, lo: float, hi: float
-) -> float:
-    """Secant-polish the stationarity condition around the search output.
-
-    Golden section locates q to ~1e-12 relative, which at large totals still
-    leaves an absolute first-order-condition residual; a few secant steps on
-    (n-1) f(q) + q f'(q) close the gap. Steps that leave the bracket stop the
-    iteration, and the point with the smallest |residual| seen wins, so a
-    family with a rough finite-difference derivative degrades gracefully to
-    the unpolished q.
-    """
-    a = q
-    b = q * (1.0 + 1e-7)
-    if not (lo < b < hi):
-        b = q * (1.0 - 1e-7)
-    fa, fb = _signed_foc(family, n, a), _signed_foc(family, n, b)
-    best, best_abs = (a, abs(fa)) if abs(fa) <= abs(fb) else (b, abs(fb))
-    for _ in range(8):
-        if fb == fa:
-            break
-        c = b - fb * (b - a) / (fb - fa)
-        if not math.isfinite(c) or not (lo < c < hi):
-            break
-        fc = _signed_foc(family, n, c)
-        a, fa, b, fb = b, fb, c, fc
-        if abs(fc) < best_abs:
-            best, best_abs = c, abs(fc)
-        if fc == 0.0:
-            break
-    return best
 
 
 def _closed_form_power(family: PowerPayoff, n: int) -> float:
@@ -124,10 +93,11 @@ def solve_symmetric(
     """Solve for the symmetric equilibrium of the n-player game.
 
     ``method="auto"`` picks the closed form when the family has one and
-    golden-section otherwise; ``"closed"``/``"numeric"`` force the route.
-    Numeric solving maximizes F(q) = (n-1) log q + log f(q) over
-    (argmax f, w), where the equilibrium total must lie for n >= 2, then
-    secant-polishes the stationarity condition to machine precision.
+    the numeric route otherwise; ``"closed"``/``"numeric"`` force the route.
+    The numeric route bisects g(q) = (n-1) f(q) + q f'(q) on
+    [argmax f, w] to adjacent floats. g decreases there, so its zero is the
+    maximizer of q**(n-1) f(q); when g(argmax f) <= 0 (n = 1, or a table
+    whose kink at its argmax is the equilibrium) q is argmax f itself.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -149,18 +119,10 @@ def solve_symmetric(
             used = "closed-form-quadratic"
     else:
         diag = diagnostics(family)
-        lo = diag.argmax * (0.5 if n == 1 else 1.0 - 1e-9)
-        hi = diag.root * (1.0 - 1e-12)
-
-        def log_objective(q: float) -> float:
-            v = family.value(q)
-            if v <= 0.0:
-                return -math.inf
-            return (n - 1) * math.log(q) + math.log(v)
-
-        q = golden_section_maximize(log_objective, lo, hi)
-        q = _refine_foc_root(family, n, q, lo, hi)
-        used = "golden-section"
+        q = diag.argmax
+        if _signed_foc(family, n, q) > 0.0:
+            q = bisect_root(lambda q: _signed_foc(family, n, q), q, diag.root)
+        used = "foc-bisection"
 
     return EquilibriumResult(
         q=q,
@@ -249,9 +211,11 @@ def best_response(
     Power and cfmm families solve the first-order condition (see
     :func:`unconstrained_tender`) and cap the result at the budget, which
     is exact because the payoff is concave in x. Tabulated and callable
-    families use golden-section on [0, min(budget, w)], with the endpoints
-    checked explicitly. Returns x = 0 with payoff 0 when no positive tender
-    helps.
+    families bisect the sign of the payoff's slope in x, y f(t) + x t f'(t)
+    (f'(x) itself when y = 0), on [0, min(budget, w)]; the slope is
+    nonincreasing, so its sign change is the maximizer, and an end of the
+    range where it does not change sign is. Returns x = 0 with payoff 0
+    when no positive tender helps.
     """
     if y < 0.0:
         raise ValueError(f"y must be nonnegative, got {y}")
@@ -289,14 +253,23 @@ def best_response(
     if hi <= 0.0:
         return BestResponseResult(0.0, 0.0, "zero")
 
-    def objective(x: float) -> float:
-        return pro_rata_payoff(family, x, y)
+    if y == 0.0:
+        # the payoff is f itself; the scaled slope below would read x**2 f'(x),
+        # which vanishes at x = 0
+        slope = family.derivative
+    else:
+        def slope(x: float) -> float:
+            # d/dx [x f(t) / t] times t**2
+            t = x + y
+            return y * family.value(t) + x * t * family.derivative(t)
 
-    x_in = golden_section_maximize(objective, 0.0, hi)
-    best = BestResponseResult(0.0, 0.0, "zero")
-    for x, label in ((hi, "budget" if hi == budget else "interior"),
-                     (x_in, "interior")):
-        v = objective(x)
-        if v > best.achieved_payoff:
-            best = BestResponseResult(x, v, label)
-    return best
+    if slope(hi) >= 0.0:
+        x = hi
+    elif slope(0.0) <= 0.0:
+        return BestResponseResult(0.0, 0.0, "zero")
+    else:
+        x = bisect_root(slope, 0.0, hi)
+    v = pro_rata_payoff(family, x, y)
+    if v <= 0.0:
+        return BestResponseResult(0.0, 0.0, "zero")
+    return BestResponseResult(x, v, "budget" if x == budget else "interior")

@@ -12,6 +12,7 @@ All ``value``/``derivative`` methods accept floats or numpy arrays.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Callable, ClassVar, Union
 import numpy as np
 
 from .errors import ConfigError, DomainExceeded, NoFiniteRoot, NoPositiveRegion
-from .search import bisect_root, golden_section_maximize
+from .search import bisect_root
 
 # Geometric scan for a point with f > 0: by concavity the positive region
 # (if any) touches (0, 1] whenever f(1) <= 0, so scanning down dominates;
@@ -29,7 +30,10 @@ _SCAN_DOWN_STEPS = 200
 _SCAN_UP_STEPS = 60
 # the root search gives up past this multiple of its starting point
 _EXPANSION_CAP = 1e12
-# finite-difference step, relative to max(1, |t|)
+# the root's bisection stops at this bracket width relative to the root; the
+# root scales every seeded initial draw, so changing it changes the figures
+_ROOT_RTOL = 1e-10
+# finite-difference step of callable families, relative to max(1, |t|)
 _FD_STEP_SCALE = 1e-6
 
 
@@ -117,8 +121,11 @@ class TabulatedPayoff:
     """Piecewise-linear payoff through the knots ``(ts, fs)``.
 
     The table must start at (0, 0); evaluation past the last knot raises
-    :class:`DomainExceeded`. Derivatives are central finite differences,
-    so values *at* a kink land between the one-sided slopes.
+    :class:`DomainExceeded`. The derivative is the exact right slope of
+    the segment at t (the left slope at the last knot), so at a kink it is
+    the slope just past it. A scalar ``value`` finds the segment with
+    :func:`bisect.bisect_right` and gives the same bits as the array path,
+    :func:`numpy.interp`.
     """
 
     ts: tuple[float, ...]
@@ -137,26 +144,42 @@ class TabulatedPayoff:
             raise ValueError("table must start at (0, 0)")
         if any(b <= a for a, b in zip(self.ts, self.ts[1:])):
             raise ValueError("ts must be strictly increasing")
+        # segment slopes, computed as numpy.interp computes them
+        ts, fs = self.ts, self.fs
+        object.__setattr__(self, "_slopes", tuple(
+            (fs[i + 1] - fs[i]) / (ts[i + 1] - ts[i]) for i in range(len(ts) - 1)
+        ))
 
     @property
     def domain_max(self) -> float:
         return self.ts[-1]
 
-    def value(self, t):
-        arr = np.asarray(t, dtype=float)
+    def _check_domain(self, arr: np.ndarray) -> None:
         if np.any(arr > self.ts[-1]):
             raise DomainExceeded(
                 f"t={np.max(arr)} beyond last knot {self.ts[-1]}"
             )
+
+    def value(self, t):
+        if isinstance(t, (int, float)) and 0.0 <= t <= self.ts[-1]:
+            i = bisect.bisect_right(self.ts, t) - 1
+            if t == self.ts[i]:
+                return self.fs[i]
+            return self._slopes[i] * (t - self.ts[i]) + self.fs[i]
+        arr = np.asarray(t, dtype=float)
+        self._check_domain(arr)
         out = np.interp(arr, self.ts, self.fs)
         return float(out) if np.ndim(t) == 0 else out
 
     def derivative(self, t):
+        # searching the inner knots only gives the segment index directly,
+        # with t < ts[1] on the first segment and t >= ts[-2] on the last
+        ts = self.ts
+        if isinstance(t, (int, float)) and t <= ts[-1]:
+            return self._slopes[bisect.bisect_right(ts, t, 1, len(ts) - 1) - 1]
         arr = np.asarray(t, dtype=float)
-        h = _FD_STEP_SCALE * np.maximum(1.0, np.abs(arr))
-        hi = np.minimum(arr + h, self.ts[-1])
-        lo = np.maximum(arr - h, 0.0)
-        out = (self.value(hi) - self.value(lo)) / (hi - lo)
+        self._check_domain(arr)
+        out = np.asarray(self._slopes)[np.searchsorted(ts[1:-1], arr, side="right")]
         return float(out) if np.ndim(t) == 0 else out
 
 
@@ -166,7 +189,8 @@ class CallablePayoff:
 
     Used for probe curves that none of the parametric families express
     exactly (e.g. shifted quadratics). When ``deriv`` is omitted the
-    derivative falls back to a central finite difference.
+    derivative falls back to a central finite difference, the one
+    approximate derivative in the package; every other family's is exact.
     """
 
     fn: Callable[[float], float]
@@ -247,10 +271,10 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
 
     The root is bracketed by doubling from a point with f > 0 until the
     sign flips (capped at 1e12 times the start, or at the last knot for
-    tabulated families) and then refined by bisection. The maximum over
-    [0, root] comes from golden-section search; for tabulated families it
-    is read off the knots, where piecewise-linear maxima live. Results are
-    memoized per family (families are frozen and hashable).
+    tabulated families) and then bisected to 1e-10 relative. The argmax is
+    the zero of f' on [0, root], bisected to adjacent floats; for tabulated
+    families it is read off the knots, where piecewise-linear maxima live.
+    Results are memoized per family (families are frozen and hashable).
     """
     t_pos = _find_positive_point(family)
     domain_hi = family.domain_max if isinstance(family, TabulatedPayoff) else math.inf
@@ -275,7 +299,7 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
         if nxt > cap:
             raise NoFiniteRoot(f"payoff still positive at t={nxt:g} (cap reached)")
     if root is None:
-        root = bisect_root(family.value, lo, hi)
+        root = bisect_root(family.value, lo, hi, _ROOT_RTOL)
 
     if isinstance(family, TabulatedPayoff):
         ts = np.asarray(family.ts)
@@ -284,7 +308,7 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
         idx = int(np.argmax(np.where(inside, fs, -np.inf)))
         argmax, max_value = float(ts[idx]), float(fs[idx])
     else:
-        argmax = golden_section_maximize(family.value, 0.0, root)
+        argmax = bisect_root(family.derivative, 0.0, root)
         max_value = family.value(argmax)
 
     witness = argmax

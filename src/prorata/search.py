@@ -1,68 +1,30 @@
-"""One-dimensional search primitives.
+"""The one-dimensional solver: bisection on the sign of a function.
 
-Derivative-free golden-section maximization and plain bisection, shared by
-the equilibrium solver, generic best responses, and payoff diagnostics.
+Every solve in the package is a zero of a monotone function on a bracket:
+the positive root of f, the zero of f' (argmax f), the equilibrium
+condition (n-1) f(q) + q f'(q), and the slope of a player's own payoff.
+Bisection keeps a sign change inside the bracket, so it cannot step out of
+it, needs no derivative of the function it bisects, and on a kink (a
+one-sided slope that jumps across zero) it lands on the kink itself.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# stop once the bracket is this small relative to max(1, |ends|)
-_GOLDEN_RTOL = 1e-12
-_BISECT_RTOL = 1e-10
-_MAX_ITER = 200
 
-
-def golden_section_maximize(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    polish: bool = True,
+def bisect_root(
+    fn: Callable[[float], float], lo: float, hi: float, rtol: float = 0.0, /
 ) -> float:
-    """Return the maximizer of a unimodal ``fn`` on ``[lo, hi]``.
-
-    Standard golden-section bracket reduction. Because comparison-based
-    interval methods stall near sqrt(eps) relative accuracy on flat maxima,
-    a single parabolic-vertex refinement (step well above the noise floor)
-    is applied to the collapsed bracket; it is skipped whenever the stencil
-    leaves the interval or the curvature estimate is not usable.
-    """
-    if not hi > lo:
-        raise ValueError(f"empty bracket [{lo}, {hi}]")
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(_MAX_ITER):
-        if (b - a) <= _GOLDEN_RTOL * max(1.0, abs(a), abs(b)):
-            break
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-    x = 0.5 * (a + b)
-    if polish:
-        h = 1e-5 * max(1.0, abs(x))
-        if x - h > lo and x + h < hi:
-            f0, fm, fp = fn(x), fn(x - h), fn(x + h)
-            denom = fm - 2.0 * f0 + fp
-            if math.isfinite(denom) and denom < 0.0:
-                shift = 0.5 * h * (fm - fp) / denom
-                if abs(shift) <= h:
-                    x += shift
-    return x
-
-
-def bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """Return a root of ``fn`` on ``[lo, hi]`` given ``fn(lo)`` and ``fn(hi)``
-    of opposite (or zero) sign."""
+    of opposite (or zero) sign.
+
+    With the default ``rtol = 0`` the bracket shrinks until ``lo`` and
+    ``hi`` are adjacent floats, and ``hi`` is returned: for a decreasing
+    one-sided slope that is the first float where the slope is <= 0, so a
+    kink comes back exactly. A positive ``rtol`` stops once the bracket is
+    that small relative to ``max(|lo|, |hi|)`` and returns its midpoint.
+    """
     f_lo, f_hi = fn(lo), fn(hi)
     if f_lo == 0.0:
         return lo
@@ -70,9 +32,12 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) <= _BISECT_RTOL * max(1.0, abs(lo), abs(hi)):
+    while True:
+        # halving each end first cannot overflow
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            return hi
+        if rtol and hi - lo <= rtol * max(abs(lo), abs(hi)):
             return mid
         f_mid = fn(mid)
         if f_mid == 0.0:
@@ -80,5 +45,4 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
         if (f_mid > 0.0) == (f_lo > 0.0):
             lo, f_lo = mid, f_mid
         else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+            hi = mid

@@ -185,9 +185,12 @@ def rosen_probe(family: PayoffFamily, n: int) -> ConditionReport:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    uses_fd = isinstance(family, TabulatedPayoff) or (
-        isinstance(family, CallablePayoff) and family.deriv is None
-    )
+    if isinstance(family, TabulatedPayoff):
+        derivative = "one-sided"
+    elif isinstance(family, CallablePayoff) and family.deriv is None:
+        derivative = "finite-difference"
+    else:
+        derivative = "analytic"
     f_hi, f_lo = float(family.value(float(n))), float(family.value(n / 2.0))
     d_hi, d_lo = float(family.derivative(float(n))), float(family.derivative(n / 2.0))
     e_value = (d_hi - d_lo) / n + (1.0 - 1.0 / n) * (f_hi - 2.0 * f_lo)
@@ -197,7 +200,7 @@ def rosen_probe(family: PayoffFamily, n: int) -> ConditionReport:
         witness=((float(n), f_hi, d_hi), (n / 2.0, f_lo, d_lo)),
         details={
             "e_value": e_value,
-            "derivative": "finite-difference" if uses_fd else "analytic",
+            "derivative": derivative,
         },
     )
 

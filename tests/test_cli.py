@@ -477,6 +477,34 @@ def test_wrongly_typed_config_values_exit_2(capsys, tmp_path, command, cfg):
     assert line.startswith("error: config-error: ")
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("equilibrium", {"n": 2.9}),
+    ("equilibrium", {"n": True}),
+    ("simulate", {"trials": 1.5}),
+    ("simulate", {"seed": 0.5, "max_iterations": 10}),
+    ("study", {"n_values": [2, 2.5]}),
+    ("poa", {"n0": float("inf")}),
+    ("verify", {"samples": 100.5}),
+])
+def test_fractional_config_integers_exit_2(capsys, tmp_path, command, cfg):
+    # int() would truncate these (or take a bool as 0/1) and run silently
+    code, out, err = _with_config(
+        capsys, tmp_path, command, {"family": CFMM_SPEC, **cfg}
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config-error: expected an integer, got ")
+
+
+def test_integral_float_config_integers_are_accepted(capsys, tmp_path):
+    whole = _with_config(
+        capsys, tmp_path, "equilibrium", {"family": CFMM_SPEC, "n": 3.0}
+    )
+    exact = _with_config(
+        capsys, tmp_path, "equilibrium", {"family": CFMM_SPEC, "n": 3}
+    )
+    assert whole[0] == 0 and whole == exact
+
+
 def test_library_type_error_is_not_a_config_error(capsys, monkeypatch):
     # only config conversion maps TypeError to config-error; one raised by
     # library work is a program fault and propagates

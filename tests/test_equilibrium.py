@@ -21,6 +21,7 @@ from prorata import (
     NoEquilibrium,
     NoPositiveRegion,
     PowerPayoff,
+    ProRataError,
     TabulatedPayoff,
     best_response,
     diagnostics,
@@ -80,7 +81,7 @@ def test_numeric_agrees_with_closed_forms(cfmm, power):
             closed = solve_symmetric(family, n, method="closed").q
             numeric = solve_symmetric(family, n, method="numeric")
             assert numeric.q == pytest.approx(closed, rel=1e-8)
-            assert numeric.method == "golden-section"
+            assert numeric.method == "foc-bisection"
 
 
 @given(
@@ -98,13 +99,73 @@ def test_numeric_tracks_power_closed_form(beta, gamma, n):
 def test_tabulated_family_solves_numerically():
     tab = TabulatedPayoff(ts=(0.0, 1.0, 2.0, 3.0, 4.0), fs=(0.0, 1.0, 1.6, 1.8, -0.5))
     r = solve_symmetric(tab, 2)
-    assert r.method == "golden-section"
+    assert r.method == "foc-bisection"
     # q f(q) rises on every segment up to the knot at 3 and falls after it,
     # so the n=2 equilibrium total is the kink itself
     assert r.q == pytest.approx(3.0, abs=1e-5)
     assert r.q <= diagnostics(tab).root
     with pytest.raises(ValueError):
         solve_symmetric(tab, 2, method="closed")
+
+
+def test_table_kink_equilibrium_is_exact():
+    # the bisection of the one-sided first-order condition lands on the kink
+    tab = TabulatedPayoff(ts=(0.0, 1.0, 2.0, 3.0, 4.0), fs=(0.0, 1.0, 1.6, 1.8, -0.5))
+    assert abs(solve_symmetric(tab, 2).q - 3.0) <= math.ulp(3.0)
+
+
+KNOTS = np.arange(41.0)
+# f = t (40 - t) / 10 on integer knots: concave, kinked at every knot
+PARABOLA_TABLE = TabulatedPayoff(
+    ts=tuple(KNOTS), fs=tuple(KNOTS * (40.0 - KNOTS) / 10.0)
+)
+
+
+@pytest.mark.parametrize("y, x", [(0.0, 20.0), (30.0, 5.0)])
+def test_table_best_response_lands_on_the_kink(y, x):
+    # at y = 0 the best response is argmax f = 20; at y = 30 the own slope
+    # y f(t) + x t f'(t) jumps from +17.5 to -17.5 at the knot t = 35
+    r = best_response(PARABOLA_TABLE, y)
+    assert abs(r.x - x) <= 4e-15
+    assert r.at_boundary == "interior"
+
+
+@pytest.mark.parametrize("beta, gamma, n", [
+    (0.9020204551353165, 8.134402558398147, 1000),   # root ~5e-10
+    (0.7781412716243261, 17.786806844675606, 100_000),
+])
+def test_numeric_route_is_relative_for_roots_below_one(beta, gamma, n):
+    # the root bisection must stop relative to the root, not at 1e-10
+    # absolute, or the numeric route is bounded by a misplaced root
+    family = PowerPayoff(beta=beta, gamma=gamma)
+    numeric = solve_symmetric(family, n, method="numeric").q
+    closed = solve_symmetric(family, n, method="closed").q
+    assert abs(numeric - closed) <= 1e-13 * closed
+
+
+@given(
+    kind=st.sampled_from(["power", "cfmm"]),
+    a=st.floats(min_value=0.0, max_value=1.0),
+    b=st.floats(min_value=-3.0, max_value=3.0),
+    r=st.floats(min_value=0.0, max_value=4.0),
+    n=st.integers(min_value=1, max_value=100_000),
+)
+@settings(deadline=None, max_examples=300)
+def test_numeric_route_matches_closed_forms_everywhere(kind, a, b, r, n):
+    if kind == "power":
+        # beta in [0.02, 0.98], gamma in [1e-3, 1e3]
+        family = PowerPayoff(beta=0.02 + 0.96 * a, gamma=10.0**b)
+    else:
+        # fee multiplier in [0.5, 1], reserves 1e-3..1e3 apart, price 1
+        family = CfmmArbitragePayoff(
+            gamma=0.5 + 0.5 * a, r1=10.0**b, r2=10.0 ** (b + r - 2.0), c=1.0
+        )
+    try:
+        closed = solve_symmetric(family, n, method="closed").q
+        numeric = solve_symmetric(family, n, method="numeric").q
+    except ProRataError:
+        return  # no positive region, or no equilibrium to compare
+    assert abs(numeric - closed) <= 1e-13 * closed
 
 
 def test_table_best_response_capped_by_the_last_knot():
@@ -288,13 +349,13 @@ def test_power_best_response_ignores_the_diagnostics_cap():
         assert pro_rata_payoff(family, r.x + dx, 1.0) <= r.achieved_payoff
 
 
-def test_power_and_cfmm_best_responses_skip_golden_section(
+def test_power_and_cfmm_best_responses_skip_the_search(
     cfmm, power, monkeypatch
 ):
     def forbidden(*args, **kwargs):
-        raise AssertionError("golden-section search on a closed route")
+        raise AssertionError("bisection search on a closed route")
 
-    monkeypatch.setattr(equilibrium, "golden_section_maximize", forbidden)
+    monkeypatch.setattr(equilibrium, "bisect_root", forbidden)
     for family in (cfmm, power):
         for y in (0.0, 3.0, 30.0, 1e4):
             for budget in (math.inf, 5.0):

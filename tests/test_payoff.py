@@ -97,6 +97,46 @@ def test_tabulated_interpolates_and_guards_domain():
         tab.value(3.5)
 
 
+def test_tabulated_derivative_is_the_exact_one_sided_slope():
+    tab = TabulatedPayoff(ts=(0.0, 1.0, 3.0), fs=(0.0, 2.0, 3.0))
+    # right slope inside and at a kink, left slope at the last knot
+    assert [tab.derivative(t) for t in (0.0, 0.5, 1.0, 2.0, 3.0)] == [
+        2.0, 2.0, 0.5, 0.5, 0.5
+    ]
+    with pytest.raises(DomainExceeded):
+        tab.derivative(3.5)
+    with pytest.raises(DomainExceeded):
+        tab.derivative(np.array([1.0, 3.5]))
+
+
+@st.composite
+def tables_and_points(draw):
+    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1,
+                          max_size=12))
+    ts = np.concatenate([[0.0], np.cumsum(steps)])
+    fs = [0.0] + draw(st.lists(st.floats(min_value=-1e3, max_value=1e3),
+                               min_size=len(steps), max_size=len(steps)))
+    tab = TabulatedPayoff(ts=tuple(ts), fs=tuple(fs))
+    inner = st.floats(min_value=0.0, max_value=tab.domain_max)
+    points = draw(st.lists(inner | st.sampled_from(tab.ts), min_size=1,
+                           max_size=20))
+    return tab, points
+
+
+@given(tables_and_points())
+@settings(deadline=None, max_examples=200)
+def test_tabulated_scalar_path_matches_array_bit_for_bit(case):
+    tab, points = case
+    arr = np.array(points)
+    for method in (tab.value, tab.derivative):
+        scalar = [method(t) for t in points]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(np.array(scalar), method(arr))
+        assert [math.copysign(1.0, v) for v in scalar] == [
+            math.copysign(1.0, v) for v in method(arr)
+        ]
+
+
 def test_tabulated_requires_origin_and_increasing_knots():
     with pytest.raises(ValueError):
         TabulatedPayoff(ts=(0.5, 1.0), fs=(0.0, 1.0))

@@ -1,4 +1,8 @@
-"""Scalar search primitives: golden-section maximizer and bisection."""
+"""The one scalar solver: bisection on the sign of a function.
+
+A maximum is located as the sign change of its slope, so the maximizer
+tests bisect a derivative.
+"""
 
 import math
 
@@ -6,44 +10,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prorata.search import bisect_root, golden_section_maximize
+from prorata.search import bisect_root
+
+
+def _within_ulps(x: float, target: float, ulps: int = 1) -> bool:
+    return abs(x - target) <= ulps * math.ulp(target)
 
 
 def test_quadratic_maximum_located_to_high_accuracy():
-    x = golden_section_maximize(lambda t: -((t - 3.0) ** 2), 0.0, 10.0)
-    assert abs(x - 3.0) < 1e-9
+    # the slope of -(t - 3)^2 changes sign exactly at 3
+    assert bisect_root(lambda t: -2.0 * (t - 3.0), 0.0, 10.0) == 3.0
 
 
 def test_flat_quartic_maximum():
-    # quartic tops are where plain golden section stalls; the parabolic
-    # polish step has no curvature to work with here, so only ask for
-    # the comparison-noise floor
-    x = golden_section_maximize(lambda t: -((t - 2.0) ** 4), 0.0, 5.0)
-    assert abs(x - 2.0) < 1e-3
-
-
-def test_polish_can_be_disabled():
-    x = golden_section_maximize(
-        lambda t: math.log(t) - 0.1 * t, 0.1, 100.0, polish=False
-    )
-    assert abs(x - 10.0) < 1e-5
+    # a quartic top is flat to third order, which stalls comparison-based
+    # searches at ~1e-4; its slope still changes sign at the peak
+    x = bisect_root(lambda t: -4.0 * (t - 2.0) ** 3, 0.0, 5.0)
+    assert _within_ulps(x, 2.0)
 
 
 @given(peak=st.floats(min_value=0.5, max_value=9.5))
 @settings(deadline=None, max_examples=50)
 def test_maximizer_tracks_moving_peak(peak):
-    x = golden_section_maximize(lambda t: -((t - peak) ** 2), 0.0, 10.0)
-    assert abs(x - peak) < 1e-8 * max(1.0, peak)
+    x = bisect_root(lambda t: peak - t, 0.0, 10.0)
+    assert x == peak
 
 
 def test_invalid_bracket_rejected():
+    # an empty bracket holds no sign change unless fn vanishes on it
     with pytest.raises(ValueError):
-        golden_section_maximize(lambda t: -t * t, 1.0, 1.0)
+        bisect_root(lambda t: -2.0 * t, 1.0, 1.0)
 
 
 def test_bisect_sqrt2():
     r = bisect_root(lambda t: t * t - 2.0, 0.0, 2.0)
-    assert r == pytest.approx(math.sqrt(2.0), rel=1e-10)
+    assert _within_ulps(r, math.sqrt(2.0))
 
 
 def test_bisect_zero_at_endpoint():
@@ -61,3 +62,26 @@ def test_bisect_requires_sign_change():
 def test_bisect_linear_roots(root):
     r = bisect_root(lambda t: t - root, 0.0, 100.0)
     assert r == pytest.approx(root, rel=1e-9, abs=1e-12)
+
+
+def test_bisect_lands_on_a_kink():
+    # a right slope of +1 left of the kink and -1 from it on: the first
+    # float where the slope is <= 0 is the kink itself
+    kink = 0.1 * 7.0
+    assert bisect_root(lambda t: 1.0 if t < kink else -1.0, 0.0, 3.0) == kink
+
+
+@given(
+    root=st.floats(min_value=1e-300, max_value=1e300),
+    rtol=st.sampled_from([0.0, 1e-10]),
+)
+@settings(deadline=None, max_examples=100)
+def test_bisect_stop_is_relative_at_every_scale(root, rtol):
+    # the stop scales with the bracket, also for roots far below 1
+    r = bisect_root(lambda t: root - t, 0.0, 4.0 * root, rtol)
+    assert abs(r - root) <= max(rtol, 2.0**-52) * root
+
+
+def test_bisect_wide_bracket_does_not_overflow():
+    r = bisect_root(lambda t: 1e308 - t, 0.0, 1.7e308)
+    assert _within_ulps(r, 1e308)

@@ -156,7 +156,7 @@ def test_capped_linear_probe_is_exactly_zero():
         rep = rosen_probe(family, n)
         assert rep.details["e_value"] == pytest.approx(0.0, abs=1e-9)
         assert not rep.holds
-        assert rep.details["derivative"] == "finite-difference"
+        assert rep.details["derivative"] == "one-sided"
 
 
 def test_shifted_quadratic_probe_values():
