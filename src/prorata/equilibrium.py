@@ -52,8 +52,22 @@ class BestResponseResult:
 
 
 def foc_residual(family: PayoffFamily, n: int, q: float) -> float:
-    """First-order-condition residual |(n-1) f(q) + q f'(q)| at total q."""
-    return abs(_signed_foc(family, n, q))
+    """First-order-condition residual |(n-1) f(q) + q f'(q)| at total q.
+
+    On a table knot f' has two one-sided values. The residual is 0 when
+    the condition changes sign across the knot (left value >= 0 >= right
+    value), which certifies a kink equilibrium exactly, and otherwise the
+    smaller of the two magnitudes.
+    """
+    g = _signed_foc(family, n, q)
+    if isinstance(family, TabulatedPayoff) and q > 0.0:
+        # the slope just below q is the left slope at a knot
+        left_slope = family.derivative(math.nextafter(q, 0.0))
+        g_left = (n - 1) * family.value(q) + q * left_slope
+        if g_left >= 0.0 >= g:
+            return 0.0
+        return min(abs(g_left), abs(g))
+    return abs(g)
 
 
 def _signed_foc(family: PayoffFamily, n: int, q: float) -> float:
@@ -214,8 +228,9 @@ def best_response(
     families bisect the sign of the payoff's slope in x, y f(t) + x t f'(t)
     (f'(x) itself when y = 0), on [0, min(budget, w)]; the slope is
     nonincreasing, so its sign change is the maximizer, and an end of the
-    range where it does not change sign is. Returns x = 0 with payoff 0
-    when no positive tender helps.
+    range where it does not change sign is. A table that is not concave
+    raises :class:`ValueError`. Returns x = 0 with payoff 0 when no
+    positive tender helps.
     """
     if y < 0.0:
         raise ValueError(f"y must be nonnegative, got {y}")
@@ -232,6 +247,10 @@ def best_response(
             )
         return BestResponseResult(x, pro_rata_payoff(family, x, y), "interior")
 
+    if isinstance(family, TabulatedPayoff) and not family.concave:
+        # the slope's sign change is the maximizer only for concave f
+        raise ValueError("best_response needs a concave table: its segment "
+                         "slopes must not increase")
     try:
         diag = diagnostics(family)
     except NoPositiveRegion:

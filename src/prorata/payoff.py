@@ -123,9 +123,10 @@ class TabulatedPayoff:
     The table must start at (0, 0); evaluation past the last knot raises
     :class:`DomainExceeded`. The derivative is the exact right slope of
     the segment at t (the left slope at the last knot), so at a kink it is
-    the slope just past it. A scalar ``value`` finds the segment with
-    :func:`bisect.bisect_right` and gives the same bits as the array path,
-    :func:`numpy.interp`.
+    the slope just past it. ``concave`` tells whether the segment slopes
+    never increase, which the best-response bisection needs. A scalar
+    ``value`` finds the segment with :func:`bisect.bisect_right` and gives
+    the same bits as the array path, :func:`numpy.interp`.
     """
 
     ts: tuple[float, ...]
@@ -146,9 +147,12 @@ class TabulatedPayoff:
             raise ValueError("ts must be strictly increasing")
         # segment slopes, computed as numpy.interp computes them
         ts, fs = self.ts, self.fs
-        object.__setattr__(self, "_slopes", tuple(
+        slopes = tuple(
             (fs[i + 1] - fs[i]) / (ts[i + 1] - ts[i]) for i in range(len(ts) - 1)
-        ))
+        )
+        object.__setattr__(self, "_slopes", slopes)
+        concave = all(b <= a for a, b in zip(slopes, slopes[1:]))
+        object.__setattr__(self, "concave", concave)
 
     @property
     def domain_max(self) -> float:
@@ -189,7 +193,8 @@ class CallablePayoff:
 
     Used for probe curves that none of the parametric families express
     exactly (e.g. shifted quadratics). When ``deriv`` is omitted the
-    derivative falls back to a central finite difference, the one
+    derivative falls back to a central finite difference (one-sided within
+    a step of 0, where ``fn`` need not be defined to the left), the one
     approximate derivative in the package; every other family's is exact.
     """
 
@@ -208,8 +213,11 @@ class CallablePayoff:
     def derivative(self, t):
         if self.deriv is not None:
             return self.deriv(t)
+        # one-sided near 0, so a function defined only for t >= 0 is never
+        # evaluated left of the origin
         h = _FD_STEP_SCALE * np.maximum(1.0, np.abs(t))
-        return (self.fn(t + h) - self.fn(t - h)) / (2.0 * h)
+        lo = np.maximum(t - h, 0.0)
+        return (self.fn(t + h) - self.fn(lo)) / (t + h - lo)
 
 
 PayoffFamily = Union[CfmmArbitragePayoff, PowerPayoff, TabulatedPayoff, CallablePayoff]

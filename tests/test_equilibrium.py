@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from prorata import (
     BestResponseResult,
+    CallablePayoff,
     CfmmArbitragePayoff,
     NoEquilibrium,
     NoPositiveRegion,
@@ -188,6 +189,52 @@ def test_first_order_residual_values(power):
     r = solve_symmetric(power, 7)
     assert r.foc_residual <= 1e-6 * max(1.0, power.value(r.q))
     assert r.foc_residual >= 0.0
+
+
+def test_callable_defined_only_right_of_zero_solves():
+    # t**0.5 is nan (or complex) left of 0, so the finite difference at 0
+    # must not step there; the curve is power(0.5, 0.05) as a plain function
+    sqrt_curve = CallablePayoff(lambda t: t**0.5 - 0.05 * t)
+    d = diagnostics(sqrt_curve)
+    assert d.root == pytest.approx(400.0, rel=1e-9)
+    assert d.argmax == pytest.approx(100.0, rel=1e-6)
+    assert solve_symmetric(sqrt_curve, 2, method="numeric").q == pytest.approx(
+        225.0, rel=1e-6
+    )
+    r = best_response(sqrt_curve, 0.0)
+    assert r.x == pytest.approx(100.0, rel=1e-6)
+    assert r.achieved_payoff == pytest.approx(5.0, rel=1e-12)
+
+
+KINKED_TABLE = TabulatedPayoff(
+    ts=(0.0, 10.0, 20.0, 30.0, 40.0, 50.0), fs=(0.0, 8.0, 13.0, 15.0, 14.0, -2.0)
+)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kink_equilibrium_residual_is_zero(n):
+    # g = (n-1) f(q) + q f'(q) is +10 / +24 left of the knot at 40 and
+    # -50 / -36 right of it: the sign change certifies the equilibrium
+    r = solve_symmetric(KINKED_TABLE, n)
+    assert r.q == 40.0
+    assert r.foc_residual == 0.0
+
+
+def test_residual_off_a_kink_is_the_smaller_one_sided_value():
+    # at the knot 30 with n = 2: g is 15 + 30 * 0.2 = 21 from the left and
+    # 15 + 30 * (-0.1) = 12 from the right, both positive
+    assert foc_residual(KINKED_TABLE, 2, 30.0) == pytest.approx(12.0, rel=1e-15)
+    # inside a segment both sides agree: 14.5 + 35 * (-0.1) at n = 2, q = 35
+    assert foc_residual(KINKED_TABLE, 2, 35.0) == pytest.approx(11.0, rel=1e-15)
+
+
+def test_non_concave_table_best_response_is_rejected():
+    # f peaks at the knot 10 and rises again to the end: the slope's sign at
+    # the range end says nothing about the maximizer
+    tab = TabulatedPayoff(ts=(0.0, 10.0, 20.0, 30.0), fs=(0.0, 8.0, 2.0, 3.0))
+    assert not tab.concave
+    with pytest.raises(ValueError, match="concave"):
+        best_response(tab, 0.0, budget=30.0)
 
 
 def test_solver_input_validation(power):

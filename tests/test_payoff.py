@@ -159,6 +159,18 @@ def test_callable_without_deriv_falls_back_to_finite_differences():
     assert f.derivative(2.0) == pytest.approx(4.0, rel=1e-6)
 
 
+def test_callable_finite_difference_stays_right_of_zero():
+    def fn(t):
+        assert np.all(np.asarray(t) >= 0.0), "evaluated left of the origin"
+        return t**0.5 - 0.05 * t
+
+    f = CallablePayoff(fn)
+    # forward difference over [0, 1e-6]: (1e-3 - 5e-8) / 1e-6
+    assert f.derivative(0.0) == pytest.approx(999.95, rel=1e-12)
+    assert np.all(np.isfinite(f.derivative(np.array([0.0, 5e-7, 1.0]))))
+    assert f.derivative(100.0) == pytest.approx(0.0, abs=1e-9)
+
+
 # ---------------------------------------------------- pro-rata allocation
 
 
