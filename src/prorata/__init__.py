@@ -40,6 +40,7 @@ from .equilibrium import (
 from .errors import (
     ConfigError,
     DomainExceeded,
+    InvalidArgument,
     NoEquilibrium,
     NoFiniteRoot,
     NonPositiveNetDemand,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import cfmm_tender
-from .errors import NonPositiveNetDemand
+from .errors import InvalidArgument, NonPositiveNetDemand
 from .payoff import ForwardExchange
 
 MAX_TRADERS = 10_000
@@ -31,11 +31,11 @@ class BatchInstance:
     def __post_init__(self) -> None:
         arr = np.array(self.deltas, dtype=float)
         if arr.ndim != 1:
-            raise ValueError("deltas must be one-dimensional")
+            raise InvalidArgument("deltas must be one-dimensional")
         if arr.shape[0] == 0 or arr.shape[0] > MAX_TRADERS:
-            raise ValueError(f"need 1..{MAX_TRADERS} traders, got {arr.shape[0]}")
+            raise InvalidArgument(f"need 1..{MAX_TRADERS} traders, got {arr.shape[0]}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("deltas must be finite")
+            raise InvalidArgument("deltas must be finite")
         # clear() takes exact sums of the deltas and of their positive parts;
         # below _SUM_LIMIT in absolute total neither can overflow
         with np.errstate(over="ignore"):
@@ -45,7 +45,7 @@ class BatchInstance:
                 math.fsum(arr.tolist())
                 math.fsum(np.maximum(arr, 0.0).tolist())
             except OverflowError:
-                raise ValueError("the sum of the deltas overflows") from None
+                raise InvalidArgument("the sum of the deltas overflows") from None
         arr.setflags(write=False)
         object.__setattr__(self, "deltas", arr)
 
@@ -66,7 +66,8 @@ def clear(instance: BatchInstance) -> BatchOutcome:
     fills net out internally in asset A. When no demand is netted
     (all deltas >= 0) the scale is exactly 1 and residuals equal deltas.
     Raises :class:`NonPositiveNetDemand` when the batch nets to <= 0, and
-    ValueError when the net is so large that the quote overflows a float.
+    :class:`InvalidArgument` when the net is so large that the quote
+    overflows a float.
     """
     deltas = instance.deltas
     net = math.fsum(deltas)
@@ -79,7 +80,7 @@ def clear(instance: BatchInstance) -> BatchOutcome:
     pool_input = math.fsum(residuals)
     pool_output = instance.pool.quote(pool_input)
     if not math.isfinite(pool_output):
-        raise ValueError(f"the pool quote for input {pool_input!r} overflows")
+        raise InvalidArgument(f"the pool quote for input {pool_input!r} overflows")
     per_trader_b = residuals * (pool_output / pool_input)
     residuals.setflags(write=False)
     per_trader_b.setflags(write=False)
@@ -95,6 +96,6 @@ def optimal_arbitrage(pool: ForwardExchange, price: float) -> float:
     """The t* maximizing g(t) - price*t: where the pool's marginal quote
     meets the external price, or 0 when the pool already quotes below it."""
     if price <= 0.0:
-        raise ValueError(f"external price must be positive, got {price}")
+        raise InvalidArgument(f"external price must be positive, got {price}")
     # argmax f is the best response of a lone player (y = 0)
     return cfmm_tender(pool.arbitrage_family(price))(0.0)

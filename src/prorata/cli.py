@@ -3,14 +3,14 @@
 Every command reads a payoff family from flags (or a JSON config), runs
 one of the library routines, and writes rows as CSV or an aligned text
 table. Errors come out as a single machine-parsable line on stderr with
-exit code 2 (bad input), 3 (no equilibrium / no root exists), or
-4 (numeric failure at runtime).
+exit code 2 (bad input: anything raising :class:`InvalidArgument`, which
+the library raises at its own argument checks, so they are not copied
+here), 3 (no equilibrium / no root exists), or 4 (numeric failure).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import io
@@ -37,6 +37,7 @@ from .equilibrium import SOLVE_METHODS, best_response, solve_symmetric
 from .errors import (
     ConfigError,
     DomainExceeded,
+    InvalidArgument,
     NoEquilibrium,
     NoFiniteRoot,
     NonPositiveNetDemand,
@@ -119,15 +120,6 @@ def _convert(kind, value):
         raise ConfigError(str(exc)) from exc
 
 
-@contextlib.contextmanager
-def _bad_input():
-    """Report a library argument check (a ValueError) as a config error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _load_config(args) -> dict:
     """The ``--config`` file, holding only keys the command has flags for."""
     path = getattr(args, "config", None)
@@ -199,8 +191,7 @@ def _resolve_scenario(args, config: dict, n: int):
         delta = _resolve(args, config, "delta", None, float)
         if delta is None:
             raise ConfigError("scenario 'bounded' needs --delta")
-        with _bad_input():
-            return BoundedUpdate(delta=delta)
+        return BoundedUpdate(delta=delta)
     if name == "budgeted":
         budgets = _resolve(args, config, "budgets", None)
         if budgets is None:
@@ -212,31 +203,21 @@ def _resolve_scenario(args, config: dict, n: int):
             budgets = budgets * n
         if len(budgets) != n:
             raise ConfigError(f"need 1 or {n} budgets, got {len(budgets)}")
-        with _bad_input():
-            return Budgeted(budgets=tuple(budgets))
+        return Budgeted(budgets=tuple(budgets))
     raise ConfigError(f"unknown scenario {name!r}")
 
 
 def _game(args, config: dict, family, n: int, scenario) -> GameConfig:
-    """The run settings shared by simulate and study, checked as input."""
-    with _bad_input():
-        return GameConfig(
-            family=family,
-            n=n,
-            scenario=scenario,
-            convergence_threshold=_resolve(args, config, "threshold", 0.1, float),
-            max_iterations=_resolve(args, config, "max_iterations", 2000, int),
-            seed=_resolve(args, config, "seed", 0, int),
-            update_order=_resolve(args, config, "update_order", "sequential", str),
-        )
-
-
-def _trials(args, config: dict, default: int) -> int:
-    """The trial count, checked as the library checks it, before any run."""
-    trials = _resolve(args, config, "trials", default, int)
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
-    return trials
+    """The run settings shared by simulate and study."""
+    return GameConfig(
+        family=family,
+        n=n,
+        scenario=scenario,
+        convergence_threshold=_resolve(args, config, "threshold", 0.1, float),
+        max_iterations=_resolve(args, config, "max_iterations", 2000, int),
+        seed=_resolve(args, config, "seed", 0, int),
+        update_order=_resolve(args, config, "update_order", "sequential", str),
+    )
 
 
 def _cell(value) -> str:
@@ -289,11 +270,7 @@ def _io_args(args, config) -> tuple[str, str | None]:
 def _cmd_equilibrium(args, config) -> Table:
     family = _resolve_family(args, config)
     n = _resolve(args, config, "n", 2, int)
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
     method = _resolve(args, config, "method", "auto", str)
-    if method not in SOLVE_METHODS:
-        raise ConfigError(f"method must be one of {SOLVE_METHODS}")
     res = solve_symmetric(family, n, method=method)
     return (
         ["n", "q", "per_player", "eq_payoff", "foc_residual", "method"],
@@ -319,7 +296,10 @@ def _cmd_simulate(args, config) -> Table:
     family = _resolve_family(args, config)
     n = _resolve(args, config, "n", 2, int)
     game = _game(args, config, family, n, _resolve_scenario(args, config, n))
-    trials = _trials(args, config, 1)
+    # simulate runs one trial per call, so the trial count is checked here
+    trials = _resolve(args, config, "trials", 1, int)
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
     rows = []
     for trial in range(trials):
         rng = np.random.default_rng([game.seed, trial])
@@ -340,11 +320,11 @@ def _cmd_study(args, config) -> Table:
     scenario = _resolve_scenario(args, config, n_values[0])
     if isinstance(scenario, Budgeted) and len(set(n_values)) > 1:
         raise ConfigError("a budgeted study needs a single n value")
-    game, *_ = [_game(args, config, family, n, scenario) for n in n_values]
+    game = _game(args, config, family, n_values[0], scenario)
     result = convergence_study(
         family,
         n_values,
-        trials=_trials(args, config, 100),
+        trials=_resolve(args, config, "trials", 100, int),
         seed=game.seed,
         scenario=scenario,
         convergence_threshold=game.convergence_threshold,
@@ -373,13 +353,8 @@ def _delta_sweep(args, config) -> Table:
 def _cmd_whale(args, config) -> Table:
     family = _resolve_family(args, config)
     n_fish_values = _parse_int_values(_resolve(args, config, "n_fish_values", "1:20"))
-    trials = _trials(args, config, 100)
-    # whale_fish_experiment's own check, made before any row runs
-    bad = next((v for v in n_fish_values if v < 0), None)
-    if bad is not None:
-        raise ConfigError(f"n_fish must be nonnegative, got {bad}")
     run = dict(
-        trials=trials,
+        trials=_resolve(args, config, "trials", 100, int),
         seed=_resolve(args, config, "seed", 0, int),
         convergence_threshold=_resolve(args, config, "threshold", 0.1, float),
         max_iterations=_resolve(args, config, "max_iterations", 2000, int),
@@ -405,9 +380,6 @@ def _cmd_whale(args, config) -> Table:
 def _cmd_poa(args, config) -> Table:
     family = _resolve_family(args, config)
     n_values = _parse_int_values(_resolve(args, config, "n_values", "1:50"))
-    bad = next((n for n in n_values if n < 1), None)
-    if bad is not None:  # solve_symmetric's own check
-        raise ConfigError(f"n must be a positive integer, got {bad}")
     result = poa_growth_check(
         family, n_values, n0=_resolve(args, config, "n0", 10, int)
     )
@@ -424,8 +396,7 @@ def _cmd_batch(args, config) -> Table:
                  for key in ("gamma", "r1", "r2")]
     if None in pool_args:
         raise ConfigError("batch needs pool parameters --gamma, --r1, --r2")
-    with _bad_input():
-        pool = ForwardExchange(*pool_args)
+    pool = ForwardExchange(*pool_args)
 
     ids: list[str]
     input_path = _resolve(args, config, "input", None)
@@ -443,6 +414,8 @@ def _cmd_batch(args, config) -> Table:
                 for rec in reader:
                     ids.append(rec["trader_id"])
                     deltas.append(float(rec["delta"]))
+        except ConfigError:
+            raise  # a ValueError too, and already worded
         except OSError as exc:
             raise ConfigError(f"cannot read {input_path}: {exc}") from exc
         except ValueError as exc:
@@ -454,9 +427,8 @@ def _cmd_batch(args, config) -> Table:
     else:
         raise ConfigError("batch needs --input or --deltas")
 
-    with _bad_input():
-        outcome = clear(BatchInstance(deltas=np.asarray(deltas, dtype=float),
-                                      pool=pool))
+    outcome = clear(BatchInstance(deltas=np.asarray(deltas, dtype=float),
+                                  pool=pool))
     rows = [
         [tid, float(d), float(r), float(b)]
         for tid, d, r, b in zip(ids, deltas, outcome.residuals,
@@ -477,8 +449,6 @@ def _cmd_verify(args, config) -> Table:
     seed = _resolve(args, config, "seed", 0, int)
     domain_hi = _resolve(args, config, "domain_hi", None, float)
     rosen_n = _resolve(args, config, "rosen_n", 2, int)
-    if "rosen" in conditions and rosen_n < 2:  # rosen_probe's own check
-        raise ConfigError(f"n must be an integer >= 2, got {rosen_n}")
 
     rows = []
     for name in conditions:
@@ -646,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _ERROR_SLUGS = (
-    (ConfigError, "config-error", 2),
+    (InvalidArgument, "config-error", 2),
     (NoEquilibrium, "no-equilibrium", 3),
     (NoFiniteRoot, "no-finite-root", 3),
     (NoPositiveRegion, "no-positive-region", 3),

@@ -35,6 +35,7 @@ from .equilibrium import (
     solve_symmetric,
     unconstrained_tender,
 )
+from .errors import InvalidArgument
 from .payoff import PayoffFamily, diagnostics, pro_rata_payoff
 
 UPDATE_ORDERS = ("sequential", "synchronous")
@@ -53,7 +54,7 @@ class BoundedUpdate:
 
     def __post_init__(self) -> None:
         if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+            raise InvalidArgument(f"delta must be positive, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class Budgeted:
     def __post_init__(self) -> None:
         object.__setattr__(self, "budgets", tuple(float(b) for b in self.budgets))
         if any(b < 0.0 for b in self.budgets):
-            raise ValueError("budgets must be nonnegative")
+            raise InvalidArgument("budgets must be nonnegative")
 
 
 Scenario = Union[Unconstrained, BoundedUpdate, Budgeted]
@@ -83,17 +84,17 @@ class GameConfig:
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+            raise InvalidArgument(f"n must be a positive integer, got {self.n!r}")
         if self.convergence_threshold <= 0.0:
-            raise ValueError("convergence_threshold must be positive")
+            raise InvalidArgument("convergence_threshold must be positive")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            raise InvalidArgument("max_iterations must be at least 1")
         if self.update_order not in UPDATE_ORDERS:
-            raise ValueError(
+            raise InvalidArgument(
                 f"update_order must be one of {UPDATE_ORDERS}, got {self.update_order!r}"
             )
         if isinstance(self.scenario, Budgeted) and len(self.scenario.budgets) != self.n:
-            raise ValueError(
+            raise InvalidArgument(
                 f"need {self.n} budgets, got {len(self.scenario.budgets)}"
             )
 
@@ -107,9 +108,9 @@ class StrategyProfile:
     def __post_init__(self) -> None:
         arr = np.array(self.actions, dtype=float)
         if arr.ndim != 1:
-            raise ValueError("actions must be one-dimensional")
+            raise InvalidArgument("actions must be one-dimensional")
         if np.any(arr < 0.0):
-            raise ValueError("actions must be nonnegative")
+            raise InvalidArgument("actions must be nonnegative")
         arr.setflags(write=False)
         object.__setattr__(self, "actions", arr)
 
@@ -292,9 +293,9 @@ def simulate(
     else:
         x = np.array(initial, dtype=float)
     if x.shape != (n,):
-        raise ValueError(f"initial profile must have shape ({n},), got {x.shape}")
+        raise InvalidArgument(f"initial profile must have shape ({n},), got {x.shape}")
     if np.any(x < 0.0):
-        raise ValueError("initial tenders must be nonnegative")
+        raise InvalidArgument("initial tenders must be nonnegative")
 
     history = [x[None, :]]
     stop_at = _play_to_equilibrium(config, eq, history[0], history)
@@ -357,7 +358,7 @@ def convergence_study(
     stops on its own and ends exactly as it would alone.
     """
     if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+        raise InvalidArgument(f"trials must be at least 1, got {trials}")
     records = []
     for n in n_values:
         n = int(n)
@@ -423,9 +424,9 @@ def whale_fish_experiment(
     All trials run in lockstep, as the rows of one array.
     """
     if n_fish < 0:
-        raise ValueError(f"n_fish must be nonnegative, got {n_fish}")
+        raise InvalidArgument(f"n_fish must be nonnegative, got {n_fish}")
     if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+        raise InvalidArgument(f"trials must be at least 1, got {trials}")
     n_total = n_fish + 1
     eq = solve_symmetric(family, n_total)
     fair_strategy = eq.per_player

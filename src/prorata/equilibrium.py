@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NoEquilibrium, NoFiniteRoot, NoPositiveRegion
+from .errors import InvalidArgument, NoFiniteRoot, NoPositiveRegion
 from .payoff import (
     CfmmArbitragePayoff,
     PayoffFamily,
@@ -86,19 +86,16 @@ def _closed_form_cfmm(family: CfmmArbitragePayoff, n: int) -> float:
     a = c * n * g * g
     b = g * g * r2 + 2.0 * c * n * r1 * g - g * g * n * r2
     c0 = c * n * r1 * r1 - g * n * r1 * r2
-    disc = b * b - 4.0 * a * c0
-    if disc < 0.0:
-        raise NoEquilibrium("equilibrium quadratic has no real root")
-    sq = math.sqrt(disc)
+    # c0 = -n r1**2 f'(0): when c0 >= 0 the concave f is nowhere positive
+    # (both roots are <= 0), and when c0 < 0 the roots have opposite signs
+    if c0 >= 0.0:
+        raise NoPositiveRegion("payoff is nonpositive everywhere: f'(0) <= 0")
+    sq = math.sqrt(b * b - 4.0 * a * c0)
     if b >= 0.0:
         root1 = (-b - sq) / (2.0 * a)
     else:
         root1 = (-b + sq) / (2.0 * a)
-    root2 = c0 / (a * root1) if root1 != 0.0 else (-b + sq) / (2.0 * a)
-    q = max(root1, root2)
-    if q <= 0.0:
-        raise NoEquilibrium("equilibrium quadratic has no positive root")
-    return q
+    return max(root1, c0 / (a * root1))
 
 
 def solve_symmetric(
@@ -112,15 +109,17 @@ def solve_symmetric(
     [argmax f, w] to adjacent floats. g decreases there, so its zero is the
     maximizer of q**(n-1) f(q); when g(argmax f) <= 0 (n = 1, or a table
     whose kink at its argmax is the equilibrium) q is argmax f itself.
+    A payoff that is nowhere positive raises :class:`NoPositiveRegion` on
+    either route.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+        raise InvalidArgument(f"n must be a positive integer, got {n!r}")
     if method not in SOLVE_METHODS:
-        raise ValueError(f"method must be one of {SOLVE_METHODS}, got {method!r}")
+        raise InvalidArgument(f"method must be one of {SOLVE_METHODS}, got {method!r}")
 
     use_closed = isinstance(family, (PowerPayoff, CfmmArbitragePayoff))
     if method == "closed" and not use_closed:
-        raise ValueError(f"no closed form for {family.kind} families")
+        raise InvalidArgument(f"no closed form for {family.kind} families")
     if method == "numeric":
         use_closed = False
 
@@ -228,14 +227,14 @@ def best_response(
     families bisect the sign of the payoff's slope in x, y f(t) + x t f'(t)
     (f'(x) itself when y = 0), on [0, min(budget, w)]; the slope is
     nonincreasing, so its sign change is the maximizer, and an end of the
-    range where it does not change sign is. A table that is not concave
-    raises :class:`ValueError`. Returns x = 0 with payoff 0 when no
-    positive tender helps.
+    range where it does not change sign is. A negative ``y`` or ``budget``
+    and a table that is not concave raise :class:`InvalidArgument`. Returns
+    x = 0 with payoff 0 when no positive tender helps.
     """
     if y < 0.0:
-        raise ValueError(f"y must be nonnegative, got {y}")
+        raise InvalidArgument(f"y must be nonnegative, got {y}")
     if budget < 0.0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+        raise InvalidArgument(f"budget must be nonnegative, got {budget}")
     tender = unconstrained_tender(family)
     if tender is not None:
         x = tender(y)
@@ -249,7 +248,7 @@ def best_response(
 
     if isinstance(family, TabulatedPayoff) and not family.concave:
         # the slope's sign change is the maximizer only for concave f
-        raise ValueError("best_response needs a concave table: its segment "
+        raise InvalidArgument("best_response needs a concave table: its segment "
                          "slopes must not increase")
     try:
         diag = diagnostics(family)

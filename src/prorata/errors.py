@@ -1,11 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every argument check raises :class:`InvalidArgument`; the other classes say
+why a well-posed computation has no answer. A plain ``ValueError`` is a
+numeric failure, such as a bisection bracket with no sign change.
+"""
 
 
 class ProRataError(Exception):
     """Base class for errors raised by this package."""
 
 
-class ConfigError(ProRataError):
+class InvalidArgument(ProRataError, ValueError):
+    """An argument outside the domain the library accepts. It is also a
+    ``ValueError``, so callers that catch ``ValueError`` keep working."""
+
+
+class ConfigError(InvalidArgument):
     """Invalid CLI flags or config-file input."""
 
 
@@ -20,7 +30,8 @@ class NoFiniteRoot(ProRataError):
 
 
 class NoEquilibrium(ProRataError):
-    """No nontrivial symmetric equilibrium exists for this payoff."""
+    """No nontrivial symmetric equilibrium exists for this payoff. No solver
+    route raises it: a nowhere-positive payoff raises NoPositiveRegion."""
 
 
 class DomainExceeded(ProRataError):

@@ -20,7 +20,13 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainExceeded, NoFiniteRoot, NoPositiveRegion
+from .errors import (
+    ConfigError,
+    DomainExceeded,
+    InvalidArgument,
+    NoFiniteRoot,
+    NoPositiveRegion,
+)
 from .search import bisect_root
 
 # Geometric scan for a point with f > 0: by concavity the positive region
@@ -48,9 +54,9 @@ class ForwardExchange:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+            raise InvalidArgument(f"gamma must be in (0, 1], got {self.gamma}")
         if self.r1 <= 0.0 or self.r2 <= 0.0:
-            raise ValueError(f"reserves must be positive, got r1={self.r1}, r2={self.r2}")
+            raise InvalidArgument(f"reserves must be positive, got r1={self.r1}, r2={self.r2}")
 
     def quote(self, t):
         return self.gamma * self.r2 * t / (self.r1 + self.gamma * t)
@@ -81,7 +87,7 @@ class CfmmArbitragePayoff(ForwardExchange):
     def __post_init__(self) -> None:
         ForwardExchange.__post_init__(self)
         if self.c <= 0.0:
-            raise ValueError(f"external price must be positive, got {self.c}")
+            raise InvalidArgument(f"external price must be positive, got {self.c}")
 
     def value(self, t):
         return self.quote(t) - self.c * t
@@ -102,9 +108,9 @@ class PowerPayoff:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must be in (0, 1), got {self.beta}")
+            raise InvalidArgument(f"beta must be in (0, 1), got {self.beta}")
         if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+            raise InvalidArgument(f"gamma must be positive, got {self.gamma}")
 
     def value(self, t):
         return t**self.beta - self.gamma * t
@@ -138,13 +144,13 @@ class TabulatedPayoff:
         object.__setattr__(self, "ts", tuple(float(t) for t in self.ts))
         object.__setattr__(self, "fs", tuple(float(f) for f in self.fs))
         if len(self.ts) != len(self.fs):
-            raise ValueError("ts and fs must have equal length")
+            raise InvalidArgument("ts and fs must have equal length")
         if len(self.ts) < 2:
-            raise ValueError("need at least two knots")
+            raise InvalidArgument("need at least two knots")
         if self.ts[0] != 0.0 or self.fs[0] != 0.0:
-            raise ValueError("table must start at (0, 0)")
+            raise InvalidArgument("table must start at (0, 0)")
         if any(b <= a for a, b in zip(self.ts, self.ts[1:])):
-            raise ValueError("ts must be strictly increasing")
+            raise InvalidArgument("ts must be strictly increasing")
         # segment slopes, computed as numpy.interp computes them
         ts, fs = self.ts, self.fs
         slopes = tuple(
@@ -205,7 +211,7 @@ class CallablePayoff:
 
     def __post_init__(self) -> None:
         if abs(float(self.fn(0.0))) > 1e-12:
-            raise ValueError("payoff must satisfy f(0) = 0")
+            raise InvalidArgument("payoff must satisfy f(0) = 0")
 
     def value(self, t):
         return self.fn(t)

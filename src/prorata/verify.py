@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NoFiniteRoot
+from .errors import InvalidArgument, NoFiniteRoot
 from .payoff import (
     CallablePayoff,
     PayoffFamily,
@@ -50,8 +50,18 @@ class ConditionReport:
     details: dict = field(default_factory=dict)
 
 
-def _sample_ceiling(family: PayoffFamily, domain_hi: float | None) -> float:
+def _sample_ceiling(
+    family: PayoffFamily, domain_hi: float | None, samples: int
+) -> float:
+    """The top of the sampled range, after checking the sampling arguments;
+    ``samples = 0`` leaves only the deterministic ladder."""
+    if samples < 0:
+        raise InvalidArgument(f"samples must be nonnegative, got {samples}")
     if domain_hi is not None:
+        if not 0.0 < domain_hi < np.inf:
+            raise InvalidArgument(
+                f"domain_hi must be finite and positive, got {domain_hi}"
+            )
         return float(domain_hi)
     if isinstance(family, TabulatedPayoff):
         # bounded tables may have no root (f still positive at the end)
@@ -76,7 +86,7 @@ def check_chord_condition(
     Violations within ``STRICT_MARGIN`` (relative) of equality count as
     failures; up to eight are returned as (alpha, t, gap) witnesses.
     """
-    hi = _sample_ceiling(family, domain_hi)
+    hi = _sample_ceiling(family, domain_hi, samples)
     rng = np.random.default_rng(seed)
     alpha = rng.uniform(1e-9, 1.0 - 1e-9, size=samples)
     t = rng.uniform(0.0, hi, size=samples)
@@ -139,7 +149,7 @@ def detect_linear_segment_at_zero(
         pairs = np.asarray(t_pairs, dtype=float)
         hi = float(np.max(pairs)) if pairs.size else 0.0
     else:
-        hi = _sample_ceiling(family, domain_hi)
+        hi = _sample_ceiling(family, domain_hi, samples)
         rng = np.random.default_rng(seed)
         a = rng.uniform(0.0, hi, size=samples)
         b = rng.uniform(0.0, hi, size=samples)
@@ -155,7 +165,7 @@ def detect_linear_segment_at_zero(
         )
     t, tp = pairs[:, 0], pairs[:, 1]
     if np.any(t <= 0.0) or np.any(tp <= t):
-        raise ValueError("pairs must satisfy 0 < t < t'")
+        raise InvalidArgument("pairs must satisfy 0 < t < t'")
     r_lo = family.value(t) / t
     r_hi = family.value(tp) / tp
     close = np.abs(r_lo - r_hi) <= RATIO_RTOL * np.maximum(np.abs(r_lo), np.abs(r_hi))
@@ -184,7 +194,7 @@ def rosen_probe(family: PayoffFamily, n: int) -> ConditionReport:
     the condition needs E > 0, so ``holds=False`` whenever E <= 0.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+        raise InvalidArgument(f"n must be an integer >= 2, got {n!r}")
     if isinstance(family, TabulatedPayoff):
         derivative = "one-sided"
     elif isinstance(family, CallablePayoff) and family.deriv is None:
@@ -235,4 +245,4 @@ def replay_witness(family: PayoffFamily, report: ConditionReport) -> bool:
         (n, _, _), _ = report.witness
         fresh = rosen_probe(family, int(n))
         return fresh.holds == report.holds
-    raise ValueError(f"unknown condition {report.condition!r}")
+    raise InvalidArgument(f"unknown condition {report.condition!r}")

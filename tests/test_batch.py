@@ -17,6 +17,7 @@ from prorata import (
     BatchInstance,
     CfmmArbitragePayoff,
     ForwardExchange,
+    InvalidArgument,
     NonPositiveNetDemand,
     clear,
     optimal_arbitrage,
@@ -78,21 +79,21 @@ def test_nonpositive_net_demand_rejected(pool):
 
 
 def test_instance_validation(pool):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         BatchInstance(deltas=np.array([]), pool=pool)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         BatchInstance(deltas=np.array([[1.0], [2.0]]), pool=pool)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         BatchInstance(deltas=np.array([1.0, math.nan]), pool=pool)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         ForwardExchange(gamma=0.0, r1=200.0, r2=250.0)
 
 
 def test_overflowing_sums_rejected(pool):
-    # the exact sums clear() takes would overflow: a ValueError up front,
+    # the exact sums clear() takes would overflow: an InvalidArgument up front,
     # not an OverflowError from math.fsum
     for deltas in ([1e308, 1e308], [1e308, -1e308, 1e308]):
-        with pytest.raises(ValueError, match="overflows"):
+        with pytest.raises(InvalidArgument, match="overflows"):
             BatchInstance(deltas=np.array(deltas), pool=pool)
     out = clear(BatchInstance(deltas=np.array([1e308, -1e308, 5.0]), pool=pool))
     assert out.pool_input == 5.0
@@ -102,7 +103,7 @@ def test_overflowing_sums_rejected(pool):
 def test_overflowing_quote_rejected(pool, deltas):
     # the sums are finite but gamma*r2*t is not: no infinite pool output
     instance = BatchInstance(deltas=np.array(deltas), pool=pool)
-    with pytest.raises(ValueError, match="pool quote .* overflows"):
+    with pytest.raises(InvalidArgument, match="pool quote .* overflows"):
         clear(instance)
 
 
@@ -170,7 +171,7 @@ def test_optimal_arbitrage_first_order_condition(pool):
     # marginal quote already below the outside price: abstain
     assert optimal_arbitrage(pool, pool.derivative(0.0)) == 0.0
     assert optimal_arbitrage(pool, 2.0) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         optimal_arbitrage(pool, 0.0)
 
 

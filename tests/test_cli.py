@@ -9,13 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from prorata.cli import FIGURES, build_parser, main
+from prorata import ConfigError, InvalidArgument, ProRataError, errors
+from prorata.cli import _ERROR_SLUGS, FIGURES, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
 POWER = ["--family", "power", "--beta", "0.5", "--gamma", "0.05"]
 CFMM = ["--family", "cfmm", "--gamma", "0.99", "--r1", "200", "--r2", "250",
         "--price", "1"]
+# f peaks at the knot 10 and rises again after 20
+NON_CONCAVE_TABLE = ["--family", "table", "--ts", "0,10,20,30", "--fs", "0,8,2,3"]
 
 
 def run(capsys, *argv):
@@ -269,6 +272,24 @@ def test_overflowing_batch_exits_2(capsys):
     assert err == "error: config-error: the sum of the deltas overflows\n"
 
 
+def test_each_package_error_has_one_exit_row():
+    # callers that catch ValueError still catch argument errors
+    assert issubclass(InvalidArgument, ProRataError)
+    assert issubclass(InvalidArgument, ValueError)
+    assert issubclass(ConfigError, InvalidArgument)
+    rows = [klass for klass, _, _ in _ERROR_SLUGS]
+    classes = [k for k in vars(errors).values()
+               if isinstance(k, type) and issubclass(k, ProRataError)
+               and k is not ProRataError]
+    for klass in classes:
+        # the first matching row, as main reads the table; none falls
+        # through to "runtime"
+        row = next(r for r in rows if issubclass(klass, r))
+        assert row is (InvalidArgument if issubclass(klass, InvalidArgument)
+                       else klass), klass
+    assert [code for _, _, code in _ERROR_SLUGS].count(2) == 1
+
+
 def test_parser_is_built_once_and_reused(capsys):
     assert build_parser() is build_parser()
     usage_error = run(capsys, "reproduce", "fig-nope")
@@ -329,6 +350,22 @@ BAD_RUN_PARAMETERS = [
     (["reproduce", "scenario1", "--n-values="], "no values in ''"),
     (["reproduce", "whale", "--n-values="], "no values in ''"),
     (["reproduce", "scenario2-delta", "--deltas="], "no values in ''"),
+    # the library's own argument checks, with no copy in the CLI
+    (["bestresponse", *CFMM, "--y", "-1"], "y must be nonnegative, got -1.0"),
+    (["bestresponse", *CFMM, "--budget", "-1"],
+     "budget must be nonnegative, got -1.0"),
+    (["bestresponse", *NON_CONCAVE_TABLE],
+     "best_response needs a concave table: its segment slopes must not increase"),
+    (["equilibrium", *NON_CONCAVE_TABLE, "--method", "closed"],
+     "no closed form for table families"),
+    (["equilibrium", *CFMM, "--n", "0"], "n must be a positive integer, got 0"),
+    (["whale", *CFMM, "--n-fish-values=-1", "--trials", "0"],
+     "n_fish must be nonnegative, got -1"),
+    (["verify", *POWER, "--samples", "-1"], "samples must be nonnegative, got -1"),
+    (["verify", *POWER, "--domain-hi", "-5"],
+     "domain_hi must be finite and positive, got -5.0"),
+    (["verify", *POWER, "--domain-hi", "nan"],
+     "domain_hi must be finite and positive, got nan"),
 ]
 
 
@@ -339,6 +376,9 @@ BAD_RUN_PARAMETERS = [
     "study-trials", "simulate-trials", "reproduce-delta-n",
     "reproduce-whale-max-fish", "reproduce-scenario1-n-values",
     "reproduce-whale-n-values", "reproduce-delta-deltas",
+    "bestresponse-y", "bestresponse-budget", "bestresponse-non-concave",
+    "equilibrium-closed-table", "equilibrium-n", "whale-n-fish-first",
+    "verify-samples", "verify-domain-hi", "verify-domain-hi-nan",
 ])
 def test_bad_run_parameters_exit_2(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:

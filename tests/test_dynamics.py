@@ -10,6 +10,7 @@ from prorata import (
     Budgeted,
     CfmmArbitragePayoff,
     GameConfig,
+    InvalidArgument,
     PowerPayoff,
     StrategyProfile,
     StudyRecord,
@@ -37,17 +38,17 @@ TABLE = TabulatedPayoff(ts=tuple(_KNOTS), fs=tuple(_KNOTS**0.5 - 0.05 * _KNOTS))
 
 
 def test_config_validation(cfmm):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         GameConfig(family=cfmm, n=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         GameConfig(family=cfmm, n=2, convergence_threshold=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         GameConfig(family=cfmm, n=2, update_order="diagonal")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         GameConfig(family=cfmm, n=3, scenario=Budgeted(budgets=(1.0, 2.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         BoundedUpdate(delta=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         Budgeted(budgets=(1.0, -2.0))
 
 
@@ -56,9 +57,9 @@ def test_profile_is_immutable_and_validated():
     assert p.total == 3.0
     with pytest.raises(ValueError):
         p.actions[0] = 5.0
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         StrategyProfile(np.array([-1.0, 2.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         StrategyProfile(np.array([[1.0], [2.0]]))
 
 
@@ -128,9 +129,9 @@ def test_initial_profile_scale(cfmm):
 
 
 def test_bad_initial_profiles_rejected(cfmm):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         simulate(GameConfig(family=cfmm, n=2), initial=[1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         simulate(GameConfig(family=cfmm, n=2), initial=[-1.0, 2.0])
 
 
@@ -228,14 +229,14 @@ def test_whale_outplays_the_symmetric_split(cfmm):
 @pytest.mark.parametrize("n_fish, trials", [(-1, 5), (2, 0), (2, -3)])
 def test_whale_rejects_bad_counts(cfmm, n_fish, trials):
     # no trials would average an empty array into nan
-    with pytest.raises(ValueError, match="n_fish must|trials must"):
+    with pytest.raises(InvalidArgument, match="n_fish must|trials must"):
         whale_fish_experiment(cfmm, n_fish=n_fish, trials=trials, seed=0)
 
 
 @pytest.mark.parametrize("trials", [0, -2])
 def test_study_rejects_bad_trial_counts(cfmm, trials):
     # no trials would report no records and no means
-    with pytest.raises(ValueError, match="trials must be at least 1"):
+    with pytest.raises(InvalidArgument, match="trials must be at least 1"):
         convergence_study(cfmm, [2, 3], trials=trials, seed=0)
 
 

@@ -19,7 +19,7 @@ from prorata import (
     BestResponseResult,
     CallablePayoff,
     CfmmArbitragePayoff,
-    NoEquilibrium,
+    InvalidArgument,
     NoPositiveRegion,
     PowerPayoff,
     ProRataError,
@@ -105,7 +105,7 @@ def test_tabulated_family_solves_numerically():
     # so the n=2 equilibrium total is the kink itself
     assert r.q == pytest.approx(3.0, abs=1e-5)
     assert r.q <= diagnostics(tab).root
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         solve_symmetric(tab, 2, method="closed")
 
 
@@ -233,25 +233,27 @@ def test_non_concave_table_best_response_is_rejected():
     # the range end says nothing about the maximizer
     tab = TabulatedPayoff(ts=(0.0, 10.0, 20.0, 30.0), fs=(0.0, 8.0, 2.0, 3.0))
     assert not tab.concave
-    with pytest.raises(ValueError, match="concave"):
+    with pytest.raises(InvalidArgument, match="concave"):
         best_response(tab, 0.0, budget=30.0)
 
 
 def test_solver_input_validation(power):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         solve_symmetric(power, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         solve_symmetric(power, True)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         solve_symmetric(power, 2, method="bogus")
 
 
 def test_nowhere_positive_family_has_no_equilibrium():
-    bad = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=2.0)
-    with pytest.raises(NoEquilibrium):
-        solve_symmetric(bad, 2)
-    with pytest.raises(NoPositiveRegion):
-        solve_symmetric(bad, 2, method="numeric")
+    # f'(0) = gamma r2 / r1 - c <= 0 at both prices: f <= 0 everywhere, and
+    # both routes say so with the same error
+    for c in (0.99 * 250.0 / 200.0, 2.0):
+        bad = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=c)
+        for method in ("closed", "numeric"):
+            with pytest.raises(NoPositiveRegion):
+                solve_symmetric(bad, 2, method=method)
 
 
 # -------------------------------------------------------- best response

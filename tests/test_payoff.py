@@ -24,6 +24,7 @@ from prorata import (
     CfmmArbitragePayoff,
     ConfigError,
     DomainExceeded,
+    InvalidArgument,
     NoPositiveRegion,
     PowerPayoff,
     TabulatedPayoff,
@@ -78,13 +79,13 @@ def test_power_derivative_at_zero_is_infinite_on_both_paths(power):
 
 
 def test_invalid_parameters_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         CfmmArbitragePayoff(gamma=0.0, r1=200.0, r2=250.0, c=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         CfmmArbitragePayoff(gamma=1.5, r1=200.0, r2=250.0, c=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         PowerPayoff(beta=1.0, gamma=0.05)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         PowerPayoff(beta=0.5, gamma=0.0)
 
 
@@ -138,16 +139,16 @@ def test_tabulated_scalar_path_matches_array_bit_for_bit(case):
 
 
 def test_tabulated_requires_origin_and_increasing_knots():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         TabulatedPayoff(ts=(0.5, 1.0), fs=(0.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         TabulatedPayoff(ts=(0.0, 0.0, 1.0), fs=(0.0, 0.5, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         TabulatedPayoff(ts=(0.0, 1.0), fs=(0.1, 1.0))
 
 
 def test_callable_must_vanish_at_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         CallablePayoff(lambda t: t + 1.0)
     f = CallablePayoff(lambda t: 8.0 * t - t * t, deriv=lambda t: 8.0 - 2.0 * t)
     assert f.value(2.0) == 12.0

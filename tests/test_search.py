@@ -53,8 +53,10 @@ def test_bisect_zero_at_endpoint():
 
 
 def test_bisect_requires_sign_change():
-    with pytest.raises(ValueError):
+    # a numeric failure, not an argument error: a plain ValueError
+    with pytest.raises(ValueError) as info:
         bisect_root(lambda t: t * t + 1.0, -1.0, 1.0)
+    assert type(info.value) is ValueError
 
 
 @given(root=st.floats(min_value=0.1, max_value=99.9))

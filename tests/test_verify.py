@@ -13,6 +13,7 @@ import pytest
 from prorata import (
     CallablePayoff,
     CfmmArbitragePayoff,
+    InvalidArgument,
     PowerPayoff,
     TabulatedPayoff,
     check_chord_condition,
@@ -129,10 +130,23 @@ def test_ratio_match_without_collinearity_is_not_a_segment():
 
 
 def test_malformed_pairs_rejected(power):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         detect_linear_segment_at_zero(power, t_pairs=[(2.0, 1.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         detect_linear_segment_at_zero(power, t_pairs=[(0.0, 1.0)])
+
+
+@pytest.mark.parametrize("check, count", [
+    (check_chord_condition, "samples"),
+    (detect_linear_segment_at_zero, "pairs"),
+])
+def test_sampling_arguments_checked(power, check, count):
+    for bad in ({"samples": -1}, {"domain_hi": -5.0}, {"domain_hi": 0.0},
+                {"domain_hi": np.nan}, {"domain_hi": np.inf}):
+        with pytest.raises(InvalidArgument):
+            check(power, **bad)
+    # no random samples still leaves the 13-probe ladder
+    assert check(power, samples=0).details[count] == 13
 
 
 def test_detectors_agree_across_the_zoo():
@@ -182,9 +196,9 @@ def test_probe_fails_even_for_well_behaved_families(cfmm, power):
 
 
 def test_probe_input_validation(power):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         rosen_probe(power, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         rosen_probe(power, 2.0)
 
 
@@ -192,7 +206,7 @@ def test_replay_rejects_unknown_conditions(power):
     from prorata.verify import ConditionReport
 
     fake = ConditionReport(condition="made-up", holds=True, witness=())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         replay_witness(power, fake)
 
 
