@@ -20,7 +20,6 @@ from .dynamics import (
     Budgeted,
     DynamicsTrace,
     GameConfig,
-    StrategyProfile,
     StudyRecord,
     StudyResult,
     Unconstrained,
@@ -41,7 +40,6 @@ from .errors import (
     ConfigError,
     DomainExceeded,
     InvalidArgument,
-    NoEquilibrium,
     NoFiniteRoot,
     NonPositiveNetDemand,
     NoPositiveRegion,

@@ -5,7 +5,7 @@ one of the library routines, and writes rows as CSV or an aligned text
 table. Errors come out as a single machine-parsable line on stderr with
 exit code 2 (bad input: anything raising :class:`InvalidArgument`, which
 the library raises at its own argument checks, so they are not copied
-here), 3 (no equilibrium / no root exists), or 4 (numeric failure).
+here), 3 (no positive region / no root exists), or 4 (numeric failure).
 """
 
 from __future__ import annotations
@@ -38,13 +38,12 @@ from .errors import (
     ConfigError,
     DomainExceeded,
     InvalidArgument,
-    NoEquilibrium,
     NoFiniteRoot,
     NonPositiveNetDemand,
     NoPositiveRegion,
     ProRataError,
 )
-from .payoff import ForwardExchange, family_from_dict
+from .payoff import ForwardExchange, family_from_dict, pro_rata_payoff
 from .verify import (
     check_chord_condition,
     detect_linear_segment_at_zero,
@@ -303,14 +302,11 @@ def _cmd_simulate(args, config) -> Table:
     rows = []
     for trial in range(trials):
         rng = np.random.default_rng([game.seed, trial])
-        trace = simulate(game, initial=draw_initial_profile(family, n, rng))
-        for it, profile in enumerate(trace.profiles):
-            payoffs = profile.payoffs(family)
-            for player in range(n):
-                rows.append(
-                    [trial, it, player, float(profile.actions[player]),
-                     float(payoffs[player])]
-                )
+        T = simulate(game, initial=draw_initial_profile(family, n, rng)).tenders
+        payoffs = pro_rata_payoff(family, T, T.sum(axis=1, keepdims=True) - T)
+        for it, (xs, ps) in enumerate(zip(T.tolist(), payoffs.tolist())):
+            rows.extend([trial, it, player, x, p]
+                        for player, (x, p) in enumerate(zip(xs, ps)))
     return ["trial", "iteration", "player", "strategy", "payoff"], rows, ""
 
 
@@ -404,7 +400,8 @@ def _cmd_batch(args, config) -> Table:
     if input_path is not None:
         try:
             with open(input_path, newline="") as fh:
-                reader = csv.DictReader(fh)
+                # a missing cell reads as "", which float() rejects below
+                reader = csv.DictReader(fh, restval="")
                 if reader.fieldnames is None or \
                         {"trader_id", "delta"} - set(reader.fieldnames):
                     raise ConfigError(
@@ -617,7 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _ERROR_SLUGS = (
     (InvalidArgument, "config-error", 2),
-    (NoEquilibrium, "no-equilibrium", 3),
     (NoFiniteRoot, "no-finite-root", 3),
     (NoPositiveRegion, "no-positive-region", 3),
     (DomainExceeded, "domain-exceeded", 4),

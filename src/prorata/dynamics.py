@@ -17,8 +17,9 @@ whale row) in lockstep as the rows of one (trials, n) array, drops each
 trial from the array at the round it stops, and checks the stop rules on
 the whole array. ``simulate`` is the one-trial case. Within a round each
 row is swept in Python floats, player after player, through the family's
-one scalar best-response tender, so a trial ends exactly as it would alone
-and every move equals :func:`best_response`'s unconstrained answer.
+one best-response tender, :func:`unconstrained_tender`, the one
+:func:`best_response` caps at a budget, so a trial ends exactly as it
+would alone. The engine reads its rules from a :class:`GameConfig`.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .equilibrium import (
-    EquilibriumResult,
-    best_response,
-    solve_symmetric,
-    unconstrained_tender,
-)
+from .equilibrium import EquilibriumResult, solve_symmetric, unconstrained_tender
 from .errors import InvalidArgument
 from .payoff import PayoffFamily, diagnostics, pro_rata_payoff
 
@@ -85,9 +81,12 @@ class GameConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise InvalidArgument(f"n must be a positive integer, got {self.n!r}")
-        if self.convergence_threshold <= 0.0:
+        if not self.convergence_threshold > 0.0:  # NaN too
             raise InvalidArgument("convergence_threshold must be positive")
-        if self.max_iterations < 1:
+        iterations = self.max_iterations
+        if not isinstance(iterations, int) or isinstance(iterations, bool):
+            raise InvalidArgument(f"max_iterations must be an integer, got {iterations!r}")
+        if iterations < 1:
             raise InvalidArgument("max_iterations must be at least 1")
         if self.update_order not in UPDATE_ORDERS:
             raise InvalidArgument(
@@ -100,57 +99,14 @@ class GameConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class StrategyProfile:
-    """An immutable vector of per-player tenders."""
-
-    actions: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.actions, dtype=float)
-        if arr.ndim != 1:
-            raise InvalidArgument("actions must be one-dimensional")
-        if np.any(arr < 0.0):
-            raise InvalidArgument("actions must be nonnegative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "actions", arr)
-
-    @property
-    def total(self) -> float:
-        return float(self.actions.sum())
-
-    def payoffs(self, family: PayoffFamily) -> np.ndarray:
-        return pro_rata_payoff(family, self.actions, self.total - self.actions)
-
-
-@dataclass(frozen=True, eq=False)
 class DynamicsTrace:
     """One run of :func:`simulate`."""
 
-    tenders: np.ndarray        # (rounds+1, n): the start, then every round
+    tenders: np.ndarray        # read-only (rounds+1, n): the start, then every round
     converged_at: int | None   # round index; 0 means already at equilibrium
     stop_reason: str           # "converged" or "iteration-cap"
     equilibrium: EquilibriumResult
     final_payoffs: np.ndarray
-
-    def history(self) -> np.ndarray:
-        """Tender vectors stacked as a read-only (rounds+1, n) array."""
-        return self.tenders
-
-    @property
-    def profiles(self) -> list[StrategyProfile]:
-        """The rows of :meth:`history` as profiles, built on each access."""
-        return [StrategyProfile(row) for row in self.tenders]
-
-
-def _make_unconstrained_br(family: PayoffFamily) -> Callable[[float], float]:
-    tender = unconstrained_tender(family)
-    if tender is not None:
-        return tender
-
-    def br(y: float) -> float:
-        return best_response(family, y).x
-
-    return br
 
 
 def _sweep(
@@ -199,28 +155,29 @@ def _sweep(
 
 
 def _play(
+    config: GameConfig,
     X: np.ndarray,
     upper: np.ndarray,
-    delta: float | None,
-    order: str,
-    tender: Callable[[float], float],
-    max_iterations: int,
     stopped: Callable[[np.ndarray, np.ndarray], np.ndarray],
     history: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run rounds on every row of X until ``stopped(new, old)`` holds for
-    the row or ``max_iterations`` rounds have run.
+    """Run rounds of ``config``'s game on every row of X until
+    ``stopped(new, old)`` holds for the row or the config's round cap is hit.
 
-    ``upper`` caps each tender (per row and player), ``delta`` caps each
-    move. A stopped row leaves the active set, so rows stop independently.
-    Returns the final profiles and each row's stopping round (-1 for rows
-    cut off by the cap). ``history`` collects every round's active rows.
+    ``upper`` caps each tender (per row and player); a ``BoundedUpdate``
+    scenario caps each move. A stopped row leaves the active set, so rows
+    stop independently. Returns the final profiles and each row's stopping
+    round (-1 for rows cut off by the cap). ``history`` collects every
+    round's active rows.
     """
+    scenario, order = config.scenario, config.update_order
+    delta = scenario.delta if isinstance(scenario, BoundedUpdate) else None
+    tender = unconstrained_tender(config.family)
     final = X.copy()
     stop_at = np.full(X.shape[0], -1)
     rows = np.arange(X.shape[0])
     lower = np.zeros((1, X.shape[1]))
-    for t in range(1, max_iterations + 1):
+    for t in range(1, config.max_iterations + 1):
         if not rows.size:
             break
         if delta is None:
@@ -256,14 +213,11 @@ def _play_to_equilibrium(
 
     scenario = config.scenario
     caps = scenario.budgets if isinstance(scenario, Budgeted) else math.inf
-    delta = scenario.delta if isinstance(scenario, BoundedUpdate) else None
     stop_at = np.zeros(X.shape[0], dtype=int)
     todo = np.flatnonzero(~near(X))
     if todo.size:
         _, stop_at[todo] = _play(
-            X[todo], np.full((todo.size, config.n), caps), delta,
-            config.update_order, _make_unconstrained_br(config.family),
-            config.max_iterations, near, history,
+            config, X[todo], np.full((todo.size, config.n), caps), near, history
         )
     return stop_at
 
@@ -278,7 +232,7 @@ def draw_initial_profile(
 
 def simulate(
     config: GameConfig,
-    initial: StrategyProfile | Sequence[float] | np.ndarray | None = None,
+    initial: Sequence[float] | np.ndarray | None = None,
 ) -> DynamicsTrace:
     """Run best-response rounds until the profile is within
     ``convergence_threshold`` of the symmetric equilibrium (sup norm) or
@@ -288,8 +242,6 @@ def simulate(
     eq = solve_symmetric(family, n)
     if initial is None:
         x = draw_initial_profile(family, n, np.random.default_rng(config.seed))
-    elif isinstance(initial, StrategyProfile):
-        x = initial.actions.copy()
     else:
         x = np.array(initial, dtype=float)
     if x.shape != (n,):
@@ -428,6 +380,9 @@ def whale_fish_experiment(
     if trials < 1:
         raise InvalidArgument(f"trials must be at least 1, got {trials}")
     n_total = n_fish + 1
+    # the run settings get the same checks as a study's
+    config = GameConfig(family, n_total, convergence_threshold=convergence_threshold,
+                        max_iterations=max_iterations, seed=seed)
     eq = solve_symmetric(family, n_total)
     fair_strategy = eq.per_player
     fair_payoff = eq.equilibrium_payoff
@@ -444,10 +399,7 @@ def whale_fish_experiment(
     def settled(new: np.ndarray, old: np.ndarray) -> np.ndarray:
         return np.abs(new - old).max(axis=1) < convergence_threshold
 
-    final, stop_at = _play(
-        X, upper, None, "sequential", _make_unconstrained_br(family),
-        max_iterations, settled,
-    )
+    final, stop_at = _play(config, X, upper, settled)
     strategies = final[:, 0]
     profits = np.array([
         pro_rata_payoff(family, float(x[0]), float(x[1:].sum())) for x in final

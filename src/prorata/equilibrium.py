@@ -11,7 +11,8 @@ condition y f(t) + x t f'(t) = 0 is a one-dimensional root: a closed form
 for the cfmm family and a monotone Newton iteration for the power family
 (see :func:`cfmm_tender` and :func:`power_tender`). Tabulated and callable
 families bisect the same condition, which is nonincreasing in x because
-the own payoff is concave.
+the own payoff is concave. :func:`unconstrained_tender` gives each family's
+one tender, which :func:`best_response` and the dynamics share.
 """
 
 from __future__ import annotations
@@ -204,14 +205,71 @@ def power_tender(family: PowerPayoff) -> Callable[[float], float]:
     return tender
 
 
-def unconstrained_tender(family: PayoffFamily) -> Callable[[float], float] | None:
-    """The first-order-condition tender of a cfmm or power family, or None
-    for families that need a search (tabulated and callable)."""
+def _slope_tender(family: PayoffFamily) -> Callable[[float], float]:
+    """Unconstrained best-response tender y -> x for a table or callable.
+
+    It bisects the sign of the own payoff's slope in x, y f(t) + x t f'(t)
+    (f'(x) itself when y = 0), on [0, w] with w the zero of f, or on the
+    table up to its last knot. The slope is nonincreasing because the own
+    payoff is concave, so its sign change is the maximizer, and an end of
+    the range where it does not change sign is. The concavity check and
+    the diagnostics run once, here. A table that is not concave raises
+    :class:`InvalidArgument`; a callable whose f stays positive raises
+    :class:`NoFiniteRoot`.
+    """
+    table = isinstance(family, TabulatedPayoff)
+    if table and not family.concave:
+        # the slope's sign change is the maximizer only for concave f
+        raise InvalidArgument("best_response needs a concave table: its segment "
+                              "slopes must not increase")
+    try:
+        root = diagnostics(family).root
+    except NoPositiveRegion:
+        # nothing positive to gain at any tender
+        return lambda y: 0.0
+    except NoFiniteRoot:
+        # f is still positive at the last knot, which bounds the search
+        if not table:
+            raise
+        root = family.domain_max
+    end = family.domain_max if table else math.inf
+
+    def tender(y: float) -> float:
+        hi = min(root, end - y)
+        # (end - y) + y can round past the last knot: step hi down by the
+        # excess (at least one ulp) until the sum stays on the table
+        while hi > 0.0 and hi + y > end:
+            hi = min(math.nextafter(hi, 0.0), hi - (hi + y - end))
+        if hi <= 0.0:
+            return 0.0
+        if y == 0.0:
+            # the payoff is f itself; the scaled slope below would read
+            # x**2 f'(x), which vanishes at x = 0
+            slope = family.derivative
+        else:
+            def slope(x: float) -> float:
+                # d/dx [x f(t) / t] times t**2
+                t = x + y
+                return y * family.value(t) + x * t * family.derivative(t)
+
+        if slope(hi) >= 0.0:
+            return hi
+        if slope(0.0) <= 0.0:
+            return 0.0
+        return bisect_root(slope, 0.0, hi)
+
+    return tender
+
+
+def unconstrained_tender(family: PayoffFamily) -> Callable[[float], float]:
+    """The best-response tender y -> x of any family, with no budget: the
+    cfmm closed form, the power Newton iteration, or the slope bisection of
+    a table or callable (see :func:`_slope_tender`)."""
     if isinstance(family, CfmmArbitragePayoff):
         return cfmm_tender(family)
     if isinstance(family, PowerPayoff):
         return power_tender(family)
-    return None
+    return _slope_tender(family)
 
 
 def best_response(
@@ -221,73 +279,20 @@ def best_response(
 ) -> BestResponseResult:
     """Maximize x -> x/(x+y) f(x+y) over x in [0, budget].
 
-    Power and cfmm families solve the first-order condition (see
-    :func:`unconstrained_tender`) and cap the result at the budget, which
-    is exact because the payoff is concave in x. Tabulated and callable
-    families bisect the sign of the payoff's slope in x, y f(t) + x t f'(t)
-    (f'(x) itself when y = 0), on [0, min(budget, w)]; the slope is
-    nonincreasing, so its sign change is the maximizer, and an end of the
-    range where it does not change sign is. A negative ``y`` or ``budget``
-    and a table that is not concave raise :class:`InvalidArgument`. Returns
-    x = 0 with payoff 0 when no positive tender helps.
+    Every family solves the first-order condition with its one tender (see
+    :func:`unconstrained_tender`) and caps the result at the budget, which
+    is exact because the payoff is concave in x. A negative ``y`` or
+    ``budget`` and a table that is not concave raise
+    :class:`InvalidArgument`. Returns x = 0 with payoff 0 when no positive
+    tender helps.
     """
     if y < 0.0:
         raise InvalidArgument(f"y must be nonnegative, got {y}")
     if budget < 0.0:
         raise InvalidArgument(f"budget must be nonnegative, got {budget}")
-    tender = unconstrained_tender(family)
-    if tender is not None:
-        x = tender(y)
-        if x <= 0.0:
-            return BestResponseResult(0.0, 0.0, "zero")
-        if x >= budget:
-            return BestResponseResult(
-                budget, pro_rata_payoff(family, budget, y), "budget"
-            )
-        return BestResponseResult(x, pro_rata_payoff(family, x, y), "interior")
-
-    if isinstance(family, TabulatedPayoff) and not family.concave:
-        # the slope's sign change is the maximizer only for concave f
-        raise InvalidArgument("best_response needs a concave table: its segment "
-                         "slopes must not increase")
-    try:
-        diag = diagnostics(family)
-    except NoPositiveRegion:
-        # nothing positive to gain at any tender
+    x = unconstrained_tender(family)(y)
+    if x <= 0.0:
         return BestResponseResult(0.0, 0.0, "zero")
-    except NoFiniteRoot:
-        # f stays positive; the search is still well posed on [0, budget]
-        if not math.isfinite(budget):
-            raise
-        diag = None
-
-    hi = budget if diag is None else min(budget, diag.root)
-    if isinstance(family, TabulatedPayoff):
-        hi = min(hi, family.domain_max - y)
-        # (domain_max - y) + y can round past the last knot: step hi down
-        # by the excess (at least one ulp) until the sum stays on the table
-        while hi > 0.0 and hi + y > family.domain_max:
-            hi = min(math.nextafter(hi, 0.0), hi - (hi + y - family.domain_max))
-    if hi <= 0.0:
-        return BestResponseResult(0.0, 0.0, "zero")
-
-    if y == 0.0:
-        # the payoff is f itself; the scaled slope below would read x**2 f'(x),
-        # which vanishes at x = 0
-        slope = family.derivative
-    else:
-        def slope(x: float) -> float:
-            # d/dx [x f(t) / t] times t**2
-            t = x + y
-            return y * family.value(t) + x * t * family.derivative(t)
-
-    if slope(hi) >= 0.0:
-        x = hi
-    elif slope(0.0) <= 0.0:
-        return BestResponseResult(0.0, 0.0, "zero")
-    else:
-        x = bisect_root(slope, 0.0, hi)
-    v = pro_rata_payoff(family, x, y)
-    if v <= 0.0:
-        return BestResponseResult(0.0, 0.0, "zero")
-    return BestResponseResult(x, v, "budget" if x == budget else "interior")
+    if x >= budget:
+        return BestResponseResult(budget, pro_rata_payoff(family, budget, y), "budget")
+    return BestResponseResult(x, pro_rata_payoff(family, x, y), "interior")

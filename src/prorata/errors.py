@@ -29,11 +29,6 @@ class NoFiniteRoot(ProRataError):
     tabulated domain); there is no finite positive root."""
 
 
-class NoEquilibrium(ProRataError):
-    """No nontrivial symmetric equilibrium exists for this payoff. No solver
-    route raises it: a nowhere-positive payoff raises NoPositiveRegion."""
-
-
 class DomainExceeded(ProRataError):
     """A tabulated payoff was evaluated past its last knot."""
 

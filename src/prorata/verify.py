@@ -62,6 +62,9 @@ def _sample_ceiling(
             raise InvalidArgument(
                 f"domain_hi must be finite and positive, got {domain_hi}"
             )
+        if isinstance(family, TabulatedPayoff) and domain_hi > family.domain_max:
+            raise InvalidArgument(f"domain_hi {domain_hi} is past the table's "
+                                  f"last knot {family.domain_max}")
         return float(domain_hi)
     if isinstance(family, TabulatedPayoff):
         # bounded tables may have no root (f still positive at the end)

@@ -7,9 +7,18 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from prorata import ConfigError, InvalidArgument, ProRataError, errors
+from prorata import (
+    CfmmArbitragePayoff,
+    ConfigError,
+    InvalidArgument,
+    PowerPayoff,
+    ProRataError,
+    errors,
+    pro_rata_payoff,
+)
 from prorata.cli import _ERROR_SLUGS, FIGURES, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,6 +87,24 @@ def test_simulate_trace_layout(capsys):
     assert [r["iteration"] for r in rows[:2]] == ["0", "0"]
 
 
+@pytest.mark.parametrize("family, argv", [
+    (CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0), CFMM),
+    (PowerPayoff(beta=0.5, gamma=0.05), POWER),
+], ids=["cfmm", "power"])
+def test_simulate_payoffs_match_allocation_rule(capsys, family, argv):
+    code, out, _ = run(capsys, "simulate", *argv, "--n", "4", "--trials", "2",
+                       "--seed", "5", "--format", "csv")
+    assert code == 0
+    profiles = {}
+    for r in rows_of(out):
+        profiles.setdefault((r["trial"], r["iteration"]), []).append(
+            (float(r["strategy"]), float(r["payoff"])))
+    assert len(profiles) > 2
+    for cells in profiles.values():
+        x, paid = np.array(cells).T
+        assert pro_rata_payoff(family, x, x.sum() - x).tolist() == paid.tolist()
+
+
 def test_study_table_prints_summary(capsys):
     code, out, _ = run(
         capsys, "study", *CFMM, "--n-values", "2:3", "--trials", "2",
@@ -141,6 +168,16 @@ def test_batch_reads_csv_input(capsys, tmp_path):
     rows = rows_of(out)
     assert [r["trader_id"] for r in rows] == ["alice", "bob"]
     assert float(rows[0]["residual"]) == 3.0
+
+
+def test_batch_row_without_a_delta_cell_exits_2(capsys, tmp_path):
+    src = tmp_path / "orders.csv"
+    src.write_text("trader_id,delta\na,1\nb\n")
+    code, out, err = run(capsys, "batch", "--input", str(src), "--gamma", "0.99",
+                         "--r1", "200", "--r2", "250")
+    assert (code, out) == (2, "")
+    assert err == (f"error: config-error: bad delta in {src}: could not "
+                   "convert string to float: ''\n")
 
 
 def test_verify_conditions_subset(capsys):
@@ -366,6 +403,18 @@ BAD_RUN_PARAMETERS = [
      "domain_hi must be finite and positive, got -5.0"),
     (["verify", *POWER, "--domain-hi", "nan"],
      "domain_hi must be finite and positive, got nan"),
+    # the whale's run settings go through the same config checks as a study's
+    (["whale", *CFMM, "--threshold", "0"],
+     "convergence_threshold must be positive"),
+    (["whale", *CFMM, "--max-iterations", "0"],
+     "max_iterations must be at least 1"),
+    (["whale", *CFMM, "--threshold", "nan"],
+     "convergence_threshold must be positive"),
+    (["study", *CFMM, "--threshold", "nan"],
+     "convergence_threshold must be positive"),
+    (["verify", "--family", "table", "--ts", "0,10,20,30", "--fs", "0,8,13,15",
+      "--domain-hi", "100"],
+     "domain_hi 100.0 is past the table's last knot 30.0"),
 ]
 
 
@@ -379,6 +428,8 @@ BAD_RUN_PARAMETERS = [
     "bestresponse-y", "bestresponse-budget", "bestresponse-non-concave",
     "equilibrium-closed-table", "equilibrium-n", "whale-n-fish-first",
     "verify-samples", "verify-domain-hi", "verify-domain-hi-nan",
+    "whale-threshold", "whale-max-iterations", "whale-threshold-nan",
+    "study-threshold-nan", "verify-domain-hi-past-table",
 ])
 def test_bad_run_parameters_exit_2(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:

@@ -12,7 +12,6 @@ from prorata import (
     GameConfig,
     InvalidArgument,
     PowerPayoff,
-    StrategyProfile,
     StudyRecord,
     TabulatedPayoff,
     Unconstrained,
@@ -25,7 +24,8 @@ from prorata import (
     solve_symmetric,
     whale_fish_experiment,
 )
-from prorata.dynamics import _make_unconstrained_br, _play, _sweep
+from prorata.dynamics import _play, _sweep
+from prorata.equilibrium import unconstrained_tender
 
 CFMM = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0)
 POWER = PowerPayoff(beta=0.5, gamma=0.05)
@@ -43,6 +43,10 @@ def test_config_validation(cfmm):
     with pytest.raises(InvalidArgument):
         GameConfig(family=cfmm, n=2, convergence_threshold=0.0)
     with pytest.raises(InvalidArgument):
+        GameConfig(family=cfmm, n=2, convergence_threshold=math.nan)
+    with pytest.raises(InvalidArgument, match="must be an integer"):
+        GameConfig(family=cfmm, n=2, max_iterations=2.5)
+    with pytest.raises(InvalidArgument):
         GameConfig(family=cfmm, n=2, update_order="diagonal")
     with pytest.raises(InvalidArgument):
         GameConfig(family=cfmm, n=3, scenario=Budgeted(budgets=(1.0, 2.0)))
@@ -50,24 +54,6 @@ def test_config_validation(cfmm):
         BoundedUpdate(delta=0.0)
     with pytest.raises(InvalidArgument):
         Budgeted(budgets=(1.0, -2.0))
-
-
-def test_profile_is_immutable_and_validated():
-    p = StrategyProfile(np.array([1.0, 2.0]))
-    assert p.total == 3.0
-    with pytest.raises(ValueError):
-        p.actions[0] = 5.0
-    with pytest.raises(InvalidArgument):
-        StrategyProfile(np.array([-1.0, 2.0]))
-    with pytest.raises(InvalidArgument):
-        StrategyProfile(np.array([[1.0], [2.0]]))
-
-
-def test_profile_payoffs_match_allocation_rule(cfmm):
-    p = StrategyProfile(np.array([4.0, 6.0, 0.0]))
-    got = p.payoffs(cfmm)
-    want = [pro_rata_payoff(cfmm, x, 10.0 - x) for x in (4.0, 6.0, 0.0)]
-    assert np.allclose(got, want, rtol=1e-15)
 
 
 # ----------------------------------------------------------- simulate
@@ -78,10 +64,12 @@ def test_two_player_run_converges(cfmm):
     assert trace.stop_reason == "converged"
     assert trace.converged_at is not None
     eq = trace.equilibrium
-    final = trace.profiles[-1].actions
+    final = trace.tenders[-1]
     assert np.max(np.abs(final - eq.per_player)) < 0.1
-    assert trace.history().shape == (len(trace.profiles), 2)
-    assert np.allclose(trace.final_payoffs, trace.profiles[-1].payoffs(cfmm))
+    assert trace.tenders.shape[1] == 2
+    assert not trace.tenders.flags.writeable
+    assert np.allclose(trace.final_payoffs,
+                       pro_rata_payoff(cfmm, final, final.sum() - final))
 
 
 def test_starting_at_equilibrium_counts_zero_rounds(cfmm):
@@ -90,21 +78,21 @@ def test_starting_at_equilibrium_counts_zero_rounds(cfmm):
         GameConfig(family=cfmm, n=3), initial=np.full(3, eq.per_player)
     )
     assert trace.converged_at == 0
-    assert len(trace.profiles) == 1
+    assert len(trace.tenders) == 1
 
 
 def test_lone_player_jumps_to_argmax(cfmm):
     trace = simulate(GameConfig(family=cfmm, n=1), initial=[1.0])
     assert trace.converged_at == 1
-    assert trace.profiles[-1].actions[0] == pytest.approx(
+    assert trace.tenders[-1][0] == pytest.approx(
         diagnostics(cfmm).argmax, rel=1e-8
     )
 
 
 def test_same_seed_reruns_are_bit_identical(cfmm):
     config = GameConfig(family=cfmm, n=4, seed=7)
-    h1 = simulate(config).history()
-    h2 = simulate(config).history()
+    h1 = simulate(config).tenders
+    h2 = simulate(config).tenders
     assert h1.shape == h2.shape
     assert np.array_equal(h1, h2)
 
@@ -116,7 +104,7 @@ def test_multi_start_runs_agree_on_the_rest_point(cfmm):
     for seed in range(20):
         trace = simulate(GameConfig(family=cfmm, n=5, seed=seed))
         assert trace.stop_reason == "converged"
-        finals.append(trace.profiles[-1].actions)
+        finals.append(trace.tenders[-1])
     assert all(np.max(np.abs(f - eq.per_player)) < 0.1 for f in finals)
 
 
@@ -156,7 +144,7 @@ def test_bounded_updates_respect_the_cap(cfmm):
     trace = simulate(
         GameConfig(family=cfmm, n=3, seed=2, scenario=BoundedUpdate(delta=delta))
     )
-    h = trace.history()
+    h = trace.tenders
     assert np.max(np.abs(np.diff(h, axis=0))) <= delta + 1e-12
     assert trace.stop_reason == "converged"
 
@@ -166,7 +154,7 @@ def test_budgets_are_hard_caps(cfmm):
     trace = simulate(
         GameConfig(family=cfmm, n=3, seed=3, scenario=Budgeted(budgets=budgets))
     )
-    h = trace.history()[1:]  # the random start is not budget-projected
+    h = trace.tenders[1:]  # the random start is not budget-projected
     assert np.all(h <= np.array([5.0, 7.0, np.inf]) + 1e-12)
 
 
@@ -181,7 +169,7 @@ def test_zero_budgets_leave_one_player_alone(cfmm):
         ),
         initial=[1.0, 0.0, 0.0],
     )
-    final = trace.profiles[-1].actions
+    final = trace.tenders[-1]
     assert final[0] == pytest.approx(diagnostics(cfmm).argmax, rel=1e-8)
     assert final[1] == final[2] == 0.0
 
@@ -233,6 +221,17 @@ def test_whale_rejects_bad_counts(cfmm, n_fish, trials):
         whale_fish_experiment(cfmm, n_fish=n_fish, trials=trials, seed=0)
 
 
+@pytest.mark.parametrize("settings", [
+    {"convergence_threshold": 0}, {"convergence_threshold": math.nan},
+    {"max_iterations": 0}, {"max_iterations": 2.5},
+])
+def test_whale_checks_its_run_settings_like_a_study(cfmm, settings):
+    with pytest.raises(InvalidArgument):
+        whale_fish_experiment(cfmm, n_fish=2, trials=3, seed=0, **settings)
+    with pytest.raises(InvalidArgument):
+        convergence_study(cfmm, [3], trials=3, seed=0, **settings)
+
+
 @pytest.mark.parametrize("trials", [0, -2])
 def test_study_rejects_bad_trial_counts(cfmm, trials):
     # no trials would report no records and no means
@@ -277,7 +276,7 @@ def _reference_bounds(scenario, x):
 def _reference_trial(config, x):
     """The profiles of one trial and the round it converged at (or None)."""
     target = solve_symmetric(config.family, config.n).per_player
-    br = _make_unconstrained_br(config.family)
+    br = unconstrained_tender(config.family)
     profiles = [x]
     if float(np.max(np.abs(x - target))) < config.convergence_threshold:
         return profiles, 0
@@ -345,7 +344,7 @@ def test_simulate_history_equals_reference(
     trace = simulate(config)
     x0 = draw_initial_profile(family, n, np.random.default_rng(9))
     profiles, rounds = _reference_trial(config, x0)
-    assert np.array_equal(trace.history(), np.array(profiles))
+    assert np.array_equal(trace.tenders, np.array(profiles))
     assert trace.converged_at == rounds
     final = profiles[-1]
     assert np.array_equal(
@@ -359,7 +358,7 @@ def _reference_whale(family, n_fish, trials, seed, threshold, cap):
     eq = solve_symmetric(family, n_total)
     fair_strategy, fair_payoff = eq.per_player, eq.equilibrium_payoff
     w = diagnostics(family).root
-    br = _make_unconstrained_br(family)
+    br = unconstrained_tender(family)
     strategies, profits = np.empty(trials), np.empty(trials)
     converged = saturated = 0
     for trial in range(trials):
@@ -439,21 +438,17 @@ def test_lockstep_trial_equals_trial_alone(family, scenario, threshold, order):
     target = solve_symmetric(family, n).per_player
     caps = scenario.budgets if isinstance(scenario, Budgeted) else math.inf
     upper = np.full(X.shape, caps)
-    delta = scenario.delta if isinstance(scenario, BoundedUpdate) else None
 
     def near(new, old):
         return np.abs(new - target).max(axis=1) < threshold
 
-    tender = _make_unconstrained_br(family)
-    final, stop_at = _play(X, upper, delta, order, tender, cap, near)
+    final, stop_at = _play(config, X, upper, near)
     for k, record in enumerate(study.records):
         trace = simulate(config, initial=X[k])
         assert (record.iterations, record.converged) == (
             trace.converged_at, trace.converged_at is not None
         )
-        alone, alone_stop = _play(
-            X[k:k + 1], upper[k:k + 1], delta, order, tender, cap, near
-        )
+        alone, alone_stop = _play(config, X[k:k + 1], upper[k:k + 1], near)
         assert final[k].tolist() == alone[0].tolist()
         assert stop_at[k] == alone_stop[0]
         if trace.converged_at != 0:  # simulate plays no round from round 0
@@ -469,7 +464,7 @@ def test_sweep_equals_reference_round_on_wide_rows(family, order):
     rng = np.random.default_rng(4)
     X = 10.0 ** rng.uniform(-3.0, 17.0, size=(64, 5))
     lower, upper = np.zeros_like(X), np.full_like(X, math.inf)
-    br = _make_unconstrained_br(family)
+    br = unconstrained_tender(family)
     got = _sweep(X, lower, upper, order, br)
     for k in range(X.shape[0]):
         want = _reference_round(X[k], lower[k], upper[k], order, br)

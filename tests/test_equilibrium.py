@@ -31,7 +31,7 @@ from prorata import (
     solve_symmetric,
 )
 from prorata import equilibrium
-from prorata.dynamics import _make_unconstrained_br
+from prorata.equilibrium import unconstrained_tender
 
 CFMM_Q1 = (math.sqrt(0.99 * 200.0 * 250.0) - 200.0) / 0.99  # argmax f
 
@@ -237,6 +237,16 @@ def test_non_concave_table_best_response_is_rejected():
         best_response(tab, 0.0, budget=30.0)
 
 
+@pytest.mark.parametrize("y", [0.0, 3.0, 12.0])
+def test_table_positive_at_its_last_knot_needs_no_budget(y):
+    # f is still positive at the last knot, so f has no root on the table;
+    # the last knot bounds the search with or without a budget
+    tab = TabulatedPayoff(ts=(0.0, 10.0, 20.0), fs=(0.0, 5.0, 8.0))
+    free = best_response(tab, y)
+    assert free == best_response(tab, y, budget=1e6)
+    assert free.x == 20.0 - y and free.at_boundary == "interior"
+
+
 def test_solver_input_validation(power):
     with pytest.raises(InvalidArgument):
         solve_symmetric(power, 0)
@@ -347,7 +357,7 @@ def test_power_best_response_never_loses_to_a_grid(beta, gamma, y_frac,
     y, budget = y_frac * root, budget_frac * root
     r = best_response(family, y, budget)
     free = best_response(family, y).x
-    assert _make_unconstrained_br(family)(y) == free
+    assert unconstrained_tender(family)(y) == free
     if y >= root:
         assert r == BestResponseResult(0.0, 0.0, "zero")
         return

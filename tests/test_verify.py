@@ -149,6 +149,15 @@ def test_sampling_arguments_checked(power, check, count):
     assert check(power, samples=0).details[count] == 13
 
 
+@pytest.mark.parametrize("check", [check_chord_condition,
+                                   detect_linear_segment_at_zero])
+def test_sampling_past_a_tables_last_knot_is_rejected(check):
+    family = min_t_table(3.0, 9.0)
+    with pytest.raises(InvalidArgument, match="last knot"):
+        check(family, domain_hi=9.5)
+    assert check(family, domain_hi=9.0).details["hi"] == 9.0
+
+
 def test_detectors_agree_across_the_zoo():
     # on concave payoffs, chord strictness fails exactly when a linear
     # segment hugs the origin
