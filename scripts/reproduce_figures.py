@@ -23,23 +23,22 @@ import time
 from prorata.cli import FIGURES
 from prorata.cli import main as prorata_main
 
-SEEDED = {"scenario1", "scenario2-delta", "whale"}
-
 
 def run(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--outdir", type=pathlib.Path, default=pathlib.Path("figures"))
-    ap.add_argument("--trials", type=int, default=100,
-                    help="trials per design point in the seeded studies")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--trials", type=int,
+                    help="trials per design point (default: the figure's own)")
+    ap.add_argument("--seed", type=int, help="default: the figure's own")
     args = ap.parse_args(argv)
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     for figure in FIGURES:
         out = args.outdir / f"{figure.replace('-', '_')}.csv"
         cli = ["reproduce", figure, "--output", str(out)]
-        if figure in SEEDED:
-            cli += ["--trials", str(args.trials), "--seed", str(args.seed)]
+        for flag in ("trials", "seed"):
+            if getattr(args, flag) is not None:
+                cli += [f"--{flag}", str(getattr(args, flag))]
         t0 = time.perf_counter()
         code = prorata_main(cli)
         if code != 0:

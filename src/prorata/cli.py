@@ -2,10 +2,13 @@
 
 Every command reads a payoff family from flags (or a JSON config), runs
 one of the library routines, and writes rows as CSV or an aligned text
-table. Errors come out as a single machine-parsable line on stderr with
-exit code 2 (bad input: anything raising :class:`InvalidArgument`, which
-the library raises at its own argument checks, so they are not copied
-here), 3 (no positive region / no root exists), or 4 (numeric failure).
+table. A ``--config`` file is merged into the flags once, before the
+command runs: flags win, a null counts as not given, and each value is
+converted by its flag's own type. Errors come out as a single
+machine-parsable line on stderr with exit code 2 (bad input: anything
+raising :class:`InvalidArgument`, which the library raises at its own
+argument checks, so they are not copied here), 3 (no positive region /
+no root exists), or 4 (numeric failure).
 """
 
 from __future__ import annotations
@@ -67,40 +70,55 @@ _FAMILY_FLAGS = (
     ("fs", None, "table knot values, comma-separated"),
 )
 
+# Each kind's family flags, in the order they are checked, and the spec key
+# each one sets.
+_KIND_FLAGS = {
+    "power": (("beta", "beta"), ("gamma", "gamma")),
+    "cfmm": (("gamma", "gamma"), ("r1", "r1"), ("r2", "r2"), ("price", "c")),
+    "table": (("ts", "ts"), ("fs", "fs")),
+}
+
 # A command's result: column names, rows, and text that follows the table
 # (on stdout) in table format.
 Table = tuple[list[str], list[list], str]
 
 
-def _parse_floats(text: str) -> list[float]:
+def _items(value) -> list:
+    """A JSON list as given, or the nonblank parts of a comma string."""
+    if isinstance(value, list):
+        return value
+    return [p for p in str(value).split(",") if p.strip()]
+
+
+def _parse_floats(value) -> list[float]:
     try:
-        return [float(p) for p in str(text).split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}: {exc}") from exc
+        return [_convert(float, v) for v in _items(value)]
+    except ConfigError as exc:
+        raise ConfigError(f"bad float list {value!r}: {exc}") from exc
 
 
-def _parse_int_values(text) -> list[int]:
-    """Comma list with inclusive a:b ranges, e.g. '1,4:8,16'."""
-    if isinstance(text, (list, tuple)):
-        return [_convert(int, v) for v in text]
-    out: list[int] = []
-    for part in str(text).split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            if ":" in part:
-                a, b = part.split(":")
-                lo, hi = int(a), int(b)
-                if hi < lo:
-                    raise ValueError(f"empty range {part}")
-                out.extend(range(lo, hi + 1))
-            else:
-                out.append(int(part))
-        except ValueError as exc:
-            raise ConfigError(f"bad integer list {text!r}: {exc}") from exc
+def _parse_int_values(value) -> list[int]:
+    """A JSON list of integers, or a comma string with inclusive a:b ranges,
+    e.g. '1,4:8,16'."""
+    if isinstance(value, list):
+        out = [_convert(int, v) for v in value]
+    else:
+        out = []
+        for part in _items(value):
+            part = part.strip()
+            try:
+                if ":" in part:
+                    a, b = part.split(":")
+                    lo, hi = int(a), int(b)
+                    if hi < lo:
+                        raise ValueError(f"empty range {part}")
+                    out.extend(range(lo, hi + 1))
+                else:
+                    out.append(int(part))
+            except ValueError as exc:
+                raise ConfigError(f"bad integer list {value!r}: {exc}") from exc
     if not out:
-        raise ConfigError(f"no values in {text!r}")
+        raise ConfigError(f"no values in {value!r}")
     return out
 
 
@@ -119,11 +137,20 @@ def _convert(kind, value):
         raise ConfigError(str(exc)) from exc
 
 
-def _load_config(args) -> dict:
-    """The ``--config`` file, holding only keys the command has flags for."""
+def _family_object(value) -> dict:
+    """The config file's family: one object in place of the family flags."""
+    if not isinstance(value, dict):
+        raise ConfigError("config 'family' must be an object")
+    return value
+
+
+def _merge_config(args) -> None:
+    """Fill each flag that was not given from the ``--config`` file, which
+    may hold only keys the command has flags for. A null counts as not
+    given; any other value is converted by its flag's own type."""
     path = getattr(args, "config", None)
     if path is None:
-        return {}
+        return
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -133,71 +160,52 @@ def _load_config(args) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(cfg) - args.config_keys
+    unknown = set(cfg) - set(args.config_types)
     if unknown:
         raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
-    return cfg
+    for key, value in cfg.items():
+        kind = args.config_types[key]
+        if getattr(args, key) is None and value is not None:
+            setattr(args, key, value if kind is None else _convert(kind, value))
 
 
-def _resolve(args, config: dict, name: str, default, kind=None):
-    """The flag's value, else the config's (null counts as not given), else
-    ``default``. A given value is converted to ``kind`` when one is named;
-    one that does not convert is a config error."""
+def _resolve(args, name: str, default):
+    """The flag's value, or ``default`` when neither the flag nor the config
+    file gave one. A given value, even zero or empty, is kept."""
     value = getattr(args, name, None)
-    if value is None:
-        value = config.get(name)
-    if value is None:
-        return default
-    return value if kind is None else _convert(kind, value)
+    return default if value is None else value
 
 
-def _resolve_family(args, config: dict):
-    kind = getattr(args, "family", None)
+def _resolve_family(args):
+    kind = _resolve(args, "family", None)
     if kind is None:
-        if "family" in config:
-            spec = config["family"]
-            if not isinstance(spec, dict):
-                raise ConfigError("config 'family' must be an object")
-            return family_from_dict(spec)
         raise ConfigError("no payoff family given (use --family or a config file)")
+    if isinstance(kind, dict):
+        return family_from_dict(kind)
     spec: dict = {"kind": kind}
-    if kind == "power":
-        for key in ("beta", "gamma"):
-            val = getattr(args, key, None)
-            if val is None:
-                raise ConfigError(f"--{key} is required for --family power")
-            spec[key] = val
-    elif kind == "cfmm":
-        for key, flag in (("gamma", "gamma"), ("r1", "r1"), ("r2", "r2"),
-                          ("c", "price")):
-            val = getattr(args, flag, None)
-            if val is None:
-                raise ConfigError(f"--{flag} is required for --family cfmm")
-            spec[key] = val
-    else:  # table
-        ts, fs = getattr(args, "ts", None), getattr(args, "fs", None)
-        if ts is None or fs is None:
-            raise ConfigError("--ts and --fs are required for --family table")
-        spec["ts"], spec["fs"] = _parse_floats(ts), _parse_floats(fs)
+    for flag, key in _KIND_FLAGS[kind]:
+        value = getattr(args, flag)
+        if value is None:
+            raise ConfigError(f"--{flag} is required for --family {kind}")
+        # the table's knots are the only family flags given as comma lists
+        spec[key] = _parse_floats(value) if isinstance(value, str) else value
     return family_from_dict(spec)
 
 
-def _resolve_scenario(args, config: dict, n: int):
-    name = _resolve(args, config, "scenario", "unconstrained")
+def _resolve_scenario(args, n: int):
+    name = _resolve(args, "scenario", "unconstrained")
+    # each constrained scenario's own flag, given exactly when it is chosen
+    for scenario, key in (("bounded", "delta"), ("budgeted", "budgets")):
+        given = _resolve(args, key, None) is not None
+        if given != (name == scenario):
+            raise ConfigError(f"--{key} needs --scenario {scenario}" if given
+                              else f"scenario {scenario!r} needs --{key}")
     if name == "unconstrained":
         return Unconstrained()
     if name == "bounded":
-        delta = _resolve(args, config, "delta", None, float)
-        if delta is None:
-            raise ConfigError("scenario 'bounded' needs --delta")
-        return BoundedUpdate(delta=delta)
+        return BoundedUpdate(delta=args.delta)
     if name == "budgeted":
-        budgets = _resolve(args, config, "budgets", None)
-        if budgets is None:
-            raise ConfigError("scenario 'budgeted' needs --budgets")
-        if isinstance(budgets, str):
-            budgets = _parse_floats(budgets)
-        budgets = [_convert(float, b) for b in _convert(list, budgets)]
+        budgets = _parse_floats(args.budgets)
         if len(budgets) == 1:
             budgets = budgets * n
         if len(budgets) != n:
@@ -206,16 +214,12 @@ def _resolve_scenario(args, config: dict, n: int):
     raise ConfigError(f"unknown scenario {name!r}")
 
 
-def _game(args, config: dict, family, n: int, scenario) -> GameConfig:
-    """The run settings shared by simulate and study."""
-    return GameConfig(
-        family=family,
-        n=n,
-        scenario=scenario,
-        convergence_threshold=_resolve(args, config, "threshold", 0.1, float),
-        max_iterations=_resolve(args, config, "max_iterations", 2000, int),
-        seed=_resolve(args, config, "seed", 0, int),
-        update_order=_resolve(args, config, "update_order", "sequential", str),
+def _run_settings(args) -> dict:
+    """The threshold, round cap and seed of simulate, study and whale."""
+    return dict(
+        convergence_threshold=_resolve(args, "threshold", 0.1),
+        max_iterations=_resolve(args, "max_iterations", 2000),
+        seed=_resolve(args, "seed", 0),
     )
 
 
@@ -248,29 +252,28 @@ def _emit(columns: Sequence[str], rows: Sequence[Sequence], fmt: str,
         text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _io_args(args, config) -> tuple[str, str | None]:
-    path = _resolve(args, config, "output", None)
-    fmt = _resolve(args, config, "format", None)
-    if fmt is None:
-        fmt = "csv" if path is not None else "table"
+def _io_args(args) -> tuple[str, str | None]:
+    fmt = _resolve(args, "format", "table" if args.output is None else "csv")
     if fmt not in ("csv", "table"):
         raise ConfigError(f"unknown format {fmt!r}")
-    return fmt, path
+    return fmt, args.output
 
 
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_equilibrium(args, config) -> Table:
-    family = _resolve_family(args, config)
-    n = _resolve(args, config, "n", 2, int)
-    method = _resolve(args, config, "method", "auto", str)
-    res = solve_symmetric(family, n, method=method)
+def _cmd_equilibrium(args) -> Table:
+    family = _resolve_family(args)
+    res = solve_symmetric(family, _resolve(args, "n", 2),
+                          method=_resolve(args, "method", "auto"))
     return (
         ["n", "q", "per_player", "eq_payoff", "foc_residual", "method"],
         [[res.n, res.q, res.per_player, res.equilibrium_payoff,
@@ -279,10 +282,10 @@ def _cmd_equilibrium(args, config) -> Table:
     )
 
 
-def _cmd_bestresponse(args, config) -> Table:
-    family = _resolve_family(args, config)
-    y = _resolve(args, config, "y", 0.0, float)
-    budget = _resolve(args, config, "budget", math.inf, float)
+def _cmd_bestresponse(args) -> Table:
+    family = _resolve_family(args)
+    y = _resolve(args, "y", 0.0)
+    budget = _resolve(args, "budget", math.inf)
     res = best_response(family, y, budget=budget)
     return (
         ["y", "budget", "x", "payoff", "boundary"],
@@ -291,12 +294,14 @@ def _cmd_bestresponse(args, config) -> Table:
     )
 
 
-def _cmd_simulate(args, config) -> Table:
-    family = _resolve_family(args, config)
-    n = _resolve(args, config, "n", 2, int)
-    game = _game(args, config, family, n, _resolve_scenario(args, config, n))
+def _cmd_simulate(args) -> Table:
+    family = _resolve_family(args)
+    n = _resolve(args, "n", 2)
+    game = GameConfig(family, n, _resolve_scenario(args, n),
+                      update_order=_resolve(args, "update_order", "sequential"),
+                      **_run_settings(args))
     # simulate runs one trial per call, so the trial count is checked here
-    trials = _resolve(args, config, "trials", 1, int)
+    trials = _resolve(args, "trials", 1)
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
     rows = []
@@ -310,22 +315,19 @@ def _cmd_simulate(args, config) -> Table:
     return ["trial", "iteration", "player", "strategy", "payoff"], rows, ""
 
 
-def _cmd_study(args, config) -> Table:
-    family = _resolve_family(args, config)
-    n_values = _parse_int_values(_resolve(args, config, "n_values", "2:16"))
-    scenario = _resolve_scenario(args, config, n_values[0])
+def _cmd_study(args) -> Table:
+    family = _resolve_family(args)
+    n_values = _parse_int_values(_resolve(args, "n_values", "2:16"))
+    scenario = _resolve_scenario(args, n_values[0])
     if isinstance(scenario, Budgeted) and len(set(n_values)) > 1:
         raise ConfigError("a budgeted study needs a single n value")
-    game = _game(args, config, family, n_values[0], scenario)
     result = convergence_study(
         family,
         n_values,
-        trials=_resolve(args, config, "trials", 100, int),
-        seed=game.seed,
+        trials=_resolve(args, "trials", 100),
         scenario=scenario,
-        convergence_threshold=game.convergence_threshold,
-        max_iterations=game.max_iterations,
-        update_order=game.update_order,
+        update_order=_resolve(args, "update_order", "sequential"),
+        **_run_settings(args),
     )
     rows = [[r.n, r.trial, r.iterations, r.converged] for r in result.records]
     summary = "".join(f"  n={n}: {mean:.2f}\n"
@@ -334,30 +336,26 @@ def _cmd_study(args, config) -> Table:
             "\nmean iterations to converge:\n" + summary)
 
 
-def _delta_sweep(args, config) -> Table:
+def _delta_sweep(args) -> Table:
     """The study at one n for each movement cap delta, keyed by delta."""
-    deltas = _parse_floats(config["deltas"])
+    deltas = _parse_floats(args.deltas)
     if not deltas:
-        raise ConfigError(f"no values in {config['deltas']!r}")
+        raise ConfigError(f"no values in {args.deltas!r}")
     rows = []
     for delta in deltas:
-        bounded = {**config, "scenario": "bounded", "delta": delta}
-        rows.extend([delta, *row[1:]] for row in _cmd_study(args, bounded)[1])
+        bounded = argparse.Namespace(**{**vars(args), "scenario": "bounded",
+                                        "delta": delta})
+        rows.extend([delta, *row[1:]] for row in _cmd_study(bounded)[1])
     return ["delta", "trial", "iterations", "converged"], rows, ""
 
 
-def _cmd_whale(args, config) -> Table:
-    family = _resolve_family(args, config)
-    n_fish_values = _parse_int_values(_resolve(args, config, "n_fish_values", "1:20"))
-    run = dict(
-        trials=_resolve(args, config, "trials", 100, int),
-        seed=_resolve(args, config, "seed", 0, int),
-        convergence_threshold=_resolve(args, config, "threshold", 0.1, float),
-        max_iterations=_resolve(args, config, "max_iterations", 2000, int),
-    )
+def _cmd_whale(args) -> Table:
+    family = _resolve_family(args)
+    n_fish_values = _parse_int_values(_resolve(args, "n_fish_values", "1:20"))
+    trials, settings = _resolve(args, "trials", 100), _run_settings(args)
     rows = []
     for n_fish in n_fish_values:
-        rep = whale_fish_experiment(family, n_fish, **run)
+        rep = whale_fish_experiment(family, n_fish, trials, **settings)
         rows.append([
             rep.n_fish, rep.trials, rep.whale_strategy, rep.whale_profit,
             rep.pct_strategy_increase, rep.pct_strategy_std,
@@ -373,12 +371,10 @@ def _cmd_whale(args, config) -> Table:
     )
 
 
-def _cmd_poa(args, config) -> Table:
-    family = _resolve_family(args, config)
-    n_values = _parse_int_values(_resolve(args, config, "n_values", "1:50"))
-    result = poa_growth_check(
-        family, n_values, n0=_resolve(args, config, "n0", 10, int)
-    )
+def _cmd_poa(args) -> Table:
+    family = _resolve_family(args)
+    n_values = _parse_int_values(_resolve(args, "n_values", "1:50"))
+    result = poa_growth_check(family, n_values, n0=_resolve(args, "n0", 10))
     rows = [[r.n, r.eq_payoff, r.fair_payoff, r.poa] for r in result.reports]
     return (
         ["n", "eq_payoff", "fair_payoff", "poa"], rows,
@@ -387,19 +383,16 @@ def _cmd_poa(args, config) -> Table:
     )
 
 
-def _cmd_batch(args, config) -> Table:
-    pool_args = [_resolve(args, config, key, None, float)
-                 for key in ("gamma", "r1", "r2")]
+def _cmd_batch(args) -> Table:
+    pool_args = [args.gamma, args.r1, args.r2]
     if None in pool_args:
         raise ConfigError("batch needs pool parameters --gamma, --r1, --r2")
     pool = ForwardExchange(*pool_args)
 
     ids: list[str]
-    input_path = _resolve(args, config, "input", None)
-    deltas_text = _resolve(args, config, "deltas", None)
-    if input_path is not None:
+    if args.input is not None:
         try:
-            with open(input_path, newline="") as fh:
+            with open(args.input, newline="") as fh:
                 # a missing cell reads as "", which float() rejects below
                 reader = csv.DictReader(fh, restval="")
                 if reader.fieldnames is None or \
@@ -414,38 +407,35 @@ def _cmd_batch(args, config) -> Table:
         except ConfigError:
             raise  # a ValueError too, and already worded
         except OSError as exc:
-            raise ConfigError(f"cannot read {input_path}: {exc}") from exc
+            raise ConfigError(f"cannot read {args.input}: {exc}") from exc
         except ValueError as exc:
-            raise ConfigError(f"bad delta in {input_path}: {exc}") from exc
-    elif deltas_text is not None:
-        deltas = deltas_text if isinstance(deltas_text, list) \
-            else _parse_floats(deltas_text)
+            raise ConfigError(f"bad delta in {args.input}: {exc}") from exc
+    elif args.deltas is not None:
+        deltas = _parse_floats(args.deltas)
         ids = [str(i) for i in range(len(deltas))]
     else:
         raise ConfigError("batch needs --input or --deltas")
 
-    outcome = clear(BatchInstance(deltas=np.asarray(deltas, dtype=float),
-                                  pool=pool))
+    outcome = clear(BatchInstance(deltas=deltas, pool=pool))
     rows = [
-        [tid, float(d), float(r), float(b)]
+        [tid, d, float(r), float(b)]
         for tid, d, r, b in zip(ids, deltas, outcome.residuals,
                                 outcome.per_trader_b)
     ]
     return ["trader_id", "delta", "residual", "received_b"], rows, ""
 
 
-def _cmd_verify(args, config) -> Table:
-    family = _resolve_family(args, config)
-    conditions = _resolve(args, config, "conditions", "chord,linear,rosen")
-    if isinstance(conditions, str):
-        conditions = [c.strip() for c in conditions.split(",") if c.strip()]
+def _cmd_verify(args) -> Table:
+    family = _resolve_family(args)
+    conditions = [str(c).strip() for c in
+                  _items(_resolve(args, "conditions", "chord,linear,rosen"))]
     unknown = set(conditions) - {"chord", "linear", "rosen"}
     if unknown:
         raise ConfigError(f"unknown conditions: {sorted(unknown)}")
-    samples = _resolve(args, config, "samples", 10_000, int)
-    seed = _resolve(args, config, "seed", 0, int)
-    domain_hi = _resolve(args, config, "domain_hi", None, float)
-    rosen_n = _resolve(args, config, "rosen_n", 2, int)
+    samples = _resolve(args, "samples", 10_000)
+    seed = _resolve(args, "seed", 0)
+    domain_hi = args.domain_hi
+    rosen_n = _resolve(args, "rosen_n", 2)
 
     rows = []
     for name in conditions:
@@ -463,36 +453,28 @@ def _cmd_verify(args, config) -> Table:
             rows, "")
 
 
-def _given(flag, default):
-    """A reproduce flag's value, or the figure's default when not given."""
-    return default if flag is None else flag
-
-
 # Each figure is a preset run of a command: (handler, reference family kind,
-# config from the reproduce flags). A flag that is not given keeps the
+# settings from the reproduce flags). A flag that is not given keeps the
 # default; a given one, even zero or empty, goes to the handler's checks.
 FIGURES = {
     "scenario1": (_cmd_study, "cfmm",
-                  lambda a: {"n_values": _given(a.n_values, "2:16")}),
+                  lambda a: {"n_values": _resolve(a, "n_values", "2:16")}),
     "scenario2-delta": (_delta_sweep, "power",
-                        lambda a: {"n_values": [_given(a.n, 10)],
-                                   "deltas": _given(a.deltas, "0.5,1,2,5,10")}),
+                        lambda a: {"n_values": [_resolve(a, "n", 10)],
+                                   "deltas": _resolve(a, "deltas", "0.5,1,2,5,10")}),
     "whale": (_cmd_whale, "cfmm",
-              lambda a: {"n_fish_values": _given(
-                  a.n_values, f"1:{_given(a.max_fish, 20)}")}),
+              lambda a: {"n_fish_values": _resolve(
+                  a, "n_values", f"1:{_resolve(a, 'max_fish', 20)}")}),
     "poa-curve": (_cmd_poa, "power",
-                  lambda a: {"n_values": _given(a.n_values, "1:50")}),
+                  lambda a: {"n_values": _resolve(a, "n_values", "1:50")}),
 }
 
 
-def _cmd_reproduce(args, config) -> Table:
+def _cmd_reproduce(args) -> Table:
     handler, kind, preset = FIGURES[args.figure]
-    figure = {"family": REFERENCE[args.family or kind], **preset(args)}
-    for key in ("trials", "seed"):
-        if getattr(args, key) is not None:
-            figure[key] = getattr(args, key)
-    # no flags: the handler reads everything from the preset
-    return handler(argparse.Namespace(), figure)
+    return handler(argparse.Namespace(
+        family=REFERENCE[args.family or kind], trials=args.trials,
+        seed=args.seed, **preset(args)))
 
 
 # ----------------------------------------------------------------- parser
@@ -507,8 +489,9 @@ def _add_family_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_io_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file (flags win)")
-    sub.add_argument("--output", help="write to this path instead of stdout")
-    sub.add_argument("--format", choices=("csv", "table"),
+    sub.add_argument("--output", type=str,
+                     help="write to this path instead of stdout")
+    sub.add_argument("--format", type=str, choices=("csv", "table"),
                      help="output format (default: table on stdout, csv to files)")
 
 
@@ -539,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "equilibrium", "symmetric equilibrium", _cmd_equilibrium)
     p.add_argument("--n", type=int)
-    p.add_argument("--method", choices=SOLVE_METHODS)
+    p.add_argument("--method", type=str, choices=SOLVE_METHODS)
 
     p = _command(sub, "bestresponse", "single-player best response",
                  _cmd_bestresponse)
@@ -556,9 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n-values", dest="n_values",
                            help="e.g. '2:16' or '2,4,8'")
         _add_run_flags(p)
-        p.add_argument("--update-order", dest="update_order",
+        p.add_argument("--update-order", dest="update_order", type=str,
                        choices=("sequential", "synchronous"))
-        p.add_argument("--scenario",
+        p.add_argument("--scenario", type=str,
                        choices=("unconstrained", "bounded", "budgeted"))
         p.add_argument("--delta", type=float, help="bounded-update step cap")
         p.add_argument("--budgets", help="comma list (1 value broadcasts)")
@@ -574,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "batch", "clear a batch of signed demands", _cmd_batch,
                  family=False)
-    p.add_argument("--input", help="CSV with columns trader_id, delta")
+    p.add_argument("--input", type=str, help="CSV with columns trader_id, delta")
     p.add_argument("--deltas", help="inline comma list of signed demands")
     p.add_argument("--gamma", type=float)
     p.add_argument("--r1", type=float)
@@ -598,17 +581,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-values", dest="n_values")
     p.add_argument("--max-fish", dest="max_fish", type=int)
     p.add_argument("--deltas")
-    p.add_argument("--output")
+    p.add_argument("--output", type=str)
     p.set_defaults(fn=_cmd_reproduce, format="csv")
 
-    # a config file may set what the command's flags set, with the family
-    # as one object in place of its flags
+    # a config file may set what the command's flags set, each converted by
+    # its flag's type, with the family as one object in place of its flags
     family_flags = {name for name, _, _ in _FAMILY_FLAGS}
     for p in sub.choices.values():
-        keys = {a.dest for a in p._actions} - {"help", "config"}
-        if "family" in keys:
-            keys -= family_flags
-        p.set_defaults(config_keys=frozenset(keys))
+        types = {a.dest: a.type for a in p._actions
+                 if a.dest not in ("help", "config")}
+        if "family" in types:
+            types = {k: v for k, v in types.items() if k not in family_flags}
+            types["family"] = _family_object
+        p.set_defaults(config_types=types)
     return parser
 
 
@@ -628,9 +613,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _load_config(args)
-        columns, rows, after = args.fn(args, config)
-        fmt, path = _io_args(args, config)
+        _merge_config(args)
+        columns, rows, after = args.fn(args)
+        fmt, path = _io_args(args)
         _emit(columns, rows, fmt, path)
         if fmt == "table":
             sys.stdout.write(after)

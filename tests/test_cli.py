@@ -415,6 +415,13 @@ BAD_RUN_PARAMETERS = [
     (["verify", "--family", "table", "--ts", "0,10,20,30", "--fs", "0,8,13,15",
       "--domain-hi", "100"],
      "domain_hi 100.0 is past the table's last knot 30.0"),
+    # a scenario's own flag without that scenario is an error, not ignored
+    (["simulate", *CFMM, "--n", "2", "--delta", "0.001"],
+     "--delta needs --scenario bounded"),
+    (["study", *CFMM, "--n-values", "3", "--budgets", "0.001"],
+     "--budgets needs --scenario budgeted"),
+    (["study", *CFMM, "--scenario", "bounded", "--delta", "1", "--budgets", "1"],
+     "--budgets needs --scenario budgeted"),
 ]
 
 
@@ -430,6 +437,8 @@ BAD_RUN_PARAMETERS = [
     "verify-samples", "verify-domain-hi", "verify-domain-hi-nan",
     "whale-threshold", "whale-max-iterations", "whale-threshold-nan",
     "study-threshold-nan", "verify-domain-hi-past-table",
+    "simulate-delta-unbounded", "study-budgets-unbudgeted",
+    "study-budgets-bounded",
 ])
 def test_bad_run_parameters_exit_2(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
@@ -606,3 +615,92 @@ def test_library_type_error_is_not_a_config_error(capsys, monkeypatch):
     with pytest.raises(TypeError, match="a fault inside clear"):
         main(["batch", "--deltas", "5,-2", "--gamma", "0.99",
               "--r1", "200", "--r2", "250"])
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("argv", [
+    ["equilibrium", *POWER], ["reproduce", "poa-curve", "--n-values", "1:3"],
+], ids=["equilibrium", "reproduce"])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv, target):
+    path = tmp_path if target == "directory" else tmp_path / "no" / "x.csv"
+    code, out, err = run(capsys, *argv, "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config-error: cannot write {path}: [Errno ")
+    assert err.count("\n") == 1
+
+
+POWER_SPEC = {"kind": "power", "beta": 0.5, "gamma": 0.05}
+
+# (command, flags, a config file with the same settings): the config's family
+# is an object, and its list keys come as JSON lists or as comma strings
+FLAGS_AND_CONFIG = [
+    ("equilibrium", [*POWER, "--n", "3", "--method", "numeric"],
+     {"family": POWER_SPEC, "n": 3, "method": "numeric"}),
+    ("equilibrium", ["--family", "table", "--ts", "0,10,20,30,40",
+                     "--fs", "0,8,13,15,-2", "--format", "csv"],
+     {"family": {"kind": "table", "ts": [0, 10, 20, 30, 40],
+                 "fs": [0, 8, 13, 15, -2]}, "format": "csv"}),
+    ("bestresponse", [*CFMM, "--y", "10", "--budget", "4"],
+     {"family": CFMM_SPEC, "y": 10, "budget": 4}),
+    ("simulate", [*CFMM, "--n", "2", "--trials", "2", "--seed", "3",
+                  "--scenario", "budgeted", "--budgets", "5,3"],
+     {"family": CFMM_SPEC, "n": 2, "trials": 2, "seed": 3,
+      "scenario": "budgeted", "budgets": [5, 3]}),
+    ("simulate", [*CFMM, "--n", "2", "--scenario", "budgeted", "--budgets", "5,3"],
+     {"family": CFMM_SPEC, "n": 2, "scenario": "budgeted", "budgets": "5,3"}),
+    ("simulate", [*CFMM, "--n", "2", "--scenario", "budgeted", "--budgets", "5"],
+     {"family": CFMM_SPEC, "n": 2, "scenario": "budgeted", "budgets": 5}),
+    ("simulate", [*POWER, "--n", "3", "--scenario", "bounded", "--delta", "2",
+                  "--update-order", "synchronous", "--max-iterations", "7",
+                  "--threshold", "0.01"],
+     {"family": POWER_SPEC, "n": 3, "scenario": "bounded", "delta": 2,
+      "update_order": "synchronous", "max_iterations": 7, "threshold": 0.01}),
+    ("study", [*CFMM, "--n-values", "2:3", "--trials", "2", "--seed", "1"],
+     {"family": CFMM_SPEC, "n_values": [2, 3], "trials": 2, "seed": 1}),
+    ("study", [*CFMM, "--n-values", "2,4", "--trials", "2"],
+     {"family": CFMM_SPEC, "n_values": "2,4", "trials": 2}),
+    ("whale", [*CFMM, "--n-fish-values", "1:2", "--trials", "2",
+               "--threshold", "0.05"],
+     {"family": CFMM_SPEC, "n_fish_values": [1, 2], "trials": 2,
+      "threshold": 0.05}),
+    ("poa", [*POWER, "--n-values", "1,2,10", "--n0", "2"],
+     {"family": POWER_SPEC, "n_values": "1,2,10", "n0": 2}),
+    ("batch", ["--deltas", "5,-2,3", "--gamma", "0.99", "--r1", "200",
+               "--r2", "250"],
+     {"deltas": [5, -2, 3], "gamma": 0.99, "r1": 200, "r2": 250}),
+    ("batch", ["--deltas", "5,-2,3", "--gamma", "0.99", "--r1", "200",
+               "--r2", "250"],
+     {"deltas": "5,-2,3", "gamma": 0.99, "r1": 200, "r2": 250}),
+    ("verify", [*POWER, "--conditions", "chord,rosen", "--samples", "300",
+                "--seed", "2", "--rosen-n", "3", "--domain-hi", "500"],
+     {"family": POWER_SPEC, "conditions": ["chord", "rosen"], "samples": 300,
+      "seed": 2, "rosen_n": 3, "domain_hi": 500}),
+    ("verify", [*POWER, "--conditions", "linear,chord", "--samples", "300"],
+     {"family": POWER_SPEC, "conditions": "linear,chord", "samples": 300}),
+]
+
+
+@pytest.mark.parametrize("command, flags, cfg", FLAGS_AND_CONFIG, ids=[
+    f"{command}-{i}" for i, (command, _, _) in enumerate(FLAGS_AND_CONFIG)])
+def test_config_file_runs_as_its_flags(capsys, tmp_path, command, flags, cfg):
+    by_flags = run(capsys, command, *flags)
+    assert by_flags[0] == 0 and by_flags[1]
+    assert _with_config(capsys, tmp_path, command, cfg) == by_flags
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("verify", {"family": POWER_SPEC, "conditions": 5},
+     "unknown conditions: ['5']"),
+    ("batch", {"deltas": ["a", 1], "gamma": 0.99, "r1": 200, "r2": 250},
+     "bad float list ['a', 1]: could not convert string to float: 'a'"),
+    ("study", {"family": CFMM_SPEC, "n_values": []}, "no values in []"),
+    ("simulate", {"family": CFMM_SPEC, "delta": 0.5},
+     "--delta needs --scenario bounded"),
+    ("study", {"family": CFMM_SPEC, "n_values": [3], "budgets": [1]},
+     "--budgets needs --scenario budgeted"),
+], ids=["verify-conditions-number", "batch-deltas-word", "study-no-n-values",
+        "simulate-delta-unbounded", "study-budgets-unbudgeted"])
+def test_bad_config_values_exit_2(capsys, tmp_path, command, cfg, message):
+    code, out, err = _with_config(capsys, tmp_path, command, cfg)
+    assert (code, out) == (2, "")
+    assert err == f"error: config-error: {message}\n"
