@@ -95,7 +95,5 @@ def clear(instance: BatchInstance) -> BatchOutcome:
 def optimal_arbitrage(pool: ForwardExchange, price: float) -> float:
     """The t* maximizing g(t) - price*t: where the pool's marginal quote
     meets the external price, or 0 when the pool already quotes below it."""
-    if price <= 0.0:
-        raise InvalidArgument(f"external price must be positive, got {price}")
     # argmax f is the best response of a lone player (y = 0)
     return cfmm_tender(pool.arbitrage_family(price))(0.0)

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -46,7 +48,8 @@ from .errors import (
     NoPositiveRegion,
     ProRataError,
 )
-from .payoff import ForwardExchange, family_from_dict, pro_rata_payoff
+from .payoff import (FAMILY_KINDS, ForwardExchange, family_from_dict,
+                     pro_rata_payoff, spec_keys)
 from .verify import (
     check_chord_condition,
     detect_linear_segment_at_zero,
@@ -59,23 +62,20 @@ REFERENCE = {
     "power": {"kind": "power", "beta": 0.5, "gamma": 0.05},
 }
 
-# The flags that spell out a family; a config file gives one "family" object.
-_FAMILY_FLAGS = (
-    ("beta", float, "power exponent in (0,1)"),
-    ("gamma", float, "power linear cost, or cfmm fee multiplier"),
-    ("r1", float, "cfmm reserve of asset A"),
-    ("r2", float, "cfmm reserve of asset B"),
-    ("price", float, "cfmm external price of B"),
-    ("ts", None, "table knot positions, comma-separated"),
-    ("fs", None, "table knot values, comma-separated"),
-)
-
-# Each kind's family flags, in the order they are checked, and the spec key
-# each one sets.
-_KIND_FLAGS = {
-    "power": (("beta", "beta"), ("gamma", "gamma")),
-    "cfmm": (("gamma", "gamma"), ("r1", "r1"), ("r2", "r2"), ("price", "c")),
-    "table": (("ts", "ts"), ("fs", "fs")),
+# The family flags are the families' spec keys, named as the keys are but
+# for --price, the cfmm's c; a config file gives one "family" object. Each
+# flag's type, in key order: a number, or a comma list for the table parser.
+_FLAG_OF = {"c": "price"}
+_FAMILY_FLAGS = {_FLAG_OF.get(key, key): float if conv is float else None
+                 for kind in FAMILY_KINDS for key, conv in spec_keys(kind).items()}
+_FAMILY_HELP = {
+    "beta": "power exponent in (0,1)",
+    "gamma": "power linear cost, or cfmm fee multiplier",
+    "r1": "cfmm reserve of asset A",
+    "r2": "cfmm reserve of asset B",
+    "price": "cfmm external price of B",
+    "ts": "table knot positions, comma-separated",
+    "fs": "table knot values, comma-separated",
 }
 
 # A command's result: column names, rows, and text that follows the table
@@ -181,9 +181,14 @@ def _resolve_family(args):
     if kind is None:
         raise ConfigError("no payoff family given (use --family or a config file)")
     if isinstance(kind, dict):
+        for flag in _FAMILY_FLAGS:
+            if getattr(args, flag, None) is not None:
+                raise ConfigError(f"--{flag} needs --family: the config file "
+                                  "gives the family as one object")
         return family_from_dict(kind)
     spec: dict = {"kind": kind}
-    for flag, key in _KIND_FLAGS[kind]:
+    for key in spec_keys(kind):
+        flag = _FLAG_OF.get(key, key)
         value = getattr(args, flag)
         if value is None:
             raise ConfigError(f"--{flag} is required for --family {kind}")
@@ -261,10 +266,20 @@ def _emit(columns: Sequence[str], rows: Sequence[Sequence], fmt: str,
 
 
 def _io_args(args) -> tuple[str, str | None]:
+    """The output format and path, checked before the command runs: the
+    path may not be a directory or lie in a missing one. The file itself is
+    written only when the command has succeeded."""
     fmt = _resolve(args, "format", "table" if args.output is None else "csv")
     if fmt not in ("csv", "table"):
         raise ConfigError(f"unknown format {fmt!r}")
-    return fmt, args.output
+    path = args.output
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    elif path is not None and os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        return fmt, path
+    raise ConfigError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
 # ---------------------------------------------------------------- commands
@@ -427,8 +442,10 @@ def _cmd_batch(args) -> Table:
 
 def _cmd_verify(args) -> Table:
     family = _resolve_family(args)
-    conditions = [str(c).strip() for c in
-                  _items(_resolve(args, "conditions", "chord,linear,rosen"))]
+    value = _resolve(args, "conditions", "chord,linear,rosen")
+    conditions = [str(c).strip() for c in _items(value)]
+    if not conditions:
+        raise ConfigError(f"no values in {value!r}")
     unknown = set(conditions) - {"chord", "linear", "rosen"}
     if unknown:
         raise ConfigError(f"unknown conditions: {sorted(unknown)}")
@@ -481,10 +498,9 @@ def _cmd_reproduce(args) -> Table:
 
 
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=("power", "cfmm", "table"),
-                     help="payoff family kind")
-    for name, kind, helptext in _FAMILY_FLAGS:
-        sub.add_argument(f"--{name}", type=kind, help=helptext)
+    sub.add_argument("--family", choices=FAMILY_KINDS, help="payoff family kind")
+    for flag, kind in _FAMILY_FLAGS.items():
+        sub.add_argument(f"--{flag}", type=kind, help=_FAMILY_HELP[flag])
 
 
 def _add_io_flags(sub: argparse.ArgumentParser) -> None:
@@ -586,12 +602,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     # a config file may set what the command's flags set, each converted by
     # its flag's type, with the family as one object in place of its flags
-    family_flags = {name for name, _, _ in _FAMILY_FLAGS}
     for p in sub.choices.values():
         types = {a.dest: a.type for a in p._actions
                  if a.dest not in ("help", "config")}
         if "family" in types:
-            types = {k: v for k, v in types.items() if k not in family_flags}
+            types = {k: v for k, v in types.items() if k not in _FAMILY_FLAGS}
             types["family"] = _family_object
         p.set_defaults(config_types=types)
     return parser
@@ -614,8 +629,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _merge_config(args)
-        columns, rows, after = args.fn(args)
         fmt, path = _io_args(args)
+        columns, rows, after = args.fn(args)
         _emit(columns, rows, fmt, path)
         if fmt == "table":
             sys.stdout.write(after)

@@ -31,7 +31,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .equilibrium import EquilibriumResult, solve_symmetric, unconstrained_tender
-from .errors import InvalidArgument
+from .errors import InvalidArgument, NoPositiveRegion
 from .payoff import PayoffFamily, diagnostics, pro_rata_payoff
 
 UPDATE_ORDERS = ("sequential", "synchronous")
@@ -386,6 +386,10 @@ def whale_fish_experiment(
     eq = solve_symmetric(family, n_total)
     fair_strategy = eq.per_player
     fair_payoff = eq.equilibrium_payoff
+    if not fair_payoff > 0.0:
+        # the percentage columns divide by it
+        raise NoPositiveRegion(f"equilibrium payoff f(q)/n={fair_payoff!r} is "
+                               f"not positive at n={n_total}")
     w = diagnostics(family).root
 
     X = np.empty((trials, n_total))

@@ -29,6 +29,7 @@ from .payoff import (
     TabulatedPayoff,
     diagnostics,
     pro_rata_payoff,
+    search_end,
 )
 from .search import bisect_root
 
@@ -223,15 +224,10 @@ def _slope_tender(family: PayoffFamily) -> Callable[[float], float]:
         raise InvalidArgument("best_response needs a concave table: its segment "
                               "slopes must not increase")
     try:
-        root = diagnostics(family).root
+        root = search_end(family)
     except NoPositiveRegion:
         # nothing positive to gain at any tender
         return lambda y: 0.0
-    except NoFiniteRoot:
-        # f is still positive at the last knot, which bounds the search
-        if not table:
-            raise
-        root = family.domain_max
     end = family.domain_max if table else math.inf
 
     def tender(y: float) -> float:

@@ -13,6 +13,7 @@ All ``value``/``derivative`` methods accept floats or numpy arrays.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -291,29 +292,17 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
     Results are memoized per family (families are frozen and hashable).
     """
     t_pos = _find_positive_point(family)
-    domain_hi = family.domain_max if isinstance(family, TabulatedPayoff) else math.inf
+    end = family.domain_max if isinstance(family, TabulatedPayoff) else math.inf
     cap = _EXPANSION_CAP * max(t_pos, 1.0)
-
-    root = None
+    # double until f <= 0 (a NaN doubles on, as a positive value does)
     lo = hi = t_pos
-    while True:
-        nxt = min(hi * 2.0, domain_hi)
-        v = family.value(nxt)
-        if v < 0.0:
-            lo, hi = hi, nxt
-            break
-        if v == 0.0:
-            root = nxt
-            break
-        lo = hi = nxt
-        if nxt >= domain_hi:
-            raise NoFiniteRoot(
-                f"payoff still positive at the domain end t={domain_hi}"
-            )
-        if nxt > cap:
-            raise NoFiniteRoot(f"payoff still positive at t={nxt:g} (cap reached)")
-    if root is None:
-        root = bisect_root(family.value, lo, hi, _ROOT_RTOL)
+    while not family.value(hi) <= 0.0:
+        if hi >= end:
+            raise NoFiniteRoot(f"payoff still positive at the domain end t={end}")
+        if hi > cap:
+            raise NoFiniteRoot(f"payoff still positive at t={hi:g} (cap reached)")
+        lo, hi = hi, min(2.0 * hi, end)
+    root = bisect_root(family.value, lo, hi, _ROOT_RTOL)
 
     if isinstance(family, TabulatedPayoff):
         ts = np.asarray(family.ts)
@@ -325,51 +314,51 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
         argmax = bisect_root(family.derivative, 0.0, root)
         max_value = family.value(argmax)
 
-    witness = argmax
-    if not (0.0 < witness < root and family.value(witness) > 0.0):
-        for z in (0.5 * argmax, t_pos):
-            if 0.0 < z < root and family.value(z) > 0.0:
-                witness = z
-                break
-        else:
-            raise NoPositiveRegion("could not certify a positivity witness")
+    # t_pos qualifies when argmax does not: f > 0 there and the root is past it
+    witness = argmax if 0.0 < argmax < root and family.value(argmax) > 0.0 else t_pos
     return PayoffDiagnostics(
         root=root, max_value=max_value, argmax=argmax, positive_witness=witness
     )
 
 
-_FAMILY_KEYS = {
-    "cfmm": {"gamma", "r1", "r2", "c"},
-    "power": {"beta", "gamma"},
-    "table": {"ts", "fs"},
-}
+def search_end(family: PayoffFamily) -> float:
+    """Where a search for a tender or a sample ends: the zero of f, or a
+    table's last knot when f is still positive there."""
+    try:
+        return diagnostics(family).root
+    except NoFiniteRoot:
+        if not isinstance(family, TabulatedPayoff):
+            raise
+        return family.domain_max
+
+
+# the parametric families by kind
+FAMILY_KINDS = {c.kind: c for c in (PowerPayoff, CfmmArbitragePayoff, TabulatedPayoff)}
+
+
+def spec_keys(kind: str) -> dict:
+    """A family kind's spec keys, its class's fields in order, each with
+    its conversion: float for a number, tuple for a knot list."""
+    return {f.name: float if f.type == "float" else tuple
+            for f in dataclasses.fields(FAMILY_KINDS[kind])}
 
 
 def family_from_dict(spec: dict) -> PayoffFamily:
-    """Build a payoff family from a config mapping; unknown keys are errors."""
+    """Build a payoff family from a config mapping with a ``kind`` and that
+    kind's :func:`spec_keys`; unknown or missing keys are errors."""
     if "kind" not in spec:
         raise ConfigError("family spec needs a 'kind' (cfmm, power, or table)")
     kind = spec["kind"]
-    if kind not in _FAMILY_KEYS:
+    if kind not in FAMILY_KINDS:
         raise ConfigError(f"unknown family kind {kind!r}")
-    given = set(spec) - {"kind"}
-    allowed = _FAMILY_KEYS[kind]
+    keys = spec_keys(kind)
+    given, allowed = set(spec) - {"kind"}, set(keys)
     if given - allowed:
-        raise ConfigError(
-            f"unknown keys for {kind} family: {sorted(given - allowed)}"
-        )
+        raise ConfigError(f"unknown keys for {kind} family: {sorted(given - allowed)}")
     if allowed - given:
-        raise ConfigError(
-            f"missing keys for {kind} family: {sorted(allowed - given)}"
-        )
+        raise ConfigError(f"missing keys for {kind} family: {sorted(allowed - given)}")
     try:
-        if kind == "cfmm":
-            return CfmmArbitragePayoff(
-                gamma=float(spec["gamma"]), r1=float(spec["r1"]),
-                r2=float(spec["r2"]), c=float(spec["c"]),
-            )
-        if kind == "power":
-            return PowerPayoff(beta=float(spec["beta"]), gamma=float(spec["gamma"]))
-        return TabulatedPayoff(ts=tuple(spec["ts"]), fs=tuple(spec["fs"]))
+        # in field order, so the first bad parameter reported is fixed
+        return FAMILY_KINDS[kind](**{k: conv(spec[k]) for k, conv in keys.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind} family parameters: {exc}") from exc

@@ -22,13 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, NoFiniteRoot
-from .payoff import (
-    CallablePayoff,
-    PayoffFamily,
-    TabulatedPayoff,
-    diagnostics,
-)
+from .errors import InvalidArgument
+from .payoff import CallablePayoff, PayoffFamily, TabulatedPayoff, search_end
 
 CHORD_STRICT = "chord-strict"
 LINEAR_SEGMENT_AT_ZERO = "linear-segment-at-zero"
@@ -66,13 +61,23 @@ def _sample_ceiling(
             raise InvalidArgument(f"domain_hi {domain_hi} is past the table's "
                                   f"last knot {family.domain_max}")
         return float(domain_hi)
-    if isinstance(family, TabulatedPayoff):
-        # bounded tables may have no root (f still positive at the end)
-        try:
-            return diagnostics(family).root
-        except NoFiniteRoot:
-            return family.domain_max
-    return diagnostics(family).root
+    return search_end(family)
+
+
+def _chord_violations(
+    family: PayoffFamily, alpha: np.ndarray, t: np.ndarray
+) -> tuple[tuple[tuple[float, float, float], ...], int]:
+    """The (alpha, t, gap) rows, up to eight, where f(alpha*t) > alpha*f(t)
+    fails by more than ``STRICT_MARGIN``, and how many rows fail."""
+    lhs = family.value(alpha * t)
+    rhs = alpha * family.value(t)
+    gap = lhs - rhs
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0e-300)
+    idx = np.flatnonzero(gap <= STRICT_MARGIN * scale)
+    witness = tuple(
+        (float(alpha[i]), float(t[i]), float(gap[i])) for i in idx[:_MAX_WITNESSES]
+    )
+    return witness, int(idx.size)
 
 
 def check_chord_condition(
@@ -102,22 +107,14 @@ def check_chord_condition(
     alpha = np.concatenate([alpha, np.full(ladder.shape, 0.5)])
     t = np.concatenate([t, ladder])
 
-    lhs = family.value(alpha * t)
-    rhs = alpha * family.value(t)
-    gap = lhs - rhs
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0e-300)
-    bad = gap <= STRICT_MARGIN * scale
-    idx = np.flatnonzero(bad)
-    witness = tuple(
-        (float(alpha[i]), float(t[i]), float(gap[i])) for i in idx[:_MAX_WITNESSES]
-    )
+    witness, violations = _chord_violations(family, alpha, t)
     return ConditionReport(
         condition=CHORD_STRICT,
-        holds=idx.size == 0,
+        holds=violations == 0,
         witness=witness,
         details={
             "samples": int(t.size),
-            "violations": int(idx.size),
+            "violations": violations,
             "hi": hi,
             "strict_margin": STRICT_MARGIN,
         },
@@ -150,7 +147,10 @@ def detect_linear_segment_at_zero(
         # explicit pairs need no sampling ceiling, so families without a
         # finite positive root are fine here
         pairs = np.asarray(t_pairs, dtype=float)
-        hi = float(np.max(pairs)) if pairs.size else 0.0
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or not len(pairs):
+            raise InvalidArgument(f"t_pairs must be m >= 1 rows of (t, t'), "
+                                  f"got shape {pairs.shape}")
+        hi = float(np.max(pairs))
     else:
         hi = _sample_ceiling(family, domain_hi, samples)
         rng = np.random.default_rng(seed)
@@ -221,29 +221,18 @@ def rosen_probe(family: PayoffFamily, n: int) -> ConditionReport:
 def replay_witness(family: PayoffFamily, report: ConditionReport) -> bool:
     """Recompute a report's witnesses from scratch; True when every row
     still supports the recorded verdict."""
-    if report.condition == CHORD_STRICT:
-        margin = report.details.get("strict_margin", STRICT_MARGIN)
-        if report.holds:
-            return not report.witness
-        for alpha, t, _ in report.witness:
-            lhs = family.value(alpha * t)
-            rhs = alpha * family.value(t)
-            scale = max(abs(lhs), abs(rhs), 1.0e-300)
-            if lhs - rhs > margin * scale:
-                return False
-        return bool(report.witness)
-    if report.condition == LINEAR_SEGMENT_AT_ZERO:
-        if not report.holds:
-            return not report.witness
-        rtol = report.details.get("ratio_rtol", RATIO_RTOL)
-        for t, tp, _ in report.witness:
-            r_lo = family.value(t) / t
-            r_hi = family.value(tp) / tp
-            if abs(r_lo - r_hi) > rtol * max(abs(r_lo), abs(r_hi)):
-                return False
-            if not _collinear_through_origin(family, r_hi, t):
-                return False
-        return bool(report.witness)
+    if report.condition in (CHORD_STRICT, LINEAR_SEGMENT_AT_ZERO):
+        # a failed chord and a found segment are the verdicts with rows,
+        # and each row must come out of the check that made it again
+        has_rows = report.holds != (report.condition == CHORD_STRICT)
+        if not (has_rows and report.witness):
+            return not has_rows and not report.witness
+        rows = np.array(report.witness)
+        if report.condition == CHORD_STRICT:
+            _, violations = _chord_violations(family, rows[:, 0], rows[:, 1])
+            return violations == len(rows)
+        fresh = detect_linear_segment_at_zero(family, t_pairs=rows[:, :2])
+        return len(fresh.witness) == len(rows)
     if report.condition == ROSEN_MONOTONE_PROBE:
         (n, _, _), _ = report.witness
         fresh = rosen_probe(family, int(n))

@@ -704,3 +704,133 @@ def test_bad_config_values_exit_2(capsys, tmp_path, command, cfg, message):
     code, out, err = _with_config(capsys, tmp_path, command, cfg)
     assert (code, out) == (2, "")
     assert err == f"error: config-error: {message}\n"
+
+
+# ------------------------------------------- error branches, line by line
+
+TABLE_0_10_20 = ["--family", "table", "--ts", "0,10,20"]
+
+ERROR_LINES = [
+    (["simulate", *CFMM, "--n", "3", "--scenario", "budgeted", "--budgets", "1,2"],
+     2, "config-error: need 1 or 3 budgets, got 2"),
+    (["study", *CFMM, "--n-values", "2:3", "--scenario", "budgeted",
+      "--budgets", "1"], 2, "config-error: a budgeted study needs a single n value"),
+    (["equilibrium", "--family", "table", "--ts", "0,10", "--fs", "0,5,8"],
+     2, "config-error: bad table family parameters: ts and fs must have equal length"),
+    (["equilibrium", "--family", "table", "--ts", "0", "--fs", "0"],
+     2, "config-error: bad table family parameters: need at least two knots"),
+    (["equilibrium", *CFMM[:-1], "-1"],
+     2, "config-error: bad cfmm family parameters: external price must be "
+     "positive, got -1.0"),
+    (["batch", "--gamma", "0.99", "--r1", "200", "--r2", "250"],
+     2, "config-error: batch needs --input or --deltas"),
+    (["batch", "--deltas", "5", "--gamma", "0.99", "--r1", "-200", "--r2", "250"],
+     2, "config-error: reserves must be positive, got r1=-200.0, r2=250.0"),
+    (["equilibrium", *TABLE_0_10_20, "--fs", "0,-1,-3"],
+     3, "no-positive-region: payoff is nonpositive at every knot"),
+    *[([command, *TABLE_0_10_20, "--fs", "0,5,8"], 3,
+       "no-finite-root: payoff still positive at the domain end t=20.0")
+      for command in ("equilibrium", "study", "poa")],
+    (["bestresponse", "--family", "power", "--beta", "0.999", "--gamma", "1e-300",
+      "--y", "1"], 3, "no-finite-root: payoff zero gamma**(-1/(1-beta)) overflows "
+     "for PowerPayoff(beta=0.999, gamma=1e-300)"),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", ERROR_LINES, ids=[
+    "simulate-budget-count", "study-budgeted-n-values", "table-lengths",
+    "table-one-knot", "cfmm-price", "batch-no-demands", "batch-reserve",
+    "table-nowhere-positive", "table-positive-end-equilibrium",
+    "table-positive-end-study", "table-positive-end-poa", "power-overflow"])
+def test_error_branches_print_one_line(capsys, argv, code, line):
+    assert run(capsys, *argv) == (code, "", f"error: {line}\n")
+
+
+def test_unreadable_config_files_exit_2(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    assert run(capsys, "equilibrium", "--config", str(missing)) == (
+        2, "", f"error: config-error: cannot read config {missing}: [Errno 2] "
+               f"No such file or directory: '{missing}'\n")
+    broken = tmp_path / "broken.json"
+    broken.write_text("not json")
+    assert run(capsys, "equilibrium", "--config", str(broken)) == (
+        2, "", f"error: config-error: config {broken} is not valid JSON: "
+               "Expecting value: line 1 column 1 (char 0)\n")
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1, 2]")
+    assert run(capsys, "equilibrium", "--config", str(listed)) == (
+        2, "", "error: config-error: config root must be a JSON object\n")
+
+
+def test_unreadable_batch_input_exits_2(capsys, tmp_path):
+    pool = ["--gamma", "0.99", "--r1", "200", "--r2", "250"]
+    wrong = tmp_path / "wrong.csv"
+    wrong.write_text("id,delta\n1,5\n")
+    assert run(capsys, "batch", "--input", str(wrong), *pool) == (
+        2, "", "error: config-error: batch input needs columns trader_id, delta\n")
+    missing = tmp_path / "missing.csv"
+    assert run(capsys, "batch", "--input", str(missing), *pool) == (
+        2, "", f"error: config-error: cannot read {missing}: [Errno 2] "
+               f"No such file or directory: '{missing}'\n")
+
+
+def test_family_flags_beside_a_config_family_exit_2(capsys, tmp_path):
+    # a flag cannot change one parameter of the config file's family object
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"family": POWER_SPEC}))
+    assert run(capsys, "equilibrium", "--config", str(path), "--beta", "0.9") == (
+        2, "", "error: config-error: --beta needs --family: the config file "
+               "gives the family as one object\n")
+
+
+def test_verify_with_no_conditions_exits_2(capsys, tmp_path):
+    assert run(capsys, "verify", *POWER, "--conditions", ",") == (
+        2, "", "error: config-error: no values in ','\n")
+    code, out, err = _with_config(capsys, tmp_path, "verify",
+                                  {"family": POWER_SPEC, "conditions": []})
+    assert (code, out, err) == (2, "", "error: config-error: no values in []\n")
+
+
+def test_output_and_format_are_checked_before_the_command_runs(
+        capsys, tmp_path, monkeypatch):
+    def never(*args):
+        pytest.fail("the command ran")
+
+    monkeypatch.setitem(FIGURES, "scenario2-delta", (never, "power", never))
+    monkeypatch.setattr("prorata.cli._resolve_family", never)
+    missing = tmp_path / "no" / "x.csv"
+    for target in (missing, tmp_path):
+        code, out, err = run(capsys, "reproduce", "scenario2-delta",
+                             "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config-error: cannot write {target}: [Errno ")
+    assert not missing.parent.exists()
+    assert _with_config(capsys, tmp_path, "study",
+                        {"family": CFMM_SPEC, "format": "xml"}) == (
+        2, "", "error: config-error: unknown format 'xml'\n")
+
+
+def test_output_file_is_left_alone_when_the_command_fails(capsys, tmp_path):
+    path = tmp_path / "kept.csv"
+    path.write_text("earlier\n")
+    code, _, _ = run(capsys, "equilibrium", *TABLE_0_10_20, "--fs", "0,5,8",
+                     "--output", str(path))
+    assert code == 3 and path.read_text() == "earlier\n"
+    code, _, _ = run(capsys, "equilibrium", *TABLE_0_10_20, "--fs", "0,5,8",
+                     "--output", str(tmp_path / "new.csv"))
+    assert code == 3 and not (tmp_path / "new.csv").exists()
+
+
+def test_whale_without_a_positive_fair_payoff_exits_3(capsys):
+    # f'(0) is one ulp above zero: the fair payoff f(q)/n rounds to 0.0,
+    # and every percentage column would divide by it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "whale", "--family", "cfmm", "--gamma", "1", "--r1", "3",
+            "--r2", "7", "--price", "2.333333333333333", "--n-fish-values", "1:3",
+            "--trials", "3", "--format", "csv")
+    assert (code, out) == (3, "")
+    assert err == ("error: no-positive-region: equilibrium payoff f(q)/n=0.0 "
+                   "is not positive at n=2\n")
+    assert caught == []

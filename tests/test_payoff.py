@@ -276,3 +276,17 @@ def test_family_from_dict_roundtrip(cfmm, power):
 def test_family_from_dict_rejects_bad_specs(spec):
     with pytest.raises(ConfigError):
         family_from_dict(spec)
+
+
+def test_a_payoff_that_never_returns_to_zero_has_no_finite_root():
+    # sqrt(t) stays positive: the root search stops at its cap, 2**40 here,
+    # and every solve that needs the root says so
+    from prorata import NoFiniteRoot, best_response, check_chord_condition
+
+    family = CallablePayoff(lambda t: t**0.5, deriv=lambda t: 0.5 * t**-0.5)
+    message = "payoff still positive at t=1.09951e+12 (cap reached)"
+    for solve in (diagnostics, lambda f: best_response(f, 1.0),
+                  check_chord_condition):
+        with pytest.raises(NoFiniteRoot) as caught:
+            solve(family)
+        assert str(caught.value) == message

@@ -223,3 +223,38 @@ def test_report_conditions_are_stable_strings():
     assert CHORD_STRICT == "chord-strict"
     assert LINEAR_SEGMENT_AT_ZERO == "linear-segment-at-zero"
     assert ROSEN_MONOTONE_PROBE == "rosen-monotone-probe"
+
+
+# ------------------------------------------------ replay of tampered reports
+
+
+def test_replay_rejects_tampered_reports():
+    from dataclasses import replace
+
+    capped = min_t_table(3.0, 60.0)
+    chord = check_chord_condition(capped)
+    segment = detect_linear_segment_at_zero(capped)
+    assert not chord.holds and segment.holds
+    power = PowerPayoff(beta=0.5, gamma=0.05)
+    # the rows do not fail the chord, or match no ratio, on another family
+    assert not replay_witness(power, chord)
+    assert not replay_witness(power, segment)
+    # a failing verdict with its rows removed has nothing to replay
+    assert not replay_witness(capped, replace(chord, witness=()))
+    assert not replay_witness(capped, replace(segment, witness=()))
+    # a row where the chord holds does not support a violation
+    holds_row = (0.5, 40.0, 0.0)
+    assert not replay_witness(capped, replace(
+        chord, witness=chord.witness + (holds_row,)))
+    # equal ratios at t and t' without a line out of the origin below t
+    (t, tp, _), *_ = segment.witness
+    assert 1.0 < t < tp <= 3.0
+    bent = TabulatedPayoff(ts=(0.0, 0.5, 1.0, 3.0, 60.0),
+                           fs=(0.0, 0.6, 1.0, 3.0, 3.0))
+    assert not replay_witness(bent, replace(segment, witness=segment.witness[:1]))
+
+
+@pytest.mark.parametrize("pairs", [[], [(1.0, 2.0, 3.0)]], ids=["none", "three"])
+def test_explicit_pairs_must_be_rows_of_two(pairs):
+    with pytest.raises(InvalidArgument):
+        detect_linear_segment_at_zero(min_t_table(3.0, 60.0), t_pairs=pairs)
