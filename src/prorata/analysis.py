@@ -33,11 +33,12 @@ def poa(family: PayoffFamily, n: int) -> PoaReport:
     """Price of anarchy sup f / f(q) for the n-player game.
 
     For the power family the closed form doubles as a consistency check
-    on the solver; disagreement means a numeric failure.
+    on the solver; disagreement means a numeric failure. An equilibrium
+    payoff that is not positive raises :class:`NoPositiveRegion`.
     """
     eq = solve_symmetric(family, n)
     diag = diagnostics(family)
-    ratio = diag.max_value / (eq.equilibrium_payoff * n)
+    ratio = diag.max_value / (eq.positive_payoff() * n)
     if isinstance(family, PowerPayoff):
         expected = power_poa_closed_form(family.beta, n)
         if abs(ratio - expected) > _CLOSED_FORM_CHECK_RTOL * expected:

@@ -180,15 +180,20 @@ def _resolve_family(args):
     kind = _resolve(args, "family", None)
     if kind is None:
         raise ConfigError("no payoff family given (use --family or a config file)")
-    if isinstance(kind, dict):
-        for flag in _FAMILY_FLAGS:
-            if getattr(args, flag, None) is not None:
-                raise ConfigError(f"--{flag} needs --family: the config file "
-                                  "gives the family as one object")
+    # a config file's family object takes no family flags; a kind, its own
+    from_config = isinstance(kind, dict)
+    keys = {} if from_config else spec_keys(kind)
+    own = [_FLAG_OF.get(key, key) for key in keys]
+    for flag in _FAMILY_FLAGS:
+        if flag not in own and getattr(args, flag, None) is not None:
+            raise ConfigError(
+                f"--{flag} needs --family: the config file gives the family "
+                "as one object" if from_config
+                else f"--{flag} is not a parameter of the {kind} family")
+    if from_config:
         return family_from_dict(kind)
     spec: dict = {"kind": kind}
-    for key in spec_keys(kind):
-        flag = _FLAG_OF.get(key, key)
+    for key, flag in zip(keys, own):
         value = getattr(args, flag)
         if value is None:
             raise ConfigError(f"--{flag} is required for --family {kind}")
@@ -344,7 +349,9 @@ def _cmd_study(args) -> Table:
         update_order=_resolve(args, "update_order", "sequential"),
         **_run_settings(args),
     )
-    rows = [[r.n, r.trial, r.iterations, r.converged] for r in result.records]
+    # iterations counts the rounds to convergence: blank for the other stops
+    rows = [[r.n, r.trial, r.iterations if r.stop == "converged" else None,
+             r.stop == "converged"] for r in result.records]
     summary = "".join(f"  n={n}: {mean:.2f}\n"
                       for n, mean in result.mean_iterations().items())
     return (["n", "trial", "iterations", "converged"], rows,

@@ -11,13 +11,17 @@ Three scenarios: unconstrained responses, per-round movement caps
 are applied by projecting the unconstrained best response, which is exact
 for concave payoffs.
 
-One round engine serves :func:`simulate`, :func:`convergence_study` and
-:func:`whale_fish_experiment`: it plays all trials of a study point (or a
-whale row) in lockstep as the rows of one (trials, n) array, drops each
-trial from the array at the round it stops, and checks the stop rules on
-the whole array. ``simulate`` is the one-trial case. Within a round each
-row is swept in Python floats, player after player, through the family's
-one best-response tender, :func:`unconstrained_tender`, the one
+One round engine, :func:`_play`, serves :func:`simulate`,
+:func:`convergence_study` and :func:`whale_fish_experiment`: it plays all
+trials of a study point (or a whale row) in lockstep as the rows of one
+(trials, n) array, and each row leaves the array at the round it stops.
+Its one stop rule gives every row a reason: "converged" (near the
+symmetric equilibrium, or for the whale no move as large as the
+threshold), "fixed-point" (no move beyond a few ulps of the row total:
+binding budgets, or a kinked table where the symmetric equilibrium is not
+the only rest point) or "iteration-cap". Within a round each row is swept
+in Python floats, player after player, through the family's one
+best-response tender, :func:`unconstrained_tender`, the one
 :func:`best_response` caps at a budget, so a trial ends exactly as it
 would alone. The engine reads its rules from a :class:`GameConfig`.
 """
@@ -31,8 +35,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .equilibrium import EquilibriumResult, solve_symmetric, unconstrained_tender
-from .errors import InvalidArgument, NoPositiveRegion
-from .payoff import PayoffFamily, diagnostics, pro_rata_payoff
+from .errors import DomainExceeded, InvalidArgument
+from .payoff import PayoffFamily, TabulatedPayoff, diagnostics, pro_rata_payoff
 
 UPDATE_ORDERS = ("sequential", "synchronous")
 
@@ -102,40 +106,40 @@ class GameConfig:
 class DynamicsTrace:
     """One run of :func:`simulate`."""
 
-    tenders: np.ndarray        # read-only (rounds+1, n): the start, then every round
-    converged_at: int | None   # round index; 0 means already at equilibrium
-    stop_reason: str           # "converged" or "iteration-cap"
+    tenders: np.ndarray  # read-only (rounds+1, n): the start, then every round
+    stop_reason: str     # "converged", "fixed-point" or "iteration-cap"
     equilibrium: EquilibriumResult
     final_payoffs: np.ndarray
 
 
 def _sweep(
     X: np.ndarray,
-    lower: np.ndarray,
     upper: np.ndarray,
+    delta: float | None,
     order: str,
     tender: Callable[[float], float],
-) -> np.ndarray:
+) -> tuple[np.ndarray, list[float], list[float]]:
     """One best-response round on every row of X, shape (rows, n).
 
     Players move one after another, each row on its own and in Python
     floats: sequential order sees the moves already made this round,
-    synchronous order only last round's profile. Each move is clipped to
-    [lower, upper] (arrays broadcastable to X). Rows never mix, so a row's
-    result is the same whatever else is in X. Each row and player costs
-    ~0.6 µs (cfmm, tender included), which beats per-player numpy calls
-    below ~15-20 rows and loses to them above.
+    synchronous order only last round's profile. Each tender is clamped to
+    [0, upper] or, under a movement cap ``delta``, to [max(0, x - delta),
+    x + delta] around the player's last tender x. Rows never mix, so a
+    row's result is the same whatever else is in X. Returns the new rows,
+    each row's largest move and each row's total before the round.
     """
     sequential = order == "sequential"
-    rows = []
-    for x, los, ups, total in zip(
-        X.tolist(),
-        np.broadcast_to(lower, X.shape).tolist(),
-        np.broadcast_to(upper, X.shape).tolist(),
-        X.sum(axis=1).tolist(),
-    ):
-        out = []
-        for xi, lo, up in zip(x, los, ups):
+    rows, moves = [], []
+    totals = X.sum(axis=1).tolist()
+    for x, ups, total in zip(X.tolist(), upper.tolist(), totals):
+        out, move = [], 0.0
+        for xi, up in zip(x, ups):
+            lo = 0.0
+            if delta is not None:
+                lo, up = xi - delta, xi + delta
+                if lo < 0.0:
+                    lo = 0.0
             # before its move a player's entry is still last round's, in
             # either order. A clamp replaces only a value strictly past its
             # bound: a zero of either sign, or a NaN, is kept as computed.
@@ -149,77 +153,86 @@ def _sweep(
                 t = up
             if sequential:
                 total += t - xi
+            step = abs(t - xi)
+            if step > move:
+                move = step
             out.append(t)
         rows.append(out)
-    return np.array(rows)
+        moves.append(move)
+    return np.array(rows), moves, totals
+
+
+# A row whose players all moved by at most this many ulps of the row total
+# is at rest: rounding, not the dynamics, moves it.
+_FIXED_POINT_ULPS = 4
 
 
 def _play(
     config: GameConfig,
     X: np.ndarray,
     upper: np.ndarray,
-    stopped: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    target: float | None = None,
     history: list[np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run rounds of ``config``'s game on every row of X until
-    ``stopped(new, old)`` holds for the row or the config's round cap is hit.
+) -> tuple[np.ndarray, list[int], list[str]]:
+    """Run rounds of ``config``'s game on every row of X until the row stops.
+
+    A row stops at the first round where one of these holds, and says which:
+
+    - ``"converged"``: the row is within the threshold of ``target`` (sup
+      norm), checked from round 0; with no target, no player moved by the
+      threshold or more;
+    - ``"fixed-point"``: no player moved more than ``_FIXED_POINT_ULPS``
+      ulps of the row total;
+    - ``"iteration-cap"``: the row played the config's round cap.
 
     ``upper`` caps each tender (per row and player); a ``BoundedUpdate``
-    scenario caps each move. A stopped row leaves the active set, so rows
-    stop independently. Returns the final profiles and each row's stopping
-    round (-1 for rows cut off by the cap). ``history`` collects every
-    round's active rows.
+    scenario caps each move. A stopped row leaves the array, so rows stop
+    independently. Returns the final rows, the rounds each row played and
+    why it stopped. ``history`` collects every round's active rows. On a
+    table family, a row total past the last knot raises
+    :class:`DomainExceeded` at that round.
     """
-    scenario, order = config.scenario, config.update_order
+    family, scenario = config.family, config.scenario
+    threshold, cap = config.convergence_threshold, config.max_iterations
     delta = scenario.delta if isinstance(scenario, BoundedUpdate) else None
-    tender = unconstrained_tender(config.family)
+    knot = family.domain_max if isinstance(family, TabulatedPayoff) else None
+    tender = unconstrained_tender(family)
     final = X.copy()
-    stop_at = np.full(X.shape[0], -1)
-    rows = np.arange(X.shape[0])
-    lower = np.zeros((1, X.shape[1]))
-    for t in range(1, config.max_iterations + 1):
-        if not rows.size:
-            break
-        if delta is None:
-            new = _sweep(X, lower, upper, order, tender)
-        else:
-            new = _sweep(X, np.maximum(0.0, X - delta), X + delta, order, tender)
-        if history is not None:
-            history.append(new)
-        done = stopped(new, X)
-        X = new
-        if done.any():
-            final[rows[done]] = X[done]
-            stop_at[rows[done]] = t
-            keep = ~done
+    rounds, reasons = [cap] * len(X), ["iteration-cap"] * len(X)
+    rows = np.arange(len(X))
+    moves: list[float] = []
+    totals: list[float] = []
+    for t in range(cap + 1):
+        if t:
+            X, moves, totals = _sweep(X, upper, delta, config.update_order, tender)
+            if knot is not None and (total := X.sum(axis=1).max()) > knot:
+                raise DomainExceeded(f"round {t}: tender total {total} "
+                                     f"beyond last knot {knot}")
+            if history is not None:
+                history.append(X)
+        near = moves if target is None else np.abs(X - target).max(axis=1).tolist()
+        stops = {i: "converged" for i, d in enumerate(near) if d < threshold}
+        for i, (move, total) in enumerate(zip(moves, totals)):
+            if i not in stops and move <= _FIXED_POINT_ULPS * math.ulp(total):
+                stops[i] = "fixed-point"
+        if stops:
+            for i, reason in stops.items():
+                rounds[rows[i]], reasons[rows[i]] = t, reason
+            keep = np.ones(len(X), dtype=bool)
+            keep[list(stops)] = False
+            final[rows[~keep]] = X[~keep]
             X, rows, upper = X[keep], rows[keep], upper[keep]
+            if not rows.size:
+                break
     final[rows] = X
-    return final, stop_at
+    return final, rounds, reasons
 
 
-def _play_to_equilibrium(
-    config: GameConfig,
-    eq: EquilibriumResult,
-    X: np.ndarray,
-    history: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Rounds on every row of X until it is within the threshold of the
-    symmetric equilibrium ``eq`` (sup norm), checked from round 0. Returns
-    each row's stopping round (-1 at the iteration cap)."""
-    threshold = config.convergence_threshold
-
-    def near(new: np.ndarray, old: np.ndarray | None = None) -> np.ndarray:
-        return np.abs(new - eq.per_player).max(axis=1) < threshold
-
+def _caps(config: GameConfig, rows: int) -> np.ndarray:
+    """The tender caps of ``rows`` trials: the scenario's budgets, or none."""
     scenario = config.scenario
-    caps = scenario.budgets if isinstance(scenario, Budgeted) else math.inf
-    stop_at = np.zeros(X.shape[0], dtype=int)
-    todo = np.flatnonzero(~near(X))
-    if todo.size:
-        _, stop_at[todo] = _play(
-            config, X[todo], np.full((todo.size, config.n), caps), near, history
-        )
-    return stop_at
+    budgets = scenario.budgets if isinstance(scenario, Budgeted) else math.inf
+    return np.full((rows, config.n), budgets)
 
 
 def draw_initial_profile(
@@ -235,9 +248,9 @@ def simulate(
     initial: Sequence[float] | np.ndarray | None = None,
 ) -> DynamicsTrace:
     """Run best-response rounds until the profile is within
-    ``convergence_threshold`` of the symmetric equilibrium (sup norm) or
-    the round cap is hit. ``initial=None`` draws a uniform profile from
-    the config seed."""
+    ``convergence_threshold`` of the symmetric equilibrium (sup norm), no
+    longer moves, or hits the round cap. ``initial=None`` draws a uniform
+    profile from the config seed."""
     family, n = config.family, config.n
     eq = solve_symmetric(family, n)
     if initial is None:
@@ -250,15 +263,14 @@ def simulate(
         raise InvalidArgument("initial tenders must be nonnegative")
 
     history = [x[None, :]]
-    stop_at = _play_to_equilibrium(config, eq, history[0], history)
+    _, _, (reason,) = _play(config, history[0], _caps(config, 1), eq.per_player,
+                            history)
     tenders = np.concatenate(history)
     tenders.setflags(write=False)
-    converged_at = int(stop_at[0]) if stop_at[0] >= 0 else None
     final = tenders[-1]
     return DynamicsTrace(
         tenders=tenders,
-        converged_at=converged_at,
-        stop_reason="iteration-cap" if converged_at is None else "converged",
+        stop_reason=reason,
         equilibrium=eq,
         final_payoffs=pro_rata_payoff(family, final, float(final.sum()) - final),
     )
@@ -268,8 +280,8 @@ def simulate(
 class StudyRecord:
     n: int
     trial: int
-    iterations: int | None
-    converged: bool
+    iterations: int  # rounds played
+    stop: str        # "converged", "fixed-point" or "iteration-cap"
 
 
 @dataclass(frozen=True)
@@ -280,16 +292,9 @@ class StudyResult:
         """Mean rounds-to-convergence per n, over converged trials."""
         sums: dict[int, list[int]] = {}
         for r in self.records:
-            if r.converged:
+            if r.stop == "converged":
                 sums.setdefault(r.n, []).append(r.iterations)
         return {n: float(np.mean(v)) for n, v in sorted(sums.items())}
-
-    def non_converged(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for r in self.records:
-            if not r.converged:
-                out[r.n] = out.get(r.n, 0) + 1
-        return out
 
 
 def convergence_study(
@@ -307,7 +312,8 @@ def convergence_study(
     Trial (n, k) draws its initial profile from a child generator seeded
     with [seed, n, k], so any subset of the grid reproduces exactly. The
     trials of one n run in lockstep, as the rows of one array; each row
-    stops on its own and ends exactly as it would alone.
+    stops on its own, for its own reason, and ends exactly as it would
+    alone.
     """
     if trials < 1:
         raise InvalidArgument(f"trials must be at least 1, got {trials}")
@@ -327,16 +333,10 @@ def convergence_study(
             draw_initial_profile(family, n, np.random.default_rng([seed, n, trial]))
             for trial in range(trials)
         ])
-        stop_at = _play_to_equilibrium(config, solve_symmetric(family, n), X)
-        records.extend(
-            StudyRecord(
-                n=n,
-                trial=trial,
-                iterations=rounds if rounds >= 0 else None,
-                converged=rounds >= 0,
-            )
-            for trial, rounds in enumerate(stop_at.tolist())
-        )
+        _, rounds, reasons = _play(config, X, _caps(config, trials),
+                                   solve_symmetric(family, n).per_player)
+        records.extend(StudyRecord(n, trial, played, stop)
+                       for trial, (played, stop) in enumerate(zip(rounds, reasons)))
     return StudyResult(records=tuple(records))
 
 
@@ -371,9 +371,9 @@ def whale_fish_experiment(
 
     Fish budgets are drawn uniform on (0, q/n_total) — below the fair
     equilibrium tender — and fish start uniform within budget; the whale
-    starts uniform on (0, w/n_total) and is uncapped. Rounds stop when no
-    player moved more than ``convergence_threshold`` in the last round.
-    All trials run in lockstep, as the rows of one array.
+    starts uniform on (0, w/n_total) and is uncapped. A trial converges
+    when no player moved by ``convergence_threshold`` or more in the last
+    round. All trials run in lockstep, as the rows of one array.
     """
     if n_fish < 0:
         raise InvalidArgument(f"n_fish must be nonnegative, got {n_fish}")
@@ -385,11 +385,7 @@ def whale_fish_experiment(
                         max_iterations=max_iterations, seed=seed)
     eq = solve_symmetric(family, n_total)
     fair_strategy = eq.per_player
-    fair_payoff = eq.equilibrium_payoff
-    if not fair_payoff > 0.0:
-        # the percentage columns divide by it
-        raise NoPositiveRegion(f"equilibrium payoff f(q)/n={fair_payoff!r} is "
-                               f"not positive at n={n_total}")
+    fair_payoff = eq.positive_payoff()  # the percentage columns divide by it
     w = diagnostics(family).root
 
     X = np.empty((trials, n_total))
@@ -400,17 +396,14 @@ def whale_fish_experiment(
         X[trial, 0] = rng.uniform(0.0, w / n_total)
         X[trial, 1:] = rng.uniform(0.0, upper[trial, 1:]) if n_fish else []
 
-    def settled(new: np.ndarray, old: np.ndarray) -> np.ndarray:
-        return np.abs(new - old).max(axis=1) < convergence_threshold
-
-    final, stop_at = _play(config, X, upper, settled)
+    final, _, reasons = _play(config, X, upper)
     strategies = final[:, 0]
     profits = np.array([
         pro_rata_payoff(family, float(x[0]), float(x[1:].sum())) for x in final
     ])
     pct_strategy = 100.0 * (strategies - fair_strategy) / fair_strategy
     pct_profit = 100.0 * (profits - fair_payoff) / fair_payoff
-    converged = int(np.count_nonzero(stop_at >= 0))
+    converged = reasons.count("converged")
     saturated = int(np.count_nonzero((final[:, 1:] == upper[:, 1:]).all(axis=1)))
 
     return WhaleFishReport(

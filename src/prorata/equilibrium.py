@@ -45,6 +45,15 @@ class EquilibriumResult:
     foc_residual: float       # |(n-1) f(q) + q f'(q)|
     method: str
 
+    def positive_payoff(self) -> float:
+        """The per-player payoff, for callers that divide by it: raises
+        :class:`NoPositiveRegion` when it is not positive."""
+        payoff = self.equilibrium_payoff
+        if not payoff > 0.0:
+            raise NoPositiveRegion(
+                f"equilibrium payoff f(q)/n={payoff!r} is not positive at n={self.n}")
+        return payoff
+
 
 @dataclass(frozen=True)
 class BestResponseResult:

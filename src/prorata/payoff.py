@@ -127,7 +127,7 @@ class PowerPayoff:
 class TabulatedPayoff:
     """Piecewise-linear payoff through the knots ``(ts, fs)``.
 
-    The table must start at (0, 0); evaluation past the last knot raises
+    The knots must be finite and start at (0, 0); evaluation past the last knot raises
     :class:`DomainExceeded`. The derivative is the exact right slope of
     the segment at t (the left slope at the last knot), so at a kink it is
     the slope just past it. ``concave`` tells whether the segment slopes
@@ -148,6 +148,8 @@ class TabulatedPayoff:
             raise InvalidArgument("ts and fs must have equal length")
         if len(self.ts) < 2:
             raise InvalidArgument("need at least two knots")
+        if not all(map(math.isfinite, self.ts + self.fs)):
+            raise InvalidArgument("knots must be finite")
         if self.ts[0] != 0.0 or self.fs[0] != 0.0:
             raise InvalidArgument("table must start at (0, 0)")
         if any(b <= a for a, b in zip(self.ts, self.ts[1:])):

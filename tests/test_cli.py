@@ -124,6 +124,16 @@ def test_study_scenario_flags(capsys):
     assert all(r["converged"] == "true" for r in rows_of(out))
 
 
+def test_study_leaves_the_rounds_of_unconverged_trials_blank(capsys):
+    # budgets of 5 bind below the equilibrium tender: the trials stop as
+    # fixed points, and their rows read as they would at the round cap
+    code, out, _ = run(capsys, "study", *CFMM, "--n-values", "3", "--scenario",
+                       "budgeted", "--budgets", "5", "--trials", "3",
+                       "--format", "csv")
+    assert (code, out.splitlines()) == (0, [
+        "n,trial,iterations,converged", "3,0,,false", "3,1,,false", "3,2,,false"])
+
+
 def test_whale_csv(capsys):
     code, out, _ = run(
         capsys, "whale", *CFMM, "--n-fish-values", "1:2", "--trials", "3",
@@ -422,6 +432,9 @@ BAD_RUN_PARAMETERS = [
      "--budgets needs --scenario budgeted"),
     (["study", *CFMM, "--scenario", "bounded", "--delta", "1", "--budgets", "1"],
      "--budgets needs --scenario budgeted"),
+    # a family flag of another kind is an error too, not ignored
+    (["equilibrium", *POWER, "--r1", "200", "--ts", "5"],
+     "--r1 is not a parameter of the power family"),
 ]
 
 
@@ -438,7 +451,7 @@ BAD_RUN_PARAMETERS = [
     "whale-threshold", "whale-max-iterations", "whale-threshold-nan",
     "study-threshold-nan", "verify-domain-hi-past-table",
     "simulate-delta-unbounded", "study-budgets-unbudgeted",
-    "study-budgets-bounded",
+    "study-budgets-bounded", "equilibrium-flag-of-another-family",
 ])
 def test_bad_run_parameters_exit_2(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
@@ -734,6 +747,19 @@ ERROR_LINES = [
     (["bestresponse", "--family", "power", "--beta", "0.999", "--gamma", "1e-300",
       "--y", "1"], 3, "no-finite-root: payoff zero gamma**(-1/(1-beta)) overflows "
      "for PowerPayoff(beta=0.999, gamma=1e-300)"),
+    (["equilibrium", *TABLE_0_10_20, "--fs", "0,nan,-5"],
+     2, "config-error: bad table family parameters: knots must be finite"),
+    # f'(0) is one ulp above zero: the payoff f(q)/n that poa divides by
+    # rounds to 0.0
+    (["poa", "--family", "cfmm", "--gamma", "1", "--r1", "3", "--r2", "7",
+      "--price", "2.333333333333333", "--n-values", "1:3"],
+     3, "no-positive-region: equilibrium payoff f(q)/n=0.0 is not positive at n=1"),
+    # each synchronous move stays on the table, three together do not
+    (["simulate", "--family", "table", "--ts", "0,50,100,200,300,400",
+      "--fs", "0,6,8,9,7,0", "--update-order", "synchronous", "--n", "3",
+      "--trials", "2", "--seed", "4", "--max-iterations", "40"],
+     4, "domain-exceeded: round 4: tender total 470.1846975261365 beyond last "
+     "knot 400.0"),
 ]
 
 
@@ -741,7 +767,8 @@ ERROR_LINES = [
     "simulate-budget-count", "study-budgeted-n-values", "table-lengths",
     "table-one-knot", "cfmm-price", "batch-no-demands", "batch-reserve",
     "table-nowhere-positive", "table-positive-end-equilibrium",
-    "table-positive-end-study", "table-positive-end-poa", "power-overflow"])
+    "table-positive-end-study", "table-positive-end-poa", "power-overflow",
+    "table-nan-knot", "poa-zero-payoff", "simulate-past-the-last-knot"])
 def test_error_branches_print_one_line(capsys, argv, code, line):
     assert run(capsys, *argv) == (code, "", f"error: {line}\n")
 

@@ -9,6 +9,7 @@ from prorata import (
     BoundedUpdate,
     Budgeted,
     CfmmArbitragePayoff,
+    DomainExceeded,
     GameConfig,
     InvalidArgument,
     PowerPayoff,
@@ -32,6 +33,12 @@ POWER = PowerPayoff(beta=0.5, gamma=0.05)
 # the power family sampled at 41 knots: its best response is a search
 _KNOTS = np.linspace(0.0, 400.0, 41)
 TABLE = TabulatedPayoff(ts=tuple(_KNOTS), fs=tuple(_KNOTS**0.5 - 0.05 * _KNOTS))
+# f peaks at the knot 30 and the equilibrium total sits on the kink at 40;
+# f is not strictly concave, and play comes to rest on asymmetric splits
+KINKED = TabulatedPayoff(ts=(0, 10, 20, 30, 40, 50), fs=(0, 8, 13, 15, 14, -2))
+# the same f continued along its last segment, so that synchronous rounds,
+# whose totals overshoot 50, stay on the table
+KINKED_WIDE = TabulatedPayoff(ts=(*KINKED.ts, 200), fs=(*KINKED.fs, -242))
 
 
 # ------------------------------------------------------------- config
@@ -62,7 +69,6 @@ def test_config_validation(cfmm):
 def test_two_player_run_converges(cfmm):
     trace = simulate(GameConfig(family=cfmm, n=2, seed=1))
     assert trace.stop_reason == "converged"
-    assert trace.converged_at is not None
     eq = trace.equilibrium
     final = trace.tenders[-1]
     assert np.max(np.abs(final - eq.per_player)) < 0.1
@@ -77,13 +83,13 @@ def test_starting_at_equilibrium_counts_zero_rounds(cfmm):
     trace = simulate(
         GameConfig(family=cfmm, n=3), initial=np.full(3, eq.per_player)
     )
-    assert trace.converged_at == 0
+    assert trace.stop_reason == "converged"
     assert len(trace.tenders) == 1
 
 
 def test_lone_player_jumps_to_argmax(cfmm):
     trace = simulate(GameConfig(family=cfmm, n=1), initial=[1.0])
-    assert trace.converged_at == 1
+    assert (trace.stop_reason, len(trace.tenders)) == ("converged", 2)
     assert trace.tenders[-1][0] == pytest.approx(
         diagnostics(cfmm).argmax, rel=1e-8
     )
@@ -183,7 +189,7 @@ def test_convergence_study_shape_and_reproducibility(cfmm):
     assert a == b
     assert len(a.records) == 8
     assert set(a.mean_iterations()) == {2, 3}
-    assert a.non_converged() == {}
+    assert {r.stop for r in a.records} == {"converged"}
 
 
 def test_study_subsets_reproduce_exactly(cfmm):
@@ -273,24 +279,39 @@ def _reference_bounds(scenario, x):
     return np.zeros_like(x), np.full_like(x, math.inf)
 
 
+def _at_rest(prev, x):
+    """No player moved more than 4 ulps of the total before the round."""
+    return float(np.max(np.abs(x - prev))) <= 4 * math.ulp(float(prev.sum()))
+
+
+def _check_on_table(family, x, t):
+    if isinstance(family, TabulatedPayoff) and float(x.sum()) > family.ts[-1]:
+        raise DomainExceeded(f"round {t}: tender total {float(x.sum())} "
+                             f"beyond last knot {family.ts[-1]}")
+
+
 def _reference_trial(config, x):
-    """The profiles of one trial and the round it converged at (or None)."""
+    """The profiles of one trial, the rounds it played and why it stopped."""
     target = solve_symmetric(config.family, config.n).per_player
     br = unconstrained_tender(config.family)
     profiles = [x]
     if float(np.max(np.abs(x - target))) < config.convergence_threshold:
-        return profiles, 0
+        return profiles, 0, "converged"
     for t in range(1, config.max_iterations + 1):
         lower, upper = _reference_bounds(config.scenario, x)
-        x = _reference_round(x, lower, upper, config.update_order, br)
+        prev, x = x, _reference_round(x, lower, upper, config.update_order, br)
+        _check_on_table(config.family, x, t)
         profiles.append(x)
         if float(np.max(np.abs(x - target))) < config.convergence_threshold:
-            return profiles, t
-    return profiles, None
+            return profiles, t, "converged"
+        if _at_rest(prev, x):
+            return profiles, t, "fixed-point"
+    return profiles, config.max_iterations, "iteration-cap"
 
 
 # (family, scenario, n values, threshold, round cap): each mixes trials
-# converged at round 0, converged later, and cut off by the cap
+# converged at round 0, converged later, and cut off by the cap; on the
+# kinked table, sequential trials also come to rest on asymmetric splits
 LOCKSTEP_CASES = [
     (CFMM, Unconstrained(), (1, 2, 3, 5), 2.0, 2),
     (CFMM, BoundedUpdate(delta=0.7), (1, 2, 3, 5), 2.0, 3),
@@ -298,6 +319,7 @@ LOCKSTEP_CASES = [
     (POWER, Unconstrained(), (1, 2, 3, 5), 10.0, 2),
     (POWER, BoundedUpdate(delta=10.0), (1, 2, 3, 5), 10.0, 3),
     (POWER, Budgeted(budgets=(200.0, math.inf, 100.0)), (3,), 20.0, 1),
+    (KINKED_WIDE, Unconstrained(), (1, 2, 3, 5), 5.0, 2),
 ]
 
 
@@ -320,14 +342,16 @@ def test_study_equals_trial_by_trial_reference(
         )
         for trial in range(trials):
             rng = np.random.default_rng([seed, n, trial])
-            _, rounds = _reference_trial(
+            _, rounds, stop = _reference_trial(
                 config, draw_initial_profile(family, n, rng)
             )
-            want.append(StudyRecord(n, trial, rounds, rounds is not None))
+            want.append(StudyRecord(n, trial, rounds, stop))
     assert study.records == tuple(want)
-    outcomes = {r.iterations for r in study.records}
-    assert 0 in outcomes and None in outcomes
-    assert any(i not in (0, None) for i in outcomes)
+    outcomes = {(r.stop, r.iterations == 0) for r in study.records}
+    assert {("converged", True), ("converged", False),
+            ("iteration-cap", False)} <= outcomes
+    if family is KINKED_WIDE and order == "sequential":
+        assert ("fixed-point", False) in outcomes
 
 
 @pytest.mark.parametrize("order", ["sequential", "synchronous"])
@@ -343,9 +367,9 @@ def test_simulate_history_equals_reference(
     )
     trace = simulate(config)
     x0 = draw_initial_profile(family, n, np.random.default_rng(9))
-    profiles, rounds = _reference_trial(config, x0)
+    profiles, rounds, stop = _reference_trial(config, x0)
     assert np.array_equal(trace.tenders, np.array(profiles))
-    assert trace.converged_at == rounds
+    assert (len(trace.tenders) - 1, trace.stop_reason) == (rounds, stop)
     final = profiles[-1]
     assert np.array_equal(
         trace.final_payoffs,
@@ -374,6 +398,8 @@ def _reference_whale(family, n_fish, trials, seed, threshold, cap):
             x = _reference_round(x, lower, upper, "sequential", br)
             if float(np.max(np.abs(x - prev))) < threshold:
                 converged += 1
+                break
+            if _at_rest(prev, x):
                 break
         saturated += np.array_equal(x[1:], budgets)
         strategies[trial] = x[0]
@@ -406,13 +432,15 @@ def test_whale_equals_trial_by_trial_reference(family):
 
 
 # (family, scenario, threshold): with n=3, 6 trials and 4 rounds, the
-# trials of each case stop at different rounds or hit the cap
+# trials of each case stop at different rounds or hit the cap; on the
+# kinked table some come to rest (bounded sequential, budgeted synchronous)
 ALONE_CASES = [
     (family, scenario, threshold)
     for family, threshold, delta, budgets in (
         (CFMM, 5.0, 0.7, (30.0, math.inf, 12.5)),
         (POWER, 20.0, 10.0, (200.0, math.inf, 100.0)),
         (TABLE, 20.0, 10.0, (200.0, math.inf, 100.0)),
+        (KINKED_WIDE, 7.0, 5.0, (10.0, math.inf, 8.0)),
     )
     for scenario in (Unconstrained(), BoundedUpdate(delta=delta),
                      Budgeted(budgets=budgets))
@@ -439,20 +467,16 @@ def test_lockstep_trial_equals_trial_alone(family, scenario, threshold, order):
     caps = scenario.budgets if isinstance(scenario, Budgeted) else math.inf
     upper = np.full(X.shape, caps)
 
-    def near(new, old):
-        return np.abs(new - target).max(axis=1) < threshold
-
-    final, stop_at = _play(config, X, upper, near)
+    final, rounds, stops = _play(config, X, upper, target)
     for k, record in enumerate(study.records):
         trace = simulate(config, initial=X[k])
-        assert (record.iterations, record.converged) == (
-            trace.converged_at, trace.converged_at is not None
+        alone, alone_rounds, alone_stops = _play(
+            config, X[k:k + 1], upper[k:k + 1], target
         )
-        alone, alone_stop = _play(config, X[k:k + 1], upper[k:k + 1], near)
-        assert final[k].tolist() == alone[0].tolist()
-        assert stop_at[k] == alone_stop[0]
-        if trace.converged_at != 0:  # simulate plays no round from round 0
-            assert final[k].tolist() == trace.tenders[-1].tolist()
+        assert (record.iterations, record.stop) == (rounds[k], stops[k]) == (
+            alone_rounds[0], alone_stops[0]
+        ) == (len(trace.tenders) - 1, trace.stop_reason)
+        assert final[k].tolist() == alone[0].tolist() == trace.tenders[-1].tolist()
     assert len({r.iterations for r in study.records}) > 1
 
 
@@ -465,7 +489,50 @@ def test_sweep_equals_reference_round_on_wide_rows(family, order):
     X = 10.0 ** rng.uniform(-3.0, 17.0, size=(64, 5))
     lower, upper = np.zeros_like(X), np.full_like(X, math.inf)
     br = unconstrained_tender(family)
-    got = _sweep(X, lower, upper, order, br)
+    got, moves, totals = _sweep(X, upper, None, order, br)
     for k in range(X.shape[0]):
         want = _reference_round(X[k], lower[k], upper[k], order, br)
         assert got[k].tolist() == want.tolist()
+        assert moves[k] == float(np.max(np.abs(want - X[k])))
+        assert totals[k] == float(X[k].sum())
+
+
+# ------------------------------------------------------- stop reasons
+
+
+def test_kinked_table_study_stops_at_fixed_points():
+    # the rows settle on asymmetric splits of the kink total, far from the
+    # symmetric point, and then move by a few ulps a round
+    study = convergence_study(KINKED, [2, 3, 4], trials=3, seed=0)
+    assert {r.stop for r in study.records} == {"fixed-point"}
+    assert max(r.iterations for r in study.records) < 100
+    assert study.mean_iterations() == {}
+
+
+def test_simulate_on_a_kinked_table_ends_at_the_fixed_point():
+    trace = simulate(GameConfig(family=KINKED, n=2))
+    assert trace.stop_reason == "fixed-point"
+    before, last = trace.tenders[-2:]
+    assert np.max(np.abs(last - before)) <= 4 * math.ulp(before.sum())
+    assert np.max(np.abs(last - trace.equilibrium.per_player)) > 5.0
+
+
+def test_binding_budgets_stop_at_fixed_points(cfmm):
+    # every budget binds below the equilibrium tender: round 1 moves each
+    # player to their budget, round 2 moves nobody
+    study = convergence_study(cfmm, [3], trials=5, seed=0,
+                              scenario=Budgeted(budgets=(5.0, 5.0, 5.0)))
+    assert [(r.iterations, r.stop) for r in study.records] == [
+        (2, "fixed-point")] * 5
+
+
+def test_table_total_past_the_last_knot_raises_at_that_round():
+    # each synchronous move stays on the table, but three together do not
+    table = TabulatedPayoff((0, 50, 100, 200, 300, 400), (0, 6, 8, 9, 7, 0))
+    config = GameConfig(table, 3, update_order="synchronous", max_iterations=40)
+    x0 = draw_initial_profile(table, 3, np.random.default_rng([4, 0]))
+    with pytest.raises(DomainExceeded) as want:
+        _reference_trial(config, x0)
+    with pytest.raises(DomainExceeded, match="^round [0-9]+: tender total ") as got:
+        simulate(config, initial=x0)
+    assert str(got.value) == str(want.value)
