@@ -70,14 +70,17 @@ def clear(instance: BatchInstance) -> BatchOutcome:
     overflows a float.
     """
     deltas = instance.deltas
-    net = math.fsum(deltas)
+    # fsum over a memoryview reads Python floats straight from the buffer;
+    # iterating the array would box a numpy scalar per element, and a
+    # tolist() copy would hold them all at once
+    net = math.fsum(memoryview(deltas))
     if net <= 0.0:
         raise NonPositiveNetDemand(f"batch nets to {net}, nothing to trade")
     positive = np.maximum(deltas, 0.0)
-    gross = math.fsum(positive)
+    gross = math.fsum(memoryview(positive))
     scale = net / gross
     residuals = positive * scale
-    pool_input = math.fsum(residuals)
+    pool_input = math.fsum(memoryview(residuals))
     pool_output = instance.pool.quote(pool_input)
     if not math.isfinite(pool_output):
         raise InvalidArgument(f"the pool quote for input {pool_input!r} overflows")

@@ -9,21 +9,25 @@ round map's eigenvalue (n-1)·BR' leaves the unit disk).
 Three scenarios: unconstrained responses, per-round movement caps
 (BoundedUpdate), and hard per-player budgets (Budgeted). Caps and budgets
 are applied by projecting the unconstrained best response, which is exact
-for concave payoffs.
+for concave payoffs; the family's tender takes the bounds and projects.
 
 One round engine, :func:`_play`, serves :func:`simulate`,
 :func:`convergence_study` and :func:`whale_fish_experiment`: it plays all
-trials of a study point (or a whale row) in lockstep as the rows of one
-(trials, n) array, and each row leaves the array at the round it stops.
-Its one stop rule gives every row a reason: "converged" (near the
-symmetric equilibrium, or for the whale no move as large as the
-threshold), "fixed-point" (no move beyond a few ulps of the row total:
-binding budgets, or a kinked table where the symmetric equilibrium is not
-the only rest point) or "iteration-cap". Within a round each row is swept
-in Python floats, player after player, through the family's one
-best-response tender, :func:`unconstrained_tender`, the one
-:func:`best_response` caps at a budget, so a trial ends exactly as it
-would alone. The engine reads its rules from a :class:`GameConfig`.
+trials of a study point (or a whale row) in lockstep as the rows of a
+(trials, n) profile, and each row leaves at the round it stops. Its one
+stop rule gives every row a reason: "converged" (near the symmetric
+equilibrium, or for the whale no move as large as the threshold),
+"fixed-point" (no move beyond a few ulps of the row total: binding
+budgets, or a kinked table where the symmetric equilibrium is not the only
+rest point) or "iteration-cap". Between rounds the rows stay Python float
+lists. Within a round each row is swept player after player through the
+family's one best-response tender, :func:`unconstrained_tender` (the one
+:func:`best_response` calls), which takes the player's bounds itself; the
+sweep also measures each row's largest move and its distance to the
+equilibrium.
+Each round builds one array, for the row totals (numpy's sums) and the
+trace. Rows never mix, so a trial ends exactly as it would alone. The
+engine reads its rules from a :class:`GameConfig`.
 """
 
 from __future__ import annotations
@@ -113,53 +117,56 @@ class DynamicsTrace:
 
 
 def _sweep(
-    X: np.ndarray,
-    upper: np.ndarray,
+    rows: list[list[float]],
+    totals: list[float],
+    upper: list[list[float]],
     delta: float | None,
     order: str,
-    tender: Callable[[float], float],
-) -> tuple[np.ndarray, list[float], list[float]]:
-    """One best-response round on every row of X, shape (rows, n).
+    tender: Callable[..., float],
+    target: float,
+) -> tuple[list[list[float]], list[float], list[float]]:
+    """One best-response round on every row, each a list of n tenders.
 
     Players move one after another, each row on its own and in Python
     floats: sequential order sees the moves already made this round,
-    synchronous order only last round's profile. Each tender is clamped to
-    [0, upper] or, under a movement cap ``delta``, to [max(0, x - delta),
-    x + delta] around the player's last tender x. Rows never mix, so a
-    row's result is the same whatever else is in X. Returns the new rows,
-    each row's largest move and each row's total before the round.
+    synchronous order only last round's profile. ``totals`` are the row
+    totals before the round. Each tender is bounded to [0, upper] or, under
+    a movement cap ``delta``, to [max(0, x - delta), x + delta] around the
+    player's last tender x; the tender takes the bounds itself. Rows never
+    mix, so a row's result is the same whatever other rows are swept.
+    Returns the new rows, each row's largest move and each row's largest
+    distance to ``target``, infinite when a tender is NaN.
     """
     sequential = order == "sequential"
-    rows, moves = [], []
-    totals = X.sum(axis=1).tolist()
-    for x, ups, total in zip(X.tolist(), upper.tolist(), totals):
-        out, move = [], 0.0
+    new_rows, moves, dists = [], [], []
+    for x, ups, total in zip(rows, upper, totals):
+        out, move, dist = [], 0.0, 0.0
         for xi, up in zip(x, ups):
-            lo = 0.0
-            if delta is not None:
-                lo, up = xi - delta, xi + delta
-                if lo < 0.0:
-                    lo = 0.0
             # before its move a player's entry is still last round's, in
-            # either order. A clamp replaces only a value strictly past its
-            # bound: a zero of either sign, or a NaN, is kept as computed.
+            # either order
             y = total - xi
             if y < 0.0:
                 y = 0.0
-            t = tender(y)
-            if t < lo:
-                t = lo
-            if up < t:
-                t = up
+            if delta is None:
+                t = tender(y, 0.0, up)
+            else:
+                lo = xi - delta
+                if lo < 0.0:
+                    lo = 0.0
+                t = tender(y, lo, xi + delta)
             if sequential:
                 total += t - xi
             step = abs(t - xi)
             if step > move:
                 move = step
+            d = abs(t - target)
+            if not d <= dist:
+                dist = d if d == d else math.inf
             out.append(t)
-        rows.append(out)
+        new_rows.append(out)
         moves.append(move)
-    return np.array(rows), moves, totals
+        dists.append(dist)
+    return new_rows, moves, dists
 
 
 # A row whose players all moved by at most this many ulps of the row total
@@ -186,46 +193,62 @@ def _play(
     - ``"iteration-cap"``: the row played the config's round cap.
 
     ``upper`` caps each tender (per row and player); a ``BoundedUpdate``
-    scenario caps each move. A stopped row leaves the array, so rows stop
-    independently. Returns the final rows, the rounds each row played and
-    why it stopped. ``history`` collects every round's active rows. On a
-    table family, a row total past the last knot raises
-    :class:`DomainExceeded` at that round.
+    scenario caps each move. A stopped row leaves the round, so rows stop
+    independently. Between rounds the rows stay Python float lists; each
+    round builds one array, for the row totals (numpy's sum, the bits the
+    array would give) and for ``history``, which collects every round's
+    active rows. Returns the final rows, the rounds each row played and
+    why it stopped. On a table family, a row total past the last knot
+    raises :class:`DomainExceeded` at that round.
     """
     family, scenario = config.family, config.scenario
     threshold, cap = config.convergence_threshold, config.max_iterations
     delta = scenario.delta if isinstance(scenario, BoundedUpdate) else None
     knot = family.domain_max if isinstance(family, TabulatedPayoff) else None
     tender = unconstrained_tender(family)
-    final = X.copy()
-    rounds, reasons = [cap] * len(X), ["iteration-cap"] * len(X)
-    rows = np.arange(len(X))
+    # with no target the distances are not read
+    anchor = 0.0 if target is None else target
+    rows, caps, totals = X.tolist(), upper.tolist(), X.sum(axis=1).tolist()
+    final, ids = rows[:], list(range(len(rows)))
+    rounds, reasons = [cap] * len(rows), ["iteration-cap"] * len(rows)
     moves: list[float] = []
-    totals: list[float] = []
+    before: list[float] = []
+    if target is None:
+        near = [math.inf] * len(rows)
+    else:
+        near = np.abs(X - target).max(axis=1).tolist()
     for t in range(cap + 1):
         if t:
-            X, moves, totals = _sweep(X, upper, delta, config.update_order, tender)
-            if knot is not None and (total := X.sum(axis=1).max()) > knot:
-                raise DomainExceeded(f"round {t}: tender total {total} "
+            rows, moves, dists = _sweep(rows, totals, caps, delta,
+                                        config.update_order, tender, anchor)
+            X = np.array(rows)
+            before, totals = totals, X.sum(axis=1).tolist()
+            if knot is not None and (over := [s for s in totals if s > knot]):
+                raise DomainExceeded(f"round {t}: tender total {max(over)} "
                                      f"beyond last knot {knot}")
             if history is not None:
                 history.append(X)
-        near = moves if target is None else np.abs(X - target).max(axis=1).tolist()
-        stops = {i: "converged" for i, d in enumerate(near) if d < threshold}
-        for i, (move, total) in enumerate(zip(moves, totals)):
-            if i not in stops and move <= _FIXED_POINT_ULPS * math.ulp(total):
-                stops[i] = "fixed-point"
-        if stops:
-            for i, reason in stops.items():
-                rounds[rows[i]], reasons[rows[i]] = t, reason
-            keep = np.ones(len(X), dtype=bool)
-            keep[list(stops)] = False
-            final[rows[~keep]] = X[~keep]
-            X, rows, upper = X[keep], rows[keep], upper[keep]
-            if not rows.size:
-                break
-    final[rows] = X
-    return final, rounds, reasons
+            near = moves if target is None else dists
+        keep = []
+        for i, row in enumerate(rows):
+            if near[i] < threshold:
+                reason = "converged"
+            elif t and moves[i] <= _FIXED_POINT_ULPS * math.ulp(before[i]):
+                reason = "fixed-point"
+            else:
+                keep.append(i)
+                continue
+            final[ids[i]], rounds[ids[i]], reasons[ids[i]] = row, t, reason
+        if len(keep) < len(rows):
+            rows = [rows[i] for i in keep]
+            caps = [caps[i] for i in keep]
+            totals = [totals[i] for i in keep]
+            ids = [ids[i] for i in keep]
+        if not rows:
+            break
+    for i, row in zip(ids, rows):
+        final[i] = row
+    return np.array(final), rounds, reasons
 
 
 def _caps(config: GameConfig, rows: int) -> np.ndarray:

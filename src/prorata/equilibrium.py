@@ -12,7 +12,12 @@ for the cfmm family and a monotone Newton iteration for the power family
 (see :func:`cfmm_tender` and :func:`power_tender`). Tabulated and callable
 families bisect the same condition, which is nonincreasing in x because
 the own payoff is concave. :func:`unconstrained_tender` gives each family's
-one tender, which :func:`best_response` and the dynamics share.
+one tender, which :func:`best_response` and the dynamics share. A tender
+takes the bounds of the move, ``tender(y, lo, hi)``, and returns the best
+response projected onto [lo, hi]: exactly the free answer clamped, since
+the payoff is concave in x. The power tender uses the bounds to stop its
+iteration once the answer is known to lie outside them; the others solve
+in full and clamp.
 """
 
 from __future__ import annotations
@@ -158,32 +163,58 @@ def solve_symmetric(
     )
 
 
-def cfmm_tender(family: CfmmArbitragePayoff) -> Callable[[float], float]:
-    """Unconstrained best-response tender y -> x = t - y for a cfmm family."""
+def cfmm_tender(family: CfmmArbitragePayoff) -> Callable[..., float]:
+    """Best-response tender (y, lo=0, hi=inf) -> x = t - y for a cfmm family,
+    projected onto [lo, hi]."""
     # The first-order condition reduces to (r1 + g t)**2 = (g r1 r2 + g**2 r2 y)/c,
     # so t = (sqrt(k0 + k1 y) - r1)/g with k0 = g r1 r2/c and k1 = g**2 r2/c.
     g, r1, r2, c = family.gamma, family.r1, family.r2, family.c
     k0, k1 = g * r1 * r2 / c, g * g * r2 / c
 
-    def tender(y: float) -> float:
+    def tender(y: float, lo: float = 0.0, hi: float = math.inf) -> float:
         x = (math.sqrt(k0 + k1 * y) - r1) / g - y
-        return x if x > 0.0 else 0.0
+        if not x > 0.0:
+            x = 0.0
+        if x < lo:
+            x = lo
+        if hi < x:
+            x = hi
+        return x
 
     return tender
 
 
 _NEWTON_MAX_STEPS = 100
+# A Newton step shorter than this fraction of t is the last one: the error
+# it leaves is of the order of its square.
+_NEWTON_LAST_STEP = 1e-9
+# The chord's lower bound on the root must clear hi by this fraction of t.
+# The bound's rounding error and the final iterate's are both below
+# 1e-13 t for beta <= 0.99; a margin relative to x would fail near y = w,
+# where x is tiny beside t.
+_BOUND_MARGIN = 1e-9
 
 
-def power_tender(family: PowerPayoff) -> Callable[[float], float]:
-    """Unconstrained best-response tender y -> x for a power family.
+def power_tender(family: PowerPayoff) -> Callable[..., float]:
+    """Best-response tender (y, lo=0, hi=inf) -> x for a power family,
+    projected onto [lo, hi] for 0 <= lo <= hi.
 
-    Dividing the first-order condition by t**beta leaves the root of
-    h(t) = gamma t**(2-beta) - beta t - (1-beta) y. h is convex, and
-    h(y) < 0 < h(w) whenever y < w = gamma**(-1/(1-beta)), the zero of f,
-    so Newton started at w descends monotonically onto the root. When
-    h(y) >= 0 no positive tender pays. Raises :class:`NoFiniteRoot` when w
-    overflows the float range.
+    Dividing the first-order condition by t**beta leaves the root t* of
+    h(t) = gamma t**(2-beta) - beta t - (1-beta) y, which is convex, with
+    h(y) < 0 whenever y < w = gamma**(-1/(1-beta)), the zero of f; when
+    h(y) >= 0 no positive tender pays. As a function of y, t* is concave
+    and passes through (w, w) with slope 1/2, so t* <= (w + y)/2: Newton
+    starts there and descends monotonically onto the root. The first step
+    is taken whatever the sign of h: rounding can put the start a hair
+    below the root when y is near w, and from there, h being convex, the
+    step lands above it. An iterate where h > 0 bounds the result from
+    above, since no later iterate exceeds it, and the zero of the chord
+    from (y, h(y)) to that iterate bounds the root from below, again since
+    h is convex. So the tender returns ``lo`` as soon as such an iterate
+    is at or below it, and ``hi`` as soon as the chord's bound clears it
+    by a margin relative to t; either way the result is the one a full
+    solve would clamp to. A Newton step below 1e-9 t is the last. Raises
+    :class:`NoFiniteRoot` when w overflows the float range.
     """
     beta, gamma = family.beta, family.gamma
     e = 1.0 - beta
@@ -193,30 +224,52 @@ def power_tender(family: PowerPayoff) -> Callable[[float], float]:
         raise NoFiniteRoot(
             f"payoff zero gamma**(-1/(1-beta)) overflows for {family}"
         ) from None
+    half_w = 0.5 * w
     slope = (2.0 - beta) * gamma
+    # closure cells: the loop reads them faster than module globals
+    margin, last_step = _BOUND_MARGIN, _NEWTON_LAST_STEP
 
-    def tender(y: float) -> float:
-        # h(y) = y * (gamma y**(1-beta) - 1)
-        if gamma * y**e >= 1.0:
-            return 0.0
-        t = w
-        for _ in range(_NEWTON_MAX_STEPS):
-            p = t**e
-            h = t * (gamma * p - beta) - e * y
-            if h <= 0.0:
-                break
-            nxt = t - h / (slope * p - beta)
-            if not nxt < t:
-                break
-            t = nxt
-        x = t - y
-        return x if x > 0.0 else 0.0
+    def tender(y: float, lo: float = 0.0, hi: float = math.inf) -> float:
+        gy = gamma * y**e
+        x = 0.0  # for y >= w
+        if gy < 1.0:
+            hy = y * (gy - 1.0)  # h(y) < 0
+            t = half_w + 0.5 * y
+            for k in range(_NEWTON_MAX_STEPS):
+                p = t**e
+                h = t * (gamma * p - beta) - e * y
+                if h > 0.0:
+                    # no later iterate exceeds t
+                    x = t - y
+                    if x <= lo:
+                        return lo
+                    # x * hy / (hy - h) is the chord's bound on the root's x
+                    if hi < x and x * (hy / (hy - h)) - margin * t >= hi:
+                        return hi
+                elif k:
+                    break  # at the root, to rounding
+                step = h / (slope * p - beta)
+                t -= step
+                # a step up (from a start rounded below the root) ends it
+                # too: rounding alone put the start there, so the step is
+                # tiny and lands on the root
+                if step < last_step * t:
+                    break
+            x = t - y
+            if not x > 0.0:
+                x = 0.0
+        if x < lo:
+            x = lo
+        if hi < x:
+            x = hi
+        return x
 
     return tender
 
 
-def _slope_tender(family: PayoffFamily) -> Callable[[float], float]:
-    """Unconstrained best-response tender y -> x for a table or callable.
+def _slope_tender(family: PayoffFamily) -> Callable[..., float]:
+    """Best-response tender (y, lo=0, hi=inf) -> x for a table or callable,
+    projected onto [lo, hi].
 
     It bisects the sign of the own payoff's slope in x, y f(t) + x t f'(t)
     (f'(x) itself when y = 0), on [0, w] with w the zero of f, or on the
@@ -235,41 +288,52 @@ def _slope_tender(family: PayoffFamily) -> Callable[[float], float]:
     try:
         root = search_end(family)
     except NoPositiveRegion:
-        # nothing positive to gain at any tender
-        return lambda y: 0.0
+        root = 0.0  # nothing positive to gain at any tender
     end = family.domain_max if table else math.inf
 
-    def tender(y: float) -> float:
-        hi = min(root, end - y)
-        # (end - y) + y can round past the last knot: step hi down by the
+    def tender(y: float, lo: float = 0.0, hi: float = math.inf) -> float:
+        top = min(root, end - y)
+        # (end - y) + y can round past the last knot: step top down by the
         # excess (at least one ulp) until the sum stays on the table
-        while hi > 0.0 and hi + y > end:
-            hi = min(math.nextafter(hi, 0.0), hi - (hi + y - end))
-        if hi <= 0.0:
-            return 0.0
-        if y == 0.0:
-            # the payoff is f itself; the scaled slope below would read
-            # x**2 f'(x), which vanishes at x = 0
-            slope = family.derivative
+        while top > 0.0 and top + y > end:
+            top = min(math.nextafter(top, 0.0), top - (top + y - end))
+        if top <= 0.0:
+            x = 0.0
         else:
-            def slope(x: float) -> float:
-                # d/dx [x f(t) / t] times t**2
-                t = x + y
-                return y * family.value(t) + x * t * family.derivative(t)
+            if y == 0.0:
+                # the payoff is f itself; the scaled slope below would read
+                # x**2 f'(x), which vanishes at x = 0
+                slope = family.derivative
+            else:
+                def slope(x: float) -> float:
+                    # d/dx [x f(t) / t] times t**2
+                    t = x + y
+                    return y * family.value(t) + x * t * family.derivative(t)
 
-        if slope(hi) >= 0.0:
-            return hi
-        if slope(0.0) <= 0.0:
-            return 0.0
-        return bisect_root(slope, 0.0, hi)
+            if slope(top) >= 0.0:
+                x = top
+            elif slope(0.0) <= 0.0:
+                x = 0.0
+            else:
+                x = bisect_root(slope, 0.0, top)
+        if x < lo:
+            x = lo
+        if hi < x:
+            x = hi
+        return x
 
     return tender
 
 
-def unconstrained_tender(family: PayoffFamily) -> Callable[[float], float]:
-    """The best-response tender y -> x of any family, with no budget: the
-    cfmm closed form, the power Newton iteration, or the slope bisection of
-    a table or callable (see :func:`_slope_tender`)."""
+def unconstrained_tender(family: PayoffFamily) -> Callable[..., float]:
+    """The best-response tender ``tender(y, lo=0.0, hi=inf)`` of any family:
+    the best response to the others' total y, projected onto [lo, hi]
+    (0 <= lo <= hi), bit for bit the answer with no bounds, clamped. The
+    clamp replaces only a value strictly past a bound, so a zero of either
+    sign, or a NaN, is kept as computed. The tender is the cfmm closed
+    form, the power Newton iteration (which stops early once the answer is
+    known to lie outside the bounds), or the slope bisection of a table or
+    callable (see :func:`_slope_tender`)."""
     if isinstance(family, CfmmArbitragePayoff):
         return cfmm_tender(family)
     if isinstance(family, PowerPayoff):

@@ -514,6 +514,26 @@ def test_reproduce_figures_script_matches_reproduce(capsys, tmp_path):
         assert (tmp_path / f"{figure.replace('-', '_')}.csv").read_text() == out
 
 
+def test_bench_pairs_counts_wins_and_applies_the_gain_rule():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    base = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+    faster = script._report("ops_per_s", "higher", base, [1.2 * b for b in base])
+    assert "wins 10/10" in faster and "gain shown: yes" in faster
+    # lower is better: a rise loses every pair
+    slower = script._report("setup_s", "lower", base, [b + 1.0 for b in base])
+    assert "wins 0/10" in slower and "gain shown: no" in slower
+    # nine wins, but the medians are closer than the base's quartile spread
+    close = [b + 0.5 for b in base]
+    close[0] = base[0] - 1.0
+    within = script._report("ops_per_s", "higher", base, close)
+    assert "wins 9/10" in within and "gain shown: no" in within
+    # ties count for neither side
+    assert "wins 0/10" in script._report("ops_per_s", "higher", base, base)
+
+
 # ----------------------------------------------------- config keys
 
 

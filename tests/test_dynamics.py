@@ -489,11 +489,16 @@ def test_sweep_equals_reference_round_on_wide_rows(family, order):
     X = 10.0 ** rng.uniform(-3.0, 17.0, size=(64, 5))
     lower, upper = np.zeros_like(X), np.full_like(X, math.inf)
     br = unconstrained_tender(family)
-    got, moves, totals = _sweep(X, upper, None, order, br)
+    target = solve_symmetric(family, 5).per_player
+    # the round engine's row totals: numpy's, from the array of the rows
+    totals = X.sum(axis=1).tolist()
+    got, moves, dists = _sweep(X.tolist(), totals, upper.tolist(), None, order,
+                               br, target)
     for k in range(X.shape[0]):
         want = _reference_round(X[k], lower[k], upper[k], order, br)
-        assert got[k].tolist() == want.tolist()
+        assert got[k] == want.tolist()
         assert moves[k] == float(np.max(np.abs(want - X[k])))
+        assert dists[k] == float(np.max(np.abs(want - target)))
         assert totals[k] == float(X[k].sum())
 
 

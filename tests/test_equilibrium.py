@@ -419,3 +419,135 @@ def test_power_and_cfmm_best_responses_skip_the_search(
         for y in (0.0, 3.0, 30.0, 1e4):
             for budget in (math.inf, 5.0):
                 best_response(family, y, budget)
+
+
+# ---------------------------------------------------- bounded tenders
+
+_SMOOTH_KNOTS = np.linspace(0.0, 400.0, 41)
+SMOOTH_TABLE = TabulatedPayoff(ts=tuple(_SMOOTH_KNOTS),
+                               fs=tuple(_SMOOTH_KNOTS**0.5 - 0.05 * _SMOOTH_KNOTS))
+KINKED_TABLE = TabulatedPayoff(ts=(0, 10, 20, 30, 40, 50), fs=(0, 8, 13, 15, 14, -2))
+
+
+def _tender_scale(family) -> float:
+    """The others' totals worth probing run up to this."""
+    if isinstance(family, PowerPayoff):
+        return power_root(family.beta, family.gamma)
+    if isinstance(family, TabulatedPayoff):
+        return family.ts[-1]
+    return diagnostics(family).root
+
+
+def _clamp(x: float, lo: float, hi: float) -> float:
+    if x < lo:
+        x = lo
+    if hi < x:
+        x = hi
+    return x
+
+
+_TENDER_FAMILIES = st.one_of(
+    st.builds(PowerPayoff, beta=st.floats(0.01, 0.99), gamma=st.floats(1e-3, 10.0)),
+    st.builds(
+        lambda gamma, r1, r2, margin: CfmmArbitragePayoff(
+            gamma=gamma, r1=r1, r2=r2, c=margin * gamma * r2 / r1),
+        gamma=st.floats(0.5, 1.0), r1=st.floats(1.0, 1e4), r2=st.floats(1.0, 1e4),
+        margin=st.floats(0.01, 0.999),
+    ),
+    st.just(SMOOTH_TABLE),
+    st.just(KINKED_TABLE),
+)
+# fractions of the scale, with extra weight near 0 and near 1 (within
+# 1e-12 relative of the zero of f included)
+_Y_FRACTIONS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0),
+    st.floats(-15.0, -1.0).map(lambda k: 10.0**k),
+    st.floats(-15.0, -1.0).map(lambda k: 1.0 - 10.0**k),
+    st.floats(-16.0, -12.0).map(lambda k: 1.0 - 10.0**k),
+)
+_OFFSETS = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-15.0, -6.0)).map(
+    lambda s: s[0] * 10.0 ** s[1])
+# (kind, a, b): bounds within 1e-15..1e-6 relative of the free answer x, equal
+# bounds, hi = 0, hi = inf (with lo = 0 or near x), and bounds anywhere in
+# [0, 2x]
+_BOUNDS = st.one_of(
+    st.tuples(st.just("near"), _OFFSETS, _OFFSETS),
+    st.tuples(st.just("equal"), _OFFSETS, st.just(0.0)),
+    st.tuples(st.just("zero"), st.just(0.0), st.just(0.0)),
+    st.tuples(st.just("inf"), st.one_of(st.just(-1.0), _OFFSETS), st.just(0.0)),
+    st.tuples(st.just("wide"), st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+)
+
+
+@given(family=_TENDER_FAMILIES, y_frac=_Y_FRACTIONS, bounds=_BOUNDS)
+@settings(deadline=None, max_examples=500)
+@example(family=PowerPayoff(beta=0.5, gamma=0.05), y_frac=1.0 - 7e-12,
+         bounds=("near", -1e-15, 1e-15))
+@example(family=PowerPayoff(beta=0.99, gamma=1e-3), y_frac=1.0 - 1e-12,
+         bounds=("near", 1e-15, 1e-14))
+def test_bounded_tender_is_the_clamped_free_tender_bit_for_bit(family, y_frac,
+                                                              bounds):
+    tender = unconstrained_tender(family)
+    y = y_frac * _tender_scale(family)
+    x = tender(y)
+    kind, a, b = bounds
+    if kind == "near":
+        lo, hi = sorted((x * (1.0 + a), x * (1.0 + b)))
+    elif kind == "equal":
+        lo = hi = x * (1.0 + a)
+    elif kind == "zero":
+        lo = hi = 0.0
+    elif kind == "inf":
+        lo, hi = x * (1.0 + a), math.inf
+    else:
+        lo, hi = x * a, x * (a + b)
+    assert tender(y, lo, hi).hex() == _clamp(x, lo, hi).hex()
+
+
+def decimal_power_tender(beta: float, gamma: float, y: float) -> Decimal:
+    """The power best response to y in 60-digit decimal: Newton on
+    h(t) = gamma t**(2-beta) - beta t - (1-beta) y from the zero w of f,
+    less y; 0 when y >= w."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        b, g, y_ = Decimal(beta), Decimal(gamma), Decimal(y)
+        e = 1 - b
+        w = (-g.ln() / e).exp()
+        if y_ >= w:
+            return Decimal(0)
+        t = w
+        for _ in range(200):
+            log_t = t.ln()
+            h = g * ((2 - b) * log_t).exp() - b * t - e * y_
+            step = h / ((2 - b) * g * (e * log_t).exp() - b)
+            t -= step
+            if abs(step) <= t.scaleb(-55):
+                return t - y_
+        raise AssertionError("decimal Newton did not converge")
+
+
+@given(
+    beta=st.floats(0.01, 0.99),
+    gamma=st.floats(1e-3, 10.0),
+    y_frac=st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(-15.0, -1.0).map(lambda k: 10.0**k),
+        st.floats(-15.0, -1.0).map(lambda k: 1.0 - 10.0**k),
+    ),
+)
+@settings(deadline=None, max_examples=400)
+@example(beta=0.5, gamma=0.05, y_frac=1.0 - 7e-12)
+@example(beta=0.5, gamma=0.05, y_frac=0.0)
+def test_power_tender_matches_a_decimal_oracle(beta, gamma, y_frac):
+    w = power_root(beta, gamma)
+    y = y_frac * w
+    if y >= w:
+        return
+    x = unconstrained_tender(PowerPayoff(beta=beta, gamma=gamma))(y)
+    x_dec = decimal_power_tender(beta, gamma, y)
+    # the root's condition number: how far rounding of h's terms moves t
+    t = float(Decimal(y) + x_dec)
+    slope = (2.0 - beta) * gamma * t ** (1.0 - beta) - beta
+    kappa = (gamma * t ** (2.0 - beta) + beta * t + (1.0 - beta) * y) / (t * slope)
+    assert abs(Decimal(x) - x_dec) <= Decimal(4.0 * kappa * math.ulp(t))
