@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .equilibrium import solve_symmetric
+from .errors import NoPositiveRegion
 from .payoff import PayoffFamily, PowerPayoff, diagnostics
 
 _CLOSED_FORM_CHECK_RTOL = 1e-6
@@ -34,11 +35,15 @@ def poa(family: PayoffFamily, n: int) -> PoaReport:
 
     For the power family the closed form doubles as a consistency check
     on the solver; disagreement means a numeric failure. An equilibrium
-    payoff that is not positive raises :class:`NoPositiveRegion`.
+    payoff or sup f that is not positive raises :class:`NoPositiveRegion`.
     """
     eq = solve_symmetric(family, n)
     diag = diagnostics(family)
     ratio = diag.max_value / (eq.positive_payoff() * n)
+    if not diag.max_value > 0.0:
+        # f rounds to at most 0 at its argmax, as one ulp inside the cfmm
+        # boundary, while f(q) may round above 0: no ratio >= 1 to report
+        raise NoPositiveRegion(f"sup f={diag.max_value!r} is not positive")
     if isinstance(family, PowerPayoff):
         expected = power_poa_closed_form(family.beta, n)
         if abs(ratio - expected) > _CLOSED_FORM_CHECK_RTOL * expected:

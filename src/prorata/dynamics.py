@@ -282,8 +282,8 @@ def simulate(
         x = np.array(initial, dtype=float)
     if x.shape != (n,):
         raise InvalidArgument(f"initial profile must have shape ({n},), got {x.shape}")
-    if np.any(x < 0.0):
-        raise InvalidArgument("initial tenders must be nonnegative")
+    if not np.all(np.isfinite(x) & (x >= 0.0)):
+        raise InvalidArgument("initial tenders must be finite and nonnegative")
 
     history = [x[None, :]]
     _, _, (reason,) = _play(config, history[0], _caps(config, 1), eq.per_player,

@@ -3,21 +3,23 @@
 The unique nontrivial symmetric equilibrium has the n players jointly
 tender the q in (0, w) maximizing q**(n-1) * f(q); each plays q/n. For the
 cfmm and power families q has a closed form, used by default; any family
-can be solved numerically by bisecting the first-order condition
-(n-1) f(q) + q f'(q), which decreases on (argmax f, w).
+can be solved numerically as the sign change of the first-order condition
+(n-1) f(q) + q f'(q), which decreases on (argmax f, w), by the bracketed
+search of :mod:`prorata.search`.
 
 A best response maximizes x/t * f(t) with t = x + y. Its first-order
 condition y f(t) + x t f'(t) = 0 is a one-dimensional root: a closed form
 for the cfmm family and a monotone Newton iteration for the power family
 (see :func:`cfmm_tender` and :func:`power_tender`). Tabulated and callable
-families bisect the same condition, which is nonincreasing in x because
-the own payoff is concave. :func:`unconstrained_tender` gives each family's
-one tender, which :func:`best_response` and the dynamics share. A tender
-takes the bounds of the move, ``tender(y, lo, hi)``, and returns the best
-response projected onto [lo, hi]: exactly the free answer clamped, since
-the payoff is concave in x. The power tender uses the bounds to stop its
-iteration once the answer is known to lie outside them; the others solve
-in full and clamp.
+families search for the sign change of the same condition, which is
+nonincreasing in x because the own payoff is concave.
+:func:`unconstrained_tender` gives each family's one tender, which
+:func:`best_response` and the dynamics share. A tender takes the bounds of
+the move, ``tender(y, lo, hi)``, and returns the best response projected
+onto [lo, hi]: exactly the free answer clamped, since the payoff is
+concave in x. The power tender uses the bounds to stop its iteration once
+the answer is known to lie outside them; the others solve in full and
+clamp.
 """
 
 from __future__ import annotations
@@ -102,6 +104,15 @@ def _closed_form_cfmm(family: CfmmArbitragePayoff, n: int) -> float:
     a = c * n * g * g
     b = g * g * r2 + 2.0 * c * n * r1 * g - g * g * n * r2
     c0 = c * n * r1 * r1 - g * n * r1 * r2
+    if abs(c0) < 0.125 * (g * n * r1 * r2):
+        # the terms cancel near the no-arbitrage boundary c r1 = g r2, and
+        # their rounding errors swamp the difference: take n r1 (c r1 - g r2)
+        # exactly in integer ratios and round it once (int / int rounds
+        # correctly, as fractions.Fraction does, without its gcd reductions);
+        # outside this band the rounded form keeps its bits
+        (cn, cd), (rn, rd), (gn, gd), (sn, sd) = (
+            v.as_integer_ratio() for v in (c, r1, g, r2))
+        c0 = n * rn * (cn * rn * gd * sd - gn * sn * cd * rd) / (rd * cd * rd * gd * sd)
     # c0 = -n r1**2 f'(0): when c0 >= 0 the concave f is nowhere positive
     # (both roots are <= 0), and when c0 < 0 the roots have opposite signs
     if c0 >= 0.0:
@@ -121,10 +132,13 @@ def solve_symmetric(
 
     ``method="auto"`` picks the closed form when the family has one and
     the numeric route otherwise; ``"closed"``/``"numeric"`` force the route.
-    The numeric route bisects g(q) = (n-1) f(q) + q f'(q) on
-    [argmax f, w] to adjacent floats. g decreases there, so its zero is the
-    maximizer of q**(n-1) f(q); when g(argmax f) <= 0 (n = 1, or a table
-    whose kink at its argmax is the equilibrium) q is argmax f itself.
+    The numeric route brackets the sign change of
+    g(q) = (n-1) f(q) + q f'(q) on [argmax f, w] to adjacent floats with
+    :func:`~prorata.search.bisect_root`, a safeguarded Illinois search
+    never more than two halvings behind bisection. g decreases there, so
+    its zero is the maximizer of q**(n-1) f(q); when g(argmax f) <= 0
+    (n = 1, or a table whose kink at its argmax is the equilibrium) q is
+    argmax f itself.
     A payoff that is nowhere positive raises :class:`NoPositiveRegion` on
     either route.
     """
@@ -271,14 +285,14 @@ def _slope_tender(family: PayoffFamily) -> Callable[..., float]:
     """Best-response tender (y, lo=0, hi=inf) -> x for a table or callable,
     projected onto [lo, hi].
 
-    It bisects the sign of the own payoff's slope in x, y f(t) + x t f'(t)
-    (f'(x) itself when y = 0), on [0, w] with w the zero of f, or on the
-    table up to its last knot. The slope is nonincreasing because the own
-    payoff is concave, so its sign change is the maximizer, and an end of
-    the range where it does not change sign is. The concavity check and
-    the diagnostics run once, here. A table that is not concave raises
-    :class:`InvalidArgument`; a callable whose f stays positive raises
-    :class:`NoFiniteRoot`.
+    It brackets the sign change of the own payoff's slope in x,
+    y f(t) + x t f'(t) (f'(x) itself when y = 0), on [0, w] with w the
+    zero of f, or on the table up to its last knot. The slope is
+    nonincreasing because the own payoff is concave, so its sign change
+    is the maximizer, and an end of the range where it does not change
+    sign is. The concavity check and the diagnostics run once, here. A
+    table that is not concave raises :class:`InvalidArgument`; a callable
+    whose f stays positive raises :class:`NoFiniteRoot`.
     """
     table = isinstance(family, TabulatedPayoff)
     if table and not family.concave:
@@ -332,8 +346,8 @@ def unconstrained_tender(family: PayoffFamily) -> Callable[..., float]:
     clamp replaces only a value strictly past a bound, so a zero of either
     sign, or a NaN, is kept as computed. The tender is the cfmm closed
     form, the power Newton iteration (which stops early once the answer is
-    known to lie outside the bounds), or the slope bisection of a table or
-    callable (see :func:`_slope_tender`)."""
+    known to lie outside the bounds), or the bracketed slope search of a
+    table or callable (see :func:`_slope_tender`)."""
     if isinstance(family, CfmmArbitragePayoff):
         return cfmm_tender(family)
     if isinstance(family, PowerPayoff):

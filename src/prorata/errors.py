@@ -2,7 +2,7 @@
 
 Every argument check raises :class:`InvalidArgument`; the other classes say
 why a well-posed computation has no answer. A plain ``ValueError`` is a
-numeric failure, such as a bisection bracket with no sign change.
+numeric failure, such as a search bracket with no sign change.
 """
 
 

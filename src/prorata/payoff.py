@@ -131,7 +131,7 @@ class TabulatedPayoff:
     :class:`DomainExceeded`. The derivative is the exact right slope of
     the segment at t (the left slope at the last knot), so at a kink it is
     the slope just past it. ``concave`` tells whether the segment slopes
-    never increase, which the best-response bisection needs. A scalar
+    never increase, which the best-response search needs. A scalar
     ``value`` finds the segment with :func:`bisect.bisect_right` and gives
     the same bits as the array path, :func:`numpy.interp`.
     """
@@ -289,7 +289,8 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
     The root is bracketed by doubling from a point with f > 0 until the
     sign flips (capped at 1e12 times the start, or at the last knot for
     tabulated families) and then bisected to 1e-10 relative. The argmax is
-    the zero of f' on [0, root], bisected to adjacent floats; for tabulated
+    the zero of f' on [0, root], bracketed to adjacent floats by the
+    safeguarded search of :mod:`prorata.search`; for tabulated
     families it is read off the knots, where piecewise-linear maxima live.
     Results are memoized per family (families are frozen and hashable).
     """

@@ -9,6 +9,8 @@ import math
 import pytest
 
 from prorata import (
+    CfmmArbitragePayoff,
+    NoPositiveRegion,
     PowerPayoff,
     diagnostics,
     poa,
@@ -28,6 +30,16 @@ def test_two_player_power_report(power):
 def test_single_player_is_efficient(cfmm, power):
     assert poa(power, 1).poa == pytest.approx(1.0, abs=1e-9)
     assert poa(cfmm, 1).poa == pytest.approx(1.0, abs=1e-9)
+
+
+def test_poa_never_reads_below_one_at_the_cfmm_boundary():
+    # one ulp inside the boundary f rounds to 0 at its argmax, while the
+    # exact closed route's f(q) at n = 1 rounds to 1e-31: no ratio to give
+    family = CfmmArbitragePayoff(gamma=1.0, r1=3.0, r2=7.0, c=2.333333333333333)
+    assert diagnostics(family).max_value == 0.0
+    assert solve_symmetric(family, 1).equilibrium_payoff > 0.0
+    with pytest.raises(NoPositiveRegion):
+        poa(family, 1)
 
 
 def test_closed_form_matches_reports(power):

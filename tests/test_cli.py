@@ -519,19 +519,40 @@ def test_bench_pairs_counts_wins_and_applies_the_gain_rule():
         "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    ops = {"name": "ops_per_s", "better": "higher", "bound": 0.15}
+    setup = {"name": "setup_s", "better": "lower", "bound": 0.25}
     base = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
-    faster = script._report("ops_per_s", "higher", base, [1.2 * b for b in base])
+    faster = script._report(ops, base, [1.2 * b for b in base])
     assert "wins 10/10" in faster and "gain shown: yes" in faster
     # lower is better: a rise loses every pair
-    slower = script._report("setup_s", "lower", base, [b + 1.0 for b in base])
+    slower = script._report(setup, base, [b + 1.0 for b in base])
     assert "wins 0/10" in slower and "gain shown: no" in slower
     # nine wins, but the medians are closer than the base's quartile spread
     close = [b + 0.5 for b in base]
     close[0] = base[0] - 1.0
-    within = script._report("ops_per_s", "higher", base, close)
+    within = script._report(ops, base, close)
     assert "wins 9/10" in within and "gain shown: no" in within
     # ties count for neither side
-    assert "wins 0/10" in script._report("ops_per_s", "higher", base, base)
+    assert "wins 0/10" in script._report(ops, base, base)
+
+    # the rejection rule: the change's median worse than the base's by more
+    # than the metric's bound, relative to the base, in its worse direction
+    assert "worse than bound 0.15: no" in faster
+    assert "worse than bound 0.15: no" in script._report(ops, base, [0.86 * b for b in base])
+    assert "worse than bound 0.15: yes" in script._report(ops, base, [0.84 * b for b in base])
+    assert "worse than bound 0.25: no" in script._report(setup, base, [1.24 * b for b in base])
+    assert "worse than bound 0.25: yes" in script._report(setup, base, [1.26 * b for b in base])
+    assert "worse than bound 0.25: no" in script._report(setup, base, [0.5 * b for b in base])
+    values = {"base": {"ops_per_s": base, "setup_s": base},
+              "change": {"ops_per_s": [0.8 * b for b in base],
+                         "setup_s": [1.3 * b for b in base]}}
+    assert script._verdict("one-shot", [ops, setup], values, {"base": 0, "change": 0}) \
+        == "verdict one-shot: REJECT (ops_per_s, setup_s)"
+    values["change"] = values["base"]
+    assert script._verdict("one-shot", [ops, setup], values, {"base": 0, "change": 0}) \
+        == "verdict one-shot: within bounds"
+    assert script._verdict("one-shot", [ops, setup], values, {"base": 1, "change": 3}) \
+        == "verdict one-shot: REJECT (failed ops 1 -> 3)"
 
 
 # ----------------------------------------------------- config keys
@@ -769,11 +790,11 @@ ERROR_LINES = [
      "for PowerPayoff(beta=0.999, gamma=1e-300)"),
     (["equilibrium", *TABLE_0_10_20, "--fs", "0,nan,-5"],
      2, "config-error: bad table family parameters: knots must be finite"),
-    # f'(0) is one ulp above zero: the payoff f(q)/n that poa divides by
-    # rounds to 0.0
+    # f'(0) is one ulp above zero: sup f rounds to 0.0 (and the payoff
+    # f(q)/n that poa divides by to 1e-31 at n = 1, to 0.0 at n = 2)
     (["poa", "--family", "cfmm", "--gamma", "1", "--r1", "3", "--r2", "7",
       "--price", "2.333333333333333", "--n-values", "1:3"],
-     3, "no-positive-region: equilibrium payoff f(q)/n=0.0 is not positive at n=1"),
+     3, "no-positive-region: sup f=0.0 is not positive"),
     # each synchronous move stays on the table, three together do not
     (["simulate", "--family", "table", "--ts", "0,50,100,200,300,400",
       "--fs", "0,6,8,9,7,0", "--update-order", "synchronous", "--n", "3",

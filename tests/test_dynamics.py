@@ -129,6 +129,19 @@ def test_bad_initial_profiles_rejected(cfmm):
         simulate(GameConfig(family=cfmm, n=2), initial=[-1.0, 2.0])
 
 
+def test_infinite_initial_tender_rejected(power):
+    # ulp(inf) is inf, so an infinite total would let every move pass as a
+    # rest and the run stop as a false fixed point after one round
+    with pytest.raises(InvalidArgument, match="finite"):
+        simulate(GameConfig(family=power, n=3), initial=[math.inf, 1.0, 1.0])
+
+
+def test_nan_initial_tender_rejected(power):
+    # NaN passes every comparison test as false, so x < 0 let it play on
+    with pytest.raises(InvalidArgument, match="finite"):
+        simulate(GameConfig(family=power, n=3), initial=[math.nan, 1.0, 1.0])
+
+
 def test_synchronous_order_is_available_and_unstable_for_crowds(cfmm):
     # two players flip-flop but settle; eight never do — the round map's
     # eigenvalue (n-1)*BR' leaves the unit disk around n = 4

@@ -266,6 +266,66 @@ def test_nowhere_positive_family_has_no_equilibrium():
                 solve_symmetric(bad, 2, method=method)
 
 
+def decimal_cfmm_total(family: CfmmArbitragePayoff, n: int) -> Decimal:
+    """The cfmm equilibrium total in 60-digit decimal: the larger root of
+    the closed form's quadratic, its coefficients taken exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        g, r1, r2, c = (Decimal(v) for v in
+                        (family.gamma, family.r1, family.r2, family.c))
+        a = c * n * g * g
+        b = g * g * r2 + 2 * c * n * r1 * g - g * g * n * r2
+        c0 = c * n * r1 * r1 - g * n * r1 * r2
+        return (-b + (b * b - 4 * a * c0).sqrt()) / (2 * a)
+
+
+@given(log_eps=st.floats(-14.0, -1.0), n=st.sampled_from([1, 3, 100, 10**4, 10**6]))
+@settings(deadline=None, max_examples=300)
+@example(log_eps=-12.0, n=3)
+def test_closed_cfmm_route_matches_a_decimal_oracle_near_the_boundary(log_eps, n):
+    # c r1 -> gamma r2 as eps -> 0: the constant term of the quadratic is
+    # a difference of near-equal products, taken exactly in the band
+    c = 0.99 * 250.0 / 200.0 * (1.0 - 10.0**log_eps)
+    family = CfmmArbitragePayoff(0.99, 200.0, 250.0, c)
+    q = solve_symmetric(family, n, method="closed").q
+    q_dec = decimal_cfmm_total(family, n)
+    # the other coefficients, the square root and the division still round
+    assert abs(Decimal(q) - q_dec) <= 8 * Decimal(math.ulp(q))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_routes_agree_one_ulp_inside_the_boundary(n):
+    # f'(0) = gamma r2 / r1 - c is one ulp above zero: c0 rounded in floats
+    # comes out >= 0 at n = 7, taken exactly it is negative at every n
+    family = CfmmArbitragePayoff(1.0, 3.0, 7.0, 2.333333333333333)
+    closed = solve_symmetric(family, n, method="closed").q
+    numeric = solve_symmetric(family, n, method="numeric").q
+    # a few ulps: the quadratic's other coefficients and its square root round
+    error = abs(Decimal(closed) - decimal_cfmm_total(family, n))
+    assert error <= 4 * Decimal(math.ulp(closed))
+    # the numeric route reads f' as a difference of terms near 7/3, so it
+    # resolves q ~ 3e-16 only to about that size
+    assert 0.0 < numeric and abs(closed - numeric) <= 2.0**-52
+
+
+def test_numeric_power_route_matches_a_decimal_oracle():
+    # q = ((beta + n - 1) / (n gamma))**(1 / (1 - beta)); the exponent
+    # magnifies any error in the base by 1 / (1 - beta)
+    for beta in (0.05, 0.2, 0.5, 0.8, 0.95):
+        for gamma in (0.005, 0.05, 0.3, 0.7):
+            family = PowerPayoff(beta, gamma)
+            if power_root(beta, gamma) > 1e12:  # past the diagnostics cap
+                continue
+            for n in (1, 2, 3, 10, 100, 10**3, 10**4, 10**5):
+                q = solve_symmetric(family, n, method="numeric").q
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    base = (Decimal(beta) + n - 1) / (n * Decimal(gamma))
+                    q_dec = (base.ln() / (1 - Decimal(beta))).exp()
+                bound = 4.0 * math.ulp(q) / (1.0 - beta)
+                assert abs(Decimal(q) - q_dec) <= Decimal(bound)
+
+
 # -------------------------------------------------------- best response
 
 
