@@ -21,7 +21,8 @@ medians further apart than the base's quartile spread) and whether the
 change's median is worse than the base's by more than the metric's
 ``bound``, relative to the base. Each workload ends with one verdict row
 naming the metrics past their bound, and a failure count that rose, which
-is what rejects a change. Standard library only.
+is what rejects a change; the script exits 1 when any workload's verdict
+rejects. Standard library only.
 """
 
 from __future__ import annotations
@@ -118,6 +119,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if not args.seconds > 0.0:
+        parser.error("--seconds must be positive")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     known = [w["name"] for w in bench["workloads"]]
@@ -127,8 +130,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload(s) {unknown}; known: {known}")
     metrics = bench["end_to_end"]
     base_rev = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    if subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet", base_rev, "--",
-                       "perfbench"]).returncode != 0:
+    if _git("diff", "--name-only", base_rev, "--", "perfbench"):
         print("# warning: perfbench/ differs between the base and the working "
               "tree; each side runs its own")
 
@@ -165,7 +167,7 @@ def main(argv=None) -> int:
         finally:
             _git("worktree", "remove", "--force", str(checkout))
     print("\n".join(verdicts))
-    return 0
+    return 1 if any("REJECT" in verdict for verdict in verdicts) else 0
 
 
 if __name__ == "__main__":

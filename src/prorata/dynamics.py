@@ -39,7 +39,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .equilibrium import EquilibriumResult, solve_symmetric, unconstrained_tender
-from .errors import DomainExceeded, InvalidArgument
+from .errors import DomainExceeded, InvalidArgument, integer
 from .payoff import PayoffFamily, TabulatedPayoff, diagnostics, pro_rata_payoff
 
 UPDATE_ORDERS = ("sequential", "synchronous")
@@ -87,15 +87,17 @@ class GameConfig:
     update_order: str = "sequential"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+        # numpy integers are stored as Python ints
+        for name in ("n", "max_iterations", "seed"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
+        if self.n < 1:
             raise InvalidArgument(f"n must be a positive integer, got {self.n!r}")
         if not self.convergence_threshold > 0.0:  # NaN too
             raise InvalidArgument("convergence_threshold must be positive")
-        iterations = self.max_iterations
-        if not isinstance(iterations, int) or isinstance(iterations, bool):
-            raise InvalidArgument(f"max_iterations must be an integer, got {iterations!r}")
-        if iterations < 1:
+        if self.max_iterations < 1:
             raise InvalidArgument("max_iterations must be at least 1")
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be nonnegative, got {self.seed}")
         if self.update_order not in UPDATE_ORDERS:
             raise InvalidArgument(
                 f"update_order must be one of {UPDATE_ORDERS}, got {self.update_order!r}"
@@ -338,11 +340,12 @@ def convergence_study(
     stops on its own, for its own reason, and ends exactly as it would
     alone.
     """
+    trials = integer("trials", trials)
     if trials < 1:
         raise InvalidArgument(f"trials must be at least 1, got {trials}")
     records = []
-    for n in n_values:
-        n = int(n)
+    for i, n in enumerate(n_values):
+        n = integer(f"n_values[{i}]", n)
         config = GameConfig(
             family=family,
             n=n,
@@ -398,6 +401,7 @@ def whale_fish_experiment(
     when no player moved by ``convergence_threshold`` or more in the last
     round. All trials run in lockstep, as the rows of one array.
     """
+    n_fish, trials = integer("n_fish", n_fish), integer("trials", trials)
     if n_fish < 0:
         raise InvalidArgument(f"n_fish must be nonnegative, got {n_fish}")
     if trials < 1:
@@ -411,13 +415,14 @@ def whale_fish_experiment(
     fair_payoff = eq.positive_payoff()  # the percentage columns divide by it
     w = diagnostics(family).root
 
-    X = np.empty((trials, n_total))
-    upper = np.full((trials, n_total), math.inf)
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, n_fish, trial])
-        upper[trial, 1:] = rng.uniform(0.0, fair_strategy, size=n_fish)
-        X[trial, 0] = rng.uniform(0.0, w / n_total)
-        X[trial, 1:] = rng.uniform(0.0, upper[trial, 1:]) if n_fish else []
+    # one draw of 2*n_fish + 1 doubles u per trial: the fish budgets, the
+    # whale start, the fish starts; each value is its upper end times u,
+    # the bits of numpy's uniform(0, upper)
+    U = np.array([np.random.default_rng([seed, n_fish, trial]).random(2 * n_fish + 1)
+                  for trial in range(trials)])
+    budgets = fair_strategy * U[:, :n_fish]
+    upper = np.hstack((np.full((trials, 1), math.inf), budgets))
+    X = np.hstack(((w / n_total) * U[:, n_fish:n_fish + 1], budgets * U[:, n_fish + 1:]))
 
     final, _, reasons = _play(config, X, upper)
     strategies = final[:, 0]
@@ -427,7 +432,7 @@ def whale_fish_experiment(
     pct_strategy = 100.0 * (strategies - fair_strategy) / fair_strategy
     pct_profit = 100.0 * (profits - fair_payoff) / fair_payoff
     converged = reasons.count("converged")
-    saturated = int(np.count_nonzero((final[:, 1:] == upper[:, 1:]).all(axis=1)))
+    saturated = int(np.count_nonzero((final[:, 1:] == budgets).all(axis=1)))
 
     return WhaleFishReport(
         n_fish=n_fish,

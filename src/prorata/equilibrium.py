@@ -246,7 +246,8 @@ def power_tender(family: PowerPayoff) -> Callable[..., float]:
     def tender(y: float, lo: float = 0.0, hi: float = math.inf) -> float:
         gy = gamma * y**e
         x = 0.0  # for y >= w
-        if gy < 1.0:
+        # gy can round below 1 at y = w: no positive tender pays there
+        if gy < 1.0 and y < w:
             hy = y * (gy - 1.0)  # h(y) < 0
             t = half_w + 0.5 * y
             for k in range(_NEWTON_MAX_STEPS):

@@ -1,9 +1,12 @@
 """Exception types shared across the package.
 
-Every argument check raises :class:`InvalidArgument`; the other classes say
-why a well-posed computation has no answer. A plain ``ValueError`` is a
+Every argument check raises :class:`InvalidArgument`, integer arguments
+through :func:`integer`; the other classes say why a well-posed
+computation has no answer. A plain ``ValueError`` is a
 numeric failure, such as a search bracket with no sign change.
 """
+
+import operator
 
 
 class ProRataError(Exception):
@@ -36,3 +39,15 @@ class DomainExceeded(ProRataError):
 class NonPositiveNetDemand(ProRataError):
     """A batch nets out to a nonpositive amount of asset A; there is nothing
     to trade against the pool."""
+
+
+def integer(name: str, value) -> int:
+    """``value`` as a Python int when it is an integer, a numpy one too;
+    a bool, a float or anything else raises :class:`InvalidArgument`
+    naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidArgument(f"{name} must be an integer, got {value!r}")

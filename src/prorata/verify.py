@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, integer
 from .payoff import CallablePayoff, PayoffFamily, TabulatedPayoff, search_end
 
 CHORD_STRICT = "chord-strict"
@@ -46,12 +46,14 @@ class ConditionReport:
 
 
 def _sample_ceiling(
-    family: PayoffFamily, domain_hi: float | None, samples: int
+    family: PayoffFamily, domain_hi: float | None, samples: int, seed: int
 ) -> float:
     """The top of the sampled range, after checking the sampling arguments;
     ``samples = 0`` leaves only the deterministic ladder."""
     if samples < 0:
         raise InvalidArgument(f"samples must be nonnegative, got {samples}")
+    if integer("seed", seed) < 0:
+        raise InvalidArgument(f"seed must be nonnegative, got {seed}")
     if domain_hi is not None:
         if not 0.0 < domain_hi < np.inf:
             raise InvalidArgument(
@@ -94,7 +96,7 @@ def check_chord_condition(
     Violations within ``STRICT_MARGIN`` (relative) of equality count as
     failures; up to eight are returned as (alpha, t, gap) witnesses.
     """
-    hi = _sample_ceiling(family, domain_hi, samples)
+    hi = _sample_ceiling(family, domain_hi, samples, seed)
     rng = np.random.default_rng(seed)
     alpha = rng.uniform(1e-9, 1.0 - 1e-9, size=samples)
     t = rng.uniform(0.0, hi, size=samples)
@@ -152,7 +154,7 @@ def detect_linear_segment_at_zero(
                                   f"got shape {pairs.shape}")
         hi = float(np.max(pairs))
     else:
-        hi = _sample_ceiling(family, domain_hi, samples)
+        hi = _sample_ceiling(family, domain_hi, samples, seed)
         rng = np.random.default_rng(seed)
         a = rng.uniform(0.0, hi, size=samples)
         b = rng.uniform(0.0, hi, size=samples)

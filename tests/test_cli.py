@@ -435,6 +435,13 @@ BAD_RUN_PARAMETERS = [
     # a family flag of another kind is an error too, not ignored
     (["equilibrium", *POWER, "--r1", "200", "--ts", "5"],
      "--r1 is not a parameter of the power family"),
+    # a negative seed is bad input, not numpy's numeric error
+    *[([command, *CFMM, "--seed", "-1"], "seed must be nonnegative, got -1")
+      for command in ("simulate", "study", "whale")],
+    *[(["verify", *POWER, "--conditions", condition, "--seed", "-1"],
+       "seed must be nonnegative, got -1") for condition in ("chord", "linear")],
+    (["reproduce", "whale", "--trials", "1", "--seed", "-1"],
+     "seed must be nonnegative, got -1"),
 ]
 
 
@@ -452,6 +459,8 @@ BAD_RUN_PARAMETERS = [
     "study-threshold-nan", "verify-domain-hi-past-table",
     "simulate-delta-unbounded", "study-budgets-unbudgeted",
     "study-budgets-bounded", "equilibrium-flag-of-another-family",
+    "simulate-seed", "study-seed", "whale-seed", "verify-chord-seed",
+    "verify-linear-seed", "reproduce-whale-seed",
 ])
 def test_bad_run_parameters_exit_2(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
@@ -514,7 +523,7 @@ def test_reproduce_figures_script_matches_reproduce(capsys, tmp_path):
         assert (tmp_path / f"{figure.replace('-', '_')}.csv").read_text() == out
 
 
-def test_bench_pairs_counts_wins_and_applies_the_gain_rule():
+def test_bench_pairs_counts_wins_and_applies_the_gain_rule(capsys, monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     script = importlib.util.module_from_spec(spec)
@@ -553,6 +562,33 @@ def test_bench_pairs_counts_wins_and_applies_the_gain_rule():
         == "verdict one-shot: within bounds"
     assert script._verdict("one-shot", [ops, setup], values, {"base": 1, "change": 3}) \
         == "verdict one-shot: REJECT (failed ops 1 -> 3)"
+
+    # the exit status: 1 when any workload's verdict rejects; runs and git
+    # calls are stubbed, each side reporting fixed metrics
+    metrics = {"ops_per_s": 100.0, "setup_s": 1.0, "peak_rss_mb": 50.0,
+               "min_correct_digits": 15.0}
+    change_ops = {"one-shot": 100.0, "study-cfmm": 100.0}
+
+    def fake_run(checkout, pycache, workload, args):
+        ops = change_ops[workload] if checkout == script.ROOT else 100.0
+        return {"failed": 0, "metrics": {
+            name: {"value": ops if name == "ops_per_s" else value}
+            for name, value in metrics.items()}}
+
+    monkeypatch.setattr(script, "_run", fake_run)
+    monkeypatch.setattr(script, "_git", lambda *args: "0" * 40 if args[0] == "rev-parse" else "")
+    argv = ["--workload", "one-shot,study-cfmm", "--pairs", "2", "--seconds", "1"]
+    assert script.main(argv) == 0
+    change_ops["study-cfmm"] = 80.0
+    assert script.main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("verdict one-shot: within bounds\n"
+                        "verdict study-cfmm: REJECT (ops_per_s)\n")
+    for seconds in ("0", "-1", "nan"):
+        with pytest.raises(SystemExit) as exit_info:
+            script.main([*argv[:4], "--seconds", seconds])
+        assert exit_info.value.code == 2
+        assert "--seconds must be positive" in capsys.readouterr().err
 
 
 # ----------------------------------------------------- config keys

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prorata import (
     BoundedUpdate,
@@ -61,6 +63,23 @@ def test_config_validation(cfmm):
         BoundedUpdate(delta=0.0)
     with pytest.raises(InvalidArgument):
         Budgeted(budgets=(1.0, -2.0))
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be nonnegative, got -1"),
+    (True, "seed must be an integer, got True"),
+    (1.0, "seed must be an integer, got 1.0"),
+])
+def test_config_rejects_bad_seeds(cfmm, seed, message):
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        GameConfig(family=cfmm, n=2, seed=seed)
+
+
+def test_config_stores_numpy_integers_as_ints(cfmm):
+    config = GameConfig(family=cfmm, n=np.int64(3), max_iterations=np.int32(5),
+                        seed=np.uint8(4))
+    assert (config.n, config.max_iterations, config.seed) == (3, 5, 4)
+    assert {type(v) for v in (config.n, config.max_iterations, config.seed)} == {int}
 
 
 # ----------------------------------------------------------- simulate
@@ -249,6 +268,30 @@ def test_whale_checks_its_run_settings_like_a_study(cfmm, settings):
         whale_fish_experiment(cfmm, n_fish=2, trials=3, seed=0, **settings)
     with pytest.raises(InvalidArgument):
         convergence_study(cfmm, [3], trials=3, seed=0, **settings)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda f: convergence_study(f, [2.5], 1, 0), "n_values[0] must be an integer, got 2.5"),
+    (lambda f: convergence_study(f, [2, True], 1, 0),
+     "n_values[1] must be an integer, got True"),
+    (lambda f: convergence_study(f, [2], 2.5, 0), "trials must be an integer, got 2.5"),
+    (lambda f: whale_fish_experiment(f, True, 2, 0), "n_fish must be an integer, got True"),
+    (lambda f: whale_fish_experiment(f, 2.0, 2, 0), "n_fish must be an integer, got 2.0"),
+    (lambda f: whale_fish_experiment(f, 2, 2.5, 0), "trials must be an integer, got 2.5"),
+    (lambda f: whale_fish_experiment(f, 2, 2, -1), "seed must be nonnegative, got -1"),
+], ids=["study-n-float", "study-n-bool", "study-trials-float", "whale-n-fish-bool",
+        "whale-n-fish-float", "whale-trials-float", "whale-seed-negative"])
+def test_experiments_name_their_bad_integer_arguments(cfmm, run, message):
+    with pytest.raises(InvalidArgument) as info:
+        run(cfmm)
+    assert str(info.value) == message
+
+
+def test_experiments_take_numpy_integers(cfmm):
+    assert convergence_study(cfmm, np.array([2, 3]), np.int64(2), np.uint8(1)) \
+        == convergence_study(cfmm, [2, 3], 2, 1)
+    assert whale_fish_experiment(cfmm, np.int64(2), np.int32(3), np.int64(1)) \
+        == whale_fish_experiment(cfmm, 2, 3, 1)
 
 
 @pytest.mark.parametrize("trials", [0, -2])
@@ -442,6 +485,20 @@ def test_whale_equals_trial_by_trial_reference(family):
     # where only some did (power whales all settle at round 2)
     assert {0, 6} <= converged
     assert len(converged) > 2 or family is POWER
+
+
+@given(family=st.sampled_from([CFMM, POWER]), n_fish=st.integers(0, 20),
+       trials=st.integers(1, 12), seed=st.integers(0, 2**40),
+       cap=st.sampled_from([2, 2000]))
+@settings(deadline=None, max_examples=60)
+def test_whale_set_up_from_one_draw_equals_three_uniform_calls(
+    family, n_fish, trials, seed, cap
+):
+    # the experiment scales one random(2*n_fish + 1) draw per trial; the
+    # reference draws budgets, whale start and fish starts by uniform calls
+    # and counts a trial as saturated when its fish end on those budgets
+    got = whale_fish_experiment(family, n_fish, trials, seed, max_iterations=cap)
+    assert got == _reference_whale(family, n_fish, trials, seed, 0.1, cap)
 
 
 # (family, scenario, threshold): with n=3, 6 trials and 4 rounds, the

@@ -410,6 +410,8 @@ def decimal_power_payoff(family: PowerPayoff, x: float, y: float) -> Decimal:
 )
 @settings(deadline=None, max_examples=200)
 @example(beta=0.5, gamma=1.0, y_frac=0.99999, budget_frac=0.001)
+# at y = w, gamma * y**(1-beta) rounds below 1
+@example(beta=0.4375, gamma=0.25, y_frac=1.0, budget_frac=math.inf)
 def test_power_best_response_never_loses_to_a_grid(beta, gamma, y_frac,
                                                    budget_frac):
     family = PowerPayoff(beta=beta, gamma=gamma)
