@@ -4,26 +4,29 @@
 For each family this prints whether the sampled strict-chord condition
 f(a t) > a f(t) holds, whether a linear segment at zero was detected (the
 usual way the chord condition fails), and the diagonal-monotonicity probe
-value E(n) at a few crowd sizes. The two capped tables and the quadratic
-are known counterexamples and are expected to fail; a nonzero exit means
-one of the *reference* families failed the chord check.
+value E(n) at a few crowd sizes. The capped tables and the quadratic are
+known counterexamples: the tables violate the chord condition, and the
+quadratic, strictly concave, gives E(n) < 0. A nonzero exit means one of
+the *reference* families failed the chord check.
 """
 
 import sys
 
 from prorata import (
     CallablePayoff,
-    CfmmArbitragePayoff,
-    PowerPayoff,
     TabulatedPayoff,
     check_chord_condition,
     detect_linear_segment_at_zero,
+    family_from_dict,
     rosen_probe,
 )
+from prorata.cli import REFERENCE as REFERENCE_SPECS
 
+# the reference families of the `reproduce` figures, e.g. "power(0.5, 0.05)"
 REFERENCE = {
-    "power(0.5, 0.05)": PowerPayoff(beta=0.5, gamma=0.05),
-    "cfmm(0.99, 200, 250, 1)": CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0),
+    f"{kind}({', '.join(f'{v:g}' for k, v in spec.items() if k != 'kind')})":
+        family_from_dict(spec)
+    for kind, spec in REFERENCE_SPECS.items()
 }
 COUNTEREXAMPLES = {
     "min(t, 3)": TabulatedPayoff(ts=(0.0, 3.0, 50.0), fs=(0.0, 3.0, 3.0)),

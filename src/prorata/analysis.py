@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .equilibrium import solve_symmetric
-from .errors import NoPositiveRegion
+from .errors import NoPositiveRegion, integer
 from .payoff import PayoffFamily, PowerPayoff, diagnostics
 
 _CLOSED_FORM_CHECK_RTOL = 1e-6
@@ -51,7 +51,7 @@ def poa(family: PayoffFamily, n: int) -> PoaReport:
                 f"PoA cross-check failed: solver {ratio!r} vs closed form {expected!r}"
             )
     return PoaReport(
-        n=n,
+        n=eq.n,
         eq_payoff=eq.equilibrium_payoff,
         fair_payoff=diag.max_value / n,
         poa=ratio,
@@ -76,7 +76,9 @@ def poa_growth_check(
     """Tabulate poa(n) and certify the Omega(n) growth empirically:
     nondecreasing over ``n_values`` and poa(n)/n bounded away from zero
     for n >= n0."""
-    reports = tuple(poa(family, int(n)) for n in n_values)
+    n0 = integer("n0", n0, 1)
+    reports = tuple(poa(family, integer(f"n_values[{i}]", n, 1))
+                    for i, n in enumerate(n_values))
     values = [r.poa for r in reports]
     nondecreasing = all(b >= a for a, b in zip(values, values[1:]))
     tail = [r.poa / r.n for r in reports if r.n >= n0]

@@ -47,6 +47,7 @@ from .errors import (
     NonPositiveNetDemand,
     NoPositiveRegion,
     ProRataError,
+    integer,
 )
 from .payoff import (FAMILY_KINDS, ForwardExchange, family_from_dict,
                      pro_rata_payoff, spec_keys)
@@ -321,9 +322,7 @@ def _cmd_simulate(args) -> Table:
                       update_order=_resolve(args, "update_order", "sequential"),
                       **_run_settings(args))
     # simulate runs one trial per call, so the trial count is checked here
-    trials = _resolve(args, "trials", 1)
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
+    trials = integer("trials", _resolve(args, "trials", 1), 1)
     rows = []
     for trial in range(trials):
         rng = np.random.default_rng([game.seed, trial])

@@ -39,8 +39,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .equilibrium import EquilibriumResult, solve_symmetric, unconstrained_tender
-from .errors import DomainExceeded, InvalidArgument, integer
-from .payoff import PayoffFamily, TabulatedPayoff, diagnostics, pro_rata_payoff
+from .errors import DomainExceeded, InvalidArgument, integer, number
+from .payoff import PayoffFamily, diagnostics, pro_rata_payoff
 
 UPDATE_ORDERS = ("sequential", "synchronous")
 
@@ -57,8 +57,7 @@ class BoundedUpdate:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.delta <= 0.0:
-            raise InvalidArgument(f"delta must be positive, got {self.delta}")
+        number("delta", self.delta, positive=True)
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,9 @@ class Budgeted:
     budgets: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "budgets", tuple(float(b) for b in self.budgets))
-        if any(b < 0.0 for b in self.budgets):
-            raise InvalidArgument("budgets must be nonnegative")
+        object.__setattr__(self, "budgets", tuple(
+            number(f"budgets[{i}]", float(b), positive=False)
+            for i, b in enumerate(self.budgets)))
 
 
 Scenario = Union[Unconstrained, BoundedUpdate, Budgeted]
@@ -88,16 +87,9 @@ class GameConfig:
 
     def __post_init__(self) -> None:
         # numpy integers are stored as Python ints
-        for name in ("n", "max_iterations", "seed"):
-            object.__setattr__(self, name, integer(name, getattr(self, name)))
-        if self.n < 1:
-            raise InvalidArgument(f"n must be a positive integer, got {self.n!r}")
-        if not self.convergence_threshold > 0.0:  # NaN too
-            raise InvalidArgument("convergence_threshold must be positive")
-        if self.max_iterations < 1:
-            raise InvalidArgument("max_iterations must be at least 1")
-        if self.seed < 0:
-            raise InvalidArgument(f"seed must be nonnegative, got {self.seed}")
+        for name, least in (("n", 1), ("max_iterations", 1), ("seed", 0)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), least))
+        number("convergence_threshold", self.convergence_threshold, positive=True)
         if self.update_order not in UPDATE_ORDERS:
             raise InvalidArgument(
                 f"update_order must be one of {UPDATE_ORDERS}, got {self.update_order!r}"
@@ -206,7 +198,7 @@ def _play(
     family, scenario = config.family, config.scenario
     threshold, cap = config.convergence_threshold, config.max_iterations
     delta = scenario.delta if isinstance(scenario, BoundedUpdate) else None
-    knot = family.domain_max if isinstance(family, TabulatedPayoff) else None
+    end = family.domain_max
     tender = unconstrained_tender(family)
     # with no target the distances are not read
     anchor = 0.0 if target is None else target
@@ -225,9 +217,9 @@ def _play(
                                         config.update_order, tender, anchor)
             X = np.array(rows)
             before, totals = totals, X.sum(axis=1).tolist()
-            if knot is not None and (over := [s for s in totals if s > knot]):
+            if end < math.inf and (over := [s for s in totals if s > end]):
                 raise DomainExceeded(f"round {t}: tender total {max(over)} "
-                                     f"beyond last knot {knot}")
+                                     f"beyond last knot {end}")
             if history is not None:
                 history.append(X)
             near = moves if target is None else dists
@@ -264,6 +256,7 @@ def draw_initial_profile(
     family: PayoffFamily, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Each tender uniform on (0, w/n), the natural per-player scale."""
+    n = integer("n", n, 1)
     w = diagnostics(family).root
     return rng.uniform(0.0, w / n, size=n)
 
@@ -340,12 +333,10 @@ def convergence_study(
     stops on its own, for its own reason, and ends exactly as it would
     alone.
     """
-    trials = integer("trials", trials)
-    if trials < 1:
-        raise InvalidArgument(f"trials must be at least 1, got {trials}")
+    trials = integer("trials", trials, 1)
     records = []
     for i, n in enumerate(n_values):
-        n = integer(f"n_values[{i}]", n)
+        n = integer(f"n_values[{i}]", n, 1)
         config = GameConfig(
             family=family,
             n=n,
@@ -401,11 +392,7 @@ def whale_fish_experiment(
     when no player moved by ``convergence_threshold`` or more in the last
     round. All trials run in lockstep, as the rows of one array.
     """
-    n_fish, trials = integer("n_fish", n_fish), integer("trials", trials)
-    if n_fish < 0:
-        raise InvalidArgument(f"n_fish must be nonnegative, got {n_fish}")
-    if trials < 1:
-        raise InvalidArgument(f"trials must be at least 1, got {trials}")
+    n_fish, trials = integer("n_fish", n_fish, 0), integer("trials", trials, 1)
     n_total = n_fish + 1
     # the run settings get the same checks as a study's
     config = GameConfig(family, n_total, convergence_threshold=convergence_threshold,

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InvalidArgument, NoFiniteRoot, NoPositiveRegion
+from .errors import InvalidArgument, NoFiniteRoot, NoPositiveRegion, integer, number
 from .payoff import (
     CfmmArbitragePayoff,
     PayoffFamily,
@@ -142,8 +142,7 @@ def solve_symmetric(
     A payoff that is nowhere positive raises :class:`NoPositiveRegion` on
     either route.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidArgument(f"n must be a positive integer, got {n!r}")
+    n = integer("n", n, 1)
     if method not in SOLVE_METHODS:
         raise InvalidArgument(f"method must be one of {SOLVE_METHODS}, got {method!r}")
 
@@ -295,8 +294,7 @@ def _slope_tender(family: PayoffFamily) -> Callable[..., float]:
     table that is not concave raises :class:`InvalidArgument`; a callable
     whose f stays positive raises :class:`NoFiniteRoot`.
     """
-    table = isinstance(family, TabulatedPayoff)
-    if table and not family.concave:
+    if isinstance(family, TabulatedPayoff) and not family.concave:
         # the slope's sign change is the maximizer only for concave f
         raise InvalidArgument("best_response needs a concave table: its segment "
                               "slopes must not increase")
@@ -304,7 +302,7 @@ def _slope_tender(family: PayoffFamily) -> Callable[..., float]:
         root = search_end(family)
     except NoPositiveRegion:
         root = 0.0  # nothing positive to gain at any tender
-    end = family.domain_max if table else math.inf
+    end = family.domain_max
 
     def tender(y: float, lo: float = 0.0, hi: float = math.inf) -> float:
         top = min(root, end - y)
@@ -370,10 +368,8 @@ def best_response(
     :class:`InvalidArgument`. Returns x = 0 with payoff 0 when no positive
     tender helps.
     """
-    if y < 0.0:
-        raise InvalidArgument(f"y must be nonnegative, got {y}")
-    if budget < 0.0:
-        raise InvalidArgument(f"budget must be nonnegative, got {budget}")
+    number("y", y, positive=False)
+    number("budget", budget, positive=False)
     x = unconstrained_tender(family)(y)
     if x <= 0.0:
         return BestResponseResult(0.0, 0.0, "zero")

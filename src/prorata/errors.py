@@ -1,11 +1,13 @@
 """Exception types shared across the package.
 
-Every argument check raises :class:`InvalidArgument`, integer arguments
-through :func:`integer`; the other classes say why a well-posed
-computation has no answer. A plain ``ValueError`` is a
-numeric failure, such as a search bracket with no sign change.
+Every argument check raises :class:`InvalidArgument`, counts through
+:func:`integer` and numeric bounds through :func:`number`; the other
+classes say why a well-posed computation has no answer. A plain
+``ValueError`` is a numeric failure, such as a search bracket with no sign
+change.
 """
 
+import math
 import operator
 
 
@@ -41,13 +43,29 @@ class NonPositiveNetDemand(ProRataError):
     to trade against the pool."""
 
 
-def integer(name: str, value) -> int:
-    """``value`` as a Python int when it is an integer, a numpy one too;
-    a bool, a float or anything else raises :class:`InvalidArgument`
-    naming ``name``."""
+def integer(name: str, value, least: int) -> int:
+    """``value`` as a Python int when it is an integer, a numpy one too,
+    of at least ``least``; a bool, a float, anything else or a smaller
+    integer raises :class:`InvalidArgument` naming ``name``."""
+    rule = "an integer"
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            count = operator.index(value)
         except TypeError:
             pass
-    raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+        else:
+            if count >= least:
+                return count
+            rule = "nonnegative" if least == 0 else f"at least {least}"
+    raise InvalidArgument(f"{name} must be {rule}, got {value!r}")
+
+
+def number(name: str, value, positive: bool):
+    """``value`` when it is finite and positive or, with ``positive=False``,
+    nonnegative (inf included); otherwise, and always for NaN, raises
+    :class:`InvalidArgument` naming ``name``."""
+    # each comparison is false for NaN
+    if (0.0 < value < math.inf) if positive else (value >= 0.0):
+        return value
+    rule = "finite and positive" if positive else "nonnegative"
+    raise InvalidArgument(f"{name} must be {rule}, got {value!r}")

@@ -7,7 +7,8 @@ built on the pool's quote curve ``ForwardExchange``, a power curve, and a
 piecewise-linear table), plus a thin adapter for ad-hoc callables used by
 the verification probes.
 
-All ``value``/``derivative`` methods accept floats or numpy arrays.
+All ``value``/``derivative`` methods accept floats or numpy arrays. Every
+family's domain ends at its ``domain_max``: a table's last knot, else inf.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     InvalidArgument,
     NoFiniteRoot,
     NoPositiveRegion,
+    number,
 )
 from .search import bisect_root
 
@@ -56,8 +58,8 @@ class ForwardExchange:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
             raise InvalidArgument(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.r1 <= 0.0 or self.r2 <= 0.0:
-            raise InvalidArgument(f"reserves must be positive, got r1={self.r1}, r2={self.r2}")
+        number("r1", self.r1, positive=True)
+        number("r2", self.r2, positive=True)
 
     def quote(self, t):
         return self.gamma * self.r2 * t / (self.r1 + self.gamma * t)
@@ -84,11 +86,11 @@ class CfmmArbitragePayoff(ForwardExchange):
     c: float
 
     kind: ClassVar[str] = "cfmm"
+    domain_max: ClassVar[float] = math.inf
 
     def __post_init__(self) -> None:
         ForwardExchange.__post_init__(self)
-        if self.c <= 0.0:
-            raise InvalidArgument(f"external price must be positive, got {self.c}")
+        number("c", self.c, positive=True)
 
     def value(self, t):
         return self.quote(t) - self.c * t
@@ -106,12 +108,12 @@ class PowerPayoff:
     gamma: float
 
     kind: ClassVar[str] = "power"
+    domain_max: ClassVar[float] = math.inf
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
             raise InvalidArgument(f"beta must be in (0, 1), got {self.beta}")
-        if self.gamma <= 0.0:
-            raise InvalidArgument(f"gamma must be positive, got {self.gamma}")
+        number("gamma", self.gamma, positive=True)
 
     def value(self, t):
         return t**self.beta - self.gamma * t
@@ -211,9 +213,10 @@ class CallablePayoff:
     deriv: Callable[[float], float] | None = None
 
     kind: ClassVar[str] = "callable"
+    domain_max: ClassVar[float] = math.inf
 
     def __post_init__(self) -> None:
-        if abs(float(self.fn(0.0))) > 1e-12:
+        if not abs(float(self.fn(0.0))) <= 1e-12:  # NaN too
             raise InvalidArgument("payoff must satisfy f(0) = 0")
 
     def value(self, t):
@@ -295,7 +298,7 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
     Results are memoized per family (families are frozen and hashable).
     """
     t_pos = _find_positive_point(family)
-    end = family.domain_max if isinstance(family, TabulatedPayoff) else math.inf
+    end = family.domain_max
     cap = _EXPANSION_CAP * max(t_pos, 1.0)
     # double until f <= 0 (a NaN doubles on, as a positive value does)
     lo = hi = t_pos
@@ -330,7 +333,7 @@ def search_end(family: PayoffFamily) -> float:
     try:
         return diagnostics(family).root
     except NoFiniteRoot:
-        if not isinstance(family, TabulatedPayoff):
+        if family.domain_max == math.inf:
             raise
         return family.domain_max
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, integer
+from .errors import InvalidArgument, integer, number
 from .payoff import CallablePayoff, PayoffFamily, TabulatedPayoff, search_end
 
 CHORD_STRICT = "chord-strict"
@@ -50,16 +50,11 @@ def _sample_ceiling(
 ) -> float:
     """The top of the sampled range, after checking the sampling arguments;
     ``samples = 0`` leaves only the deterministic ladder."""
-    if samples < 0:
-        raise InvalidArgument(f"samples must be nonnegative, got {samples}")
-    if integer("seed", seed) < 0:
-        raise InvalidArgument(f"seed must be nonnegative, got {seed}")
+    integer("samples", samples, 0)
+    integer("seed", seed, 0)
     if domain_hi is not None:
-        if not 0.0 < domain_hi < np.inf:
-            raise InvalidArgument(
-                f"domain_hi must be finite and positive, got {domain_hi}"
-            )
-        if isinstance(family, TabulatedPayoff) and domain_hi > family.domain_max:
+        number("domain_hi", domain_hi, positive=True)
+        if domain_hi > family.domain_max:
             raise InvalidArgument(f"domain_hi {domain_hi} is past the table's "
                                   f"last knot {family.domain_max}")
         return float(domain_hi)
@@ -169,7 +164,7 @@ def detect_linear_segment_at_zero(
             ]
         )
     t, tp = pairs[:, 0], pairs[:, 1]
-    if np.any(t <= 0.0) or np.any(tp <= t):
+    if not np.all((0.0 < t) & (t < tp)):  # NaN too
         raise InvalidArgument("pairs must satisfy 0 < t < t'")
     r_lo = family.value(t) / t
     r_hi = family.value(tp) / tp
@@ -198,8 +193,7 @@ def rosen_probe(family: PayoffFamily, n: int) -> ConditionReport:
     E = (1/n)(f'(n) - f'(n/2)) + (1 - 1/n)(f(n) - 2 f(n/2));
     the condition needs E > 0, so ``holds=False`` whenever E <= 0.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InvalidArgument(f"n must be an integer >= 2, got {n!r}")
+    n = integer("n", n, 2)
     if isinstance(family, TabulatedPayoff):
         derivative = "one-sided"
     elif isinstance(family, CallablePayoff) and family.deriv is None:

@@ -371,27 +371,27 @@ def test_overflowing_quote_exits_2(capsys):
 
 BAD_RUN_PARAMETERS = [
     (["study", *CFMM, "--threshold", "0"],
-     "convergence_threshold must be positive"),
-    (["study", *CFMM, "--n-values", "0"], "n must be a positive integer, got 0"),
+     "convergence_threshold must be finite and positive, got 0.0"),
+    (["study", *CFMM, "--n-values", "0"], "n_values[0] must be at least 1, got 0"),
     (["study", *CFMM, "--max-iterations", "0"],
-     "max_iterations must be at least 1"),
+     "max_iterations must be at least 1, got 0"),
     (["study", *CFMM, "--n-values", "3", "--scenario", "budgeted",
-      "--budgets", "-1"], "budgets must be nonnegative"),
-    (["simulate", *CFMM, "--n", "0"], "n must be a positive integer, got 0"),
+      "--budgets", "-1"], "budgets[0] must be nonnegative, got -1.0"),
+    (["simulate", *CFMM, "--n", "0"], "n must be at least 1, got 0"),
     (["whale", *CFMM, "--n-fish-values=-1"], "n_fish must be nonnegative, got -1"),
     (["whale", *CFMM, "--trials", "0"], "trials must be at least 1, got 0"),
     (["verify", *POWER, "--conditions", "rosen", "--rosen-n", "1"],
-     "n must be an integer >= 2, got 1"),
+     "n must be at least 2, got 1"),
     (["reproduce", "scenario2-delta", "--deltas", "0"],
-     "delta must be positive, got 0.0"),
+     "delta must be finite and positive, got 0.0"),
     (["reproduce", "poa-curve", "--n-values", "0:2"],
-     "n must be a positive integer, got 0"),
+     "n_values[0] must be at least 1, got 0"),
     (["reproduce", "whale", "--trials", "0"], "trials must be at least 1, got 0"),
     # zero or empty counts and figure flags reach the handlers' checks
     (["study", *CFMM, "--trials", "0"], "trials must be at least 1, got 0"),
     (["simulate", *CFMM, "--trials", "0"], "trials must be at least 1, got 0"),
     (["reproduce", "scenario2-delta", "--n", "0"],
-     "n must be a positive integer, got 0"),
+     "n_values[0] must be at least 1, got 0"),
     (["reproduce", "whale", "--max-fish", "0"],
      "bad integer list '1:0': empty range 1:0"),
     (["reproduce", "scenario1", "--n-values="], "no values in ''"),
@@ -405,7 +405,7 @@ BAD_RUN_PARAMETERS = [
      "best_response needs a concave table: its segment slopes must not increase"),
     (["equilibrium", *NON_CONCAVE_TABLE, "--method", "closed"],
      "no closed form for table families"),
-    (["equilibrium", *CFMM, "--n", "0"], "n must be a positive integer, got 0"),
+    (["equilibrium", *CFMM, "--n", "0"], "n must be at least 1, got 0"),
     (["whale", *CFMM, "--n-fish-values=-1", "--trials", "0"],
      "n_fish must be nonnegative, got -1"),
     (["verify", *POWER, "--samples", "-1"], "samples must be nonnegative, got -1"),
@@ -415,13 +415,13 @@ BAD_RUN_PARAMETERS = [
      "domain_hi must be finite and positive, got nan"),
     # the whale's run settings go through the same config checks as a study's
     (["whale", *CFMM, "--threshold", "0"],
-     "convergence_threshold must be positive"),
+     "convergence_threshold must be finite and positive, got 0.0"),
     (["whale", *CFMM, "--max-iterations", "0"],
-     "max_iterations must be at least 1"),
+     "max_iterations must be at least 1, got 0"),
     (["whale", *CFMM, "--threshold", "nan"],
-     "convergence_threshold must be positive"),
+     "convergence_threshold must be finite and positive, got nan"),
     (["study", *CFMM, "--threshold", "nan"],
-     "convergence_threshold must be positive"),
+     "convergence_threshold must be finite and positive, got nan"),
     (["verify", "--family", "table", "--ts", "0,10,20,30", "--fs", "0,8,13,15",
       "--domain-hi", "100"],
      "domain_hi 100.0 is past the table's last knot 30.0"),
@@ -442,6 +442,22 @@ BAD_RUN_PARAMETERS = [
        "seed must be nonnegative, got -1") for condition in ("chord", "linear")],
     (["reproduce", "whale", "--trials", "1", "--seed", "-1"],
      "seed must be nonnegative, got -1"),
+    # NaN fails every bound, and family parameters and caps must be finite
+    (["equilibrium", *POWER[:-1], "nan"],
+     "bad power family parameters: gamma must be finite and positive, got nan"),
+    (["equilibrium", *CFMM[:5], "inf", *CFMM[6:]],
+     "bad cfmm family parameters: r1 must be finite and positive, got inf"),
+    (["simulate", *CFMM, "--scenario", "bounded", "--delta", "nan"],
+     "delta must be finite and positive, got nan"),
+    (["simulate", *CFMM, "--scenario", "bounded", "--delta", "inf"],
+     "delta must be finite and positive, got inf"),
+    (["study", *CFMM, "--n-values", "3", "--scenario", "budgeted",
+      "--budgets", "nan"], "budgets[0] must be nonnegative, got nan"),
+    (["bestresponse", *CFMM, "--y", "nan"], "y must be nonnegative, got nan"),
+    (["bestresponse", *CFMM, "--budget", "nan"],
+     "budget must be nonnegative, got nan"),
+    (["study", *CFMM, "--threshold", "inf"],
+     "convergence_threshold must be finite and positive, got inf"),
 ]
 
 
@@ -460,7 +476,9 @@ BAD_RUN_PARAMETERS = [
     "simulate-delta-unbounded", "study-budgets-unbudgeted",
     "study-budgets-bounded", "equilibrium-flag-of-another-family",
     "simulate-seed", "study-seed", "whale-seed", "verify-chord-seed",
-    "verify-linear-seed", "reproduce-whale-seed",
+    "verify-linear-seed", "reproduce-whale-seed", "power-gamma-nan", "cfmm-r1-inf",
+    "simulate-delta-nan", "simulate-delta-inf", "study-budgets-nan",
+    "bestresponse-y-nan", "bestresponse-budget-nan", "study-threshold-inf",
 ])
 def test_bad_run_parameters_exit_2(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
@@ -810,12 +828,12 @@ ERROR_LINES = [
     (["equilibrium", "--family", "table", "--ts", "0", "--fs", "0"],
      2, "config-error: bad table family parameters: need at least two knots"),
     (["equilibrium", *CFMM[:-1], "-1"],
-     2, "config-error: bad cfmm family parameters: external price must be "
+     2, "config-error: bad cfmm family parameters: c must be finite and "
      "positive, got -1.0"),
     (["batch", "--gamma", "0.99", "--r1", "200", "--r2", "250"],
      2, "config-error: batch needs --input or --deltas"),
     (["batch", "--deltas", "5", "--gamma", "0.99", "--r1", "-200", "--r2", "250"],
-     2, "config-error: reserves must be positive, got r1=-200.0, r2=250.0"),
+     2, "config-error: r1 must be finite and positive, got -200.0"),
     (["equilibrium", *TABLE_0_10_20, "--fs", "0,-1,-3"],
      3, "no-positive-region: payoff is nonpositive at every knot"),
     *[([command, *TABLE_0_10_20, "--fs", "0,5,8"], 3,

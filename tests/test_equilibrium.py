@@ -460,6 +460,16 @@ def test_power_crowded_past_the_root_abstains(power, y_frac):
     assert r == BestResponseResult(0.0, 0.0, "zero")
 
 
+@pytest.mark.parametrize("family", [
+    TabulatedPayoff((0.0, 1.0, 2.0), (0.0, -1.0, -3.0)),
+    CallablePayoff(lambda t: -t * (1.0 + t)),
+], ids=["table", "callable"])
+@pytest.mark.parametrize("y", [0.0, 1.0])
+def test_nowhere_positive_slope_search_abstains(family, y):
+    # no positive region: the slope search has nothing to bracket
+    assert best_response(family, y) == BestResponseResult(0.0, 0.0, "zero")
+
+
 def test_power_best_response_ignores_the_diagnostics_cap():
     # the zero of f is 1e60, far past the diagnostics doubling cap of 1e12
     family = PowerPayoff(beta=0.95, gamma=0.001)

@@ -7,6 +7,9 @@ it, and the segment detector is the complementary witness: on concave
 payoffs exactly one of the two reports should fire.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,8 @@ from prorata.verify import (
     LINEAR_SEGMENT_AT_ZERO,
     ROSEN_MONOTONE_PROBE,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def min_t_table(cap: float, end: float) -> TabulatedPayoff:
@@ -197,6 +202,15 @@ def test_shifted_quadratic_probe_values():
         assert replay_witness(family, rep)
 
 
+def test_probe_without_a_derivative_reports_finite_differences():
+    # the shifted quadratic above with n = 2, E = -2 up to the difference's error
+    family = CallablePayoff(lambda t: 16.0 * t - t * t)
+    rep = rosen_probe(family, 2)
+    assert rep.details["derivative"] == "finite-difference"
+    assert rep.details["e_value"] == pytest.approx(-2.0, rel=1e-6)
+    assert not rep.holds
+
+
 def test_probe_fails_even_for_well_behaved_families(cfmm, power):
     # the classical diagonal condition is the wrong tool here: it rejects
     # the very families whose equilibria are unique via the chord argument
@@ -258,3 +272,23 @@ def test_replay_rejects_tampered_reports():
 def test_explicit_pairs_must_be_rows_of_two(pairs):
     with pytest.raises(InvalidArgument):
         detect_linear_segment_at_zero(min_t_table(3.0, 60.0), t_pairs=pairs)
+
+
+def test_certify_families_script_separates_reference_from_counterexamples(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "certify_families", ROOT / "scripts" / "certify_families.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    rows = {line[:24].strip(): line[24:].split()
+            for line in capsys.readouterr().out.splitlines()
+            if not line.startswith(" ")}
+    assert list(rows) == ["cfmm(0.99, 200, 250, 1)", "power(0.5, 0.05)",
+                          "min(t, 3)", "min(t, 12)", "16t - t^2"]
+    chord = {name: cells[0] for name, cells in rows.items()}
+    assert chord == {"cfmm(0.99, 200, 250, 1)": "chord=ok",
+                     "power(0.5, 0.05)": "chord=ok",
+                     "min(t, 3)": "chord=VIOLATED", "min(t, 12)": "chord=VIOLATED",
+                     # strictly concave: its counterexample is the probe
+                     "16t - t^2": "chord=ok"}
+    assert rows["16t - t^2"][2:] == ["E(2)=-2,", "E(4)=-7,", "E(8)=-29"]
