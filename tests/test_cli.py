@@ -350,6 +350,52 @@ def test_unknown_subcommand_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
+# each command with its required flags only, and with every documented
+# default spelled out: the two runs print the same bytes
+DEFAULTS_SPELLED_OUT = [
+    (["equilibrium", *POWER], ["--n", "2", "--method", "auto", "--format", "table"]),
+    (["bestresponse", *CFMM], ["--y", "0", "--budget", "inf", "--format", "table"]),
+    (["simulate", *CFMM],
+     ["--n", "2", "--trials", "1", "--seed", "0", "--threshold", "0.1",
+      "--max-iterations", "2000", "--update-order", "sequential",
+      "--scenario", "unconstrained", "--format", "table"]),
+    (["study", *CFMM],
+     ["--n-values", "2:16", "--trials", "100", "--seed", "0", "--threshold", "0.1",
+      "--max-iterations", "2000", "--update-order", "sequential",
+      "--scenario", "unconstrained", "--format", "table"]),
+    (["whale", *CFMM],
+     ["--n-fish-values", "1:20", "--trials", "100", "--seed", "0",
+      "--threshold", "0.1", "--max-iterations", "2000", "--format", "table"]),
+    (["poa", *POWER], ["--n-values", "1:50", "--n0", "10", "--format", "table"]),
+    (["batch", "--deltas", "5,-2,3", "--gamma", "0.99", "--r1", "200", "--r2", "250"],
+     ["--format", "table"]),
+    (["verify", *POWER],
+     ["--conditions", "chord,linear,rosen", "--samples", "10000", "--seed", "0",
+      "--rosen-n", "2", "--format", "table"]),
+    (["reproduce", "scenario1"],
+     ["study", *CFMM, "--n-values", "2:16", "--trials", "100", "--seed", "0",
+      "--format", "csv"]),
+    (["reproduce", "scenario2-delta"],
+     ["reproduce", "scenario2-delta", "--family", "power", "--n", "10",
+      "--deltas", "0.5,1,2,5,10", "--trials", "100", "--seed", "0"]),
+    (["reproduce", "whale"],
+     ["whale", *CFMM, "--n-fish-values", "1:20", "--trials", "100", "--seed", "0",
+      "--threshold", "0.1", "--max-iterations", "2000", "--format", "csv"]),
+    (["reproduce", "poa-curve"],
+     ["poa", *POWER, "--n-values", "1:50", "--n0", "10", "--format", "csv"]),
+]
+
+
+@pytest.mark.parametrize("required, spelled", DEFAULTS_SPELLED_OUT,
+                         ids=[" ".join(r[:2]) for r, _ in DEFAULTS_SPELLED_OUT])
+def test_defaults_match_their_documented_values(capsys, required, spelled):
+    # a reproduce row spells its figure out as the command it presets
+    full = spelled if required[0] == "reproduce" else [*required, *spelled]
+    by_default = run(capsys, *required)
+    assert by_default[0] == 0 and by_default[1]
+    assert run(capsys, *full) == by_default
+
+
 def test_determinism_across_reruns(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["reproduce", "scenario1", "--n-values", "2:4", "--trials", "5"]
