@@ -2,13 +2,15 @@
 
 Every command reads a payoff family from flags (or a JSON config), runs
 one of the library routines, and writes rows as CSV or an aligned text
-table. A ``--config`` file is merged into the flags once, before the
-command runs: flags win, a null counts as not given, and each value is
-converted by its flag's own type. Errors come out as a single
+table. Each command's flags, with their types, defaults and help, are
+one entry of :data:`COMMANDS`. A ``--config`` file is merged into the
+flags once, before the command runs: flags win, a null counts as not
+given, and each value is converted by its flag's own type; a flag still
+unset then takes its default. Errors come out as a single
 machine-parsable line on stderr with exit code 2 (bad input: anything
 raising :class:`InvalidArgument`, which the library raises at its own
 argument checks, so they are not copied here), 3 (no positive region /
-no root exists), or 4 (numeric failure).
+no root exists), or 4 (numeric failure). A closed stdout exits 1 quietly.
 """
 
 from __future__ import annotations
@@ -63,22 +65,6 @@ REFERENCE = {
     "power": {"kind": "power", "beta": 0.5, "gamma": 0.05},
 }
 
-# The family flags are the families' spec keys, named as the keys are but
-# for --price, the cfmm's c; a config file gives one "family" object. Each
-# flag's type, in key order: a number, or a comma list for the table parser.
-_FLAG_OF = {"c": "price"}
-_FAMILY_FLAGS = {_FLAG_OF.get(key, key): float if conv is float else None
-                 for kind in FAMILY_KINDS for key, conv in spec_keys(kind).items()}
-_FAMILY_HELP = {
-    "beta": "power exponent in (0,1)",
-    "gamma": "power linear cost, or cfmm fee multiplier",
-    "r1": "cfmm reserve of asset A",
-    "r2": "cfmm reserve of asset B",
-    "price": "cfmm external price of B",
-    "ts": "table knot positions, comma-separated",
-    "fs": "table knot values, comma-separated",
-}
-
 # A command's result: column names, rows, and text that follows the table
 # (on stdout) in table format.
 Table = tuple[list[str], list[list], str]
@@ -123,15 +109,19 @@ def _parse_int_values(value) -> list[int]:
     return out
 
 
+# what a config value must be for each flag type, as its refusal names it
+_EXPECTED = {int: "an integer", float: "a number", str: "a string"}
+
+
 def _convert(kind, value):
-    """``kind(value)``; a config value that does not convert is a config error.
-    An integer is not taken from a bool or a float with a fractional part,
-    which ``int`` would accept or truncate."""
-    if kind is int and (
-        isinstance(value, bool)
-        or isinstance(value, float) and not value.is_integer()
+    """``kind(value)``; a config value that does not convert is a config
+    error. A number or a string is never taken from a bool, which ``int``
+    and ``float`` read as 0 or 1, nor an integer from a float, which
+    ``int`` would truncate."""
+    if kind in _EXPECTED and (
+        isinstance(value, bool) or kind is int and isinstance(value, float)
     ):
-        raise ConfigError(f"expected an integer, got {value!r}")
+        raise ConfigError(f"expected {_EXPECTED[kind]}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -161,24 +151,25 @@ def _merge_config(args) -> None:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(cfg) - set(args.config_types)
+    flags = COMMANDS[args.command][2]
+    # each flag's type but --config's, and the family as one object in
+    # place of the family flags
+    types = {dest: str if isinstance(kind, tuple) else kind
+             for dest, (kind, _, _) in flags.items() if dest != "config"
+             and not ("family" in flags and dest in _FAMILY_FLAGS)}
+    if "family" in types:
+        types["family"] = _family_object
+    unknown = set(cfg) - set(types)
     if unknown:
         raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
     for key, value in cfg.items():
-        kind = args.config_types[key]
         if getattr(args, key) is None and value is not None:
+            kind = types[key]
             setattr(args, key, value if kind is None else _convert(kind, value))
 
 
-def _resolve(args, name: str, default):
-    """The flag's value, or ``default`` when neither the flag nor the config
-    file gave one. A given value, even zero or empty, is kept."""
-    value = getattr(args, name, None)
-    return default if value is None else value
-
-
 def _resolve_family(args):
-    kind = _resolve(args, "family", None)
+    kind = args.family
     if kind is None:
         raise ConfigError("no payoff family given (use --family or a config file)")
     # a config file's family object takes no family flags; a kind, its own
@@ -186,7 +177,7 @@ def _resolve_family(args):
     keys = {} if from_config else spec_keys(kind)
     own = [_FLAG_OF.get(key, key) for key in keys]
     for flag in _FAMILY_FLAGS:
-        if flag not in own and getattr(args, flag, None) is not None:
+        if flag not in own and getattr(args, flag) is not None:
             raise ConfigError(
                 f"--{flag} needs --family: the config file gives the family "
                 "as one object" if from_config
@@ -204,10 +195,10 @@ def _resolve_family(args):
 
 
 def _resolve_scenario(args, n: int):
-    name = _resolve(args, "scenario", "unconstrained")
+    name = args.scenario
     # each constrained scenario's own flag, given exactly when it is chosen
     for scenario, key in (("bounded", "delta"), ("budgeted", "budgets")):
-        given = _resolve(args, key, None) is not None
+        given = getattr(args, key) is not None
         if given != (name == scenario):
             raise ConfigError(f"--{key} needs --scenario {scenario}" if given
                               else f"scenario {scenario!r} needs --{key}")
@@ -225,12 +216,20 @@ def _resolve_scenario(args, n: int):
     raise ConfigError(f"unknown scenario {name!r}")
 
 
+def _set_defaults(args, flags: dict) -> None:
+    """Give each flag that neither the command line nor the config file
+    set its default from the command's table entry."""
+    for dest, (_, default, _) in flags.items():
+        if getattr(args, dest, None) is None:
+            setattr(args, dest, default)
+
+
 def _run_settings(args) -> dict:
     """The threshold, round cap and seed of simulate, study and whale."""
     return dict(
-        convergence_threshold=_resolve(args, "threshold", 0.1),
-        max_iterations=_resolve(args, "max_iterations", 2000),
-        seed=_resolve(args, "seed", 0),
+        convergence_threshold=args.threshold,
+        max_iterations=args.max_iterations,
+        seed=args.seed,
     )
 
 
@@ -275,7 +274,9 @@ def _io_args(args) -> tuple[str, str | None]:
     """The output format and path, checked before the command runs: the
     path may not be a directory or lie in a missing one. The file itself is
     written only when the command has succeeded."""
-    fmt = _resolve(args, "format", "table" if args.output is None else "csv")
+    fmt = args.format
+    if fmt is None:
+        fmt = "table" if args.output is None else "csv"
     if fmt not in ("csv", "table"):
         raise ConfigError(f"unknown format {fmt!r}")
     path = args.output
@@ -293,8 +294,7 @@ def _io_args(args) -> tuple[str, str | None]:
 
 def _cmd_equilibrium(args) -> Table:
     family = _resolve_family(args)
-    res = solve_symmetric(family, _resolve(args, "n", 2),
-                          method=_resolve(args, "method", "auto"))
+    res = solve_symmetric(family, args.n, method=args.method)
     return (
         ["n", "q", "per_player", "eq_payoff", "foc_residual", "method"],
         [[res.n, res.q, res.per_player, res.equilibrium_payoff,
@@ -305,28 +305,25 @@ def _cmd_equilibrium(args) -> Table:
 
 def _cmd_bestresponse(args) -> Table:
     family = _resolve_family(args)
-    y = _resolve(args, "y", 0.0)
-    budget = _resolve(args, "budget", math.inf)
-    res = best_response(family, y, budget=budget)
+    res = best_response(family, args.y, budget=args.budget)
     return (
         ["y", "budget", "x", "payoff", "boundary"],
-        [[y, budget, res.x, res.achieved_payoff, res.at_boundary]],
+        [[args.y, args.budget, res.x, res.achieved_payoff, res.at_boundary]],
         "",
     )
 
 
 def _cmd_simulate(args) -> Table:
     family = _resolve_family(args)
-    n = _resolve(args, "n", 2)
-    game = GameConfig(family, n, _resolve_scenario(args, n),
-                      update_order=_resolve(args, "update_order", "sequential"),
+    game = GameConfig(family, args.n, _resolve_scenario(args, args.n),
+                      update_order=args.update_order,
                       **_run_settings(args))
     # simulate runs one trial per call, so the trial count is checked here
-    trials = integer("trials", _resolve(args, "trials", 1), 1)
+    trials = integer("trials", args.trials, 1)
     rows = []
     for trial in range(trials):
         rng = np.random.default_rng([game.seed, trial])
-        T = simulate(game, initial=draw_initial_profile(family, n, rng)).tenders
+        T = simulate(game, initial=draw_initial_profile(family, args.n, rng)).tenders
         payoffs = pro_rata_payoff(family, T, T.sum(axis=1, keepdims=True) - T)
         for it, (xs, ps) in enumerate(zip(T.tolist(), payoffs.tolist())):
             rows.extend([trial, it, player, x, p]
@@ -336,16 +333,16 @@ def _cmd_simulate(args) -> Table:
 
 def _cmd_study(args) -> Table:
     family = _resolve_family(args)
-    n_values = _parse_int_values(_resolve(args, "n_values", "2:16"))
+    n_values = _parse_int_values(args.n_values)
     scenario = _resolve_scenario(args, n_values[0])
     if isinstance(scenario, Budgeted) and len(set(n_values)) > 1:
         raise ConfigError("a budgeted study needs a single n value")
     result = convergence_study(
         family,
         n_values,
-        trials=_resolve(args, "trials", 100),
+        trials=args.trials,
         scenario=scenario,
-        update_order=_resolve(args, "update_order", "sequential"),
+        update_order=args.update_order,
         **_run_settings(args),
     )
     # iterations counts the rounds to convergence: blank for the other stops
@@ -372,11 +369,10 @@ def _delta_sweep(args) -> Table:
 
 def _cmd_whale(args) -> Table:
     family = _resolve_family(args)
-    n_fish_values = _parse_int_values(_resolve(args, "n_fish_values", "1:20"))
-    trials, settings = _resolve(args, "trials", 100), _run_settings(args)
+    n_fish_values = _parse_int_values(args.n_fish_values)
     rows = []
     for n_fish in n_fish_values:
-        rep = whale_fish_experiment(family, n_fish, trials, **settings)
+        rep = whale_fish_experiment(family, n_fish, args.trials, **_run_settings(args))
         rows.append([
             rep.n_fish, rep.trials, rep.whale_strategy, rep.whale_profit,
             rep.pct_strategy_increase, rep.pct_strategy_std,
@@ -394,8 +390,8 @@ def _cmd_whale(args) -> Table:
 
 def _cmd_poa(args) -> Table:
     family = _resolve_family(args)
-    n_values = _parse_int_values(_resolve(args, "n_values", "1:50"))
-    result = poa_growth_check(family, n_values, n0=_resolve(args, "n0", 10))
+    n_values = _parse_int_values(args.n_values)
+    result = poa_growth_check(family, n_values, n0=args.n0)
     rows = [[r.n, r.eq_payoff, r.fair_payoff, r.poa] for r in result.reports]
     return (
         ["n", "eq_payoff", "fair_payoff", "poa"], rows,
@@ -448,28 +444,24 @@ def _cmd_batch(args) -> Table:
 
 def _cmd_verify(args) -> Table:
     family = _resolve_family(args)
-    value = _resolve(args, "conditions", "chord,linear,rosen")
-    conditions = [str(c).strip() for c in _items(value)]
+    conditions = [str(c).strip() for c in _items(args.conditions)]
     if not conditions:
-        raise ConfigError(f"no values in {value!r}")
+        raise ConfigError(f"no values in {args.conditions!r}")
     unknown = set(conditions) - {"chord", "linear", "rosen"}
     if unknown:
         raise ConfigError(f"unknown conditions: {sorted(unknown)}")
-    samples = _resolve(args, "samples", 10_000)
-    seed = _resolve(args, "seed", 0)
-    domain_hi = args.domain_hi
-    rosen_n = _resolve(args, "rosen_n", 2)
 
     rows = []
     for name in conditions:
         if name == "rosen":
-            rep = rosen_probe(family, rosen_n)
-            rows.append([rep.condition, rep.holds, float(rosen_n),
-                         rosen_n / 2.0, rep.details["e_value"]])
+            rep = rosen_probe(family, args.rosen_n)
+            rows.append([rep.condition, rep.holds, float(args.rosen_n),
+                         args.rosen_n / 2.0, rep.details["e_value"]])
             continue
         check = check_chord_condition if name == "chord" \
             else detect_linear_segment_at_zero
-        rep = check(family, samples=samples, seed=seed, domain_hi=domain_hi)
+        rep = check(family, samples=args.samples, seed=args.seed,
+                    domain_hi=args.domain_hi)
         rows.extend([rep.condition, rep.holds, *w]
                     for w in rep.witness or ((None, None, None),))
     return (["condition", "holds", "witness_a", "witness_b", "witness_value"],
@@ -477,60 +469,102 @@ def _cmd_verify(args) -> Table:
 
 
 # Each figure is a preset run of a command: (handler, reference family kind,
-# settings from the reproduce flags). A flag that is not given keeps the
-# default; a given one, even zero or empty, goes to the handler's checks.
+# settings from the reproduce flags), on the command's defaults. A setting
+# left None keeps the default; a given one, even zero or empty, goes to the
+# handler's checks.
 FIGURES = {
-    "scenario1": (_cmd_study, "cfmm",
-                  lambda a: {"n_values": _resolve(a, "n_values", "2:16")}),
+    "scenario1": (_cmd_study, "cfmm", lambda a: {"n_values": a.n_values}),
     "scenario2-delta": (_delta_sweep, "power",
-                        lambda a: {"n_values": [_resolve(a, "n", 10)],
-                                   "deltas": _resolve(a, "deltas", "0.5,1,2,5,10")}),
-    "whale": (_cmd_whale, "cfmm",
-              lambda a: {"n_fish_values": _resolve(
-                  a, "n_values", f"1:{_resolve(a, 'max_fish', 20)}")}),
-    "poa-curve": (_cmd_poa, "power",
-                  lambda a: {"n_values": _resolve(a, "n_values", "1:50")}),
+                        lambda a: {"n_values": [a.n], "deltas": a.deltas}),
+    "whale": (_cmd_whale, "cfmm", lambda a: {"n_fish_values": f"1:{a.max_fish}"
+              if a.n_values is None and a.max_fish is not None else a.n_values}),
+    "poa-curve": (_cmd_poa, "power", lambda a: {"n_values": a.n_values}),
 }
 
 
 def _cmd_reproduce(args) -> Table:
     handler, kind, preset = FIGURES[args.figure]
-    return handler(argparse.Namespace(
-        family=REFERENCE[args.family or kind], trials=args.trials,
-        seed=args.seed, **preset(args)))
+    settings = argparse.Namespace(family=REFERENCE[args.family or kind],
+                                  trials=args.trials, seed=args.seed, **preset(args))
+    # the rest are the command's defaults; the delta sweep runs studies
+    _set_defaults(settings, next((flags for _, fn, flags in COMMANDS.values()
+                                  if fn is handler), COMMANDS["study"][2]))
+    return handler(settings)
 
 
-# ----------------------------------------------------------------- parser
+# ------------------------------------------------------------------ parser
 
+# Each flag's dest: (type, or a tuple of choices; default, None for none;
+# help). The family flags are the families' spec keys, named as the keys
+# are but for --price, the cfmm's c; a config file gives one "family"
+# object in their place.
+_FLAG_OF = {"c": "price"}
+_FAMILY_FLAGS = {
+    "beta": (float, None, "power exponent in (0,1)"),
+    "gamma": (float, None, "power linear cost, or cfmm fee multiplier"),
+    "r1": (float, None, "cfmm reserve of asset A"),
+    "r2": (float, None, "cfmm reserve of asset B"),
+    "price": (float, None, "cfmm external price of B"),
+    "ts": (None, None, "table knot positions, comma-separated"),
+    "fs": (None, None, "table knot values, comma-separated"),
+}
+_FAMILY = {"family": (tuple(FAMILY_KINDS), None, "payoff family kind"),
+           **_FAMILY_FLAGS}
+_IO = {
+    "config": (str, None, "JSON config file (flags win)"),
+    "output": (str, None, "write to this path instead of stdout"),
+    "format": (("csv", "table"), None,
+               "output format (default: table on stdout, csv to files)"),
+}
+_RUN = {"seed": (int, 0, None), "threshold": (float, 0.1, None),
+        "max_iterations": (int, 2000, None)}
+_SCENARIO = {
+    "update_order": (("sequential", "synchronous"), "sequential", None),
+    "scenario": (("unconstrained", "bounded", "budgeted"), "unconstrained", None),
+    "delta": (float, None, "bounded-update step cap"),
+    "budgets": (None, None, "comma list (1 value broadcasts)"),
+}
+_ALIASES = {"conditions": ("--condition",)}
 
-def _add_family_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=FAMILY_KINDS, help="payoff family kind")
-    for flag, kind in _FAMILY_FLAGS.items():
-        sub.add_argument(f"--{flag}", type=kind, help=_FAMILY_HELP[flag])
-
-
-def _add_io_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file (flags win)")
-    sub.add_argument("--output", type=str,
-                     help="write to this path instead of stdout")
-    sub.add_argument("--format", type=str, choices=("csv", "table"),
-                     help="output format (default: table on stdout, csv to files)")
-
-
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--threshold", type=float)
-    sub.add_argument("--max-iterations", dest="max_iterations", type=int)
-
-
-def _command(sub, name: str, helptext: str, fn, family: bool = True):
-    p = sub.add_parser(name, help=helptext)
-    if family:
-        _add_family_flags(p)
-    _add_io_flags(p)
-    p.set_defaults(fn=fn)
-    return p
+# Every command: (help, handler, flags). A flag's type converts its config
+# value too, and main gives each flag left unset its default.
+COMMANDS = {
+    "equilibrium": ("symmetric equilibrium", _cmd_equilibrium, {
+        **_FAMILY, **_IO, "n": (int, 2, None),
+        "method": (SOLVE_METHODS, "auto", None)}),
+    "bestresponse": ("single-player best response", _cmd_bestresponse, {
+        **_FAMILY, **_IO, "y": (float, 0.0, "everyone else's total tender"),
+        "budget": (float, math.inf, None)}),
+    "simulate": ("trace best-response rounds", _cmd_simulate, {
+        **_FAMILY, **_IO, "n": (int, 2, None), "trials": (int, 1, None),
+        **_RUN, **_SCENARIO}),
+    "study": ("rounds-to-convergence statistics", _cmd_study, {
+        **_FAMILY, **_IO, "n_values": (None, "2:16", "e.g. '2:16' or '2,4,8'"),
+        "trials": (int, 100, None), **_RUN, **_SCENARIO}),
+    "whale": ("one deep player vs budget-capped fish", _cmd_whale, {
+        **_FAMILY, **_IO, "n_fish_values": (None, "1:20", "e.g. '1:20'"),
+        "trials": (int, 100, None), **_RUN}),
+    "poa": ("price-of-anarchy curve", _cmd_poa, {
+        **_FAMILY, **_IO, "n_values": (None, "1:50", None),
+        "n0": (int, 10, "tail start for the poa/n floor")}),
+    "batch": ("clear a batch of signed demands", _cmd_batch, {
+        **_IO, "input": (str, None, "CSV with columns trader_id, delta"),
+        "deltas": (None, None, "inline comma list of signed demands"),
+        "gamma": (float, None, None), "r1": (float, None, None),
+        "r2": (float, None, None)}),
+    "verify": ("certify concavity side conditions", _cmd_verify, {
+        **_FAMILY, **_IO,
+        "conditions": (None, "chord,linear,rosen", "subset of chord,linear,rosen"),
+        "samples": (int, 10_000, None), "seed": (int, 0, None),
+        "domain_hi": (float, None, None), "rosen_n": (int, 2, None)}),
+    # a figure flag left unset keeps the default of the figure's command;
+    # --n and --deltas set scenario2-delta, --max-fish the whale figure
+    "reproduce": ("regenerate a reference figure CSV", _cmd_reproduce, {
+        "family": (("power", "cfmm"), None, None), "trials": (int, None, None),
+        "seed": (int, None, None), "n": (int, 10, None),
+        "n_values": (None, None, None), "max_fish": (int, None, None),
+        "deltas": (None, "0.5,1,2,5,10", None), "output": (str, None, None)}),
+}
 
 
 @functools.cache
@@ -541,80 +575,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="concave pro-rata games: equilibria, dynamics, batches",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _command(sub, "equilibrium", "symmetric equilibrium", _cmd_equilibrium)
-    p.add_argument("--n", type=int)
-    p.add_argument("--method", type=str, choices=SOLVE_METHODS)
-
-    p = _command(sub, "bestresponse", "single-player best response",
-                 _cmd_bestresponse)
-    p.add_argument("--y", type=float, help="everyone else's total tender")
-    p.add_argument("--budget", type=float)
-
-    for name, helptext, fn in (
-            ("simulate", "trace best-response rounds", _cmd_simulate),
-            ("study", "rounds-to-convergence statistics", _cmd_study)):
-        p = _command(sub, name, helptext, fn)
-        if name == "simulate":
-            p.add_argument("--n", type=int)
-        else:
-            p.add_argument("--n-values", dest="n_values",
-                           help="e.g. '2:16' or '2,4,8'")
-        _add_run_flags(p)
-        p.add_argument("--update-order", dest="update_order", type=str,
-                       choices=("sequential", "synchronous"))
-        p.add_argument("--scenario", type=str,
-                       choices=("unconstrained", "bounded", "budgeted"))
-        p.add_argument("--delta", type=float, help="bounded-update step cap")
-        p.add_argument("--budgets", help="comma list (1 value broadcasts)")
-
-    p = _command(sub, "whale", "one deep player vs budget-capped fish", _cmd_whale)
-    p.add_argument("--n-fish-values", dest="n_fish_values",
-                   help="e.g. '1:20'")
-    _add_run_flags(p)
-
-    p = _command(sub, "poa", "price-of-anarchy curve", _cmd_poa)
-    p.add_argument("--n-values", dest="n_values")
-    p.add_argument("--n0", type=int, help="tail start for the poa/n floor")
-
-    p = _command(sub, "batch", "clear a batch of signed demands", _cmd_batch,
-                 family=False)
-    p.add_argument("--input", type=str, help="CSV with columns trader_id, delta")
-    p.add_argument("--deltas", help="inline comma list of signed demands")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--r1", type=float)
-    p.add_argument("--r2", type=float)
-
-    p = _command(sub, "verify", "certify concavity side conditions", _cmd_verify)
-    p.add_argument("--conditions", "--condition", dest="conditions",
-                   help="subset of chord,linear,rosen")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--domain-hi", dest="domain_hi", type=float)
-    p.add_argument("--rosen-n", dest="rosen_n", type=int)
-
-    p = sub.add_parser("reproduce", help="regenerate a reference figure CSV")
-    p.add_argument("figure", type=lambda s: s.removeprefix("fig-"),
-                   choices=FIGURES)
-    p.add_argument("--family", choices=("power", "cfmm"))
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-values", dest="n_values")
-    p.add_argument("--max-fish", dest="max_fish", type=int)
-    p.add_argument("--deltas")
-    p.add_argument("--output", type=str)
-    p.set_defaults(fn=_cmd_reproduce, format="csv")
-
-    # a config file may set what the command's flags set, each converted by
-    # its flag's type, with the family as one object in place of its flags
-    for p in sub.choices.values():
-        types = {a.dest: a.type for a in p._actions
-                 if a.dest not in ("help", "config")}
-        if "family" in types:
-            types = {k: v for k, v in types.items() if k not in _FAMILY_FLAGS}
-            types["family"] = _family_object
-        p.set_defaults(config_types=types)
+    for name, (helptext, _, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=helptext)
+        if name == "reproduce":
+            p.add_argument("figure", type=lambda s: s.removeprefix("fig-"),
+                           choices=FIGURES)
+            p.set_defaults(format="csv")
+        for dest, (kind, default, text) in flags.items():
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument(f"--{dest.replace('_', '-')}", *_ALIASES.get(dest, ()),
+                           dest=dest, type=None if choices else kind,
+                           choices=choices, help=text)
     return parser
 
 
@@ -633,14 +604,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _, run, flags = COMMANDS[args.command]
     try:
         _merge_config(args)
+        _set_defaults(args, flags)
         fmt, path = _io_args(args)
-        columns, rows, after = args.fn(args)
+        columns, rows, after = run(args)
         _emit(columns, rows, fmt, path)
         if fmt == "table":
             sys.stdout.write(after)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
         return 0
+    except BrokenPipeError:
+        # the reader left early: exit quietly, the flush at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ProRataError as exc:
         for klass, slug, code in _ERROR_SLUGS:
             if isinstance(exc, klass):

@@ -17,6 +17,7 @@ import bisect
 import dataclasses
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Union
 
@@ -37,8 +38,6 @@ from .search import bisect_root
 # a short upward leg covers non-concave callables.
 _SCAN_DOWN_STEPS = 200
 _SCAN_UP_STEPS = 60
-# the root search gives up past this multiple of its starting point
-_EXPANSION_CAP = 1e12
 # the root's bisection stops at this bracket width relative to the root; the
 # root scales every seeded initial draw, so changing it changes the figures
 _ROOT_RTOL = 1e-10
@@ -290,7 +289,7 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
     """Locate the positive root, the maximum, and a positivity witness.
 
     The root is bracketed by doubling from a point with f > 0 until the
-    sign flips (capped at 1e12 times the start, or at the last knot for
+    sign flips (up to the end of the float range, or to the last knot for
     tabulated families) and then bisected to 1e-10 relative. The argmax is
     the zero of f' on [0, root], bracketed to adjacent floats by the
     safeguarded search of :mod:`prorata.search`; for tabulated
@@ -299,13 +298,12 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
     """
     t_pos = _find_positive_point(family)
     end = family.domain_max
-    cap = _EXPANSION_CAP * max(t_pos, 1.0)
     # double until f <= 0 (a NaN doubles on, as a positive value does)
     lo = hi = t_pos
     while not family.value(hi) <= 0.0:
         if hi >= end:
             raise NoFiniteRoot(f"payoff still positive at the domain end t={end}")
-        if hi > cap:
+        if hi > 0.5 * sys.float_info.max:  # the next doubling would overflow
             raise NoFiniteRoot(f"payoff still positive at t={hi:g} (cap reached)")
         lo, hi = hi, min(2.0 * hi, end)
     root = bisect_root(family.value, lo, hi, _ROOT_RTOL)
@@ -349,9 +347,17 @@ def spec_keys(kind: str) -> dict:
             for f in dataclasses.fields(FAMILY_KINDS[kind])}
 
 
+def _spec_float(name: str, value) -> float:
+    # float() reads a bool as 0 or 1: a spec's true is not a number
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def family_from_dict(spec: dict) -> PayoffFamily:
     """Build a payoff family from a config mapping with a ``kind`` and that
-    kind's :func:`spec_keys`; unknown or missing keys are errors."""
+    kind's :func:`spec_keys`; unknown or missing keys are errors, and so is
+    a bool for a number or a knot."""
     if "kind" not in spec:
         raise ConfigError("family spec needs a 'kind' (cfmm, power, or table)")
     kind = spec["kind"]
@@ -365,6 +371,9 @@ def family_from_dict(spec: dict) -> PayoffFamily:
         raise ConfigError(f"missing keys for {kind} family: {sorted(allowed - given)}")
     try:
         # in field order, so the first bad parameter reported is fixed
-        return FAMILY_KINDS[kind](**{k: conv(spec[k]) for k, conv in keys.items()})
+        return FAMILY_KINDS[kind](**{
+            k: _spec_float(k, spec[k]) if conv is float
+            else tuple(_spec_float(f"{k}[{i}]", v) for i, v in enumerate(spec[k]))
+            for k, conv in keys.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind} family parameters: {exc}") from exc

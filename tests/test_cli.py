@@ -4,6 +4,9 @@ import csv
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from prorata import (
     PowerPayoff,
     ProRataError,
     errors,
+    power_poa_closed_form,
     pro_rata_payoff,
 )
 from prorata.cli import _ERROR_SLUGS, FIGURES, build_parser, main
@@ -344,6 +348,25 @@ def test_parser_is_built_once_and_reused(capsys):
     assert run(capsys, "reproduce", "fig-nope") == usage_error
     assert run(capsys, "equilibrium", *POWER, "--n", "2")[0] == 0
     assert run(capsys, "reproduce", "fig-nope") == usage_error
+
+
+@pytest.mark.parametrize("argv", [["equilibrium", *POWER], ["study", *CFMM]],
+                         ids=["flushed-at-the-end", "written-past-the-buffer"])
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(argv):
+    # the pipe's read end is closed before the child starts, so its stdout
+    # fails on the first write that reaches it, every time
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(errors.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        child = subprocess.run([sys.executable, "-m", "prorata.cli", *argv],
+                               stdout=write_end, stderr=subprocess.PIPE,
+                               env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (1, b"")
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -739,6 +762,7 @@ def test_wrongly_typed_config_values_exit_2(capsys, tmp_path, command, cfg):
     ("study", {"n_values": [2, 2.5]}),
     ("poa", {"n0": float("inf")}),
     ("verify", {"samples": 100.5}),
+    ("equilibrium", {"n": 3.0}),
 ])
 def test_fractional_config_integers_exit_2(capsys, tmp_path, command, cfg):
     # int() would truncate these (or take a bool as 0/1) and run silently
@@ -749,14 +773,26 @@ def test_fractional_config_integers_exit_2(capsys, tmp_path, command, cfg):
     assert err.startswith("error: config-error: expected an integer, got ")
 
 
-def test_integral_float_config_integers_are_accepted(capsys, tmp_path):
-    whole = _with_config(
-        capsys, tmp_path, "equilibrium", {"family": CFMM_SPEC, "n": 3.0}
-    )
-    exact = _with_config(
-        capsys, tmp_path, "equilibrium", {"family": CFMM_SPEC, "n": 3}
-    )
-    assert whole[0] == 0 and whole == exact
+@pytest.mark.parametrize("command, cfg, message", [
+    ("bestresponse", {"y": True}, "expected a number, got True"),
+    ("bestresponse", {"budget": False}, "expected a number, got False"),
+    ("study", {"n_values": "2", "threshold": True}, "expected a number, got True"),
+    ("study", {"n_values": "3", "scenario": "budgeted", "budgets": [1, True]},
+     "bad float list [1, True]: expected a number, got True"),
+    ("simulate", {"update_order": True}, "expected a string, got True"),
+    ("equilibrium", {"output": True}, "expected a string, got True"),
+    ("equilibrium", {"family": {"kind": "power", "beta": 0.5, "gamma": True}},
+     "bad power family parameters: gamma must be a number, got True"),
+    ("equilibrium", {"family": {"kind": "table", "ts": [0, 10, 20],
+                                "fs": [0, True, 3]}},
+     "bad table family parameters: fs[1] must be a number, got True"),
+], ids=["y", "budget", "threshold", "budgets", "update-order", "output",
+        "family-gamma", "table-knot"])
+def test_bool_config_values_exit_2(capsys, tmp_path, command, cfg, message):
+    # int() and float() would read true as 1 and false as 0 and run
+    cfg = {"family": CFMM_SPEC, **cfg}
+    assert _with_config(capsys, tmp_path, command, cfg) == (
+        2, "", f"error: config-error: {message}\n")
 
 
 def test_library_type_error_is_not_a_config_error(capsys, monkeypatch):
@@ -987,6 +1023,19 @@ def test_output_file_is_left_alone_when_the_command_fails(capsys, tmp_path):
     code, _, _ = run(capsys, "equilibrium", *TABLE_0_10_20, "--fs", "0,5,8",
                      "--output", str(tmp_path / "new.csv"))
     assert code == 3 and not (tmp_path / "new.csv").exists()
+
+
+def test_a_power_family_with_a_far_zero_runs_poa_and_simulate(capsys):
+    # the zero of f is 0.001**-5 = 1e15: the root search doubles from t = 1
+    # up to it, past any fixed multiple of its start
+    family = ["--family", "power", "--beta", "0.8", "--gamma", "0.001"]
+    code, out, err = run(capsys, "poa", *family, "--n-values", "1:4",
+                         "--format", "csv")
+    assert (code, err) == (0, "")
+    assert [float(r["poa"]) for r in rows_of(out)] == pytest.approx(
+        [power_poa_closed_form(0.8, n) for n in range(1, 5)], rel=1e-9)
+    code, out, err = run(capsys, "simulate", *family, "--n", "3", "--format", "csv")
+    assert (code, err) == (0, "") and len(rows_of(out)) > 3
 
 
 def test_whale_without_a_positive_fair_payoff_exits_3(capsys):

@@ -271,6 +271,9 @@ def test_family_from_dict_roundtrip(cfmm, power):
         {"kind": "power", "beta": 0.5},
         {"kind": "power", "beta": 0.5, "gamma": 0.05, "extra": 1},
         {"kind": "cfmm", "gamma": 2.0, "r1": 200.0, "r2": 250.0, "c": 1.0},
+        # float() would read true as 1.0
+        {"kind": "power", "beta": 0.5, "gamma": True},
+        {"kind": "table", "ts": [0.0, True], "fs": [0.0, 0.5]},
     ],
 )
 def test_family_from_dict_rejects_bad_specs(spec):
@@ -279,12 +282,12 @@ def test_family_from_dict_rejects_bad_specs(spec):
 
 
 def test_a_payoff_that_never_returns_to_zero_has_no_finite_root():
-    # sqrt(t) stays positive: the root search stops at its cap, 2**40 here,
-    # and every solve that needs the root says so
+    # sqrt(t) stays positive: the root search stops at the end of the float
+    # range, 2**1023 here, and every solve that needs the root says so
     from prorata import NoFiniteRoot, best_response, check_chord_condition
 
     family = CallablePayoff(lambda t: t**0.5, deriv=lambda t: 0.5 * t**-0.5)
-    message = "payoff still positive at t=1.09951e+12 (cap reached)"
+    message = "payoff still positive at t=8.98847e+307 (cap reached)"
     for solve in (diagnostics, lambda f: best_response(f, 1.0),
                   check_chord_condition):
         with pytest.raises(NoFiniteRoot) as caught:
