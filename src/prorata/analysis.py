@@ -26,8 +26,11 @@ class PoaReport:
 
 
 def power_poa_closed_form(beta: float, n: int) -> float:
-    """PoA for the power family: n * (beta*n / (n + beta - 1))**(beta/(1-beta))."""
-    return n * (beta * n / (n + beta - 1.0)) ** (beta / (1.0 - beta))
+    """PoA for the power family: n * (beta*n / (beta + n - 1))**(beta/(1-beta)).
+
+    ``n - 1`` is exact, so it is taken first: beta keeps its low bits.
+    """
+    return n * (beta * n / (beta + (n - 1.0))) ** (beta / (1.0 - beta))
 
 
 def poa(family: PayoffFamily, n: int) -> PoaReport:

@@ -570,13 +570,15 @@ COMMANDS = {
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process and shared: do not modify it."""
+    # no prefix matching: a flag a command does not have exits 2
     parser = argparse.ArgumentParser(
         prog="prorata",
         description="concave pro-rata games: equilibria, dynamics, batches",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (helptext, _, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=helptext)
+        p = sub.add_parser(name, help=helptext, allow_abbrev=False)
         if name == "reproduce":
             p.add_argument("figure", type=lambda s: s.removeprefix("fig-"),
                            choices=FIGURES)

@@ -19,22 +19,23 @@ stop rule gives every row a reason: "converged" (near the symmetric
 equilibrium, or for the whale no move as large as the threshold),
 "fixed-point" (no move beyond a few ulps of the row total: binding
 budgets, or a kinked table where the symmetric equilibrium is not the only
-rest point) or "iteration-cap". Between rounds the rows stay Python float
-lists. Within a round each row is swept player after player through the
-family's one best-response tender, :func:`unconstrained_tender` (the one
-:func:`best_response` calls), which takes the player's bounds itself; the
-sweep also measures each row's largest move and its distance to the
-equilibrium.
-Each round builds one array, for the row totals (numpy's sums) and the
-trace. Rows never mix, so a trial ends exactly as it would alone. The
-engine reads its rules from a :class:`GameConfig`.
+rest point) or "iteration-cap". One loop plays every round: each live
+row is a record of its index, its tenders (a Python float list), its caps
+and its total. The round moves each row's players one after another
+through the family's one best-response tender, :func:`unconstrained_tender`
+(the one :func:`best_response` calls), which takes the player's bounds
+itself, and notes the row's largest move. It then builds one array, for
+the row totals (numpy's sums) and the trace, and each row either stops or
+stays live; the distance to the equilibrium is measured the same way at
+round 0 and after every round. Rows never mix, so a trial ends exactly as
+it would alone. The engine reads its rules from a :class:`GameConfig`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -110,59 +111,6 @@ class DynamicsTrace:
     final_payoffs: np.ndarray
 
 
-def _sweep(
-    rows: list[list[float]],
-    totals: list[float],
-    upper: list[list[float]],
-    delta: float | None,
-    order: str,
-    tender: Callable[..., float],
-    target: float,
-) -> tuple[list[list[float]], list[float], list[float]]:
-    """One best-response round on every row, each a list of n tenders.
-
-    Players move one after another, each row on its own and in Python
-    floats: sequential order sees the moves already made this round,
-    synchronous order only last round's profile. ``totals`` are the row
-    totals before the round. Each tender is bounded to [0, upper] or, under
-    a movement cap ``delta``, to [max(0, x - delta), x + delta] around the
-    player's last tender x; the tender takes the bounds itself. Rows never
-    mix, so a row's result is the same whatever other rows are swept.
-    Returns the new rows, each row's largest move and each row's largest
-    distance to ``target``, infinite when a tender is NaN.
-    """
-    sequential = order == "sequential"
-    new_rows, moves, dists = [], [], []
-    for x, ups, total in zip(rows, upper, totals):
-        out, move, dist = [], 0.0, 0.0
-        for xi, up in zip(x, ups):
-            # before its move a player's entry is still last round's, in
-            # either order
-            y = total - xi
-            if y < 0.0:
-                y = 0.0
-            if delta is None:
-                t = tender(y, 0.0, up)
-            else:
-                lo = xi - delta
-                if lo < 0.0:
-                    lo = 0.0
-                t = tender(y, lo, xi + delta)
-            if sequential:
-                total += t - xi
-            step = abs(t - xi)
-            if step > move:
-                move = step
-            d = abs(t - target)
-            if not d <= dist:
-                dist = d if d == d else math.inf
-            out.append(t)
-        new_rows.append(out)
-        moves.append(move)
-        dists.append(dist)
-    return new_rows, moves, dists
-
-
 # A row whose players all moved by at most this many ulps of the row total
 # is at rest: rounding, not the dynamics, moves it.
 _FIXED_POINT_ULPS = 4
@@ -186,62 +134,89 @@ def _play(
       ulps of the row total;
     - ``"iteration-cap"``: the row played the config's round cap.
 
-    ``upper`` caps each tender (per row and player); a ``BoundedUpdate``
-    scenario caps each move. A stopped row leaves the round, so rows stop
-    independently. Between rounds the rows stay Python float lists; each
-    round builds one array, for the row totals (numpy's sum, the bits the
-    array would give) and for ``history``, which collects every round's
-    active rows. Returns the final rows, the rounds each row played and
-    why it stopped. On a table family, a row total past the last knot
-    raises :class:`DomainExceeded` at that round.
+    Each live row is one record: its index, its tenders as a Python float
+    list, its caps (``upper``) and its total. In a round players move one
+    after another, each row on its own: sequential order sees the moves
+    already made this round, synchronous order only last round's profile.
+    Each tender is bounded to [0, u], u the player's entry of ``upper``,
+    or, under a ``BoundedUpdate`` movement cap delta, to [max(0, x - delta),
+    x + delta] around the player's last tender x; the family's tender takes
+    the bounds itself.
+    The round then builds one array, for the row totals (numpy's sum, the
+    bits the array would give) and for ``history``, which collects every
+    round's active rows. A stopped row leaves the live list, so rows stop
+    independently and a row ends exactly as it would alone. Returns the
+    final rows, the rounds each row played and why it stopped. On a table
+    family, a row total past the last knot raises :class:`DomainExceeded`
+    at that round.
     """
     family, scenario = config.family, config.scenario
     threshold, cap = config.convergence_threshold, config.max_iterations
     delta = scenario.delta if isinstance(scenario, BoundedUpdate) else None
+    sequential = config.update_order == "sequential"
     end = family.domain_max
     tender = unconstrained_tender(family)
-    # with no target the distances are not read
-    anchor = 0.0 if target is None else target
-    rows, caps, totals = X.tolist(), upper.tolist(), X.sum(axis=1).tolist()
-    final, ids = rows[:], list(range(len(rows)))
-    rounds, reasons = [cap] * len(rows), ["iteration-cap"] * len(rows)
-    moves: list[float] = []
-    before: list[float] = []
-    if target is None:
-        near = [math.inf] * len(rows)
-    else:
-        near = np.abs(X - target).max(axis=1).tolist()
-    for t in range(cap + 1):
-        if t:
-            rows, moves, dists = _sweep(rows, totals, caps, delta,
-                                        config.update_order, tender, anchor)
-            X = np.array(rows)
-            before, totals = totals, X.sum(axis=1).tolist()
-            if end < math.inf and (over := [s for s in totals if s > end]):
-                raise DomainExceeded(f"round {t}: tender total {max(over)} "
-                                     f"beyond last knot {end}")
-            if history is not None:
-                history.append(X)
-            near = moves if target is None else dists
-        keep = []
-        for i, row in enumerate(rows):
-            if near[i] < threshold:
-                reason = "converged"
-            elif t and moves[i] <= _FIXED_POINT_ULPS * math.ulp(before[i]):
-                reason = "fixed-point"
-            else:
-                keep.append(i)
-                continue
-            final[ids[i]], rounds[ids[i]], reasons[ids[i]] = row, t, reason
-        if len(keep) < len(rows):
-            rows = [rows[i] for i in keep]
-            caps = [caps[i] for i in keep]
-            totals = [totals[i] for i in keep]
-            ids = [ids[i] for i in keep]
-        if not rows:
+
+    def distance(row: list[float]) -> float:
+        """The row's sup-norm distance to target; infinite at a NaN."""
+        dist = 0.0
+        for v in row:
+            d = abs(v - target)
+            if not d <= dist:
+                dist = d if d == d else math.inf
+        return dist
+
+    final = X.tolist()
+    rounds, reasons = [cap] * len(final), ["iteration-cap"] * len(final)
+    live = []
+    for i, record in enumerate(zip(final, upper.tolist(), X.sum(axis=1).tolist())):
+        if target is not None and distance(record[0]) < threshold:
+            rounds[i], reasons[i] = 0, "converged"
+        else:
+            live.append((i, *record))
+    for t in range(1, cap + 1):
+        if not live:
             break
-    for i, row in zip(ids, rows):
-        final[i] = row
+        swept = []
+        for _, x, caps, total in live:
+            out, move = [], 0.0
+            for xi, up in zip(x, caps):
+                # before its move a player's entry is still last round's,
+                # in either order
+                y = total - xi
+                if y < 0.0:
+                    y = 0.0
+                if delta is None:
+                    v = tender(y, 0.0, up)
+                else:
+                    lo = xi - delta
+                    if lo < 0.0:
+                        lo = 0.0
+                    v = tender(y, lo, xi + delta)
+                if sequential:
+                    total += v - xi
+                step = abs(v - xi)
+                if step > move:
+                    move = step
+                out.append(v)
+            swept.append((out, move))
+        X = np.array([row for row, _ in swept])
+        totals = X.sum(axis=1).tolist()
+        if end < math.inf and (over := [s for s in totals if s > end]):
+            raise DomainExceeded(f"round {t}: tender total {max(over)} "
+                                 f"beyond last knot {end}")
+        if history is not None:
+            history.append(X)
+        keep = []
+        for (i, _, caps, before), (row, move), total in zip(live, swept, totals):
+            final[i] = row
+            if (move if target is None else distance(row)) < threshold:
+                rounds[i], reasons[i] = t, "converged"
+            elif move <= _FIXED_POINT_ULPS * math.ulp(before):
+                rounds[i], reasons[i] = t, "fixed-point"
+            else:
+                keep.append((i, row, caps, total))
+        live = keep
     return np.array(final), rounds, reasons
 
 

@@ -94,7 +94,8 @@ def _signed_foc(family: PayoffFamily, n: int, q: float) -> float:
 
 def _closed_form_power(family: PowerPayoff, n: int) -> float:
     beta, gamma = family.beta, family.gamma
-    return ((beta + n - 1.0) / (n * gamma)) ** (1.0 / (1.0 - beta))
+    # n - 1 is exact: beta's low bits survive into the base
+    return ((beta + (n - 1.0)) / (n * gamma)) ** (1.0 / (1.0 - beta))
 
 
 def _closed_form_cfmm(family: CfmmArbitragePayoff, n: int) -> float:

@@ -259,14 +259,12 @@ class PayoffDiagnostics:
     """Key landmarks of a payoff curve on its positive region.
 
     ``root`` is the smallest positive zero past the region where f > 0,
-    ``max_value``/``argmax`` describe sup f over [0, root], and
-    ``positive_witness`` is a point 0 < z < root with f(z) > 0.
+    and ``max_value``/``argmax`` describe sup f over [0, root].
     """
 
     root: float
     max_value: float
     argmax: float
-    positive_witness: float
 
 
 def _find_positive_point(family: PayoffFamily) -> float:
@@ -286,7 +284,7 @@ def _find_positive_point(family: PayoffFamily) -> float:
 
 @functools.lru_cache(maxsize=256)
 def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
-    """Locate the positive root, the maximum, and a positivity witness.
+    """Locate the positive root and the maximum.
 
     The root is bracketed by doubling from a point with f > 0 until the
     sign flips (up to the end of the float range, or to the last knot for
@@ -317,12 +315,7 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
     else:
         argmax = bisect_root(family.derivative, 0.0, root)
         max_value = family.value(argmax)
-
-    # t_pos qualifies when argmax does not: f > 0 there and the root is past it
-    witness = argmax if 0.0 < argmax < root and family.value(argmax) > 0.0 else t_pos
-    return PayoffDiagnostics(
-        root=root, max_value=max_value, argmax=argmax, positive_witness=witness
-    )
+    return PayoffDiagnostics(root=root, max_value=max_value, argmax=argmax)
 
 
 def search_end(family: PayoffFamily) -> float:

@@ -7,11 +7,14 @@ poa(n) = n^2/(2n - 1): poa(1) = 1, poa(2) = 4/3, poa(100) = 10000/199.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prorata import (
     CfmmArbitragePayoff,
     NoPositiveRegion,
     PowerPayoff,
+    TabulatedPayoff,
     diagnostics,
     poa,
     poa_growth_check,
@@ -99,3 +102,32 @@ def test_growth_check_without_tail_points_cannot_hold(power):
     res = poa_growth_check(power, range(1, 5), n0=10)
     assert not res.holds
     assert math.isnan(res.ratio_floor)
+
+
+# random power families, cfmm families at most 0.9 of the way to the
+# no-arbitrage boundary c r1 = gamma r2, and a table whose equilibrium
+# totals sit on its kinks
+_SANDWICH_FAMILIES = st.one_of(
+    st.builds(PowerPayoff, beta=st.floats(0.05, 0.95),
+              gamma=st.floats(-3.0, 1.0).map(lambda k: 10.0**k)),
+    st.builds(
+        lambda gamma, r1, r2, margin: CfmmArbitragePayoff(
+            gamma=gamma, r1=r1, r2=r2, c=margin * gamma * r2 / r1),
+        gamma=st.floats(0.5, 1.0), r1=st.floats(1.0, 1e4), r2=st.floats(1.0, 1e4),
+        margin=st.floats(0.01, 0.9),
+    ),
+    st.just(TabulatedPayoff(ts=(0, 10, 20, 30, 40, 50), fs=(0, 8, 13, 15, 14, -2))),
+)
+
+
+@given(family=_SANDWICH_FAMILIES)
+@settings(deadline=None, max_examples=100)
+def test_poa_lies_between_one_and_the_tangent_bound(family):
+    # for concave f with f(0) = 0 and q_n >= t* = argmax f, the tangent at
+    # q_n bounds sup f, and the first-order condition gives its slope
+    # -(n-1) f(q_n)/q_n: 1 <= poa(n) <= 1 + (n-1)(1 - t*/q_n)
+    argmax = diagnostics(family).argmax
+    for n in (1, 2, 5, 50, 10**3, 10**5):
+        q = solve_symmetric(family, n).q
+        upper = 1.0 + (n - 1) * (1.0 - argmax / q)
+        assert 1.0 - 1e-12 <= poa(family, n).poa <= upper * (1.0 + 1e-12)

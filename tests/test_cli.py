@@ -373,6 +373,18 @@ def test_unknown_subcommand_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["whale", *CFMM, "--n", "2", "--trials", "2"],
+    ["study", *CFMM, "--n", "3", "--trials", "2"],
+])
+def test_a_flag_prefix_is_not_read_as_the_longer_flag(capsys, argv):
+    # whale and study have no --n: it must not run as --n-fish-values or
+    # --n-values
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --n" in err
+
+
 # each command with its required flags only, and with every documented
 # default spelled out: the two runs print the same bytes
 DEFAULTS_SPELLED_OUT = [

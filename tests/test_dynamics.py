@@ -27,7 +27,7 @@ from prorata import (
     solve_symmetric,
     whale_fish_experiment,
 )
-from prorata.dynamics import _play, _sweep
+from prorata.dynamics import _play
 from prorata.equilibrium import unconstrained_tender
 
 CFMM = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0)
@@ -557,19 +557,18 @@ def test_sweep_equals_reference_round_on_wide_rows(family, order):
     # ones, so some totals fall below a player's tender and y is clamped
     rng = np.random.default_rng(4)
     X = 10.0 ** rng.uniform(-3.0, 17.0, size=(64, 5))
-    lower, upper = np.zeros_like(X), np.full_like(X, math.inf)
-    br = unconstrained_tender(family)
+    config = GameConfig(family=family, n=5, max_iterations=2, update_order=order)
     target = solve_symmetric(family, 5).per_player
-    # the round engine's row totals: numpy's, from the array of the rows
-    totals = X.sum(axis=1).tolist()
-    got, moves, dists = _sweep(X.tolist(), totals, upper.tolist(), None, order,
-                               br, target)
-    for k in range(X.shape[0]):
-        want = _reference_round(X[k], lower[k], upper[k], order, br)
-        assert got[k] == want.tolist()
-        assert moves[k] == float(np.max(np.abs(want - X[k])))
-        assert dists[k] == float(np.max(np.abs(want - target)))
-        assert totals[k] == float(X[k].sum())
+    history = []
+    _, rounds, stops = _play(config, X, np.full_like(X, math.inf), target, history)
+    # the reference takes each row's total as numpy's sum of that row
+    # alone: the engine's totals, from the array of all rows, have its bits
+    trials = [_reference_trial(config, x) for x in X]
+    assert [(played, stop) for _, played, stop in trials] == list(zip(rounds, stops))
+    assert len(history) == 2
+    for t, got in enumerate(history, 1):
+        live = [k for k, played in enumerate(rounds) if played >= t]
+        assert got.tolist() == [trials[k][0][t].tolist() for k in live]
 
 
 # ------------------------------------------------------- stop reasons

@@ -326,6 +326,23 @@ def test_numeric_power_route_matches_a_decimal_oracle():
                 assert abs(Decimal(q) - q_dec) <= Decimal(bound)
 
 
+@given(beta=st.floats(0.05, 0.95), gamma=st.floats(-3.0, 1.0).map(lambda k: 10.0**k),
+       n=st.one_of(st.integers(1, 20), st.integers(1, 10**6)))
+@settings(deadline=None, max_examples=300)
+@example(beta=0.05273239603577649, gamma=0.19619318046853906, n=1)
+def test_closed_power_route_matches_a_decimal_oracle(beta, gamma, n):
+    # q = ((beta + (n - 1)) / (n gamma))**(1 / (1 - beta)): three roundings
+    # in the base, which the exponent magnifies by 1 / (1 - beta), two in
+    # the exponent, which ln q magnifies, and pow's own
+    q = solve_symmetric(PowerPayoff(beta, gamma), n, method="closed").q
+    with localcontext() as ctx:
+        ctx.prec = 60
+        base = (Decimal(beta) + n - 1) / (n * Decimal(gamma))
+        q_dec = (base.ln() / (1 - Decimal(beta))).exp()
+    ulps = abs(Decimal(q) - q_dec) / Decimal(math.ulp(q))
+    assert ulps <= 3.0 / (1.0 - beta) + 2.0 * abs(math.log(q)) + 2.0
+
+
 # -------------------------------------------------------- best response
 
 

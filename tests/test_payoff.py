@@ -226,7 +226,6 @@ def test_cfmm_diagnostics_against_closed_forms(cfmm):
     assert d.argmax == pytest.approx(CFMM_ARGMAX, rel=1e-9)
     assert d.max_value == pytest.approx(cfmm.value(CFMM_ARGMAX), rel=1e-12)
     assert abs(cfmm.value(d.root)) < 1e-7
-    assert cfmm.value(d.positive_witness) > 0.0
 
 
 def test_power_diagnostics_against_closed_forms(power):
