@@ -69,9 +69,6 @@ class PoaGrowthResult:
     ratio_floor: float  # min over n >= n0 of poa(n)/n
     holds: bool         # nondecreasing and floor > 0: linear-in-n degradation
 
-    def table(self) -> list[tuple[int, float]]:
-        return [(r.n, r.poa) for r in self.reports]
-
 
 def poa_growth_check(
     family: PayoffFamily, n_values: Sequence[int], n0: int = 10

@@ -4,9 +4,11 @@ Every command reads a payoff family from flags (or a JSON config), runs
 one of the library routines, and writes rows as CSV or an aligned text
 table. Each command's flags, with their types, defaults and help, are
 one entry of :data:`COMMANDS`. A ``--config`` file is merged into the
-flags once, before the command runs: flags win, a null counts as not
-given, and each value is converted by its flag's own type; a flag still
-unset then takes its default. Errors come out as a single
+flags once, before the command runs: flags win, and a null counts as not
+given; a flag still unset then takes its default. The flag's type then
+converts every value once, at one point, wherever it came from: a list
+flag reads a JSON list or a comma string, and a choice flag refuses a
+value outside its choices. Errors come out as a single
 machine-parsable line on stderr with exit code 2 (bad input: anything
 raising :class:`InvalidArgument`, which the library raises at its own
 argument checks, so they are not copied here), 3 (no positive region /
@@ -70,54 +72,15 @@ REFERENCE = {
 Table = tuple[list[str], list[list], str]
 
 
-def _items(value) -> list:
-    """A JSON list as given, or the nonblank parts of a comma string."""
-    if isinstance(value, list):
-        return value
-    return [p for p in str(value).split(",") if p.strip()]
-
-
-def _parse_floats(value) -> list[float]:
-    try:
-        return [_convert(float, v) for v in _items(value)]
-    except ConfigError as exc:
-        raise ConfigError(f"bad float list {value!r}: {exc}") from exc
-
-
-def _parse_int_values(value) -> list[int]:
-    """A JSON list of integers, or a comma string with inclusive a:b ranges,
-    e.g. '1,4:8,16'."""
-    if isinstance(value, list):
-        out = [_convert(int, v) for v in value]
-    else:
-        out = []
-        for part in _items(value):
-            part = part.strip()
-            try:
-                if ":" in part:
-                    a, b = part.split(":")
-                    lo, hi = int(a), int(b)
-                    if hi < lo:
-                        raise ValueError(f"empty range {part}")
-                    out.extend(range(lo, hi + 1))
-                else:
-                    out.append(int(part))
-            except ValueError as exc:
-                raise ConfigError(f"bad integer list {value!r}: {exc}") from exc
-    if not out:
-        raise ConfigError(f"no values in {value!r}")
-    return out
-
-
-# what a config value must be for each flag type, as its refusal names it
+# what a value must be for each scalar flag type, as its refusal names it
 _EXPECTED = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _convert(kind, value):
-    """``kind(value)``; a config value that does not convert is a config
-    error. A number or a string is never taken from a bool, which ``int``
-    and ``float`` read as 0 or 1, nor an integer from a float, which
-    ``int`` would truncate."""
+def _scalar(kind, value):
+    """``kind(value)``; a value that does not convert is a config error. A
+    number or a string is never taken from a bool, which ``int`` and
+    ``float`` read as 0 or 1, nor an integer from a float, which ``int``
+    would truncate."""
     if kind in _EXPECTED and (
         isinstance(value, bool) or kind is int and isinstance(value, float)
     ):
@@ -128,17 +91,34 @@ def _convert(kind, value):
         raise ConfigError(str(exc)) from exc
 
 
-def _family_object(value) -> dict:
-    """The config file's family: one object in place of the family flags."""
-    if not isinstance(value, dict):
-        raise ConfigError("config 'family' must be an object")
-    return value
+def _list(kind, value) -> list:
+    """A JSON list, or the nonblank parts of a comma string, each part read
+    by the scalar rule; integer parts may be inclusive a:b ranges, e.g.
+    '1,4:8,16'."""
+    parts = value if isinstance(value, list) else [
+        p.strip() for p in str(value).split(",") if p.strip()]
+    out = []
+    try:
+        for part in parts:
+            if kind is int and isinstance(part, str) and ":" in part:
+                lo, hi = (_scalar(int, end) for end in part.split(":"))
+                if hi < lo:
+                    raise ConfigError(f"empty range {part}")
+                out.extend(range(lo, hi + 1))
+            else:
+                out.append(_scalar(kind, part))
+    except ValueError as exc:
+        name = "integer" if kind is int else kind.__name__
+        raise ConfigError(f"bad {name} list {value!r}: {exc}") from exc
+    if not out:
+        raise ConfigError(f"no values in {value!r}")
+    return out
 
 
-def _merge_config(args) -> None:
+def _merge_config(args, flags: dict) -> None:
     """Fill each flag that was not given from the ``--config`` file, which
-    may hold only keys the command has flags for. A null counts as not
-    given; any other value is converted by its flag's own type."""
+    may hold only keys the command has flags for, and the family only as
+    one object. A null counts as not given."""
     path = getattr(args, "config", None)
     if path is None:
         return
@@ -151,21 +131,18 @@ def _merge_config(args) -> None:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    flags = COMMANDS[args.command][2]
-    # each flag's type but --config's, and the family as one object in
-    # place of the family flags
-    types = {dest: str if isinstance(kind, tuple) else kind
-             for dest, (kind, _, _) in flags.items() if dest != "config"
-             and not ("family" in flags and dest in _FAMILY_FLAGS)}
-    if "family" in types:
-        types["family"] = _family_object
-    unknown = set(cfg) - set(types)
+    # every flag but --config, the family object in place of the family flags
+    keys = {dest for dest in flags if dest != "config"
+            and not ("family" in flags and dest in _FAMILY_FLAGS)}
+    unknown = set(cfg) - keys
     if unknown:
         raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    family = cfg.get("family")
+    if family is not None and not isinstance(family, dict):
+        raise ConfigError("config 'family' must be an object")
     for key, value in cfg.items():
-        if getattr(args, key) is None and value is not None:
-            kind = types[key]
-            setattr(args, key, value if kind is None else _convert(kind, value))
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def _resolve_family(args):
@@ -189,8 +166,7 @@ def _resolve_family(args):
         value = getattr(args, flag)
         if value is None:
             raise ConfigError(f"--{flag} is required for --family {kind}")
-        # the table's knots are the only family flags given as comma lists
-        spec[key] = _parse_floats(value) if isinstance(value, str) else value
+        spec[key] = value
     return family_from_dict(spec)
 
 
@@ -206,22 +182,30 @@ def _resolve_scenario(args, n: int):
         return Unconstrained()
     if name == "bounded":
         return BoundedUpdate(delta=args.delta)
-    if name == "budgeted":
-        budgets = _parse_floats(args.budgets)
-        if len(budgets) == 1:
-            budgets = budgets * n
-        if len(budgets) != n:
-            raise ConfigError(f"need 1 or {n} budgets, got {len(budgets)}")
-        return Budgeted(budgets=tuple(budgets))
-    raise ConfigError(f"unknown scenario {name!r}")
+    budgets = args.budgets * n if len(args.budgets) == 1 else args.budgets
+    if len(budgets) != n:
+        raise ConfigError(f"need 1 or {n} budgets, got {len(budgets)}")
+    return Budgeted(budgets=tuple(budgets))
 
 
 def _set_defaults(args, flags: dict) -> None:
     """Give each flag that neither the command line nor the config file
-    set its default from the command's table entry."""
-    for dest, (_, default, _) in flags.items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, default)
+    set its default from the command's table entry, and convert every value
+    by its flag's type, the one conversion of each flag: a scalar type, a
+    list ``[type]``, or a tuple of choices."""
+    for dest, (kind, default, _) in flags.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            value = default
+        if value is None or dest == "family" and isinstance(value, dict):
+            pass  # unset, or a config file's family object, checked as read
+        elif isinstance(kind, list):
+            value = _list(kind[0], value)
+        elif not isinstance(kind, tuple):
+            value = _scalar(kind, value)
+        elif _scalar(str, value) not in kind:
+            raise ConfigError(f"{dest} must be one of {kind}, got {value!r}")
+        setattr(args, dest, value)
 
 
 def _run_settings(args) -> dict:
@@ -245,15 +229,12 @@ def _cell(value) -> str:
 
 def _emit(columns: Sequence[str], rows: Sequence[Sequence], fmt: str,
           path: str | None) -> None:
+    cells = [[_cell(v) for v in row] for row in [columns, *rows]]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        csv.writer(buf, lineterminator="\n").writerows(cells)
         text = buf.getvalue()
     else:
-        cells = [list(columns)] + [[_cell(v) for v in row] for row in rows]
         widths = [max(len(r[j]) for r in cells) for j in range(len(columns))]
         lines = [
             "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
@@ -274,11 +255,7 @@ def _io_args(args) -> tuple[str, str | None]:
     """The output format and path, checked before the command runs: the
     path may not be a directory or lie in a missing one. The file itself is
     written only when the command has succeeded."""
-    fmt = args.format
-    if fmt is None:
-        fmt = "table" if args.output is None else "csv"
-    if fmt not in ("csv", "table"):
-        raise ConfigError(f"unknown format {fmt!r}")
+    fmt = args.format or ("table" if args.output is None else "csv")
     path = args.output
     if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
         code = errno.ENOENT
@@ -333,13 +310,12 @@ def _cmd_simulate(args) -> Table:
 
 def _cmd_study(args) -> Table:
     family = _resolve_family(args)
-    n_values = _parse_int_values(args.n_values)
-    scenario = _resolve_scenario(args, n_values[0])
-    if isinstance(scenario, Budgeted) and len(set(n_values)) > 1:
+    scenario = _resolve_scenario(args, args.n_values[0])
+    if isinstance(scenario, Budgeted) and len(set(args.n_values)) > 1:
         raise ConfigError("a budgeted study needs a single n value")
     result = convergence_study(
         family,
-        n_values,
+        args.n_values,
         trials=args.trials,
         scenario=scenario,
         update_order=args.update_order,
@@ -356,11 +332,8 @@ def _cmd_study(args) -> Table:
 
 def _delta_sweep(args) -> Table:
     """The study at one n for each movement cap delta, keyed by delta."""
-    deltas = _parse_floats(args.deltas)
-    if not deltas:
-        raise ConfigError(f"no values in {args.deltas!r}")
     rows = []
-    for delta in deltas:
+    for delta in args.deltas:
         bounded = argparse.Namespace(**{**vars(args), "scenario": "bounded",
                                         "delta": delta})
         rows.extend([delta, *row[1:]] for row in _cmd_study(bounded)[1])
@@ -369,9 +342,8 @@ def _delta_sweep(args) -> Table:
 
 def _cmd_whale(args) -> Table:
     family = _resolve_family(args)
-    n_fish_values = _parse_int_values(args.n_fish_values)
     rows = []
-    for n_fish in n_fish_values:
+    for n_fish in args.n_fish_values:
         rep = whale_fish_experiment(family, n_fish, args.trials, **_run_settings(args))
         rows.append([
             rep.n_fish, rep.trials, rep.whale_strategy, rep.whale_profit,
@@ -390,8 +362,7 @@ def _cmd_whale(args) -> Table:
 
 def _cmd_poa(args) -> Table:
     family = _resolve_family(args)
-    n_values = _parse_int_values(args.n_values)
-    result = poa_growth_check(family, n_values, n0=args.n0)
+    result = poa_growth_check(family, args.n_values, n0=args.n0)
     rows = [[r.n, r.eq_payoff, r.fair_payoff, r.poa] for r in result.reports]
     return (
         ["n", "eq_payoff", "fair_payoff", "poa"], rows,
@@ -428,7 +399,7 @@ def _cmd_batch(args) -> Table:
         except ValueError as exc:
             raise ConfigError(f"bad delta in {args.input}: {exc}") from exc
     elif args.deltas is not None:
-        deltas = _parse_floats(args.deltas)
+        deltas = args.deltas
         ids = [str(i) for i in range(len(deltas))]
     else:
         raise ConfigError("batch needs --input or --deltas")
@@ -444,15 +415,12 @@ def _cmd_batch(args) -> Table:
 
 def _cmd_verify(args) -> Table:
     family = _resolve_family(args)
-    conditions = [str(c).strip() for c in _items(args.conditions)]
-    if not conditions:
-        raise ConfigError(f"no values in {args.conditions!r}")
-    unknown = set(conditions) - {"chord", "linear", "rosen"}
+    unknown = set(args.conditions) - {"chord", "linear", "rosen"}
     if unknown:
         raise ConfigError(f"unknown conditions: {sorted(unknown)}")
 
     rows = []
-    for name in conditions:
+    for name in args.conditions:
         if name == "rosen":
             rep = rosen_probe(family, args.rosen_n)
             rows.append([rep.condition, rep.holds, float(args.rosen_n),
@@ -469,23 +437,32 @@ def _cmd_verify(args) -> Table:
 
 
 # Each figure is a preset run of a command: (handler, reference family kind,
-# settings from the reproduce flags), on the command's defaults. A setting
-# left None keeps the default; a given one, even zero or empty, goes to the
-# handler's checks.
+# the figure flags it reads with their defaults, the command's settings from
+# those flags), on the command's defaults. A setting left None keeps the
+# default; a given one, even zero or empty, goes to the handler's checks.
 FIGURES = {
-    "scenario1": (_cmd_study, "cfmm", lambda a: {"n_values": a.n_values}),
+    "scenario1": (_cmd_study, "cfmm", {"n_values": None}, dict),
     "scenario2-delta": (_delta_sweep, "power",
-                        lambda a: {"n_values": [a.n], "deltas": a.deltas}),
-    "whale": (_cmd_whale, "cfmm", lambda a: {"n_fish_values": f"1:{a.max_fish}"
-              if a.n_values is None and a.max_fish is not None else a.n_values}),
-    "poa-curve": (_cmd_poa, "power", lambda a: {"n_values": a.n_values}),
+                        {"n": 10, "deltas": (0.5, 1.0, 2.0, 5.0, 10.0)},
+                        lambda n, deltas: {"n_values": [n], "deltas": deltas}),
+    "whale": (_cmd_whale, "cfmm", {"n_values": None, "max_fish": 20},
+              lambda n_values, max_fish: {"n_fish_values": n_values
+                                          or f"1:{max_fish}"}),
+    "poa-curve": (_cmd_poa, "power", {"n_values": None}, dict),
 }
 
 
 def _cmd_reproduce(args) -> Table:
-    handler, kind, preset = FIGURES[args.figure]
+    handler, kind, reads, preset = FIGURES[args.figure]
+    given = {flag: value for flag in ("n", "n_values", "max_fish", "deltas")
+             if (value := getattr(args, flag)) is not None}
+    unread = [flag for flag in given if flag not in reads]
+    if unread:
+        raise ConfigError(f"the {args.figure} figure does not read "
+                          f"--{unread[0].replace('_', '-')}")
     settings = argparse.Namespace(family=REFERENCE[args.family or kind],
-                                  trials=args.trials, seed=args.seed, **preset(args))
+                                  trials=args.trials, seed=args.seed,
+                                  **preset(**{**reads, **given}))
     # the rest are the command's defaults; the delta sweep runs studies
     _set_defaults(settings, next((flags for _, fn, flags in COMMANDS.values()
                                   if fn is handler), COMMANDS["study"][2]))
@@ -494,10 +471,10 @@ def _cmd_reproduce(args) -> Table:
 
 # ------------------------------------------------------------------ parser
 
-# Each flag's dest: (type, or a tuple of choices; default, None for none;
-# help). The family flags are the families' spec keys, named as the keys
-# are but for --price, the cfmm's c; a config file gives one "family"
-# object in their place.
+# Each flag's dest: (type: int, float or str, a list of one of them, or a
+# tuple of choices; default, None for none; help). The family flags are the
+# families' spec keys, named as the keys are but for --price, the cfmm's c;
+# a config file gives one "family" object in their place.
 _FLAG_OF = {"c": "price"}
 _FAMILY_FLAGS = {
     "beta": (float, None, "power exponent in (0,1)"),
@@ -505,8 +482,8 @@ _FAMILY_FLAGS = {
     "r1": (float, None, "cfmm reserve of asset A"),
     "r2": (float, None, "cfmm reserve of asset B"),
     "price": (float, None, "cfmm external price of B"),
-    "ts": (None, None, "table knot positions, comma-separated"),
-    "fs": (None, None, "table knot values, comma-separated"),
+    "ts": ([float], None, "table knot positions, comma-separated"),
+    "fs": ([float], None, "table knot values, comma-separated"),
 }
 _FAMILY = {"family": (tuple(FAMILY_KINDS), None, "payoff family kind"),
            **_FAMILY_FLAGS}
@@ -522,12 +499,12 @@ _SCENARIO = {
     "update_order": (("sequential", "synchronous"), "sequential", None),
     "scenario": (("unconstrained", "bounded", "budgeted"), "unconstrained", None),
     "delta": (float, None, "bounded-update step cap"),
-    "budgets": (None, None, "comma list (1 value broadcasts)"),
+    "budgets": ([float], None, "comma list (1 value broadcasts)"),
 }
 _ALIASES = {"conditions": ("--condition",)}
 
-# Every command: (help, handler, flags). A flag's type converts its config
-# value too, and main gives each flag left unset its default.
+# Every command: (help, handler, flags). A flag's type converts its value
+# once, whether given by flag, by config or by default.
 COMMANDS = {
     "equilibrium": ("symmetric equilibrium", _cmd_equilibrium, {
         **_FAMILY, **_IO, "n": (int, 2, None),
@@ -539,31 +516,31 @@ COMMANDS = {
         **_FAMILY, **_IO, "n": (int, 2, None), "trials": (int, 1, None),
         **_RUN, **_SCENARIO}),
     "study": ("rounds-to-convergence statistics", _cmd_study, {
-        **_FAMILY, **_IO, "n_values": (None, "2:16", "e.g. '2:16' or '2,4,8'"),
+        **_FAMILY, **_IO, "n_values": ([int], "2:16", "e.g. '2:16' or '2,4,8'"),
         "trials": (int, 100, None), **_RUN, **_SCENARIO}),
     "whale": ("one deep player vs budget-capped fish", _cmd_whale, {
-        **_FAMILY, **_IO, "n_fish_values": (None, "1:20", "e.g. '1:20'"),
+        **_FAMILY, **_IO, "n_fish_values": ([int], "1:20", "e.g. '1:20'"),
         "trials": (int, 100, None), **_RUN}),
     "poa": ("price-of-anarchy curve", _cmd_poa, {
-        **_FAMILY, **_IO, "n_values": (None, "1:50", None),
+        **_FAMILY, **_IO, "n_values": ([int], "1:50", None),
         "n0": (int, 10, "tail start for the poa/n floor")}),
     "batch": ("clear a batch of signed demands", _cmd_batch, {
         **_IO, "input": (str, None, "CSV with columns trader_id, delta"),
-        "deltas": (None, None, "inline comma list of signed demands"),
+        "deltas": ([float], None, "inline comma list of signed demands"),
         "gamma": (float, None, None), "r1": (float, None, None),
         "r2": (float, None, None)}),
     "verify": ("certify concavity side conditions", _cmd_verify, {
         **_FAMILY, **_IO,
-        "conditions": (None, "chord,linear,rosen", "subset of chord,linear,rosen"),
+        "conditions": ([str], "chord,linear,rosen", "subset of chord,linear,rosen"),
         "samples": (int, 10_000, None), "seed": (int, 0, None),
         "domain_hi": (float, None, None), "rosen_n": (int, 2, None)}),
-    # a figure flag left unset keeps the default of the figure's command;
-    # --n and --deltas set scenario2-delta, --max-fish the whale figure
+    # each figure reads the figure flags its FIGURES entry names, and one
+    # left unset keeps the figure's default
     "reproduce": ("regenerate a reference figure CSV", _cmd_reproduce, {
         "family": (("power", "cfmm"), None, None), "trials": (int, None, None),
-        "seed": (int, None, None), "n": (int, 10, None),
-        "n_values": (None, None, None), "max_fish": (int, None, None),
-        "deltas": (None, "0.5,1,2,5,10", None), "output": (str, None, None)}),
+        "seed": (int, None, None), "n": (int, None, None),
+        "n_values": ([int], None, None), "max_fish": (int, None, None),
+        "deltas": ([float], None, None), "output": (str, None, None)}),
 }
 
 
@@ -584,10 +561,12 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=FIGURES)
             p.set_defaults(format="csv")
         for dest, (kind, default, text) in flags.items():
-            choices = kind if isinstance(kind, tuple) else None
+            # a list flag stays a string here, read with its config value
             p.add_argument(f"--{dest.replace('_', '-')}", *_ALIASES.get(dest, ()),
-                           dest=dest, type=None if choices else kind,
-                           choices=choices, help=text)
+                           dest=dest, type=kind if callable(kind) else None,
+                           choices=kind if isinstance(kind, tuple) else None,
+                           help=text)
+    parser.commands = sub.choices  # each command's own parser, for its errors
     return parser
 
 
@@ -603,12 +582,15 @@ _ERROR_SLUGS = (
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, rest = parser.parse_known_args(argv)
+        if rest:
+            parser.commands[args.command].error(
+                f"unrecognized arguments: {' '.join(rest)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     _, run, flags = COMMANDS[args.command]
     try:
-        _merge_config(args)
+        _merge_config(args, flags)
         _set_defaults(args, flags)
         fmt, path = _io_args(args)
         columns, rows, after = run(args)

@@ -87,8 +87,9 @@ def test_inefficiency_grows_linearly(cfmm, power):
     assert res.holds and res.nondecreasing
     # poa(n)/n = n/(2n-1) falls toward 1/2; the floor on [10, 50] sits at n=50
     assert res.ratio_floor == pytest.approx(50.0 / 99.0, rel=1e-9)
-    rows = res.table()
-    assert len(rows) == 50 and rows[0] == (1, pytest.approx(1.0, abs=1e-9))
+    first = res.reports[0]
+    assert len(res.reports) == 50 and first.n == 1
+    assert first.poa == pytest.approx(1.0, abs=1e-9)
 
     res_cfmm = poa_growth_check(cfmm, range(1, 51), n0=10)
     assert res_cfmm.holds and res_cfmm.ratio_floor > 0.25

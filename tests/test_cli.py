@@ -373,16 +373,19 @@ def test_unknown_subcommand_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["whale", *CFMM, "--n", "2", "--trials", "2"],
-    ["study", *CFMM, "--n", "3", "--trials", "2"],
+@pytest.mark.parametrize("argv, unknown", [
+    pytest.param(["whale", *CFMM, "--n", "2", "--trials", "2"], "--n 2", id="argv0"),
+    pytest.param(["study", *CFMM, "--n", "3", "--trials", "2"], "--n 3", id="argv1"),
+    pytest.param(["reproduce", "poa-curve", "--bogus"], "--bogus", id="reproduce"),
 ])
-def test_a_flag_prefix_is_not_read_as_the_longer_flag(capsys, argv):
+def test_a_flag_prefix_is_not_read_as_the_longer_flag(capsys, argv, unknown):
     # whale and study have no --n: it must not run as --n-fish-values or
-    # --n-values
+    # --n-values; an unknown flag is reported against the command's usage
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert "unrecognized arguments: --n" in err
+    assert err.startswith(f"usage: prorata {argv[0]} [-h]")
+    assert err.endswith(
+        f"prorata {argv[0]}: error: unrecognized arguments: {unknown}\n")
 
 
 # each command with its required flags only, and with every documented
@@ -539,6 +542,13 @@ BAD_RUN_PARAMETERS = [
      "budget must be nonnegative, got nan"),
     (["study", *CFMM, "--threshold", "inf"],
      "convergence_threshold must be finite and positive, got inf"),
+    (["study", *CFMM, "--n-values", "3", "--scenario", "bounded"],
+     "scenario 'bounded' needs --delta"),
+    # the table's knots are list flags too
+    (["equilibrium", "--family", "table", "--ts=", "--fs", "0,8,-2"],
+     "no values in ''"),
+    (["equilibrium", "--family", "table", "--ts", "0,10,20", "--fs="],
+     "no values in ''"),
 ]
 
 
@@ -560,6 +570,7 @@ BAD_RUN_PARAMETERS = [
     "verify-linear-seed", "reproduce-whale-seed", "power-gamma-nan", "cfmm-r1-inf",
     "simulate-delta-nan", "simulate-delta-inf", "study-budgets-nan",
     "bestresponse-y-nan", "bestresponse-budget-nan", "study-threshold-inf",
+    "study-bounded-without-delta", "table-no-ts", "table-no-fs",
 ])
 def test_bad_run_parameters_exit_2(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
@@ -605,6 +616,26 @@ def test_reproduce_delta_sweep_is_bounded_studies(capsys):
         expected += [f"{float(delta)!r},{line.split(',', 1)[1]}"
                      for line in study.splitlines()[1:]]
     assert lines[1:] == expected
+
+
+# the figure flags each figure reads; --family, --trials, --seed and
+# --output pass to every figure
+FIGURE_FLAGS = {"scenario1": {"n_values"}, "scenario2-delta": {"n", "deltas"},
+                "whale": {"n_values", "max_fish"}, "poa-curve": {"n_values"}}
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_FLAGS))
+def test_reproduce_refuses_a_flag_its_figure_does_not_read(capsys, figure):
+    values = {"n": "2", "n_values": "2", "max_fish": "1", "deltas": "1"}
+    for flag, value in values.items():
+        argv = ["reproduce", figure, f"--{flag.replace('_', '-')}", value,
+                "--trials", "1"]
+        if flag in FIGURE_FLAGS[figure]:
+            assert run(capsys, *argv)[0] == 0, flag
+        else:
+            assert run(capsys, *argv) == (
+                2, "", f"error: config-error: the {figure} figure does not "
+                       f"read --{flag.replace('_', '-')}\n")
 
 
 def test_reproduce_figures_script_matches_reproduce(capsys, tmp_path):
@@ -782,7 +813,11 @@ def test_fractional_config_integers_exit_2(capsys, tmp_path, command, cfg):
         capsys, tmp_path, command, {"family": CFMM_SPEC, **cfg}
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: config-error: expected an integer, got ")
+    if command == "study":  # a list's refusal names the list, then the part
+        assert err == ("error: config-error: bad integer list [2, 2.5]: "
+                       "expected an integer, got 2.5\n")
+    else:
+        assert err.startswith("error: config-error: expected an integer, got ")
 
 
 @pytest.mark.parametrize("command, cfg, message", [
@@ -890,6 +925,37 @@ def test_config_file_runs_as_its_flags(capsys, tmp_path, command, flags, cfg):
     assert _with_config(capsys, tmp_path, command, cfg) == by_flags
 
 
+# each list flag with a config key: (command, the other flags it needs,
+# the key, its value as a comma string and as a JSON list)
+LIST_FLAGS = [
+    ("study", [*CFMM, "--trials", "2"], "n_values", "2,3:4", [2, 3, 4]),
+    ("poa", POWER, "n_values", "1,3:4", [1, 3, 4]),
+    ("whale", [*CFMM, "--trials", "2"], "n_fish_values", "1:2", [1, 2]),
+    ("simulate", [*CFMM, "--scenario", "budgeted"], "budgets", "5,3", [5, 3]),
+    ("study", [*CFMM, "--n-values", "2", "--trials", "2", "--scenario",
+               "budgeted"], "budgets", "5", [5]),
+    ("batch", ["--gamma", "0.99", "--r1", "200", "--r2", "250"], "deltas",
+     "5,-2,3", [5, -2, 3]),
+    ("verify", [*POWER, "--samples", "300"], "conditions", "chord,rosen",
+     ["chord", "rosen"]),
+]
+
+
+@pytest.mark.parametrize("command, flags, key, text, values", LIST_FLAGS,
+                         ids=[f"{c}-{k}" for c, _, k, _, _ in LIST_FLAGS])
+def test_a_list_flag_reads_one_way_from_flags_and_config(
+        capsys, tmp_path, command, flags, key, text, values):
+    flag = "--" + key.replace("_", "-")
+    by_flag = run(capsys, command, *flags, f"{flag}={text}")
+    assert by_flag[0] == 0 and by_flag[1]
+    path = tmp_path / "run.json"
+    for value in (text, values):
+        path.write_text(json.dumps({key: value}))
+        assert run(capsys, command, *flags, "--config", str(path)) == by_flag
+    assert run(capsys, command, *flags, f"{flag}=") == (
+        2, "", "error: config-error: no values in ''\n")
+
+
 @pytest.mark.parametrize("command, cfg, message", [
     ("verify", {"family": POWER_SPEC, "conditions": 5},
      "unknown conditions: ['5']"),
@@ -900,8 +966,20 @@ def test_config_file_runs_as_its_flags(capsys, tmp_path, command, flags, cfg):
      "--delta needs --scenario bounded"),
     ("study", {"family": CFMM_SPEC, "n_values": [3], "budgets": [1]},
      "--budgets needs --scenario budgeted"),
+    ("equilibrium", {"family": "power"}, "config 'family' must be an object"),
+    # a choice flag's config value outside its choices
+    ("study", {"family": CFMM_SPEC, "format": "nope"},
+     "format must be one of ('csv', 'table'), got 'nope'"),
+    ("study", {"family": CFMM_SPEC, "scenario": "nope"},
+     "scenario must be one of ('unconstrained', 'bounded', 'budgeted'), got 'nope'"),
+    ("simulate", {"family": CFMM_SPEC, "update_order": "nope"},
+     "update_order must be one of ('sequential', 'synchronous'), got 'nope'"),
+    ("equilibrium", {"family": CFMM_SPEC, "method": "nope"},
+     "method must be one of ('auto', 'closed', 'numeric'), got 'nope'"),
 ], ids=["verify-conditions-number", "batch-deltas-word", "study-no-n-values",
-        "simulate-delta-unbounded", "study-budgets-unbudgeted"])
+        "simulate-delta-unbounded", "study-budgets-unbudgeted",
+        "family-not-an-object", "format-choice", "scenario-choice",
+        "update-order-choice", "method-choice"])
 def test_bad_config_values_exit_2(capsys, tmp_path, command, cfg, message):
     code, out, err = _with_config(capsys, tmp_path, command, cfg)
     assert (code, out) == (2, "")
@@ -1023,7 +1101,8 @@ def test_output_and_format_are_checked_before_the_command_runs(
     assert not missing.parent.exists()
     assert _with_config(capsys, tmp_path, "study",
                         {"family": CFMM_SPEC, "format": "xml"}) == (
-        2, "", "error: config-error: unknown format 'xml'\n")
+        2, "", "error: config-error: format must be one of ('csv', 'table'), "
+               "got 'xml'\n")
 
 
 def test_output_file_is_left_alone_when_the_command_fails(capsys, tmp_path):
