@@ -3,7 +3,8 @@
 Traders submit signed amounts of asset A (positive = sell A for B). The
 batch nets internally at the pool's average price: sellers fund the net
 amount pro rata, the net is traded once through the pool, and the output
-is split in proportion to contribution. Global sums use ``math.fsum`` so
+is split in proportion to contribution. Global sums are exact and rounded
+once, computed in numpy (``_exact_sum``): the float ``math.fsum`` returns, so
 reordering traders cannot change anyone's fill, bit for bit.
 """
 
@@ -42,8 +43,8 @@ class BatchInstance:
             bounded = np.abs(arr).sum() < _SUM_LIMIT
         if not bounded:
             try:
-                math.fsum(arr.tolist())
-                math.fsum(np.maximum(arr, 0.0).tolist())
+                _exact_sum(arr)
+                _exact_sum(np.maximum(arr, 0.0))
             except OverflowError:
                 raise InvalidArgument("the sum of the deltas overflows") from None
         arr.setflags(write=False)
@@ -65,22 +66,20 @@ def clear(instance: BatchInstance) -> BatchOutcome:
     demand); buyers (delta <= 0) carry residual 0 and receive no B — their
     fills net out internally in asset A. When no demand is netted
     (all deltas >= 0) the scale is exactly 1 and residuals equal deltas.
+    The net, the gross and the pool input are exact sums rounded once, so
+    permuting the traders permutes the fills and changes no bit.
     Raises :class:`NonPositiveNetDemand` when the batch nets to <= 0, and
     :class:`InvalidArgument` when the net is so large that the quote
     overflows a float.
     """
     deltas = instance.deltas
-    # fsum over a memoryview reads Python floats straight from the buffer;
-    # iterating the array would box a numpy scalar per element, and a
-    # tolist() copy would hold them all at once
-    net = math.fsum(memoryview(deltas))
+    net = _exact_sum(deltas)
     if net <= 0.0:
         raise NonPositiveNetDemand(f"batch nets to {net}, nothing to trade")
-    positive = np.maximum(deltas, 0.0)
-    gross = math.fsum(memoryview(positive))
-    scale = net / gross
-    residuals = positive * scale
-    pool_input = math.fsum(memoryview(residuals))
+    residuals = np.maximum(deltas, 0.0)
+    gross = _exact_sum(residuals)
+    residuals *= net / gross
+    pool_input = _exact_sum(residuals)
     pool_output = instance.pool.quote(pool_input)
     if not math.isfinite(pool_output):
         raise InvalidArgument(f"the pool quote for input {pool_input!r} overflows")
@@ -93,6 +92,40 @@ def clear(instance: BatchInstance) -> BatchOutcome:
         pool_output=pool_output,
         per_trader_b=per_trader_b,
     )
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """The sum of the finite floats in ``a`` (at least one), rounded once:
+    the float ``math.fsum`` returns, +0.0 when the sum is exactly zero.
+    Raises ``OverflowError`` when the rounded sum is not finite; unlike
+    ``math.fsum``, never for an intermediate sum.
+
+    ``np.frexp`` writes each entry as M * 2**(e-53) with M an integer,
+    |M| < 2**53. M splits into a high half of at most 27 bits and a low half
+    of at most 26, and ``np.bincount`` sums each half per exponent e. A bin
+    sum stays below 2**53, so it is exact, for up to 2**26 entries, far above
+    MAX_TRADERS. One Python int gathers the nonzero bins, and one
+    int-to-float conversion or int/int division, both correctly rounded,
+    rounds it.
+    """
+    # in place where it can be: at MAX_TRADERS fresh 80 kB temporaries can
+    # page-fault on every call, which measured up to 3x slower
+    m, e = np.frexp(a)
+    e0 = int(e.min())
+    e -= e0
+    bins = e.astype(np.intp)  # cast once, not in each bincount
+    m *= 2.0**27  # M / 2**26: the high half is its integer part
+    high = np.trunc(m)
+    his = np.bincount(bins, weights=high)  # in units of 2**(e0 + k - 27)
+    m -= high
+    los = np.bincount(bins, weights=m) * 2.0**26  # of 2**(e0 + k - 53)
+    nonzero = np.flatnonzero((his != 0.0) | (los != 0.0))
+    total = 0
+    for k, hi, lo in zip(nonzero.tolist(), his[nonzero].tolist(),
+                         los[nonzero].tolist()):
+        total += ((int(hi) << 26) + int(lo)) << k
+    shift = e0 - 53  # total counts units of 2**shift
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
 def optimal_arbitrage(pool: ForwardExchange, price: float) -> float:

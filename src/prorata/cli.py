@@ -436,6 +436,16 @@ def _cmd_verify(args) -> Table:
             rows, "")
 
 
+def _whale_fish(n_values, max_fish) -> dict:
+    """The whale figure's fish counts: --n-values, or 1 to --max-fish (20)."""
+    if n_values is None:
+        return {"n_fish_values": f"1:{20 if max_fish is None else max_fish}"}
+    if max_fish is not None:
+        raise ConfigError("the whale figure reads --n-values or --max-fish, "
+                          "not both")
+    return {"n_fish_values": n_values}
+
+
 # Each figure is a preset run of a command: (handler, reference family kind,
 # the figure flags it reads with their defaults, the command's settings from
 # those flags), on the command's defaults. A setting left None keeps the
@@ -445,9 +455,8 @@ FIGURES = {
     "scenario2-delta": (_delta_sweep, "power",
                         {"n": 10, "deltas": (0.5, 1.0, 2.0, 5.0, 10.0)},
                         lambda n, deltas: {"n_values": [n], "deltas": deltas}),
-    "whale": (_cmd_whale, "cfmm", {"n_values": None, "max_fish": 20},
-              lambda n_values, max_fish: {"n_fish_values": n_values
-                                          or f"1:{max_fish}"}),
+    "whale": (_cmd_whale, "cfmm", {"n_values": None, "max_fish": None},
+              _whale_fish),
     "poa-curve": (_cmd_poa, "power", {"n_values": None}, dict),
 }
 

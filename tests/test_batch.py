@@ -6,10 +6,11 @@ orders scale by 5/8 and the pool trades 5 -> 6.038058062942182.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,6 +25,7 @@ from prorata import (
     pro_rata_payoff,
     solve_symmetric,
 )
+from prorata.batch import MAX_TRADERS, _exact_sum
 
 POOL = ForwardExchange(gamma=0.99, r1=200.0, r2=250.0)
 
@@ -99,6 +101,13 @@ def test_overflowing_sums_rejected(pool):
     assert out.pool_input == 5.0
 
 
+def test_only_a_sum_that_clear_takes_can_overflow(pool):
+    # the running sum -2e308 overflows, the exact sums -5e307 and 1.5e308 do not
+    instance = BatchInstance(deltas=np.array([-1e308, -1e308, 1.5e308]), pool=pool)
+    with pytest.raises(NonPositiveNetDemand, match="batch nets to -5e"):
+        clear(instance)
+
+
 @pytest.mark.parametrize("deltas", [[1e306], [8e307, 8e307]])
 def test_overflowing_quote_rejected(pool, deltas):
     # the sums are finite but gamma*r2*t is not: no infinite pool output
@@ -138,6 +147,73 @@ def test_permutation_equivariance(deltas, seed):
     out_p = clear(BatchInstance(deltas=deltas[perm], pool=POOL))
     assert np.array_equal(out.residuals[perm], out_p.residuals)
     assert np.array_equal(out.per_trader_b[perm], out_p.per_trader_b)
+
+
+def _reference_clear(instance):
+    # clear() with math.fsum for its three sums
+    deltas = instance.deltas
+    net = math.fsum(memoryview(deltas))
+    if net <= 0.0:
+        raise NonPositiveNetDemand(f"batch nets to {net}, nothing to trade")
+    positive = np.maximum(deltas, 0.0)
+    residuals = positive * (net / math.fsum(memoryview(positive)))
+    pool_input = math.fsum(memoryview(residuals))
+    pool_output = instance.pool.quote(pool_input)
+    return residuals, pool_input, pool_output, residuals * (pool_output / pool_input)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_clear_matches_an_fsum_reference(seed):
+    rng = np.random.default_rng(seed)
+    size = MAX_TRADERS if seed % 2 else int(rng.integers(1, MAX_TRADERS))
+    deltas = rng.normal(0.4, 1.0, size)
+    if seed % 4 >= 2:
+        # magnitudes spread over 10^±200
+        deltas *= 10.0 ** rng.uniform(-200.0, 200.0, size)
+    deltas[0] = abs(deltas).max() * 2.0  # a positive net
+    instance = BatchInstance(deltas=deltas, pool=POOL)
+    out = clear(instance)
+    residuals, pool_input, pool_output, per_trader_b = _reference_clear(instance)
+    assert np.array_equal(out.residuals, residuals)
+    assert np.array_equal(out.per_trader_b, per_trader_b)
+    assert (out.pool_input, out.pool_output) == (pool_input, pool_output)
+
+
+def _sum_or_overflow(f, a):
+    try:
+        return f(a)
+    except OverflowError:
+        return OverflowError
+
+
+def _fraction_sum(a):
+    return float(sum(map(Fraction, a.tolist()), Fraction(0)))
+
+
+def _cancelling(a):
+    return np.concatenate([a, -a[::-1]])
+
+
+@given(a=arrays(dtype=float, shape=st.integers(min_value=1, max_value=MAX_TRADERS),
+                elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(a=_cancelling(np.array([1e308, 3.5, -1e-310, 2.0**-1074, 0.1])))
+@example(a=np.full(MAX_TRADERS, 0.1))
+@example(a=np.full(MAX_TRADERS, -2.0**-1074))
+@example(a=np.array([-0.0]))
+@example(a=np.array([1e308, 1e308, -1e308]))
+@example(a=np.array([5e-324]))
+@example(a=np.array([1.7e308, 5e-324, -1.7e308, 1e-300, -0.0, 3.0, 2.0**-1060]))
+@settings(deadline=None, max_examples=200)
+def test_exact_sum_is_fsum_bit_for_bit(a):
+    want = _sum_or_overflow(math.fsum, a)
+    if want is OverflowError:
+        # fsum also refuses a sum that overflows only part way; the exact
+        # sum in rationals decides
+        want = _sum_or_overflow(_fraction_sum, a)
+    got = _sum_or_overflow(_exact_sum, a)
+    assert got == want
+    if want is not OverflowError:
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 def test_delegation_matches_direct_pro_rata(pool):

@@ -549,6 +549,10 @@ BAD_RUN_PARAMETERS = [
      "no values in ''"),
     (["equilibrium", "--family", "table", "--ts", "0,10,20", "--fs="],
      "no values in ''"),
+    # each of the two sets the whale figure's fish counts
+    (["reproduce", "whale", "--n-values", "1:2", "--max-fish", "5",
+      "--trials", "1"],
+     "the whale figure reads --n-values or --max-fish, not both"),
 ]
 
 
@@ -571,6 +575,7 @@ BAD_RUN_PARAMETERS = [
     "simulate-delta-nan", "simulate-delta-inf", "study-budgets-nan",
     "bestresponse-y-nan", "bestresponse-budget-nan", "study-threshold-inf",
     "study-bounded-without-delta", "table-no-ts", "table-no-fs",
+    "reproduce-whale-n-values-and-max-fish",
 ])
 def test_bad_run_parameters_exit_2(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
