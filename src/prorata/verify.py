@@ -13,6 +13,10 @@ witnesses:
   strict-monotonicity condition behind the classical uniqueness route;
   it fails even for well-behaved payoffs here, which is why the chord
   argument is the one that matters.
+
+The two sampled checks draw their samples into two buffers of their own,
+the same draws as numpy's ``uniform`` in the same order, and evaluate in
+place in arrays they make; reports and witnesses keep their bits.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ STRICT_MARGIN = 1e-12
 # f(t)/t ratios this close (relative) are a candidate linear segment
 RATIO_RTOL = 1e-10
 _MAX_WITNESSES = 8
+# the deterministic probes added to the sampled rows
+_LADDER = 13
 
 
 @dataclass(frozen=True)
@@ -61,16 +67,48 @@ def _sample_ceiling(
     return search_end(family)
 
 
+def _uniform(rng: np.random.Generator, out: np.ndarray, low: float,
+             high: float) -> None:
+    """Fill ``out`` with the draws ``rng.uniform(low, high, out.size)``
+    makes: numpy's ``low + (high - low) * u``, the same u in the same order,
+    so every sample keeps its bits."""
+    rng.random(out=out)
+    out *= high - low
+    out += low
+
+
+def _keep_rows(keep: np.ndarray, *buffers: np.ndarray) -> int:
+    """Move the rows where ``keep`` holds to the front of each buffer, in
+    order, and return how many there are; copies nothing when all are kept."""
+    kept = int(np.count_nonzero(keep))
+    if kept < keep.size:
+        for buf in buffers:
+            np.compress(keep, buf[:keep.size], out=buf[:kept])
+    return kept
+
+
+def _ladder(hi: float) -> np.ndarray:
+    # Deterministic halving probes for both checks; stop at hi/2**12 — below that scale the
+    # chord gap of a smooth curve (O(t^2)) drowns in the O(t) margin and
+    # every function looks linear.
+    return hi * 2.0 ** -np.arange(0, _LADDER, dtype=float)
+
+
 def _chord_violations(
     family: PayoffFamily, alpha: np.ndarray, t: np.ndarray
 ) -> tuple[tuple[tuple[float, float, float], ...], int]:
     """The (alpha, t, gap) rows, up to eight, where f(alpha*t) > alpha*f(t)
-    fails by more than ``STRICT_MARGIN``, and how many rows fail."""
+    fails by more than ``STRICT_MARGIN``, and how many rows fail. Writes
+    only into the arrays it makes: ``family.value`` may return its
+    argument, or a view of it."""
     lhs = family.value(alpha * t)
     rhs = alpha * family.value(t)
     gap = lhs - rhs
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0e-300)
-    idx = np.flatnonzero(gap <= STRICT_MARGIN * scale)
+    scale = np.abs(lhs, dtype=float)  # a callable may return integers
+    np.maximum(scale, np.abs(rhs, out=rhs), out=scale)
+    np.maximum(scale, 1.0e-300, out=scale)
+    scale *= STRICT_MARGIN
+    idx = np.flatnonzero(gap <= scale)
     witness = tuple(
         (float(alpha[i]), float(t[i]), float(gap[i])) for i in idx[:_MAX_WITNESSES]
     )
@@ -90,19 +128,18 @@ def check_chord_condition(
     is added so segments hiding near zero are found regardless of seed.
     Violations within ``STRICT_MARGIN`` (relative) of equality count as
     failures; up to eight are returned as (alpha, t, gap) witnesses.
+    alpha and t are drawn into two buffers of the check's own, as
+    ``uniform`` draws them, and the ladder goes into their tails.
     """
     hi = _sample_ceiling(family, domain_hi, samples, seed)
     rng = np.random.default_rng(seed)
-    alpha = rng.uniform(1e-9, 1.0 - 1e-9, size=samples)
-    t = rng.uniform(0.0, hi, size=samples)
-    keep = t > 0.0
-    alpha, t = alpha[keep], t[keep]
-    # Deterministic halving probes; stop at hi/2**12 — below that scale the
-    # chord gap of a smooth curve (O(t^2)) drowns in the O(t) margin and
-    # every function looks linear.
-    ladder = hi * 2.0 ** -np.arange(0, 13, dtype=float)
-    alpha = np.concatenate([alpha, np.full(ladder.shape, 0.5)])
-    t = np.concatenate([t, ladder])
+    alpha, t = np.empty(samples + _LADDER), np.empty(samples + _LADDER)
+    _uniform(rng, alpha[:samples], 1e-9, 1.0 - 1e-9)
+    _uniform(rng, t[:samples], 0.0, hi)
+    kept = _keep_rows(t[:samples] > 0.0, alpha, t)
+    alpha, t = alpha[:kept + _LADDER], t[:kept + _LADDER]
+    alpha[kept:] = 0.5
+    t[kept:] = _ladder(hi)
 
     witness, violations = _chord_violations(family, alpha, t)
     return ConditionReport(
@@ -126,6 +163,29 @@ def _collinear_through_origin(
     return bool(np.all(resid <= 1e-8 * np.maximum(1.0, np.abs(slope * s))))
 
 
+def _sampled_pairs(
+    rng: np.random.Generator, samples: int, hi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (t, t') rows of the sampled segment search: ordered pairs of two
+    ``uniform(0, hi)`` draws, kept when 0 < t and t' - t > 1e-6*hi, then
+    the ladder's (t/2, t) probes, as views of two buffers made here. The
+    first draw goes into a third, which then holds the widths t' - t and
+    is freed on return, before the ratio test makes its arrays."""
+    t, tp, width = (np.empty(samples + _LADDER) for _ in range(3))
+    a, b = width[:samples], tp[:samples]
+    _uniform(rng, a, 0.0, hi)
+    _uniform(rng, b, 0.0, hi)
+    lo = np.minimum(a, b, out=t[:samples])
+    up = np.maximum(a, b, out=b)
+    keep = np.subtract(up, lo, out=a) > 1e-6 * hi
+    keep &= lo > 0.0
+    kept = _keep_rows(keep, t, tp)
+    t, tp = t[:kept + _LADDER], tp[:kept + _LADDER]
+    tp[kept:] = _ladder(hi)
+    np.divide(tp[kept:], 2.0, out=t[kept:])
+    return t, tp
+
+
 def detect_linear_segment_at_zero(
     family: PayoffFamily,
     t_pairs: Sequence[tuple[float, float]] | None = None,
@@ -138,7 +198,9 @@ def detect_linear_segment_at_zero(
     before reporting a segment. ``holds=True`` means a segment was found.
 
     Pairs come from ``t_pairs`` when given, otherwise from seeded uniform
-    sampling plus a geometric ladder of (t, t/2) probes toward zero.
+    sampling plus a geometric ladder of (t, t/2) probes toward zero. The
+    sampled pairs are drawn as ``uniform`` draws them and ordered into two
+    buffers of the check's own, and the ladder goes into their tails.
     """
     if t_pairs is not None:
         # explicit pairs need no sampling ceiling, so families without a
@@ -148,31 +210,26 @@ def detect_linear_segment_at_zero(
             raise InvalidArgument(f"t_pairs must be m >= 1 rows of (t, t'), "
                                   f"got shape {pairs.shape}")
         hi = float(np.max(pairs))
+        t, tp = pairs[:, 0], pairs[:, 1]
     else:
         hi = _sample_ceiling(family, domain_hi, samples, seed)
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(0.0, hi, size=samples)
-        b = rng.uniform(0.0, hi, size=samples)
-        lo = np.minimum(a, b)
-        up = np.maximum(a, b)
-        keep = (lo > 0.0) & (up - lo > 1e-6 * hi)
-        ladder = hi * 2.0 ** -np.arange(0, 13, dtype=float)
-        pairs = np.column_stack(
-            [
-                np.concatenate([lo[keep], ladder / 2.0]),
-                np.concatenate([up[keep], ladder]),
-            ]
-        )
-    t, tp = pairs[:, 0], pairs[:, 1]
+        t, tp = _sampled_pairs(np.random.default_rng(seed), samples, hi)
     if not np.all((0.0 < t) & (t < tp)):  # NaN too
         raise InvalidArgument("pairs must satisfy 0 < t < t'")
+    # the ratio test writes only into arrays it makes: family.value may
+    # return its argument, the caller's t_pairs among them
     r_lo = family.value(t) / t
     r_hi = family.value(tp) / tp
-    close = np.abs(r_lo - r_hi) <= RATIO_RTOL * np.maximum(np.abs(r_lo), np.abs(r_hi))
+    diff = r_lo - r_hi
+    np.abs(diff, out=diff)
+    scale = np.abs(r_hi)
+    np.maximum(np.abs(r_lo, out=r_lo), scale, out=scale)
+    scale *= RATIO_RTOL
+    close = diff <= scale
     confirmed = []
     for i in np.flatnonzero(close):
         if _collinear_through_origin(family, float(r_hi[i]), float(t[i])):
-            confirmed.append((float(t[i]), float(tp[i]), float(abs(r_lo[i] - r_hi[i]))))
+            confirmed.append((float(t[i]), float(tp[i]), float(diff[i])))
         if len(confirmed) >= _MAX_WITNESSES:
             break
     return ConditionReport(

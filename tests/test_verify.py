@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prorata import (
     CallablePayoff,
@@ -24,10 +26,16 @@ from prorata import (
     replay_witness,
     rosen_probe,
 )
+from prorata.payoff import search_end
 from prorata.verify import (
     CHORD_STRICT,
     LINEAR_SEGMENT_AT_ZERO,
+    RATIO_RTOL,
     ROSEN_MONOTONE_PROBE,
+    STRICT_MARGIN,
+    ConditionReport,
+    _chord_violations,
+    _collinear_through_origin,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -292,3 +300,164 @@ def test_certify_families_script_separates_reference_from_counterexamples(capsys
                      # strictly concave: its counterexample is the probe
                      "16t - t^2": "chord=ok"}
     assert rows["16t - t^2"][2:] == ["E(2)=-2,", "E(4)=-7,", "E(8)=-29"]
+
+
+# ------------------------------------------- samplers against a reference
+#
+# The checks draw their samples into buffers of their own and evaluate in
+# place. The references below draw with uniform calls, filter with boolean
+# masks, join with concatenate and evaluate with fresh temporaries; the
+# reports must agree bit for bit.
+
+
+def _reference_hi(family, domain_hi):
+    return search_end(family) if domain_hi is None else float(domain_hi)
+
+
+def _reference_chord(family, samples, seed, domain_hi=None):
+    hi = _reference_hi(family, domain_hi)
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(1e-9, 1.0 - 1e-9, size=samples)
+    t = rng.uniform(0.0, hi, size=samples)
+    keep = t > 0.0
+    alpha, t = alpha[keep], t[keep]
+    ladder = hi * 2.0 ** -np.arange(0, 13, dtype=float)
+    alpha = np.concatenate([alpha, np.full(ladder.shape, 0.5)])
+    t = np.concatenate([t, ladder])
+    lhs = family.value(alpha * t)
+    rhs = alpha * family.value(t)
+    gap = lhs - rhs
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0e-300)
+    idx = np.flatnonzero(gap <= STRICT_MARGIN * scale)
+    witness = tuple((float(alpha[i]), float(t[i]), float(gap[i])) for i in idx[:8])
+    return ConditionReport(CHORD_STRICT, idx.size == 0, witness, {
+        "samples": int(t.size), "violations": int(idx.size), "hi": hi,
+        "strict_margin": STRICT_MARGIN})
+
+
+def _reference_linear(family, samples, seed, domain_hi=None):
+    hi = _reference_hi(family, domain_hi)
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, hi, size=samples)
+    b = rng.uniform(0.0, hi, size=samples)
+    lo = np.minimum(a, b)
+    up = np.maximum(a, b)
+    keep = (lo > 0.0) & (up - lo > 1e-6 * hi)
+    ladder = hi * 2.0 ** -np.arange(0, 13, dtype=float)
+    pairs = np.column_stack([np.concatenate([lo[keep], ladder / 2.0]),
+                             np.concatenate([up[keep], ladder])])
+    t, tp = pairs[:, 0], pairs[:, 1]
+    r_lo = family.value(t) / t
+    r_hi = family.value(tp) / tp
+    close = np.abs(r_lo - r_hi) <= RATIO_RTOL * np.maximum(np.abs(r_lo), np.abs(r_hi))
+    confirmed = []
+    for i in np.flatnonzero(close):
+        if _collinear_through_origin(family, float(r_hi[i]), float(t[i])):
+            confirmed.append((float(t[i]), float(tp[i]), float(abs(r_lo[i] - r_hi[i]))))
+        if len(confirmed) >= 8:
+            break
+    return ConditionReport(LINEAR_SEGMENT_AT_ZERO, bool(confirmed), tuple(confirmed), {
+        "pairs": int(t.size), "ratio_matches": int(np.count_nonzero(close)),
+        "hi": hi, "ratio_rtol": RATIO_RTOL})
+
+
+SAMPLERS = [(check_chord_condition, _reference_chord),
+            (detect_linear_segment_at_zero, _reference_linear)]
+
+
+def same_reports(family, samples, seed, domain_hi=None):
+    """Both checks' reports, each asserted equal to its reference's."""
+    reports = []
+    for check, reference in SAMPLERS:
+        got = check(family, samples=samples, seed=seed, domain_hi=domain_hi)
+        want = reference(family, samples, seed, domain_hi)
+        assert got == want
+        # repr also tells -0.0 from 0.0
+        assert repr(got) == repr(want)
+        reports.append(got)
+    return reports
+
+
+CALLABLES = [
+    kinked(),
+    CallablePayoff(lambda t: np.minimum(t, 3.0) - 0.01 * t),
+    CallablePayoff(lambda t: 16.0 * t - t * t),
+]
+
+
+@st.composite
+def sampled_families(draw):
+    kind = draw(st.sampled_from(["power", "cfmm", "table", "callable"]))
+    if kind == "power":
+        return PowerPayoff(beta=draw(st.floats(0.05, 0.95)),
+                           gamma=draw(st.floats(1e-3, 0.5)))
+    if kind == "cfmm":
+        gamma, r1, r2 = (draw(st.floats(0.5, 0.999)), draw(st.floats(1.0, 1e3)),
+                         draw(st.floats(1.0, 1e3)))
+        # a price below f'(0) = gamma*r2/r1 leaves a positive region
+        c = draw(st.floats(0.05, 0.95)) * gamma * r2 / r1
+        return CfmmArbitragePayoff(gamma=gamma, r1=r1, r2=r2, c=c)
+    if kind == "table":
+        steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8))
+        fs = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(steps),
+                           max_size=len(steps)))
+        fs[0] = abs(fs[0]) + 1.0  # positive at the first inner knot
+        return TabulatedPayoff(ts=(0.0, *np.cumsum(steps)), fs=(0.0, *fs))
+    return draw(st.sampled_from(CALLABLES))
+
+
+@given(family=sampled_families(), seed=st.integers(0, 2**32 - 1),
+       samples=st.sampled_from([0, 1, 2, 17, 10_000]),
+       hi_share=st.none() | st.floats(0.01, 1.0))
+@settings(deadline=None, max_examples=80)
+def test_samplers_equal_the_uniform_mask_and_concatenate_reference(
+    family, seed, samples, hi_share
+):
+    domain_hi = None if hi_share is None else hi_share * search_end(family)
+    for report in same_reports(family, samples, seed, domain_hi):
+        assert replay_witness(family, report)
+
+
+@pytest.mark.parametrize("family, strict", ZOO)
+def test_samplers_equal_the_reference_across_the_zoo(family, strict):
+    # seed 11 drops one sampled pair of the segment search (t' - t too
+    # small), so its rows are moved up in the buffers
+    for report in same_reports(family, 10_000, 11):
+        assert replay_witness(family, report)
+    assert detect_linear_segment_at_zero(family, seed=11).details["pairs"] == 10_012
+
+
+def test_a_dropped_pair_moves_the_next_one_up():
+    # seed 21575 draws a first pair closer than 1e-6*hi, which is dropped;
+    # on f(t) = t every kept pair is a segment, so the second pair leads
+    # the witnesses, ahead of the ladder
+    family = CallablePayoff(lambda t: 0.5 * t)
+    _, segment = same_reports(family, 2, 21575, domain_hi=7.0)
+    assert segment.details["pairs"] == 14
+    (t, tp, _), *ladder = segment.witness
+    assert 6.4 < t < tp < 6.6 and ladder[0][:2] == (3.5, 7.0)
+    assert replay_witness(family, segment)
+
+
+@pytest.mark.parametrize("fn", [lambda t: t, np.flip], ids=["identity", "flipped"])
+def test_samplers_never_write_into_what_value_returns(fn):
+    # value hands back its argument, or a view of it: writing into the
+    # result would overwrite the samples, or the caller's arrays
+    family = CallablePayoff(fn)
+    for samples in (0, 17, 10_000):
+        same_reports(family, samples, 3, domain_hi=7.0)
+    rng = np.random.default_rng(4)
+    alpha, t = rng.uniform(0.1, 0.9, 40), rng.uniform(0.5, 7.0, 40)
+    pairs = np.column_stack([t, 1.5 * t])
+    kept = alpha.copy(), t.copy(), pairs.copy()
+    _chord_violations(family, alpha, t)
+    detect_linear_segment_at_zero(family, t_pairs=pairs)
+    for now, before in zip((alpha, t, pairs), kept):
+        assert np.array_equal(now, before)
+
+
+def test_an_integer_valued_callable_gives_the_reference_reports():
+    # the in-place steps keep float arrays when the values are integers
+    family = CallablePayoff(lambda t: np.floor(np.asarray(t)).astype(np.int64))
+    for samples in (17, 10_000):
+        same_reports(family, samples, 2, domain_hi=5.0)
