@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the concavity side-condition checks over a small zoo of payoffs.
 
-For each family this prints whether the sampled strict-chord condition
+For each family this prints whether the strict-chord condition
 f(a t) > a f(t) holds, whether a linear segment at zero was detected (the
 usual way the chord condition fails), and the diagonal-monotonicity probe
-value E(n) at a few crowd sizes. The capped tables and the quadratic are
+value E(n) at a few crowd sizes. The built-in kinds get exact verdicts; the
+quadratic, a callable, is sampled. The capped tables and the quadratic are
 known counterexamples: the tables violate the chord condition, and the
 quadratic, strictly concave, gives E(n) < 0. A nonzero exit means one of
 the *reference* families failed the chord check.

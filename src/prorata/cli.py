@@ -428,8 +428,7 @@ def _cmd_verify(args) -> Table:
             continue
         check = check_chord_condition if name == "chord" \
             else detect_linear_segment_at_zero
-        rep = check(family, samples=args.samples, seed=args.seed,
-                    domain_hi=args.domain_hi)
+        rep = check(family, domain_hi=args.domain_hi)
         rows.extend([rep.condition, rep.holds, *w]
                     for w in rep.witness or ((None, None, None),))
     return (["condition", "holds", "witness_a", "witness_b", "witness_value"],
@@ -541,8 +540,8 @@ COMMANDS = {
     "verify": ("certify concavity side conditions", _cmd_verify, {
         **_FAMILY, **_IO,
         "conditions": ([str], "chord,linear,rosen", "subset of chord,linear,rosen"),
-        "samples": (int, 10_000, None), "seed": (int, 0, None),
-        "domain_hi": (float, None, None), "rosen_n": (int, 2, None)}),
+        "domain_hi": (float, None, "end of the checked range, default the zero of f"),
+        "rosen_n": (int, 2, None)}),
     # each figure reads the figure flags its FIGURES entry names, and one
     # left unset keeps the figure's default
     "reproduce": ("regenerate a reference figure CSV", _cmd_reproduce, {

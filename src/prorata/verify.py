@@ -3,9 +3,9 @@
 Three checks, each returning a :class:`ConditionReport` with replayable
 witnesses:
 
-* ``chord-strict`` — f(alpha*t) > alpha*f(t) on sampled (alpha, t); the
-  strict version of concavity-through-the-origin that makes the
-  symmetric equilibrium unique.
+* ``chord-strict`` — f(alpha*t) > alpha*f(t) for alpha in (0, 1) and t up
+  to the root; the strict version of concavity-through-the-origin that
+  makes the symmetric equilibrium unique.
 * ``linear-segment-at-zero`` — detects f(t)/t constant near 0, the way
   strictness typically fails (then every split of a total is
   payoff-equivalent and uniqueness breaks).
@@ -14,9 +14,12 @@ witnesses:
   it fails even for well-behaved payoffs here, which is why the chord
   argument is the one that matters.
 
-The two sampled checks draw their samples into two buffers of their own,
-the same draws as numpy's ``uniform`` in the same order, and evaluate in
-place in arrays they make; reports and witnesses keep their bits.
+For the built-in kinds the first two verdicts follow from the kind, and
+the report says why in ``details["reason"]``. For power and cfmm f(t)/t is
+strictly decreasing, so the chord holds and no segment exists. A table's
+first segment runs through (0, 0), so the chord fails there and a segment
+is found, each with one exact witness row. Only a :class:`CallablePayoff`
+is sampled: 10,000 seeded uniform draws plus a ladder of probes toward zero.
 """
 
 from __future__ import annotations
@@ -27,7 +30,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgument, integer, number
-from .payoff import CallablePayoff, PayoffFamily, TabulatedPayoff, search_end
+from .payoff import (
+    CallablePayoff,
+    CfmmArbitragePayoff,
+    PayoffFamily,
+    PowerPayoff,
+    TabulatedPayoff,
+    search_end,
+)
 
 CHORD_STRICT = "chord-strict"
 LINEAR_SEGMENT_AT_ZERO = "linear-segment-at-zero"
@@ -41,6 +51,9 @@ RATIO_RTOL = 1e-10
 _MAX_WITNESSES = 8
 # the deterministic probes added to the sampled rows
 _LADDER = 13
+# details["reason"] of the verdicts a built-in kind decides
+DECREASING = "f(t)/t strictly decreasing"
+FIRST_SEGMENT = "f linear through (0, 0) on the first segment"
 
 
 @dataclass(frozen=True)
@@ -54,8 +67,9 @@ class ConditionReport:
 def _sample_ceiling(
     family: PayoffFamily, domain_hi: float | None, samples: int, seed: int
 ) -> float:
-    """The top of the sampled range, after checking the sampling arguments;
-    ``samples = 0`` leaves only the deterministic ladder."""
+    """The top of the checked range, after checking the sampling arguments,
+    which every family takes; ``samples = 0`` leaves a callable only the
+    deterministic ladder."""
     integer("samples", samples, 0)
     integer("seed", seed, 0)
     if domain_hi is not None:
@@ -65,26 +79,6 @@ def _sample_ceiling(
                                   f"last knot {family.domain_max}")
         return float(domain_hi)
     return search_end(family)
-
-
-def _uniform(rng: np.random.Generator, out: np.ndarray, low: float,
-             high: float) -> None:
-    """Fill ``out`` with the draws ``rng.uniform(low, high, out.size)``
-    makes: numpy's ``low + (high - low) * u``, the same u in the same order,
-    so every sample keeps its bits."""
-    rng.random(out=out)
-    out *= high - low
-    out += low
-
-
-def _keep_rows(keep: np.ndarray, *buffers: np.ndarray) -> int:
-    """Move the rows where ``keep`` holds to the front of each buffer, in
-    order, and return how many there are; copies nothing when all are kept."""
-    kept = int(np.count_nonzero(keep))
-    if kept < keep.size:
-        for buf in buffers:
-            np.compress(keep, buf[:keep.size], out=buf[:kept])
-    return kept
 
 
 def _ladder(hi: float) -> np.ndarray:
@@ -98,21 +92,51 @@ def _chord_violations(
     family: PayoffFamily, alpha: np.ndarray, t: np.ndarray
 ) -> tuple[tuple[tuple[float, float, float], ...], int]:
     """The (alpha, t, gap) rows, up to eight, where f(alpha*t) > alpha*f(t)
-    fails by more than ``STRICT_MARGIN``, and how many rows fail. Writes
-    only into the arrays it makes: ``family.value`` may return its
-    argument, or a view of it."""
+    fails by more than ``STRICT_MARGIN``, and how many rows fail."""
     lhs = family.value(alpha * t)
     rhs = alpha * family.value(t)
     gap = lhs - rhs
-    scale = np.abs(lhs, dtype=float)  # a callable may return integers
-    np.maximum(scale, np.abs(rhs, out=rhs), out=scale)
-    np.maximum(scale, 1.0e-300, out=scale)
-    scale *= STRICT_MARGIN
-    idx = np.flatnonzero(gap <= scale)
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0e-300)
+    idx = np.flatnonzero(gap <= STRICT_MARGIN * scale)
     witness = tuple(
         (float(alpha[i]), float(t[i]), float(gap[i])) for i in idx[:_MAX_WITNESSES]
     )
     return witness, int(idx.size)
+
+
+def _exact_report(
+    condition: str, family: PayoffFamily, hi: float
+) -> ConditionReport | None:
+    """The report of a verdict that follows from a built-in kind, checked
+    up to ``hi``; None for any other family, which is sampled.
+
+    Power (t**(beta-1) - gamma) and cfmm (gamma*r2/(r1 + gamma*t) - c) have
+    f(t)/t strictly decreasing: the chord holds, no segment exists, and
+    neither verdict has witnesses. A table is linear through (0, 0) up to
+    t1 = min(ts[1], hi): the chord fails at (1/2, t1) and a segment is found
+    at (t1/2, t1), each row confirmed by the test the sampler uses. The
+    verdict is read off the witness, as ``replay_witness`` reads it, and a
+    table whose row floating point cannot confirm (a first slope that
+    overflows, say) is sampled instead.
+    """
+    if isinstance(family, (PowerPayoff, CfmmArbitragePayoff)):
+        reason, witness = DECREASING, ()
+    elif isinstance(family, TabulatedPayoff):
+        reason, t1 = FIRST_SEGMENT, np.array([min(family.ts[1], hi)])
+        if condition == CHORD_STRICT:
+            witness, _ = _chord_violations(family, np.array([0.5]), t1)
+        else:
+            witness, _ = _segments(family, t1 / 2.0, t1)
+        if not witness:
+            return None
+    else:
+        return None
+    return ConditionReport(
+        condition=condition,
+        holds=(condition == CHORD_STRICT) != bool(witness),
+        witness=witness,
+        details={"reason": reason, "hi": hi},
+    )
 
 
 def check_chord_condition(
@@ -121,25 +145,28 @@ def check_chord_condition(
     seed: int = 0,
     domain_hi: float | None = None,
 ) -> ConditionReport:
-    """Sample the strict chord inequality f(alpha*t) > alpha*f(t).
+    """Decide the strict chord inequality f(alpha*t) > alpha*f(t) for
+    alpha in (0, 1) and t in (0, hi], with hi the positive root (or the
+    table end), or ``domain_hi`` when given.
 
-    alpha ~ U(0, 1) and t ~ U(0, hi) with hi the positive root (or the
-    table end); a deterministic geometric ladder of (alpha=1/2, t) probes
-    is added so segments hiding near zero are found regardless of seed.
-    Violations within ``STRICT_MARGIN`` (relative) of equality count as
-    failures; up to eight are returned as (alpha, t, gap) witnesses.
-    alpha and t are drawn into two buffers of the check's own, as
-    ``uniform`` draws them, and the ladder goes into their tails.
+    A built-in kind gets its exact verdict (:func:`_exact_report`). A
+    callable is sampled: alpha ~ U(0, 1) and t ~ U(0, hi), plus a
+    deterministic geometric ladder of (alpha=1/2, t) probes so segments
+    hiding near zero are found regardless of seed. Violations within
+    ``STRICT_MARGIN`` (relative) of equality count as failures; up to
+    eight are returned as (alpha, t, gap) witnesses. The sampling
+    arguments are checked for every family.
     """
     hi = _sample_ceiling(family, domain_hi, samples, seed)
+    exact = _exact_report(CHORD_STRICT, family, hi)
+    if exact is not None:
+        return exact
     rng = np.random.default_rng(seed)
-    alpha, t = np.empty(samples + _LADDER), np.empty(samples + _LADDER)
-    _uniform(rng, alpha[:samples], 1e-9, 1.0 - 1e-9)
-    _uniform(rng, t[:samples], 0.0, hi)
-    kept = _keep_rows(t[:samples] > 0.0, alpha, t)
-    alpha, t = alpha[:kept + _LADDER], t[:kept + _LADDER]
-    alpha[kept:] = 0.5
-    t[kept:] = _ladder(hi)
+    alpha = rng.uniform(1e-9, 1.0 - 1e-9, size=samples)
+    t = rng.uniform(0.0, hi, size=samples)
+    keep = t > 0.0
+    alpha = np.concatenate([alpha[keep], np.full(_LADDER, 0.5)])
+    t = np.concatenate([t[keep], _ladder(hi)])
 
     witness, violations = _chord_violations(family, alpha, t)
     return ConditionReport(
@@ -168,22 +195,33 @@ def _sampled_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (t, t') rows of the sampled segment search: ordered pairs of two
     ``uniform(0, hi)`` draws, kept when 0 < t and t' - t > 1e-6*hi, then
-    the ladder's (t/2, t) probes, as views of two buffers made here. The
-    first draw goes into a third, which then holds the widths t' - t and
-    is freed on return, before the ratio test makes its arrays."""
-    t, tp, width = (np.empty(samples + _LADDER) for _ in range(3))
-    a, b = width[:samples], tp[:samples]
-    _uniform(rng, a, 0.0, hi)
-    _uniform(rng, b, 0.0, hi)
-    lo = np.minimum(a, b, out=t[:samples])
-    up = np.maximum(a, b, out=b)
-    keep = np.subtract(up, lo, out=a) > 1e-6 * hi
-    keep &= lo > 0.0
-    kept = _keep_rows(keep, t, tp)
-    t, tp = t[:kept + _LADDER], tp[:kept + _LADDER]
-    tp[kept:] = _ladder(hi)
-    np.divide(tp[kept:], 2.0, out=t[kept:])
-    return t, tp
+    the ladder's (t/2, t) probes."""
+    a = rng.uniform(0.0, hi, size=samples)
+    b = rng.uniform(0.0, hi, size=samples)
+    lo, up = np.minimum(a, b), np.maximum(a, b)
+    keep = (lo > 0.0) & (up - lo > 1e-6 * hi)
+    ladder = _ladder(hi)
+    return (np.concatenate([lo[keep], ladder / 2.0]),
+            np.concatenate([up[keep], ladder]))
+
+
+def _segments(
+    family: PayoffFamily, t: np.ndarray, tp: np.ndarray
+) -> tuple[tuple[tuple[float, float, float], ...], int]:
+    """The (t, t', |ratio gap|) rows, up to eight, where f(t)/t and
+    f(t')/t' agree within ``RATIO_RTOL`` and f is collinear with the origin
+    on (0, t], and how many rows' ratios agree."""
+    r_lo = family.value(t) / t
+    r_hi = family.value(tp) / tp
+    diff = np.abs(r_lo - r_hi)
+    close = np.flatnonzero(diff <= RATIO_RTOL * np.maximum(np.abs(r_lo), np.abs(r_hi)))
+    confirmed = []
+    for i in close:
+        if _collinear_through_origin(family, float(r_hi[i]), float(t[i])):
+            confirmed.append((float(t[i]), float(tp[i]), float(diff[i])))
+        if len(confirmed) >= _MAX_WITNESSES:
+            break
+    return tuple(confirmed), int(close.size)
 
 
 def detect_linear_segment_at_zero(
@@ -197,10 +235,10 @@ def detect_linear_segment_at_zero(
     ``RATIO_RTOL``), then confirm f is collinear with the origin on (0, t]
     before reporting a segment. ``holds=True`` means a segment was found.
 
-    Pairs come from ``t_pairs`` when given, otherwise from seeded uniform
-    sampling plus a geometric ladder of (t, t/2) probes toward zero. The
-    sampled pairs are drawn as ``uniform`` draws them and ordered into two
-    buffers of the check's own, and the ladder goes into their tails.
+    Pairs come from ``t_pairs`` when given. Otherwise a built-in kind gets
+    its exact verdict (:func:`_exact_report`), and a callable is sampled:
+    seeded uniform pairs plus a geometric ladder of (t, t/2) probes toward
+    zero. The sampling arguments are checked for every family.
     """
     if t_pairs is not None:
         # explicit pairs need no sampling ceiling, so families without a
@@ -213,32 +251,20 @@ def detect_linear_segment_at_zero(
         t, tp = pairs[:, 0], pairs[:, 1]
     else:
         hi = _sample_ceiling(family, domain_hi, samples, seed)
+        exact = _exact_report(LINEAR_SEGMENT_AT_ZERO, family, hi)
+        if exact is not None:
+            return exact
         t, tp = _sampled_pairs(np.random.default_rng(seed), samples, hi)
     if not np.all((0.0 < t) & (t < tp)):  # NaN too
         raise InvalidArgument("pairs must satisfy 0 < t < t'")
-    # the ratio test writes only into arrays it makes: family.value may
-    # return its argument, the caller's t_pairs among them
-    r_lo = family.value(t) / t
-    r_hi = family.value(tp) / tp
-    diff = r_lo - r_hi
-    np.abs(diff, out=diff)
-    scale = np.abs(r_hi)
-    np.maximum(np.abs(r_lo, out=r_lo), scale, out=scale)
-    scale *= RATIO_RTOL
-    close = diff <= scale
-    confirmed = []
-    for i in np.flatnonzero(close):
-        if _collinear_through_origin(family, float(r_hi[i]), float(t[i])):
-            confirmed.append((float(t[i]), float(tp[i]), float(diff[i])))
-        if len(confirmed) >= _MAX_WITNESSES:
-            break
+    witness, matches = _segments(family, t, tp)
     return ConditionReport(
         condition=LINEAR_SEGMENT_AT_ZERO,
-        holds=bool(confirmed),
-        witness=tuple(confirmed),
+        holds=bool(witness),
+        witness=witness,
         details={
             "pairs": int(t.size),
-            "ratio_matches": int(np.count_nonzero(close)),
+            "ratio_matches": matches,
             "hi": hi,
             "ratio_rtol": RATIO_RTOL,
         },

@@ -244,8 +244,7 @@ def test_criterion_13_same_seed_reruns_are_byte_identical(tmp_path):
          "--n", "2", "--trials", "2", "--seed", "11"],
         ["study", "--family", "cfmm", "--gamma", "0.99", "--r1", "200",
          "--r2", "250", "--price", "1", "--n-values", "2:3", "--trials", "3"],
-        ["verify", "--family", "power", "--beta", "0.5", "--gamma", "0.05",
-         "--seed", "5"],
+        ["verify", "--family", "power", "--beta", "0.5", "--gamma", "0.05"],
     ]
     for idx, argv in enumerate(experiments):
         a = tmp_path / f"{idx}_a.csv"

@@ -216,6 +216,22 @@ def test_exact_sum_is_fsum_bit_for_bit(a):
         assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+@given(n=st.integers(1, MAX_TRADERS), seed=st.integers(0, 2**32 - 1),
+       span=st.floats(0.0, 300.0))
+@example(n=MAX_TRADERS, seed=0, span=300.0)
+@example(n=MAX_TRADERS, seed=1, span=200.0)
+@settings(deadline=None, max_examples=100)
+def test_exact_sum_is_fsum_bit_for_bit_over_wide_magnitudes(n, seed, span):
+    # magnitudes 10**-span to 10**span fill up to ~2,000 exponent bins,
+    # each of which the sum's int loop visits
+    rng = np.random.default_rng(seed)
+    magnitudes = 10.0 ** rng.uniform(-span, span, n)
+    a = rng.choice([-1.0, 1.0], n) * magnitudes
+    for b in (magnitudes, a):
+        assert _exact_sum(b) == math.fsum(b)
+    assert _exact_sum(_cancelling(a)) == 0.0
+
+
 def test_delegation_matches_direct_pro_rata(pool):
     # each trader's B equals their pro-rata share of the pool's payout
     out = clear(BatchInstance(deltas=np.array([5.0, -2.0, 3.0, -1.0]), pool=pool))

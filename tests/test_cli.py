@@ -408,8 +408,7 @@ DEFAULTS_SPELLED_OUT = [
     (["batch", "--deltas", "5,-2,3", "--gamma", "0.99", "--r1", "200", "--r2", "250"],
      ["--format", "table"]),
     (["verify", *POWER],
-     ["--conditions", "chord,linear,rosen", "--samples", "10000", "--seed", "0",
-      "--rosen-n", "2", "--format", "table"]),
+     ["--conditions", "chord,linear,rosen", "--rosen-n", "2", "--format", "table"]),
     (["reproduce", "scenario1"],
      ["study", *CFMM, "--n-values", "2:16", "--trials", "100", "--seed", "0",
       "--format", "csv"]),
@@ -492,7 +491,6 @@ BAD_RUN_PARAMETERS = [
     (["equilibrium", *CFMM, "--n", "0"], "n must be at least 1, got 0"),
     (["whale", *CFMM, "--n-fish-values=-1", "--trials", "0"],
      "n_fish must be nonnegative, got -1"),
-    (["verify", *POWER, "--samples", "-1"], "samples must be nonnegative, got -1"),
     (["verify", *POWER, "--domain-hi", "-5"],
      "domain_hi must be finite and positive, got -5.0"),
     (["verify", *POWER, "--domain-hi", "nan"],
@@ -522,8 +520,6 @@ BAD_RUN_PARAMETERS = [
     # a negative seed is bad input, not numpy's numeric error
     *[([command, *CFMM, "--seed", "-1"], "seed must be nonnegative, got -1")
       for command in ("simulate", "study", "whale")],
-    *[(["verify", *POWER, "--conditions", condition, "--seed", "-1"],
-       "seed must be nonnegative, got -1") for condition in ("chord", "linear")],
     (["reproduce", "whale", "--trials", "1", "--seed", "-1"],
      "seed must be nonnegative, got -1"),
     # NaN fails every bound, and family parameters and caps must be finite
@@ -565,13 +561,13 @@ BAD_RUN_PARAMETERS = [
     "reproduce-whale-n-values", "reproduce-delta-deltas",
     "bestresponse-y", "bestresponse-budget", "bestresponse-non-concave",
     "equilibrium-closed-table", "equilibrium-n", "whale-n-fish-first",
-    "verify-samples", "verify-domain-hi", "verify-domain-hi-nan",
+    "verify-domain-hi", "verify-domain-hi-nan",
     "whale-threshold", "whale-max-iterations", "whale-threshold-nan",
     "study-threshold-nan", "verify-domain-hi-past-table",
     "simulate-delta-unbounded", "study-budgets-unbudgeted",
     "study-budgets-bounded", "equilibrium-flag-of-another-family",
-    "simulate-seed", "study-seed", "whale-seed", "verify-chord-seed",
-    "verify-linear-seed", "reproduce-whale-seed", "power-gamma-nan", "cfmm-r1-inf",
+    "simulate-seed", "study-seed", "whale-seed", "reproduce-whale-seed",
+    "power-gamma-nan", "cfmm-r1-inf",
     "simulate-delta-nan", "simulate-delta-inf", "study-budgets-nan",
     "bestresponse-y-nan", "bestresponse-budget-nan", "study-threshold-inf",
     "study-bounded-without-delta", "table-no-ts", "table-no-fs",
@@ -742,8 +738,7 @@ CONFIG_KEYS = {
               "max_iterations"},
     "poa": {"family", "n_values", "n0"},
     "batch": {"deltas", "gamma", "r1", "r2", "input"},
-    "verify": {"family", "conditions", "samples", "seed", "rosen_n",
-               "domain_hi"},
+    "verify": {"family", "conditions", "rosen_n", "domain_hi"},
 }
 
 
@@ -784,8 +779,7 @@ WRONGLY_TYPED = [
         ("equilibrium", {}, ("n",)),
         ("bestresponse", {}, ("y", "budget")),
         ("poa", {}, ("n_values", "n0")),
-        ("verify", {"samples": 100},
-         ("samples", "seed", "rosen_n", "domain_hi")),
+        ("verify", {}, ("rosen_n", "domain_hi")),
     )
     for key in keys
     for value in ("abc", ["abc"], {})
@@ -809,7 +803,7 @@ def test_wrongly_typed_config_values_exit_2(capsys, tmp_path, command, cfg):
     ("simulate", {"seed": 0.5, "max_iterations": 10}),
     ("study", {"n_values": [2, 2.5]}),
     ("poa", {"n0": float("inf")}),
-    ("verify", {"samples": 100.5}),
+    ("verify", {"rosen_n": 2.5}),
     ("equilibrium", {"n": 3.0}),
 ])
 def test_fractional_config_integers_exit_2(capsys, tmp_path, command, cfg):
@@ -913,12 +907,16 @@ FLAGS_AND_CONFIG = [
     ("batch", ["--deltas", "5,-2,3", "--gamma", "0.99", "--r1", "200",
                "--r2", "250"],
      {"deltas": "5,-2,3", "gamma": 0.99, "r1": 200, "r2": 250}),
-    ("verify", [*POWER, "--conditions", "chord,rosen", "--samples", "300",
-                "--seed", "2", "--rosen-n", "3", "--domain-hi", "500"],
-     {"family": POWER_SPEC, "conditions": ["chord", "rosen"], "samples": 300,
-      "seed": 2, "rosen_n": 3, "domain_hi": 500}),
-    ("verify", [*POWER, "--conditions", "linear,chord", "--samples", "300"],
-     {"family": POWER_SPEC, "conditions": "linear,chord", "samples": 300}),
+    ("verify", [*POWER, "--conditions", "chord,rosen", "--rosen-n", "3",
+                "--domain-hi", "500"],
+     {"family": POWER_SPEC, "conditions": ["chord", "rosen"], "rosen_n": 3,
+      "domain_hi": 500}),
+    ("verify", [*POWER, "--conditions", "linear,chord"],
+     {"family": POWER_SPEC, "conditions": "linear,chord"}),
+    ("verify", ["--family", "table", "--ts", "0,3,60", "--fs", "0,3,3",
+                "--domain-hi", "2"],
+     {"family": {"kind": "table", "ts": [0, 3, 60], "fs": [0, 3, 3]},
+      "domain_hi": 2}),
 ]
 
 
@@ -941,7 +939,7 @@ LIST_FLAGS = [
                "budgeted"], "budgets", "5", [5]),
     ("batch", ["--gamma", "0.99", "--r1", "200", "--r2", "250"], "deltas",
      "5,-2,3", [5, -2, 3]),
-    ("verify", [*POWER, "--samples", "300"], "conditions", "chord,rosen",
+    ("verify", POWER, "conditions", "chord,rosen",
      ["chord", "rosen"]),
 ]
 
@@ -1080,6 +1078,18 @@ def test_family_flags_beside_a_config_family_exit_2(capsys, tmp_path):
     assert run(capsys, "equilibrium", "--config", str(path), "--beta", "0.9") == (
         2, "", "error: config-error: --beta needs --family: the config file "
                "gives the family as one object\n")
+
+
+@pytest.mark.parametrize("key, value", [("samples", "300"), ("seed", "5")])
+def test_verify_reads_no_sampling_flags(capsys, tmp_path, key, value):
+    # the built-in kinds get exact verdicts, and a callable, the one family
+    # that is sampled, cannot be given on the command line
+    code, out, err = run(capsys, "verify", *POWER, f"--{key}", value)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: --{key} {value}\n")
+    assert _with_config(capsys, tmp_path, "verify", {
+        "family": POWER_SPEC, key: int(value)}) == (
+        2, "", f"error: config-error: unknown config keys for verify: ['{key}']\n")
 
 
 def test_verify_with_no_conditions_exits_2(capsys, tmp_path):

@@ -4,7 +4,9 @@ the two-point diagonal-monotonicity probe.
 The two default families satisfy the strict chord inequality; piecewise
 curves that are linear out of the origin (min(t, 3) and friends) violate
 it, and the segment detector is the complementary witness: on concave
-payoffs exactly one of the two reports should fire.
+payoffs exactly one of the two reports should fire. The built-in kinds get
+exact verdicts; the sampler runs on callables, and on a built-in family
+wrapped as ``CallablePayoff(f.value)`` it is a test of ``value``.
 """
 
 import importlib.util
@@ -19,6 +21,8 @@ from prorata import (
     CallablePayoff,
     CfmmArbitragePayoff,
     InvalidArgument,
+    NoFiniteRoot,
+    NoPositiveRegion,
     PowerPayoff,
     TabulatedPayoff,
     check_chord_condition,
@@ -29,6 +33,8 @@ from prorata import (
 from prorata.payoff import search_end
 from prorata.verify import (
     CHORD_STRICT,
+    DECREASING,
+    FIRST_SEGMENT,
     LINEAR_SEGMENT_AT_ZERO,
     RATIO_RTOL,
     ROSEN_MONOTONE_PROBE,
@@ -79,8 +85,11 @@ def test_default_families_pass_the_chord_check(cfmm, power):
         assert rep.holds
         assert rep.condition == CHORD_STRICT
         assert rep.witness == ()
-        assert rep.details["violations"] == 0
+        assert rep.details["reason"] == DECREASING
         assert replay_witness(family, rep)
+        # sampled through value, the curve shows no violation either
+        sampled = check_chord_condition(CallablePayoff(family.value))
+        assert sampled.holds and sampled.details["violations"] == 0
 
 
 def test_min_t_fails_the_chord_check_with_witness():
@@ -158,8 +167,8 @@ def test_sampling_arguments_checked(power, check, count):
                 {"domain_hi": np.nan}, {"domain_hi": np.inf}):
         with pytest.raises(InvalidArgument):
             check(power, **bad)
-    # no random samples still leaves the 13-probe ladder
-    assert check(power, samples=0).details[count] == 13
+    # no random samples still leaves a callable the 13-probe ladder
+    assert check(CallablePayoff(power.value), samples=0).details[count] == 13
 
 
 @pytest.mark.parametrize("check", [check_chord_condition,
@@ -181,6 +190,128 @@ def test_detectors_agree_across_the_zoo():
         assert segment.holds == (not strict), family
         assert replay_witness(family, chord)
         assert replay_witness(family, segment)
+
+
+# ---------------------------------------------------------- exact verdicts
+
+
+def test_built_in_kinds_get_their_exact_verdicts(cfmm, power):
+    for family in (cfmm, power):
+        for check, holds in ((check_chord_condition, True),
+                             (detect_linear_segment_at_zero, False)):
+            rep = check(family, seed=5)
+            assert (rep.holds, rep.witness) == (holds, ())
+            assert rep.details == {"reason": DECREASING, "hi": search_end(family)}
+            assert replay_witness(family, rep)
+    # the table's witnesses sit at its first knot, or at domain_hi below it
+    table = min_t_table(3.0, 60.0)
+    for domain_hi, t1 in ((None, 3.0), (2.0, 2.0)):
+        chord = check_chord_condition(table, domain_hi=domain_hi)
+        segment = detect_linear_segment_at_zero(table, domain_hi=domain_hi)
+        assert (chord.holds, chord.witness) == (False, ((0.5, t1, 0.0),))
+        assert (segment.holds, segment.witness) == (True, ((t1 / 2, t1, 0.0),))
+        for rep in (chord, segment):
+            assert rep.details == {"reason": FIRST_SEGMENT,
+                                   "hi": domain_hi or 60.0}
+            assert replay_witness(table, rep)
+
+
+@st.composite
+def tables(draw):
+    """Random tables through (0, 0), concave or not, positive somewhere."""
+    steps = draw(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=30))
+    fs = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(steps),
+                       max_size=len(steps)))
+    fs[draw(st.integers(0, len(fs) - 1))] = draw(st.floats(1e-6, 1e6))
+    return TabulatedPayoff(ts=(0.0, *np.cumsum(steps)), fs=(0.0, *fs))
+
+
+@given(table=tables(), hi_share=st.none() | st.floats(1e-6, 1.0))
+@settings(deadline=None, max_examples=200)
+def test_exact_table_witnesses_replay(table, hi_share):
+    domain_hi = None if hi_share is None else hi_share * search_end(table)
+    chord = check_chord_condition(table, domain_hi=domain_hi)
+    segment = detect_linear_segment_at_zero(table, domain_hi=domain_hi)
+    t1 = min(table.ts[1], chord.details["hi"])
+    assert not chord.holds and [row[:2] for row in chord.witness] == [(0.5, t1)]
+    assert segment.holds and [row[:2] for row in segment.witness] == [(t1 / 2, t1)]
+    assert replay_witness(table, chord) and replay_witness(table, segment)
+
+
+def test_a_table_row_that_overflows_is_sampled_not_trusted():
+    # the first slope, 1e300/1e-300, overflows: the segment's ratios come
+    # out inf and NaN, so no row confirms the segment and the verdict falls
+    # to the sampler; no report may claim a verdict its witness denies
+    table = TabulatedPayoff(ts=(0.0, 1e-300, 1.0), fs=(0.0, 1e300, 1e300))
+    with np.errstate(over="ignore", invalid="ignore"):
+        chord = check_chord_condition(table)
+        segment = detect_linear_segment_at_zero(table)
+        assert not chord.holds and chord.details["reason"] == FIRST_SEGMENT
+        assert (segment.holds, segment.witness) == (False, ())
+        assert "reason" not in segment.details
+        for rep in (chord, segment):
+            assert replay_witness(table, rep)
+
+
+def test_exact_verdicts_hold_at_the_cfmm_no_arbitrage_boundary():
+    # c = (g*r2/r1)(1 - eps): f(t)/t = g*r2/(r1 + g*t) - c is strictly
+    # decreasing however small eps is. Sampled through value, which cancels
+    # here, 116 of these 300 families read as failing the chord and 64 as
+    # linear near 0
+    rng = np.random.default_rng(2023)
+    for _ in range(300):
+        gamma, (r1, r2) = rng.uniform(0.5, 1.0), 10 ** rng.uniform(0, 3, 2)
+        eps = 10 ** rng.uniform(-15.0, -1.0)
+        family = CfmmArbitragePayoff(gamma, r1, r2, gamma * r2 / r1 * (1 - eps))
+        assert check_chord_condition(family).holds, family
+        assert not detect_linear_segment_at_zero(family).holds, family
+
+
+def test_a_first_segment_below_the_ladder_is_found_only_exactly():
+    # the ladder stops at hi/2**12 = 2.4e-3 and 10,000 uniform draws on
+    # (0, 10) miss (0, 1e-6): the sampler sees a strictly concave curve
+    table = TabulatedPayoff(ts=(0.0, 1e-6, 10.0), fs=(0.0, 1e-6, 5.0))
+    assert not check_chord_condition(table).holds
+    assert detect_linear_segment_at_zero(table).holds
+    sampled = CallablePayoff(table.value)
+    assert check_chord_condition(sampled, domain_hi=10.0).holds
+    assert not detect_linear_segment_at_zero(sampled, domain_hi=10.0).holds
+
+
+@pytest.mark.parametrize("family, kwargs, error, message", [
+    (CfmmArbitragePayoff(0.99, 200.0, 250.0, 2.0), {}, NoPositiveRegion,
+     "no point with f > 0 found on a geometric scan"),
+    (CfmmArbitragePayoff(1.0, 4.0, 2.0, 0.5), {}, NoPositiveRegion,
+     "no point with f > 0 found on a geometric scan"),
+    (TabulatedPayoff(ts=(0, 1, 2), fs=(0, -1, -3)), {}, NoPositiveRegion,
+     "payoff is nonpositive at every knot"),
+    (TabulatedPayoff(ts=(0, 1, 2), fs=(0, 0, 0)), {}, NoPositiveRegion,
+     "payoff is nonpositive at every knot"),
+    (PowerPayoff(0.5, 1e-300), {}, NoFiniteRoot,
+     "payoff still positive at t=8.98847e+307 (cap reached)"),
+    (min_t_table(3.0, 9.0), {"domain_hi": 9.5}, InvalidArgument,
+     "domain_hi 9.5 is past the table's last knot 9.0"),
+    (min_t_table(3.0, 9.0), {"samples": -1}, InvalidArgument,
+     "samples must be nonnegative, got -1"),
+    (PowerPayoff(0.5, 0.05), {"samples": -1}, InvalidArgument,
+     "samples must be nonnegative, got -1"),
+    (CfmmArbitragePayoff(0.99, 200.0, 250.0, 1.0), {"seed": -1}, InvalidArgument,
+     "seed must be nonnegative, got -1"),
+    (PowerPayoff(0.5, 0.05), {"samples": 2.5}, InvalidArgument,
+     "samples must be an integer, got 2.5"),
+], ids=["cfmm-above-boundary", "cfmm-at-boundary", "table-negative",
+        "table-zero", "power-root-overflows", "past-last-knot",
+        "table-negative-samples", "power-negative-samples", "cfmm-negative-seed",
+        "power-fractional-samples"])
+@pytest.mark.parametrize("check", [check_chord_condition,
+                                   detect_linear_segment_at_zero])
+def test_exact_verdicts_raise_as_the_sampler_did(check, family, kwargs, error,
+                                                 message):
+    # the arguments and the sampling ceiling are checked before the kind
+    # decides, with the same error and message as a sampled check
+    with pytest.raises(error) as info:
+        check(family, **kwargs)
+    assert type(info.value) is error and str(info.value) == message
 
 
 # ------------------------------------------------------------ rosen probe
@@ -304,10 +435,11 @@ def test_certify_families_script_separates_reference_from_counterexamples(capsys
 
 # ------------------------------------------- samplers against a reference
 #
-# The checks draw their samples into buffers of their own and evaluate in
-# place. The references below draw with uniform calls, filter with boolean
-# masks, join with concatenate and evaluate with fresh temporaries; the
-# reports must agree bit for bit.
+# The checks sample callables only. The references below pin the reports
+# they give: uniform draws, boolean masks, concatenate, and the margins
+# written out; the reports must agree bit for bit. A built-in family
+# is sampled as CallablePayoff(f.value), which tests its value against the
+# verdict its kind decides.
 
 
 def _reference_hi(family, domain_hi):
@@ -365,6 +497,37 @@ SAMPLERS = [(check_chord_condition, _reference_chord),
             (detect_linear_segment_at_zero, _reference_linear)]
 
 
+def as_callable(family, domain_hi=None):
+    """A family the checks sample, and the range to sample: a built-in one
+    wrapped as a callable, a table's capped at its own search end, since the
+    wrapper has no last knot to stop at."""
+    if isinstance(family, CallablePayoff):
+        return family, domain_hi
+    if isinstance(family, TabulatedPayoff) and domain_hi is None:
+        domain_hi = search_end(family)
+    return CallablePayoff(family.value), domain_hi
+
+
+def ladder_sees_the_verdict(family, domain_hi):
+    """Whether the sampler must reach the exact verdict: always for power
+    and cfmm, and for a table when the ladder's smallest probe,
+    hi/2**12, lies on the first segment."""
+    if not isinstance(family, TabulatedPayoff):
+        return True
+    hi = search_end(family) if domain_hi is None else domain_hi
+    return hi * 2.0 ** -12 <= family.ts[1]
+
+
+def same_verdicts(family, reports, domain_hi=None):
+    """Each sampled report of the wrapped ``family`` has the verdict its
+    kind decides, where the ladder can see it."""
+    if isinstance(family, CallablePayoff) or \
+            not ladder_sees_the_verdict(family, domain_hi):
+        return
+    for (check, _), report in zip(SAMPLERS, reports):
+        assert report.holds == check(family, domain_hi=domain_hi).holds, family
+
+
 def same_reports(family, samples, seed, domain_hi=None):
     """Both checks' reports, each asserted equal to its reference's."""
     reports = []
@@ -394,7 +557,10 @@ def sampled_families(draw):
     if kind == "cfmm":
         gamma, r1, r2 = (draw(st.floats(0.5, 0.999)), draw(st.floats(1.0, 1e3)),
                          draw(st.floats(1.0, 1e3)))
-        # a price below f'(0) = gamma*r2/r1 leaves a positive region
+        # a price below f'(0) = gamma*r2/r1 leaves a positive region. Closer
+        # than 0.95 of the way to it, value cancels and the sampler can read
+        # f(t)/t as constant, until cfmm value takes the exact margin
+        # g*r2 - c*r1 (ROADMAP item 1)
         c = draw(st.floats(0.05, 0.95)) * gamma * r2 / r1
         return CfmmArbitragePayoff(gamma=gamma, r1=r1, r2=r2, c=c)
     if kind == "table":
@@ -414,17 +580,25 @@ def test_samplers_equal_the_uniform_mask_and_concatenate_reference(
     family, seed, samples, hi_share
 ):
     domain_hi = None if hi_share is None else hi_share * search_end(family)
-    for report in same_reports(family, samples, seed, domain_hi):
-        assert replay_witness(family, report)
+    sampled, domain_hi = as_callable(family, domain_hi)
+    reports = same_reports(sampled, samples, seed, domain_hi)
+    for report in reports:
+        assert replay_witness(sampled, report)
+    same_verdicts(family, reports, domain_hi)
 
 
 @pytest.mark.parametrize("family, strict", ZOO)
 def test_samplers_equal_the_reference_across_the_zoo(family, strict):
     # seed 11 drops one sampled pair of the segment search (t' - t too
-    # small), so its rows are moved up in the buffers
-    for report in same_reports(family, 10_000, 11):
-        assert replay_witness(family, report)
-    assert detect_linear_segment_at_zero(family, seed=11).details["pairs"] == 10_012
+    # small)
+    sampled, domain_hi = as_callable(family)
+    reports = same_reports(sampled, 10_000, 11, domain_hi)
+    for report in reports:
+        assert replay_witness(sampled, report)
+    assert [r.holds for r in reports] == [strict, not strict]
+    same_verdicts(family, reports, domain_hi)
+    assert detect_linear_segment_at_zero(
+        sampled, seed=11, domain_hi=domain_hi).details["pairs"] == 10_012
 
 
 def test_a_dropped_pair_moves_the_next_one_up():
@@ -457,7 +631,7 @@ def test_samplers_never_write_into_what_value_returns(fn):
 
 
 def test_an_integer_valued_callable_gives_the_reference_reports():
-    # the in-place steps keep float arrays when the values are integers
+    # integer values give the same reports as their floats
     family = CallablePayoff(lambda t: np.floor(np.asarray(t)).astype(np.int64))
     for samples in (17, 10_000):
         same_reports(family, samples, 2, domain_hi=5.0)
