@@ -44,8 +44,9 @@ def poa(family: PayoffFamily, n: int) -> PoaReport:
     diag = diagnostics(family)
     ratio = diag.max_value / (eq.positive_payoff() * n)
     if not diag.max_value > 0.0:
-        # f rounds to at most 0 at its argmax, as one ulp inside the cfmm
-        # boundary, while f(q) may round above 0: no ratio >= 1 to report
+        # a callable's f can round to at most 0 at its argmax while f(q)
+        # rounds above 0 (the cfmm family takes its exact margin, and a
+        # table's maximum is a knot): no ratio >= 1 to report
         raise NoPositiveRegion(f"sup f={diag.max_value!r} is not positive")
     if isinstance(family, PowerPayoff):
         expected = power_poa_closed_form(family.beta, n)

@@ -92,6 +92,14 @@ def _signed_foc(family: PayoffFamily, n: int, q: float) -> float:
     return (n - 1) * family.value(q) + q * family.derivative(q)
 
 
+def _require_concave(family: PayoffFamily) -> None:
+    # a slope's sign change is the maximizer, of the own payoff and of
+    # q**(n-1) f(q), only for concave f: both searches refuse other tables
+    if isinstance(family, TabulatedPayoff) and not family.concave:
+        raise InvalidArgument("best_response needs a concave table: its segment "
+                              "slopes must not increase")
+
+
 def _closed_form_power(family: PowerPayoff, n: int) -> float:
     beta, gamma = family.beta, family.gamma
     # n - 1 is exact: beta's low bits survive into the base
@@ -104,16 +112,11 @@ def _closed_form_cfmm(family: CfmmArbitragePayoff, n: int) -> float:
     g, r1, r2, c = family.gamma, family.r1, family.r2, family.c
     a = c * n * g * g
     b = g * g * r2 + 2.0 * c * n * r1 * g - g * g * n * r2
-    c0 = c * n * r1 * r1 - g * n * r1 * r2
-    if abs(c0) < 0.125 * (g * n * r1 * r2):
-        # the terms cancel near the no-arbitrage boundary c r1 = g r2, and
-        # their rounding errors swamp the difference: take n r1 (c r1 - g r2)
-        # exactly in integer ratios and round it once (int / int rounds
-        # correctly, as fractions.Fraction does, without its gcd reductions);
-        # outside this band the rounded form keeps its bits
-        (cn, cd), (rn, rd), (gn, gd), (sn, sd) = (
-            v.as_integer_ratio() for v in (c, r1, g, r2))
-        c0 = n * rn * (cn * rn * gd * sd - gn * sn * cd * rd) / (rd * cd * rd * gd * sd)
+    # the terms cancel near the no-arbitrage boundary c r1 = g r2, and their
+    # rounding errors swamp the difference: there c0 = -n r1 m with the
+    # family's exact margin m = g r2 - c r1
+    m = family.margin
+    c0 = c * n * r1 * r1 - g * n * r1 * r2 if m is None else -(n * r1) * m
     # c0 = -n r1**2 f'(0): when c0 >= 0 the concave f is nowhere positive
     # (both roots are <= 0), and when c0 < 0 the roots have opposite signs
     if c0 >= 0.0:
@@ -141,7 +144,8 @@ def solve_symmetric(
     (n = 1, or a table whose kink at its argmax is the equilibrium) q is
     argmax f itself.
     A payoff that is nowhere positive raises :class:`NoPositiveRegion` on
-    either route.
+    either route, and a table that is not concave raises
+    :class:`InvalidArgument`, as :func:`best_response` does.
     """
     n = integer("n", n, 1)
     if method not in SOLVE_METHODS:
@@ -161,6 +165,7 @@ def solve_symmetric(
             q = _closed_form_cfmm(family, n)
             used = "closed-form-quadratic"
     else:
+        _require_concave(family)
         diag = diagnostics(family)
         q = diag.argmax
         if _signed_foc(family, n, q) > 0.0:
@@ -182,11 +187,17 @@ def cfmm_tender(family: CfmmArbitragePayoff) -> Callable[..., float]:
     projected onto [lo, hi]."""
     # The first-order condition reduces to (r1 + g t)**2 = (g r1 r2 + g**2 r2 y)/c,
     # so t = (sqrt(k0 + k1 y) - r1)/g with k0 = g r1 r2/c and k1 = g**2 r2/c.
+    # Near the no-arbitrage boundary sqrt(k0 + k1 y) - r1 cancels, so with
+    # the family's exact margin m it is (r1 m/c + k1 y)/(sqrt(k0 + k1 y) + r1)
     g, r1, r2, c = family.gamma, family.r1, family.r2, family.c
-    k0, k1 = g * r1 * r2 / c, g * g * r2 / c
+    k0, k1, m = g * r1 * r2 / c, g * g * r2 / c, family.margin
+    km = None if m is None else r1 * m / c
 
     def tender(y: float, lo: float = 0.0, hi: float = math.inf) -> float:
-        x = (math.sqrt(k0 + k1 * y) - r1) / g - y
+        if km is None:
+            x = (math.sqrt(k0 + k1 * y) - r1) / g - y
+        else:
+            x = (km + k1 * y) / (g * (math.sqrt(k0 + k1 * y) + r1)) - y
         if not x > 0.0:
             x = 0.0
         if x < lo:
@@ -295,10 +306,7 @@ def _slope_tender(family: PayoffFamily) -> Callable[..., float]:
     table that is not concave raises :class:`InvalidArgument`; a callable
     whose f stays positive raises :class:`NoFiniteRoot`.
     """
-    if isinstance(family, TabulatedPayoff) and not family.concave:
-        # the slope's sign change is the maximizer only for concave f
-        raise InvalidArgument("best_response needs a concave table: its segment "
-                              "slopes must not increase")
+    _require_concave(family)
     try:
         root = search_end(family)
     except NoPositiveRegion:

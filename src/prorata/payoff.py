@@ -41,7 +41,8 @@ _SCAN_UP_STEPS = 60
 # the root's bisection stops at this bracket width relative to the root; the
 # root scales every seeded initial draw, so changing it changes the figures
 _ROOT_RTOL = 1e-10
-# finite-difference step of callable families, relative to max(1, |t|)
+# finite-difference step of callable families, relative to |t| (at least
+# 1e-300, so t = 0 gets a step too)
 _FD_STEP_SCALE = 1e-6
 
 
@@ -80,6 +81,15 @@ class CfmmArbitragePayoff(ForwardExchange):
     t valued at the external unit price, minus the cost of the tendered t.
     ``gamma`` is the fee multiplier (1 = no fee), ``r1``/``r2`` the pool
     reserves, ``c`` the external price of asset B in units of asset A.
+
+    Near the no-arbitrage boundary c*r1 = gamma*r2 the rounded terms of f
+    and f' cancel. So the family keeps ``margin`` m = gamma*r2 - c*r1
+    (f'(0) = m/r1), taken exactly from the parameters' integer ratios and
+    rounded once, when |m| < gamma*r2/8, and None outside that band. Inside
+    it, f(t) = t (m - c gamma t)/(r1 + gamma t), f' = (r1 m - c gamma t
+    (2 r1 + gamma t))/(r1 + gamma t)**2, and the tender and the closed
+    route take m too; outside it every formula keeps the rounded terms.
+    ``margin`` is not a field: equality, hash and the spec keys ignore it.
     """
 
     c: float
@@ -90,13 +100,29 @@ class CfmmArbitragePayoff(ForwardExchange):
     def __post_init__(self) -> None:
         ForwardExchange.__post_init__(self)
         number("c", self.c, positive=True)
+        # float() reads numpy numbers too; int / int rounds once, correctly
+        (gn, gd), (sn, sd), (cn, cd), (rn, rd) = (
+            float(v).as_integer_ratio() for v in (self.gamma, self.r2, self.c, self.r1))
+        num, den = gn * sn * cd * rd - cn * rn * gd * sd, gd * sd * cd * rd
+        # |m| < gamma*r2/8, decided in integers
+        margin = num / den if 8 * abs(num) < gn * sn * cd * rd else None
+        object.__setattr__(self, "margin", margin)
 
     def value(self, t):
-        return self.quote(t) - self.c * t
+        m = self.margin
+        if m is None:
+            return self.quote(t) - self.c * t
+        g = self.gamma
+        return t * (m - self.c * g * t) / (self.r1 + g * t)
 
     def derivative(self, t):
-        # an explicit base call: super() costs a measurable share of a call
-        return ForwardExchange.derivative(self, t) - self.c
+        m = self.margin
+        if m is None:
+            # an explicit base call: super() costs a measurable share of a call
+            return ForwardExchange.derivative(self, t) - self.c
+        g, r1 = self.gamma, self.r1
+        denom = r1 + g * t
+        return (r1 * m - self.c * g * t * (2.0 * r1 + g * t)) / (denom * denom)
 
 
 @dataclass(frozen=True)
@@ -206,6 +232,8 @@ class CallablePayoff:
     derivative falls back to a central finite difference (one-sided within
     a step of 0, where ``fn`` need not be defined to the left), the one
     approximate derivative in the package; every other family's is exact.
+    Its step is 1e-6*|t|, and 1e-306 at t = 0: relative at every scale, so
+    a positive region as narrow as (0, 1e-7) keeps its slope's sign change.
     """
 
     fn: Callable[[float], float]
@@ -226,7 +254,7 @@ class CallablePayoff:
             return self.deriv(t)
         # one-sided near 0, so a function defined only for t >= 0 is never
         # evaluated left of the origin
-        h = _FD_STEP_SCALE * np.maximum(1.0, np.abs(t))
+        h = _FD_STEP_SCALE * np.maximum(np.abs(t), 1e-300)
         lo = np.maximum(t - h, 0.0)
         return (self.fn(t + h) - self.fn(lo)) / (t + h - lo)
 

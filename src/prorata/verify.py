@@ -14,18 +14,24 @@ witnesses:
   it fails even for well-behaved payoffs here, which is why the chord
   argument is the one that matters.
 
-For the built-in kinds the first two verdicts follow from the kind, and
-the report says why in ``details["reason"]``. For power and cfmm f(t)/t is
-strictly decreasing, so the chord holds and no segment exists. A table's
-first segment runs through (0, 0), so the chord fails there and a segment
-is found, each with one exact witness row. Only a :class:`CallablePayoff`
-is sampled: 10,000 seeded uniform draws plus a ladder of probes toward zero.
+The first two run one pipeline (``_decide``) over a table of the two
+conditions: check the arguments, take the exact verdict, or else draw
+seeded rows, apply the condition's row test and build the report, whose
+verdict is read off its witness rows. For the built-in kinds the verdict
+follows from the kind, and the report says why in ``details["reason"]``.
+For power and cfmm f(t)/t is strictly decreasing, so the chord holds and no
+segment exists. A table's first segment runs through (0, 0), so the chord
+fails there and a segment is found, each with one exact witness row. Only a
+:class:`CallablePayoff`, or a table whose row floating point cannot
+confirm, is sampled: 10,000 seeded uniform draws plus a ladder of probes
+toward zero. :func:`replay_witness` runs a report's rows through the same
+row test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,42 +61,21 @@ _LADDER = 13
 DECREASING = "f(t)/t strictly decreasing"
 FIRST_SEGMENT = "f linear through (0, 0) on the first segment"
 
+# rows (a, b) of a check: (alpha, t) for the chord, (t, t') for a segment
+Rows = tuple[np.ndarray, np.ndarray]
+Witness = tuple[tuple[float, ...], ...]
+
 
 @dataclass(frozen=True)
 class ConditionReport:
     condition: str
     holds: bool
-    witness: tuple[tuple[float, ...], ...]
+    witness: Witness
     details: dict = field(default_factory=dict)
 
 
-def _sample_ceiling(
-    family: PayoffFamily, domain_hi: float | None, samples: int, seed: int
-) -> float:
-    """The top of the checked range, after checking the sampling arguments,
-    which every family takes; ``samples = 0`` leaves a callable only the
-    deterministic ladder."""
-    integer("samples", samples, 0)
-    integer("seed", seed, 0)
-    if domain_hi is not None:
-        number("domain_hi", domain_hi, positive=True)
-        if domain_hi > family.domain_max:
-            raise InvalidArgument(f"domain_hi {domain_hi} is past the table's "
-                                  f"last knot {family.domain_max}")
-        return float(domain_hi)
-    return search_end(family)
-
-
-def _ladder(hi: float) -> np.ndarray:
-    # Deterministic halving probes for both checks; stop at hi/2**12 — below that scale the
-    # chord gap of a smooth curve (O(t^2)) drowns in the O(t) margin and
-    # every function looks linear.
-    return hi * 2.0 ** -np.arange(0, _LADDER, dtype=float)
-
-
-def _chord_violations(
-    family: PayoffFamily, alpha: np.ndarray, t: np.ndarray
-) -> tuple[tuple[tuple[float, float, float], ...], int]:
+def _chord_violations(family: PayoffFamily, alpha: np.ndarray, t: np.ndarray
+                      ) -> tuple[Witness, int]:
     """The (alpha, t, gap) rows, up to eight, where f(alpha*t) > alpha*f(t)
     fails by more than ``STRICT_MARGIN``, and how many rows fail."""
     lhs = family.value(alpha * t)
@@ -104,82 +89,13 @@ def _chord_violations(
     return witness, int(idx.size)
 
 
-def _exact_report(
-    condition: str, family: PayoffFamily, hi: float
-) -> ConditionReport | None:
-    """The report of a verdict that follows from a built-in kind, checked
-    up to ``hi``; None for any other family, which is sampled.
-
-    Power (t**(beta-1) - gamma) and cfmm (gamma*r2/(r1 + gamma*t) - c) have
-    f(t)/t strictly decreasing: the chord holds, no segment exists, and
-    neither verdict has witnesses. A table is linear through (0, 0) up to
-    t1 = min(ts[1], hi): the chord fails at (1/2, t1) and a segment is found
-    at (t1/2, t1), each row confirmed by the test the sampler uses. The
-    verdict is read off the witness, as ``replay_witness`` reads it, and a
-    table whose row floating point cannot confirm (a first slope that
-    overflows, say) is sampled instead.
-    """
-    if isinstance(family, (PowerPayoff, CfmmArbitragePayoff)):
-        reason, witness = DECREASING, ()
-    elif isinstance(family, TabulatedPayoff):
-        reason, t1 = FIRST_SEGMENT, np.array([min(family.ts[1], hi)])
-        if condition == CHORD_STRICT:
-            witness, _ = _chord_violations(family, np.array([0.5]), t1)
-        else:
-            witness, _ = _segments(family, t1 / 2.0, t1)
-        if not witness:
-            return None
-    else:
-        return None
-    return ConditionReport(
-        condition=condition,
-        holds=(condition == CHORD_STRICT) != bool(witness),
-        witness=witness,
-        details={"reason": reason, "hi": hi},
-    )
-
-
-def check_chord_condition(
-    family: PayoffFamily,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    domain_hi: float | None = None,
-) -> ConditionReport:
-    """Decide the strict chord inequality f(alpha*t) > alpha*f(t) for
-    alpha in (0, 1) and t in (0, hi], with hi the positive root (or the
-    table end), or ``domain_hi`` when given.
-
-    A built-in kind gets its exact verdict (:func:`_exact_report`). A
-    callable is sampled: alpha ~ U(0, 1) and t ~ U(0, hi), plus a
-    deterministic geometric ladder of (alpha=1/2, t) probes so segments
-    hiding near zero are found regardless of seed. Violations within
-    ``STRICT_MARGIN`` (relative) of equality count as failures; up to
-    eight are returned as (alpha, t, gap) witnesses. The sampling
-    arguments are checked for every family.
-    """
-    hi = _sample_ceiling(family, domain_hi, samples, seed)
-    exact = _exact_report(CHORD_STRICT, family, hi)
-    if exact is not None:
-        return exact
-    rng = np.random.default_rng(seed)
+def _chord_draws(rng: np.random.Generator, samples: int, hi: float) -> Rows:
+    """The sampled (alpha, t) rows: alpha ~ U(1e-9, 1 - 1e-9) and
+    t ~ U(0, hi), kept when t > 0."""
     alpha = rng.uniform(1e-9, 1.0 - 1e-9, size=samples)
     t = rng.uniform(0.0, hi, size=samples)
     keep = t > 0.0
-    alpha = np.concatenate([alpha[keep], np.full(_LADDER, 0.5)])
-    t = np.concatenate([t[keep], _ladder(hi)])
-
-    witness, violations = _chord_violations(family, alpha, t)
-    return ConditionReport(
-        condition=CHORD_STRICT,
-        holds=violations == 0,
-        witness=witness,
-        details={
-            "samples": int(t.size),
-            "violations": violations,
-            "hi": hi,
-            "strict_margin": STRICT_MARGIN,
-        },
-    )
+    return alpha[keep], t[keep]
 
 
 def _collinear_through_origin(
@@ -190,24 +106,18 @@ def _collinear_through_origin(
     return bool(np.all(resid <= 1e-8 * np.maximum(1.0, np.abs(slope * s))))
 
 
-def _sampled_pairs(
-    rng: np.random.Generator, samples: int, hi: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (t, t') rows of the sampled segment search: ordered pairs of two
-    ``uniform(0, hi)`` draws, kept when 0 < t and t' - t > 1e-6*hi, then
-    the ladder's (t/2, t) probes."""
+def _pair_draws(rng: np.random.Generator, samples: int, hi: float) -> Rows:
+    """The sampled (t, t') rows: ordered pairs of two ``uniform(0, hi)``
+    draws, kept when 0 < t and t' - t > 1e-6*hi."""
     a = rng.uniform(0.0, hi, size=samples)
     b = rng.uniform(0.0, hi, size=samples)
     lo, up = np.minimum(a, b), np.maximum(a, b)
     keep = (lo > 0.0) & (up - lo > 1e-6 * hi)
-    ladder = _ladder(hi)
-    return (np.concatenate([lo[keep], ladder / 2.0]),
-            np.concatenate([up[keep], ladder]))
+    return lo[keep], up[keep]
 
 
-def _segments(
-    family: PayoffFamily, t: np.ndarray, tp: np.ndarray
-) -> tuple[tuple[tuple[float, float, float], ...], int]:
+def _segments(family: PayoffFamily, t: np.ndarray, tp: np.ndarray
+              ) -> tuple[Witness, int]:
     """The (t, t', |ratio gap|) rows, up to eight, where f(t)/t and
     f(t')/t' agree within ``RATIO_RTOL`` and f is collinear with the origin
     on (0, t], and how many rows' ratios agree."""
@@ -224,6 +134,111 @@ def _segments(
     return tuple(confirmed), int(close.size)
 
 
+class _Condition(NamedTuple):
+    """How the pipeline decides one condition. A witness row stands for
+    the verdict ``holds == found``; ``probe`` maps points t to the rows
+    probing at each, ``draw`` gives the seeded rows of a callable, ``test``
+    finds the witness rows among rows (a, b), and ``keys`` name the
+    sampled report's details: rows, rows failing, and the margin."""
+
+    name: str
+    found: bool
+    probe: Callable[[np.ndarray], Rows]
+    draw: Callable[[np.random.Generator, int, float], Rows]
+    test: Callable[[PayoffFamily, np.ndarray, np.ndarray], tuple[Witness, int]]
+    keys: tuple[str, str, str]
+    margin: float
+
+
+_CONDITIONS = {c.name: c for c in (
+    _Condition(CHORD_STRICT, False, lambda t: (np.full(t.shape, 0.5), t),
+               _chord_draws, _chord_violations,
+               ("samples", "violations", "strict_margin"), STRICT_MARGIN),
+    _Condition(LINEAR_SEGMENT_AT_ZERO, True, lambda t: (t / 2.0, t),
+               _pair_draws, _segments,
+               ("pairs", "ratio_matches", "ratio_rtol"), RATIO_RTOL),
+)}
+
+
+def _report(cond: _Condition, witness: tuple, details: dict) -> ConditionReport:
+    # every verdict is read off its witness, as replay_witness reads it
+    return ConditionReport(cond.name, cond.found == bool(witness), witness, details)
+
+
+def _decide(cond: _Condition, family: PayoffFamily, samples: int = DEFAULT_SAMPLES,
+            seed: int = 0, domain_hi: float | None = None,
+            rows: Rows | None = None) -> ConditionReport:
+    """The one pipeline of both checks, on the given ``rows`` or else on
+    (0, hi], hi the zero of f (or the table end) or ``domain_hi``.
+
+    The sampling arguments are checked first, for every family, and so is
+    the end of the range: a family that is nowhere positive or whose root
+    overflows raises here, whichever path then decides. ``samples = 0``
+    leaves a callable only the deterministic ladder.
+
+    Power (t**(beta-1) - gamma) and cfmm (gamma*r2/(r1 + gamma*t) - c) have
+    f(t)/t strictly decreasing: the chord holds, no segment exists, and
+    neither verdict has witnesses. A table is linear through (0, 0) up to
+    t1 = min(ts[1], hi), so the row probing at t1 is its witness; a table
+    whose row floating point cannot confirm (a first slope that overflows,
+    say) is sampled instead, as a callable is: the seeded draws, then the
+    ladder's probes toward zero.
+    """
+    if rows is None:
+        integer("samples", samples, 0)
+        integer("seed", seed, 0)
+        if domain_hi is None:
+            hi = search_end(family)
+        elif number("domain_hi", domain_hi, positive=True) > family.domain_max:
+            raise InvalidArgument(f"domain_hi {domain_hi} is past the table's "
+                                  f"last knot {family.domain_max}")
+        else:
+            hi = float(domain_hi)
+        if isinstance(family, (PowerPayoff, CfmmArbitragePayoff)):
+            return _report(cond, (), {"reason": DECREASING, "hi": hi})
+        if isinstance(family, TabulatedPayoff):
+            t1 = np.array([min(family.ts[1], hi)])
+            witness, _ = cond.test(family, *cond.probe(t1))
+            if witness:
+                return _report(cond, witness, {"reason": FIRST_SEGMENT, "hi": hi})
+        # then the ladder's halving probes; stop at hi/2**12 — below that
+        # scale the chord gap of a smooth curve (O(t^2)) drowns in the O(t)
+        # margin and every function looks linear
+        a, b = cond.draw(np.random.default_rng(seed), samples, hi)
+        pa, pb = cond.probe(hi * 2.0 ** -np.arange(0, _LADDER, dtype=float))
+        rows = np.concatenate([a, pa]), np.concatenate([b, pb])
+    else:
+        hi = float(np.max(rows))
+    # a segment's rows (t, t') must be ordered pairs
+    if cond.found and not np.all((0.0 < rows[0]) & (rows[0] < rows[1])):  # NaN too
+        raise InvalidArgument("pairs must satisfy 0 < t < t'")
+    witness, count = cond.test(family, *rows)
+    size, failing, margin = cond.keys
+    return _report(cond, witness, {size: int(rows[1].size), failing: count,
+                                   "hi": hi, margin: cond.margin})
+
+
+def check_chord_condition(
+    family: PayoffFamily,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
+    domain_hi: float | None = None,
+) -> ConditionReport:
+    """Decide the strict chord inequality f(alpha*t) > alpha*f(t) for
+    alpha in (0, 1) and t in (0, hi], with hi the positive root (or the
+    table end), or ``domain_hi`` when given.
+
+    A built-in kind gets its exact verdict (:func:`_decide`). A callable
+    is sampled: alpha ~ U(0, 1) and t ~ U(0, hi), plus a deterministic
+    geometric ladder of (alpha=1/2, t) probes so segments hiding near zero
+    are found regardless of seed. Violations within ``STRICT_MARGIN``
+    (relative) of equality count as failures; up to eight are returned as
+    (alpha, t, gap) witnesses. The sampling arguments are checked for
+    every family.
+    """
+    return _decide(_CONDITIONS[CHORD_STRICT], family, samples, seed, domain_hi)
+
+
 def detect_linear_segment_at_zero(
     family: PayoffFamily,
     t_pairs: Sequence[tuple[float, float]] | None = None,
@@ -235,40 +250,22 @@ def detect_linear_segment_at_zero(
     ``RATIO_RTOL``), then confirm f is collinear with the origin on (0, t]
     before reporting a segment. ``holds=True`` means a segment was found.
 
-    Pairs come from ``t_pairs`` when given. Otherwise a built-in kind gets
-    its exact verdict (:func:`_exact_report`), and a callable is sampled:
-    seeded uniform pairs plus a geometric ladder of (t, t/2) probes toward
-    zero. The sampling arguments are checked for every family.
+    Pairs come from ``t_pairs`` when given; they need no sampling ceiling,
+    so families without a finite positive root are fine there. Otherwise a
+    built-in kind gets its exact verdict (:func:`_decide`), and a callable
+    is sampled: seeded uniform pairs plus a geometric ladder of (t/2, t)
+    probes toward zero. The sampling arguments are checked for every
+    family.
     """
+    rows = None
     if t_pairs is not None:
-        # explicit pairs need no sampling ceiling, so families without a
-        # finite positive root are fine here
         pairs = np.asarray(t_pairs, dtype=float)
         if pairs.ndim != 2 or pairs.shape[1] != 2 or not len(pairs):
             raise InvalidArgument(f"t_pairs must be m >= 1 rows of (t, t'), "
                                   f"got shape {pairs.shape}")
-        hi = float(np.max(pairs))
-        t, tp = pairs[:, 0], pairs[:, 1]
-    else:
-        hi = _sample_ceiling(family, domain_hi, samples, seed)
-        exact = _exact_report(LINEAR_SEGMENT_AT_ZERO, family, hi)
-        if exact is not None:
-            return exact
-        t, tp = _sampled_pairs(np.random.default_rng(seed), samples, hi)
-    if not np.all((0.0 < t) & (t < tp)):  # NaN too
-        raise InvalidArgument("pairs must satisfy 0 < t < t'")
-    witness, matches = _segments(family, t, tp)
-    return ConditionReport(
-        condition=LINEAR_SEGMENT_AT_ZERO,
-        holds=bool(witness),
-        witness=witness,
-        details={
-            "pairs": int(t.size),
-            "ratio_matches": matches,
-            "hi": hi,
-            "ratio_rtol": RATIO_RTOL,
-        },
-    )
+        rows = pairs[:, 0], pairs[:, 1]
+    return _decide(_CONDITIONS[LINEAR_SEGMENT_AT_ZERO], family, samples, seed,
+                   domain_hi, rows)
 
 
 def rosen_probe(family: PayoffFamily, n: int) -> ConditionReport:
@@ -300,17 +297,15 @@ def rosen_probe(family: PayoffFamily, n: int) -> ConditionReport:
 def replay_witness(family: PayoffFamily, report: ConditionReport) -> bool:
     """Recompute a report's witnesses from scratch; True when every row
     still supports the recorded verdict."""
-    if report.condition in (CHORD_STRICT, LINEAR_SEGMENT_AT_ZERO):
+    cond = _CONDITIONS.get(report.condition)
+    if cond is not None:
         # a failed chord and a found segment are the verdicts with rows,
         # and each row must come out of the check that made it again
-        has_rows = report.holds != (report.condition == CHORD_STRICT)
+        has_rows = report.holds == cond.found
         if not (has_rows and report.witness):
             return not has_rows and not report.witness
         rows = np.array(report.witness)
-        if report.condition == CHORD_STRICT:
-            _, violations = _chord_violations(family, rows[:, 0], rows[:, 1])
-            return violations == len(rows)
-        fresh = detect_linear_segment_at_zero(family, t_pairs=rows[:, :2])
+        fresh = _decide(cond, family, rows=(rows[:, 0], rows[:, 1]))
         return len(fresh.witness) == len(rows)
     if report.condition == ROSEN_MONOTONE_PROBE:
         (n, _, _), _ = report.witness

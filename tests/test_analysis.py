@@ -36,13 +36,17 @@ def test_single_player_is_efficient(cfmm, power):
 
 
 def test_poa_never_reads_below_one_at_the_cfmm_boundary():
-    # one ulp inside the boundary f rounds to 0 at its argmax, while the
-    # exact closed route's f(q) at n = 1 rounds to 1e-31: no ratio to give
+    # one ulp inside the boundary f'(0) = m/r1 with m = 7 - 3c = 2**-50:
+    # f, taken with the exact margin m, is positive up to its root 3.8e-16,
+    # and that close to 0 it is the parabola (m t - c t**2)/r1, with
+    # sup f = m**2/(4 c r1) = 2.8e-32 and poa (n + 1)**2/(4n)
     family = CfmmArbitragePayoff(gamma=1.0, r1=3.0, r2=7.0, c=2.333333333333333)
-    assert diagnostics(family).max_value == 0.0
-    assert solve_symmetric(family, 1).equilibrium_payoff > 0.0
+    assert diagnostics(family).max_value == pytest.approx(
+        2.0**-100 / (4.0 * family.c * 3.0), rel=1e-12)
+    assert [poa(family, n).poa for n in (1, 2, 3)] == [1.0, 1.125, 1.3333333333333341]
+    # one ulp past 7/3 the family is nowhere positive: no ratio to give
     with pytest.raises(NoPositiveRegion):
-        poa(family, 1)
+        poa(CfmmArbitragePayoff(gamma=1.0, r1=3.0, r2=7.0, c=2.3333333333333335), 1)
 
 
 def test_closed_form_matches_reports(power):

@@ -1019,11 +1019,11 @@ ERROR_LINES = [
      "for PowerPayoff(beta=0.999, gamma=1e-300)"),
     (["equilibrium", *TABLE_0_10_20, "--fs", "0,nan,-5"],
      2, "config-error: bad table family parameters: knots must be finite"),
-    # f'(0) is one ulp above zero: sup f rounds to 0.0 (and the payoff
-    # f(q)/n that poa divides by to 1e-31 at n = 1, to 0.0 at n = 2)
+    # the price is 7/3 rounded up: f'(0) is one ulp below zero, and f is
+    # nowhere positive
     (["poa", "--family", "cfmm", "--gamma", "1", "--r1", "3", "--r2", "7",
-      "--price", "2.333333333333333", "--n-values", "1:3"],
-     3, "no-positive-region: sup f=0.0 is not positive"),
+      "--price", "2.3333333333333335", "--n-values", "1:3"],
+     3, "no-positive-region: payoff is nonpositive everywhere: f'(0) <= 0"),
     # each synchronous move stays on the table, three together do not
     (["simulate", "--family", "table", "--ts", "0,50,100,200,300,400",
       "--fs", "0,6,8,9,7,0", "--update-order", "synchronous", "--n", "3",
@@ -1145,15 +1145,15 @@ def test_a_power_family_with_a_far_zero_runs_poa_and_simulate(capsys):
 
 
 def test_whale_without_a_positive_fair_payoff_exits_3(capsys):
-    # f'(0) is one ulp above zero: the fair payoff f(q)/n rounds to 0.0,
-    # and every percentage column would divide by it
+    # f'(0) is one ulp below zero (the price is 7/3 rounded up): there is
+    # no fair payoff for the percentage columns to divide by
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(
             capsys, "whale", "--family", "cfmm", "--gamma", "1", "--r1", "3",
-            "--r2", "7", "--price", "2.333333333333333", "--n-fish-values", "1:3",
+            "--r2", "7", "--price", "2.3333333333333335", "--n-fish-values", "1:3",
             "--trials", "3", "--format", "csv")
     assert (code, out) == (3, "")
-    assert err == ("error: no-positive-region: equilibrium payoff f(q)/n=0.0 "
-                   "is not positive at n=2\n")
+    assert err == ("error: no-positive-region: payoff is nonpositive everywhere: "
+                   "f'(0) <= 0\n")
     assert caught == []

@@ -25,8 +25,10 @@ from prorata import (
     ProRataError,
     TabulatedPayoff,
     best_response,
+    check_chord_condition,
     diagnostics,
     foc_residual,
+    poa,
     pro_rata_payoff,
     solve_symmetric,
 )
@@ -152,6 +154,9 @@ def test_numeric_route_is_relative_for_roots_below_one(beta, gamma, n):
     n=st.integers(min_value=1, max_value=100_000),
 )
 @settings(deadline=None, max_examples=300)
+# |m|/(g r2) = 1.4e-4 inside the cfmm no-arbitrage boundary, where f and f'
+# cancel unless they take the exact margin m = g r2 - c r1
+@example(kind="cfmm", a=0.5, b=0.0, r=2.125, n=2)
 def test_numeric_route_matches_closed_forms_everywhere(kind, a, b, r, n):
     if kind == "power":
         # beta in [0.02, 0.98], gamma in [1e-3, 1e3]
@@ -235,6 +240,25 @@ def test_non_concave_table_best_response_is_rejected():
     assert not tab.concave
     with pytest.raises(InvalidArgument, match="concave"):
         best_response(tab, 0.0, budget=30.0)
+
+
+def test_non_concave_table_has_no_symmetric_equilibrium_either():
+    # the numeric route's sign change of (n-1) f + q f' would read q = 11.67
+    # at n = 2 and 30 at n = 3 here, and poa(2) 1.14; one concavity rule
+    # refuses the table on every route, as the best response does
+    tab = TabulatedPayoff(ts=(0, 10, 20, 30, 40), fs=(0, 8, 2, 3, -5))
+    message = ("best_response needs a concave table: its segment slopes must "
+               "not increase")
+    for call in (lambda: solve_symmetric(tab, 2), lambda: solve_symmetric(tab, 3),
+                 lambda: solve_symmetric(tab, 2, method="numeric"),
+                 lambda: poa(tab, 2), lambda: best_response(tab, 1.0)):
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert str(info.value) == message
+    # the missing closed form is reported first, and verify still decides
+    with pytest.raises(InvalidArgument, match="no closed form for table"):
+        solve_symmetric(tab, 2, method="closed")
+    assert not check_chord_condition(tab).holds
 
 
 @pytest.mark.parametrize("y", [0.0, 3.0, 12.0])

@@ -28,9 +28,13 @@ from prorata import (
     NoPositiveRegion,
     PowerPayoff,
     TabulatedPayoff,
+    best_response,
+    check_chord_condition,
+    detect_linear_segment_at_zero,
     diagnostics,
     family_from_dict,
     pro_rata_payoff,
+    solve_symmetric,
 )
 
 CFMM = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0)
@@ -166,10 +170,26 @@ def test_callable_finite_difference_stays_right_of_zero():
         return t**0.5 - 0.05 * t
 
     f = CallablePayoff(fn)
-    # forward difference over [0, 1e-6]: (1e-3 - 5e-8) / 1e-6
-    assert f.derivative(0.0) == pytest.approx(999.95, rel=1e-12)
+    # forward difference over [0, 1e-306]: (1e-153 - 5e-308) / 1e-306, the
+    # infinite slope at 0 read as a huge one
+    assert f.derivative(0.0) == pytest.approx(1e153, rel=1e-12)
     assert np.all(np.isfinite(f.derivative(np.array([0.0, 5e-7, 1.0]))))
     assert f.derivative(100.0) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_callable_finite_difference_sees_a_narrow_positive_region():
+    # f = t - 1e7 t**2 is concave with root 1e-7; a step of 1e-6 would span
+    # the whole positive region and read f' < 0 on all of it
+    f = CallablePayoff(lambda t: t - 1e7 * t * t)
+    diag = diagnostics(f)
+    assert diag.root == pytest.approx(1e-7, rel=1e-9)
+    assert diag.argmax == pytest.approx(5e-8, rel=1e-9)
+    assert diag.max_value == pytest.approx(2.5e-8, rel=1e-12)
+    assert check_chord_condition(f).holds
+    assert not detect_linear_segment_at_zero(f).holds
+    # q = n/((n + 1) 1e7), and the best response to y is (1e-7 - y)/2
+    assert solve_symmetric(f, 2).q == pytest.approx(2.0 / 3e7, rel=1e-9)
+    assert best_response(f, 1e-8).x == pytest.approx(4.5e-8, rel=1e-9)
 
 
 # ---------------------------------------------------- pro-rata allocation

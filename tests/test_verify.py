@@ -10,6 +10,7 @@ wrapped as ``CallablePayoff(f.value)`` it is a test of ``value``.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -255,9 +256,9 @@ def test_a_table_row_that_overflows_is_sampled_not_trusted():
 
 def test_exact_verdicts_hold_at_the_cfmm_no_arbitrage_boundary():
     # c = (g*r2/r1)(1 - eps): f(t)/t = g*r2/(r1 + g*t) - c is strictly
-    # decreasing however small eps is. Sampled through value, which cancels
-    # here, 116 of these 300 families read as failing the chord and 64 as
-    # linear near 0
+    # decreasing however small eps is. Sampled through a value that cancels
+    # here (before cfmm value took the exact margin), 116 of these 300
+    # families read as failing the chord and 64 as linear near 0
     rng = np.random.default_rng(2023)
     for _ in range(300):
         gamma, (r1, r2) = rng.uniform(0.5, 1.0), 10 ** rng.uniform(0, 3, 2)
@@ -557,11 +558,12 @@ def sampled_families(draw):
     if kind == "cfmm":
         gamma, r1, r2 = (draw(st.floats(0.5, 0.999)), draw(st.floats(1.0, 1e3)),
                          draw(st.floats(1.0, 1e3)))
-        # a price below f'(0) = gamma*r2/r1 leaves a positive region. Closer
-        # than 0.95 of the way to it, value cancels and the sampler can read
-        # f(t)/t as constant, until cfmm value takes the exact margin
-        # g*r2 - c*r1 (ROADMAP item 1)
-        c = draw(st.floats(0.05, 0.95)) * gamma * r2 / r1
+        # a price c = (gamma*r2/r1)(1 - eps) below f'(0) = gamma*r2/r1 leaves
+        # a positive region; eps runs log-uniform down to 1e-15, next to the
+        # no-arbitrage boundary, where value takes the exact margin
+        # gamma*r2 - c*r1 and the sampled f(t)/t still decreases
+        eps = 10.0 ** draw(st.floats(-15.0, math.log10(0.95)))
+        c = (1.0 - eps) * gamma * r2 / r1
         return CfmmArbitragePayoff(gamma=gamma, r1=r1, r2=r2, c=c)
     if kind == "table":
         steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8))
