@@ -96,8 +96,8 @@ def _require_concave(family: PayoffFamily) -> None:
     # a slope's sign change is the maximizer, of the own payoff and of
     # q**(n-1) f(q), only for concave f: both searches refuse other tables
     if isinstance(family, TabulatedPayoff) and not family.concave:
-        raise InvalidArgument("best_response needs a concave table: its segment "
-                              "slopes must not increase")
+        raise InvalidArgument("table must be concave: its segment slopes must "
+                              "not increase")
 
 
 def _closed_form_power(family: PowerPayoff, n: int) -> float:

@@ -38,11 +38,12 @@ from .search import bisect_root
 # a short upward leg covers non-concave callables.
 _SCAN_DOWN_STEPS = 200
 _SCAN_UP_STEPS = 60
+_SCAN_DOWN = [2.0**-k for k in range(_SCAN_DOWN_STEPS + 1)]
 # the root's bisection stops at this bracket width relative to the root; the
 # root scales every seeded initial draw, so changing it changes the figures
 _ROOT_RTOL = 1e-10
-# finite-difference step of callable families, relative to |t| (at least
-# 1e-300, so t = 0 gets a step too)
+# finite-difference step of callable families, relative to max(|t|, s) with
+# s the callable's own scale (see CallablePayoff)
 _FD_STEP_SCALE = 1e-6
 
 
@@ -232,8 +233,11 @@ class CallablePayoff:
     derivative falls back to a central finite difference (one-sided within
     a step of 0, where ``fn`` need not be defined to the left), the one
     approximate derivative in the package; every other family's is exact.
-    Its step is 1e-6*|t|, and 1e-306 at t = 0: relative at every scale, so
-    a positive region as narrow as (0, 1e-7) keeps its slope's sign change.
+    Its step is 1e-6*max(|t|, s), with s the first of 1, 1/2, 1/4, ... where
+    f > 0 (1 if there is none): an absolute 1e-6 below t = 1 when
+    f(1) > 0, so terms that cancel near 0 keep their precision, and within
+    a factor 2 of a concave f's root when the positive region is narrower
+    than 1, so the slope keeps its sign change on a region like (0, 1e-7).
     """
 
     fn: Callable[[float], float]
@@ -246,6 +250,11 @@ class CallablePayoff:
         if not abs(float(self.fn(0.0))) <= 1e-12:  # NaN too
             raise InvalidArgument("payoff must satisfy f(0) = 0")
 
+    @functools.cached_property
+    def _fd_scale(self) -> float:
+        # found once, on the first finite difference; not a field
+        return next((t for t in _SCAN_DOWN if self.fn(t) > 0.0), 1.0)
+
     def value(self, t):
         return self.fn(t)
 
@@ -254,7 +263,7 @@ class CallablePayoff:
             return self.deriv(t)
         # one-sided near 0, so a function defined only for t >= 0 is never
         # evaluated left of the origin
-        h = _FD_STEP_SCALE * np.maximum(np.abs(t), 1e-300)
+        h = _FD_STEP_SCALE * np.maximum(np.abs(t), self._fd_scale)
         lo = np.maximum(t - h, 0.0)
         return (self.fn(t + h) - self.fn(lo)) / (t + h - lo)
 
@@ -301,9 +310,7 @@ def _find_positive_point(family: PayoffFamily) -> float:
         if np.max(fs) <= 0.0:
             raise NoPositiveRegion("payoff is nonpositive at every knot")
         return family.ts[int(np.argmax(fs))]
-    candidates = [1.0]
-    candidates += [2.0**-k for k in range(1, _SCAN_DOWN_STEPS + 1)]
-    candidates += [2.0**k for k in range(1, _SCAN_UP_STEPS + 1)]
+    candidates = _SCAN_DOWN + [2.0**k for k in range(1, _SCAN_UP_STEPS + 1)]
     for t in candidates:
         if family.value(t) > 0.0:
             return t

@@ -485,7 +485,7 @@ BAD_RUN_PARAMETERS = [
     (["bestresponse", *CFMM, "--budget", "-1"],
      "budget must be nonnegative, got -1.0"),
     (["bestresponse", *NON_CONCAVE_TABLE],
-     "best_response needs a concave table: its segment slopes must not increase"),
+     "table must be concave: its segment slopes must not increase"),
     (["equilibrium", *NON_CONCAVE_TABLE, "--method", "closed"],
      "no closed form for table families"),
     (["equilibrium", *CFMM, "--n", "0"], "n must be at least 1, got 0"),

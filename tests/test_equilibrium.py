@@ -247,8 +247,7 @@ def test_non_concave_table_has_no_symmetric_equilibrium_either():
     # at n = 2 and 30 at n = 3 here, and poa(2) 1.14; one concavity rule
     # refuses the table on every route, as the best response does
     tab = TabulatedPayoff(ts=(0, 10, 20, 30, 40), fs=(0, 8, 2, 3, -5))
-    message = ("best_response needs a concave table: its segment slopes must "
-               "not increase")
+    message = "table must be concave: its segment slopes must not increase"
     for call in (lambda: solve_symmetric(tab, 2), lambda: solve_symmetric(tab, 3),
                  lambda: solve_symmetric(tab, 2, method="numeric"),
                  lambda: poa(tab, 2), lambda: best_response(tab, 1.0)):

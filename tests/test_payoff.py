@@ -170,26 +170,41 @@ def test_callable_finite_difference_stays_right_of_zero():
         return t**0.5 - 0.05 * t
 
     f = CallablePayoff(fn)
-    # forward difference over [0, 1e-306]: (1e-153 - 5e-308) / 1e-306, the
-    # infinite slope at 0 read as a huge one
-    assert f.derivative(0.0) == pytest.approx(1e153, rel=1e-12)
+    # forward difference over [0, 1e-6]: (1e-3 - 5e-8) / 1e-6
+    assert f.derivative(0.0) == pytest.approx(999.95, rel=1e-12)
     assert np.all(np.isfinite(f.derivative(np.array([0.0, 5e-7, 1.0]))))
     assert f.derivative(100.0) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_callable_finite_difference_sees_a_narrow_positive_region():
-    # f = t - 1e7 t**2 is concave with root 1e-7; a step of 1e-6 would span
-    # the whole positive region and read f' < 0 on all of it
-    f = CallablePayoff(lambda t: t - 1e7 * t * t)
+_CP_ARGMAX = (math.sqrt(0.99 * 200.0 * 250.0) - 200.0) / 0.99
+
+
+@pytest.mark.parametrize("fn, root, argmax, q2", [
+    # concave with root 1e-7: a step of 1e-6 would span the whole positive
+    # region and read f' < 0 on all of it; q = n/((n + 1) 1e7)
+    (lambda t: t - 1e7 * t * t, 1e-7, 5e-8, 2.0 / 3e7),
+    # 1 - (t - 1)**2 = 2t - t**2, q = 2n/(n + 1): f(1) > 0, so the step
+    # below t = 1 stays 1e-6; a much smaller one at t = 0 would read only the
+    # rounding of the O(1) terms that cancel there
+    (lambda t: 1.0 - (t - 1.0) ** 2, 2.0, 1.0, 4.0 / 3.0),
+    # CFMM written out, 250 - 250 at t = 0; q(n=2) is the family's closed form
+    (lambda t: 250.0 - 200.0 * 250.0 / (200.0 + 0.99 * t) - t,
+     47.5 / 0.99, _CP_ARGMAX, None),
+], ids=["narrow-region", "shifted-quadratic", "constant-product"])
+def test_callable_finite_difference_reads_the_slope_at_the_family_scale(
+        fn, root, argmax, q2):
+    f = CallablePayoff(fn)
+    assert f.derivative(0.0) > 0.0
     diag = diagnostics(f)
-    assert diag.root == pytest.approx(1e-7, rel=1e-9)
-    assert diag.argmax == pytest.approx(5e-8, rel=1e-9)
-    assert diag.max_value == pytest.approx(2.5e-8, rel=1e-12)
+    assert diag.root == pytest.approx(root, rel=1e-9)
+    assert diag.argmax == pytest.approx(argmax, rel=1e-6)
+    assert diag.max_value == pytest.approx(fn(argmax), rel=1e-9)
     assert check_chord_condition(f).holds
     assert not detect_linear_segment_at_zero(f).holds
-    # q = n/((n + 1) 1e7), and the best response to y is (1e-7 - y)/2
-    assert solve_symmetric(f, 2).q == pytest.approx(2.0 / 3e7, rel=1e-9)
-    assert best_response(f, 1e-8).x == pytest.approx(4.5e-8, rel=1e-9)
+    if q2 is None:
+        q2 = solve_symmetric(CFMM, 2).q
+    assert solve_symmetric(f, 2).q == pytest.approx(q2, rel=1e-6)
+    assert best_response(f, 0.0).x == pytest.approx(argmax, rel=1e-6)
 
 
 # ---------------------------------------------------- pro-rata allocation
