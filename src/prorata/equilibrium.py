@@ -55,11 +55,15 @@ class EquilibriumResult:
     def positive_payoff(self) -> float:
         """The per-player payoff, for callers that divide by it: raises
         :class:`NoPositiveRegion` when it is not positive."""
-        payoff = self.equilibrium_payoff
-        if not payoff > 0.0:
-            raise NoPositiveRegion(
-                f"equilibrium payoff f(q)/n={payoff!r} is not positive at n={self.n}")
-        return payoff
+        return _positive_payoff(self.equilibrium_payoff, self.n)
+
+
+def _positive_payoff(payoff: float, n: int) -> float:
+    # the check of EquilibriumResult.positive_payoff, which poa shares
+    if not payoff > 0.0:
+        raise NoPositiveRegion(
+            f"equilibrium payoff f(q)/n={payoff!r} is not positive at n={n}")
+    return payoff
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,21 @@ def solve_symmetric(
     :class:`InvalidArgument`, as :func:`best_response` does.
     """
     n = integer("n", n, 1)
+    q, used = _symmetric_total(family, n, method)
+    return EquilibriumResult(
+        q=q,
+        n=n,
+        per_player=q / n,
+        equilibrium_payoff=family.value(q) / n,
+        foc_residual=foc_residual(family, n, q),
+        method=used,
+    )
+
+
+def _symmetric_total(family: PayoffFamily, n: int, method: str) -> tuple[float, str]:
+    """The equilibrium total q of :func:`solve_symmetric` for an n already
+    checked, with the name of the route that found it: the one route
+    dispatch, for callers that need only q."""
     if method not in SOLVE_METHODS:
         raise InvalidArgument(f"method must be one of {SOLVE_METHODS}, got {method!r}")
 
@@ -159,27 +178,14 @@ def solve_symmetric(
 
     if use_closed:
         if isinstance(family, PowerPayoff):
-            q = _closed_form_power(family, n)
-            used = "closed-form-power"
-        else:
-            q = _closed_form_cfmm(family, n)
-            used = "closed-form-quadratic"
-    else:
-        _require_concave(family)
-        diag = diagnostics(family)
-        q = diag.argmax
-        if _signed_foc(family, n, q) > 0.0:
-            q = bisect_root(lambda q: _signed_foc(family, n, q), q, diag.root)
-        used = "foc-bisection"
-
-    return EquilibriumResult(
-        q=q,
-        n=n,
-        per_player=q / n,
-        equilibrium_payoff=family.value(q) / n,
-        foc_residual=foc_residual(family, n, q),
-        method=used,
-    )
+            return _closed_form_power(family, n), "closed-form-power"
+        return _closed_form_cfmm(family, n), "closed-form-quadratic"
+    _require_concave(family)
+    diag = diagnostics(family)
+    q = diag.argmax
+    if _signed_foc(family, n, q) > 0.0:
+        q = bisect_root(lambda q: _signed_foc(family, n, q), q, diag.root)
+    return q, "foc-bisection"
 
 
 def cfmm_tender(family: CfmmArbitragePayoff) -> Callable[..., float]:

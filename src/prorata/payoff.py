@@ -161,7 +161,10 @@ class TabulatedPayoff:
     the slope just past it. ``concave`` tells whether the segment slopes
     never increase, which the best-response search needs. A scalar
     ``value`` finds the segment with :func:`bisect.bisect_right` and gives
-    the same bits as the array path, :func:`numpy.interp`.
+    the same bits as the array path, :func:`numpy.interp`. The knots and
+    slopes are also kept as read-only arrays for the array paths; like
+    ``concave`` they are not fields, so equality, hash, repr and the spec
+    keys ignore them.
     """
 
     ts: tuple[float, ...]
@@ -190,6 +193,13 @@ class TabulatedPayoff:
         object.__setattr__(self, "_slopes", slopes)
         concave = all(b <= a for a, b in zip(slopes, slopes[1:]))
         object.__setattr__(self, "concave", concave)
+        # the array paths' knots and slopes, built once; read-only, as
+        # every copy of the table shares them
+        for name, values in (("_ts_arr", ts), ("_fs_arr", fs),
+                             ("_inner_arr", ts[1:-1]), ("_slopes_arr", slopes)):
+            arr = np.array(values, dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def domain_max(self) -> float:
@@ -209,7 +219,7 @@ class TabulatedPayoff:
             return self._slopes[i] * (t - self.ts[i]) + self.fs[i]
         arr = np.asarray(t, dtype=float)
         self._check_domain(arr)
-        out = np.interp(arr, self.ts, self.fs)
+        out = np.interp(arr, self._ts_arr, self._fs_arr)
         return float(out) if np.ndim(t) == 0 else out
 
     def derivative(self, t):
@@ -220,7 +230,7 @@ class TabulatedPayoff:
             return self._slopes[bisect.bisect_right(ts, t, 1, len(ts) - 1) - 1]
         arr = np.asarray(t, dtype=float)
         self._check_domain(arr)
-        out = np.asarray(self._slopes)[np.searchsorted(ts[1:-1], arr, side="right")]
+        out = self._slopes_arr[np.searchsorted(self._inner_arr, arr, side="right")]
         return float(out) if np.ndim(t) == 0 else out
 
 
@@ -262,9 +272,14 @@ class CallablePayoff:
         if self.deriv is not None:
             return self.deriv(t)
         # one-sided near 0, so a function defined only for t >= 0 is never
-        # evaluated left of the origin
-        h = _FD_STEP_SCALE * np.maximum(np.abs(t), self._fd_scale)
-        lo = np.maximum(t - h, 0.0)
+        # evaluated left of the origin; a float takes max/abs, the same
+        # operations in the same order as the array path
+        if isinstance(t, (int, float)):
+            h = _FD_STEP_SCALE * max(abs(t), self._fd_scale)
+            lo = max(t - h, 0.0)
+        else:
+            h = _FD_STEP_SCALE * np.maximum(np.abs(t), self._fd_scale)
+            lo = np.maximum(t - h, 0.0)
         return (self.fn(t + h) - self.fn(lo)) / (t + h - lo)
 
 
@@ -306,7 +321,7 @@ class PayoffDiagnostics:
 
 def _find_positive_point(family: PayoffFamily) -> float:
     if isinstance(family, TabulatedPayoff):
-        fs = np.asarray(family.fs)
+        fs = family._fs_arr
         if np.max(fs) <= 0.0:
             raise NoPositiveRegion("payoff is nonpositive at every knot")
         return family.ts[int(np.argmax(fs))]
@@ -342,8 +357,8 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
     root = bisect_root(family.value, lo, hi, _ROOT_RTOL)
 
     if isinstance(family, TabulatedPayoff):
-        ts = np.asarray(family.ts)
-        fs = np.asarray(family.fs)
+        ts = family._ts_arr
+        fs = family._fs_arr
         inside = ts <= root
         idx = int(np.argmax(np.where(inside, fs, -np.inf)))
         argmax, max_value = float(ts[idx]), float(fs[idx])

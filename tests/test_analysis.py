@@ -5,14 +5,17 @@ poa(n) = n^2/(2n - 1): poa(1) = 1, poa(2) = 4/3, poa(100) = 10000/199.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prorata import (
+    CallablePayoff,
     CfmmArbitragePayoff,
     NoPositiveRegion,
+    PoaReport,
     PowerPayoff,
     TabulatedPayoff,
     diagnostics,
@@ -109,17 +112,17 @@ def test_growth_check_without_tail_points_cannot_hold(power):
     assert math.isnan(res.ratio_floor)
 
 
-# random power families, cfmm families at most 0.9 of the way to the
-# no-arbitrage boundary c r1 = gamma r2, and a table whose equilibrium
-# totals sit on its kinks
+# random power families, cfmm families with c = (1 - eps) gamma r2/r1 and
+# eps log-uniform in [1e-15, 0.99] (eps = 0 is the no-arbitrage boundary
+# c r1 = gamma r2), and a table whose equilibrium totals sit on its kinks
 _SANDWICH_FAMILIES = st.one_of(
     st.builds(PowerPayoff, beta=st.floats(0.05, 0.95),
               gamma=st.floats(-3.0, 1.0).map(lambda k: 10.0**k)),
     st.builds(
-        lambda gamma, r1, r2, margin: CfmmArbitragePayoff(
-            gamma=gamma, r1=r1, r2=r2, c=margin * gamma * r2 / r1),
+        lambda gamma, r1, r2, eps: CfmmArbitragePayoff(
+            gamma=gamma, r1=r1, r2=r2, c=gamma * r2 / r1 * (1.0 - eps)),
         gamma=st.floats(0.5, 1.0), r1=st.floats(1.0, 1e4), r2=st.floats(1.0, 1e4),
-        margin=st.floats(0.01, 0.9),
+        eps=st.floats(-15.0, math.log10(0.99)).map(lambda k: 10.0**k),
     ),
     st.just(TabulatedPayoff(ts=(0, 10, 20, 30, 40, 50), fs=(0, 8, 13, 15, 14, -2))),
 )
@@ -135,4 +138,92 @@ def test_poa_lies_between_one_and_the_tangent_bound(family):
     for n in (1, 2, 5, 50, 10**3, 10**5):
         q = solve_symmetric(family, n).q
         upper = 1.0 + (n - 1) * (1.0 - argmax / q)
-        assert 1.0 - 1e-12 <= poa(family, n).poa <= upper * (1.0 + 1e-12)
+        assert 1.0 <= poa(family, n).poa <= upper * (1.0 + 1e-12)
+
+
+def _near_boundary_cfmm(seed):
+    # c = (g r2/r1)(1 - eps), eps log-uniform in [1e-15, 0.1]
+    rng = random.Random(seed)
+    g, r1, r2 = rng.uniform(0.5, 1.0), rng.uniform(1.0, 1e4), rng.uniform(1.0, 1e4)
+    eps = 10.0 ** rng.uniform(-15.0, -1.0)
+    return CfmmArbitragePayoff(gamma=g, r1=r1, r2=r2, c=g * r2 / r1 * (1.0 - eps))
+
+
+_BOUNDARY_SWEEP = [_near_boundary_cfmm(seed) for seed in range(300)]
+
+
+def test_poa_reads_one_where_its_ratio_rounds_below_one():
+    # sup f >= f(q) by definition; rounded, their ratio can fall a few ulps
+    # short at n = 1, and such a reading is exactly 1.0 (see PoaReport)
+    rounded_short = 0
+    for family in _BOUNDARY_SWEEP:
+        top = diagnostics(family).max_value
+        for n in (1, 2, 5, 50, 10**3, 10**5):
+            rep = poa(family, n)
+            if top / (rep.eq_payoff * n) < 1.0:
+                rounded_short += 1
+                assert rep.poa == 1.0
+            assert rep.poa >= 1.0
+    # the sweep holds readings the rule changes: it tests the rule
+    assert rounded_short >= 10
+
+
+def _report_from_a_full_solve(family, n):
+    # the report as built from solve_symmetric's EquilibriumResult, with a
+    # ratio below 1 read as 1.0
+    eq = solve_symmetric(family, n)
+    diag = diagnostics(family)
+    ratio = diag.max_value / (eq.positive_payoff() * n)
+    if not diag.max_value > 0.0:
+        raise NoPositiveRegion(f"sup f={diag.max_value!r} is not positive")
+    return PoaReport(n=eq.n, eq_payoff=eq.equilibrium_payoff,
+                     fair_payoff=diag.max_value / n, poa=max(ratio, 1.0))
+
+
+_REFERENCE_FAMILIES = [
+    PowerPayoff(beta=0.5, gamma=0.05),
+    PowerPayoff(beta=0.9484298437032872, gamma=0.06777310315104672),
+    CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0),
+    CfmmArbitragePayoff(gamma=1.0, r1=3.0, r2=7.0, c=2.333333333333333),
+    CfmmArbitragePayoff(gamma=0.8663030872531501, r1=3132.7537237814277,
+                        r2=1300.9189916308221, c=0.35969638641732954),
+    *_BOUNDARY_SWEEP[:3],
+    TabulatedPayoff(ts=(0, 10, 20, 30, 40, 50), fs=(0, 8, 13, 15, 14, -2)),
+    CallablePayoff(lambda t: 8.0 * t - t * t),
+]
+
+
+@pytest.mark.parametrize("family", _REFERENCE_FAMILIES, ids=[
+    "power", "power-beta-0.948", "cfmm", "cfmm-one-ulp-inside", "cfmm-eps-1.3e-4",
+    "cfmm-sweep-0", "cfmm-sweep-1", "cfmm-sweep-2", "kinked-table", "callable"])
+def test_poa_matches_the_report_from_a_full_solve_bit_for_bit(family):
+    for n in range(1, 201):
+        got, want = poa(family, n), _report_from_a_full_solve(family, n)
+        assert got == want
+        assert [math.copysign(1.0, v) for v in (got.eq_payoff, got.fair_payoff)] == [
+            math.copysign(1.0, v) for v in (want.eq_payoff, want.fair_payoff)]
+
+
+@pytest.mark.parametrize("family, n", [
+    (PowerPayoff(beta=0.5, gamma=0.05), 0),
+    (PowerPayoff(beta=0.5, gamma=0.05), 2.5),
+    (TabulatedPayoff(ts=(0, 10, 20, 30, 40), fs=(0, 8, 2, 3, -5)), 2),
+    (CfmmArbitragePayoff(1.0, 3.0, 7.0, 2.3333333333333335), 1),
+], ids=["n-zero", "n-fraction", "not-concave", "nowhere-positive"])
+def test_poa_raises_what_a_full_solve_raises(family, n):
+    with pytest.raises(Exception) as want:
+        _report_from_a_full_solve(family, n)
+    with pytest.raises(type(want.value)) as got:
+        poa(family, n)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_ratio_below_one_beyond_rounding_raises():
+    # a derivative that disagrees with f = 8t - t**2 puts argmax f at 2
+    # (f = 12) and q(2) at the zero 4 of 12q - 3q**2, where f = 16: no
+    # rounding explains a ratio of 0.75
+    family = CallablePayoff(lambda t: 8.0 * t - t * t, deriv=lambda t: 4.0 - 2.0 * t)
+    assert poa(family, 1).poa == 1.0
+    with pytest.raises(ArithmeticError, match=r"sup f / f\(q\) = 0.75 < 1"):
+        poa(family, 2)

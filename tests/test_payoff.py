@@ -36,6 +36,7 @@ from prorata import (
     pro_rata_payoff,
     solve_symmetric,
 )
+from prorata.payoff import spec_keys
 
 CFMM = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0)
 POWER = PowerPayoff(beta=0.5, gamma=0.05)
@@ -142,6 +143,32 @@ def test_tabulated_scalar_path_matches_array_bit_for_bit(case):
         ]
 
 
+@given(tables_and_points())
+@settings(deadline=None, max_examples=200)
+def test_tabulated_array_paths_match_the_tuple_expressions_bit_for_bit(case):
+    # the knot and slope arrays are built once; each array path must give
+    # what it gave from the tuples, converted on every call
+    tab, points = case
+    arr = np.array(points)
+    ts, fs = tab.ts, tab.fs
+    slopes = [(fs[i + 1] - fs[i]) / (ts[i + 1] - ts[i]) for i in range(len(ts) - 1)]
+    want_value = np.interp(arr, ts, fs)
+    want_slope = np.asarray(slopes)[np.searchsorted(ts[1:-1], arr, side="right")]
+    for got, want in ((tab.value(arr), want_value), (tab.derivative(arr), want_slope)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_tabulated_arrays_are_not_fields():
+    tab = TabulatedPayoff(ts=(0.0, 1.0, 3.0), fs=(0.0, 2.0, 3.0))
+    twin = TabulatedPayoff(ts=(0, 1, 3), fs=(0, 2, 3))
+    assert tab == twin and hash(tab) == hash(twin)
+    assert repr(tab) == "TabulatedPayoff(ts=(0.0, 1.0, 3.0), fs=(0.0, 2.0, 3.0))"
+    assert list(spec_keys("table")) == ["ts", "fs"]
+    with pytest.raises(ValueError):
+        tab._slopes_arr[0] = 1.0  # read-only: every copy shares it
+
+
 def test_tabulated_requires_origin_and_increasing_knots():
     with pytest.raises(InvalidArgument):
         TabulatedPayoff(ts=(0.5, 1.0), fs=(0.0, 1.0))
@@ -174,6 +201,21 @@ def test_callable_finite_difference_stays_right_of_zero():
     assert f.derivative(0.0) == pytest.approx(999.95, rel=1e-12)
     assert np.all(np.isfinite(f.derivative(np.array([0.0, 5e-7, 1.0]))))
     assert f.derivative(100.0) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda t: 8.0 * t - t * t,
+    lambda t: t - 1e7 * t * t,
+    lambda t: 250.0 - 200.0 * 250.0 / (200.0 + 0.99 * t) - t,
+], ids=["quadratic", "narrow-region", "constant-product"])
+def test_callable_finite_difference_scalar_path_matches_array_bit_for_bit(fn):
+    f = CallablePayoff(fn)
+    points = [0.0, 1e-300, 5e-9, 1e-7, 2e-7, 0.5, 1.0, 3.0, 7.999, 22.7, 1e6]
+    scalar = [f.derivative(t) for t in points]
+    assert all(type(v) is float for v in scalar)
+    assert np.array_equal(np.array(scalar), f.derivative(np.array(points)))
+    diag = diagnostics(f)
+    assert all(type(v) is float for v in (diag.root, diag.argmax, diag.max_value))
 
 
 _CP_ARGMAX = (math.sqrt(0.99 * 200.0 * 250.0) - 200.0) / 0.99
