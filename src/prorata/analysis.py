@@ -14,9 +14,12 @@ from .equilibrium import _positive_payoff, _symmetric_total
 from .errors import NoPositiveRegion, integer
 from .payoff import PayoffFamily, PowerPayoff, diagnostics
 
-# relative tolerance of both consistency checks: the power closed form, and
-# a ratio below 1 (see PoaReport)
-_CHECK_RTOL = 1e-6
+# relative tolerance of the power closed-form cross-check
+_CLOSED_FORM_CHECK_RTOL = 1e-6
+# largest relative shortfall below 1 that a ratio of the other families
+# reads as 1.0 (see PoaReport); sweeps of n = 1 near the cfmm no-arbitrage
+# boundary found at most 9.9e-15
+_SHORTFALL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -25,13 +28,14 @@ class PoaReport:
 
     ``poa`` is never below 1. sup f >= f(q) by definition, but both are
     rounded values of f near its flat peak (q is argmax f itself when
-    n = 1), so their ratio can round below 1: by a few ulps for cfmm near
-    its no-arbitrage boundary, and by thousands of ulps where the terms of
-    f cancel at the peak, as for power with beta near 1. A ratio at most
-    1e-6 below 1, the relative tolerance of the power closed-form check,
-    reads as exactly 1.0; a larger shortfall raises
-    :class:`ArithmeticError`, as that check does. ``eq_payoff`` and
-    ``fair_payoff`` keep their computed values.
+    n = 1), so their ratio can round below 1. A shortfall within the
+    family's check reads as exactly 1.0, and a larger one raises
+    :class:`ArithmeticError`. For power the check is the closed-form
+    cross-check (1e-6 relative, against a closed form >= 1): the terms of
+    f cancel at its peak as beta nears 1, and the shortfall grows with
+    1/(1 - beta). For the other families it is 1e-12 relative; cfmm near
+    its no-arbitrage boundary rounds short by a few ulps. ``eq_payoff``
+    and ``fair_payoff`` keep their computed values.
     """
 
     n: int
@@ -68,19 +72,17 @@ def poa(family: PayoffFamily, n: int) -> PoaReport:
         raise NoPositiveRegion(f"sup f={diag.max_value!r} is not positive")
     if isinstance(family, PowerPayoff):
         expected = power_poa_closed_form(family.beta, n)
-        if abs(ratio - expected) > _CHECK_RTOL * expected:
+        if abs(ratio - expected) > _CLOSED_FORM_CHECK_RTOL * expected:
             raise ArithmeticError(
                 f"PoA cross-check failed: solver {ratio!r} vs closed form {expected!r}"
             )
-    if ratio < 1.0:
-        if ratio < 1.0 - _CHECK_RTOL:
-            raise ArithmeticError(f"PoA check failed: sup f / f(q) = {ratio!r} < 1")
-        ratio = 1.0
+    elif ratio < 1.0 - _SHORTFALL_RTOL:
+        raise ArithmeticError(f"PoA check failed: sup f / f(q) = {ratio!r} < 1")
     return PoaReport(
         n=n,
         eq_payoff=eq_payoff,
         fair_payoff=diag.max_value / n,
-        poa=ratio,
+        poa=max(ratio, 1.0),
     )
 
 

@@ -195,8 +195,7 @@ class TabulatedPayoff:
         object.__setattr__(self, "concave", concave)
         # the array paths' knots and slopes, built once; read-only, as
         # every copy of the table shares them
-        for name, values in (("_ts_arr", ts), ("_fs_arr", fs),
-                             ("_inner_arr", ts[1:-1]), ("_slopes_arr", slopes)):
+        for name, values in (("_ts_arr", ts), ("_fs_arr", fs), ("_slopes_arr", slopes)):
             arr = np.array(values, dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -230,7 +229,7 @@ class TabulatedPayoff:
             return self._slopes[bisect.bisect_right(ts, t, 1, len(ts) - 1) - 1]
         arr = np.asarray(t, dtype=float)
         self._check_domain(arr)
-        out = self._slopes_arr[np.searchsorted(self._inner_arr, arr, side="right")]
+        out = self._slopes_arr[np.searchsorted(self._ts_arr[1:-1], arr, side="right")]
         return float(out) if np.ndim(t) == 0 else out
 
 
@@ -272,15 +271,11 @@ class CallablePayoff:
         if self.deriv is not None:
             return self.deriv(t)
         # one-sided near 0, so a function defined only for t >= 0 is never
-        # evaluated left of the origin; a float takes max/abs, the same
-        # operations in the same order as the array path
-        if isinstance(t, (int, float)):
-            h = _FD_STEP_SCALE * max(abs(t), self._fd_scale)
-            lo = max(t - h, 0.0)
-        else:
-            h = _FD_STEP_SCALE * np.maximum(np.abs(t), self._fd_scale)
-            lo = np.maximum(t - h, 0.0)
-        return (self.fn(t + h) - self.fn(lo)) / (t + h - lo)
+        # evaluated left of the origin
+        h = _FD_STEP_SCALE * np.maximum(np.abs(t), self._fd_scale)
+        lo = np.maximum(t - h, 0.0)
+        out = (self.fn(t + h) - self.fn(lo)) / (t + h - lo)
+        return float(out) if np.ndim(t) == 0 else out
 
 
 PayoffFamily = Union[CfmmArbitragePayoff, PowerPayoff, TabulatedPayoff, CallablePayoff]

@@ -138,7 +138,10 @@ def test_poa_lies_between_one_and_the_tangent_bound(family):
     for n in (1, 2, 5, 50, 10**3, 10**5):
         q = solve_symmetric(family, n).q
         upper = 1.0 + (n - 1) * (1.0 - argmax / q)
-        assert 1.0 <= poa(family, n).poa <= upper * (1.0 + 1e-12)
+        rep = poa(family, n)
+        assert 1.0 <= rep.poa <= upper * (1.0 + 1e-12)
+        # the ratio before the >= 1 rule: only rounding may take it below 1
+        assert rep.fair_payoff / rep.eq_payoff >= 1.0 - 1e-12
 
 
 def _near_boundary_cfmm(seed):
@@ -219,11 +222,15 @@ def test_poa_raises_what_a_full_solve_raises(family, n):
     assert str(got.value) == str(want.value)
 
 
-def test_a_ratio_below_one_beyond_rounding_raises():
-    # a derivative that disagrees with f = 8t - t**2 puts argmax f at 2
-    # (f = 12) and q(2) at the zero 4 of 12q - 3q**2, where f = 16: no
-    # rounding explains a ratio of 0.75
-    family = CallablePayoff(lambda t: 8.0 * t - t * t, deriv=lambda t: 4.0 - 2.0 * t)
+@pytest.mark.parametrize("a, ratio", [(4.0, r"0\.75"), (6.4 - 1.15e-8, r"0\.99999999\d*")],
+                         ids=["a-quarter-short", "1e-9-short"])
+def test_a_ratio_below_one_beyond_rounding_raises(a, ratio):
+    # a derivative a - 2t that disagrees with f = 8t - t**2 puts argmax f
+    # at a/2 and q(2) at the zero (a + 8)/3 of a - 3q + 8: a = 4 gives
+    # f = 12 and 16, a ratio of 0.75; a = 6.4 gives 15.36 for both, and a
+    # a little below 6.4 a ratio 1e-9 below 1, past any rounding though
+    # within the power check's 1e-6
+    family = CallablePayoff(lambda t: 8.0 * t - t * t, deriv=lambda t: a - 2.0 * t)
     assert poa(family, 1).poa == 1.0
-    with pytest.raises(ArithmeticError, match=r"sup f / f\(q\) = 0.75 < 1"):
+    with pytest.raises(ArithmeticError, match=rf"sup f / f\(q\) = {ratio} < 1"):
         poa(family, 2)

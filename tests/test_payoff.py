@@ -208,7 +208,7 @@ def test_callable_finite_difference_stays_right_of_zero():
     lambda t: t - 1e7 * t * t,
     lambda t: 250.0 - 200.0 * 250.0 / (200.0 + 0.99 * t) - t,
 ], ids=["quadratic", "narrow-region", "constant-product"])
-def test_callable_finite_difference_scalar_path_matches_array_bit_for_bit(fn):
+def test_callable_finite_difference_of_a_float_is_a_float_with_the_array_bits(fn):
     f = CallablePayoff(fn)
     points = [0.0, 1e-300, 5e-9, 1e-7, 2e-7, 0.5, 1.0, 3.0, 7.999, 22.7, 1e6]
     scalar = [f.derivative(t) for t in points]
