@@ -3,16 +3,18 @@
 Every command reads a payoff family from flags (or a JSON config), runs
 one of the library routines, and writes rows as CSV or an aligned text
 table. Each command's flags, with their types, defaults and help, are
-one entry of :data:`COMMANDS`. A ``--config`` file is merged into the
-flags once, before the command runs: flags win, and a null counts as not
-given; a flag still unset then takes its default. The flag's type then
-converts every value once, at one point, wherever it came from: a list
-flag reads a JSON list or a comma string, and a choice flag refuses a
-value outside its choices. Errors come out as a single
-machine-parsable line on stderr with exit code 2 (bad input: anything
-raising :class:`InvalidArgument`, which the library raises at its own
-argument checks, so they are not copied here), 3 (no positive region /
-no root exists), or 4 (numeric failure). A closed stdout exits 1 quietly.
+one entry of :data:`COMMANDS`. argparse only splits the command line, so
+every flag arrives as a string. One pass then gives each flag its
+command-line value, else its ``--config`` value (a null counts as not
+given), else its default, and reads that value once by the flag's type:
+a scalar, a choice, or a list, which takes a JSON list or a comma
+string. A value that does not read is refused in one form that names
+its flag, ``--flag: expected <what>, got <value>``. Errors come out as a
+single machine-parsable line on stderr with exit code 2 (bad input:
+anything raising :class:`InvalidArgument`, which the library raises at
+its own argument checks, so they are not copied here), 3 (no positive
+region / no root exists), or 4 (numeric failure). A closed stdout exits
+1 quietly.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 from .analysis import poa_growth_check
 from .batch import BatchInstance, clear
 from .dynamics import (
+    UPDATE_ORDERS,
     BoundedUpdate,
     Budgeted,
     GameConfig,
@@ -76,52 +79,55 @@ Table = tuple[list[str], list[list], str]
 _EXPECTED = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _scalar(kind, value):
-    """``kind(value)``; a value that does not convert is a config error. A
-    number or a string is never taken from a bool, which ``int`` and
-    ``float`` read as 0 or 1, nor an integer from a float, which ``int``
-    would truncate."""
-    if kind in _EXPECTED and (
-        isinstance(value, bool) or kind is int and isinstance(value, float)
-    ):
-        raise ConfigError(f"expected {_EXPECTED[kind]}, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _list(kind, value) -> list:
-    """A JSON list, or the nonblank parts of a comma string, each part read
-    by the scalar rule; integer parts may be inclusive a:b ranges, e.g.
-    '1,4:8,16'."""
-    parts = value if isinstance(value, list) else [
-        p.strip() for p in str(value).split(",") if p.strip()]
-    out = []
-    try:
+def _read(flag: str, kind, value):
+    """``value`` read once by ``flag``'s type: a scalar type (int, float or
+    str), a tuple of choices, or a list ``[kind]`` of either, given as a
+    JSON list or as the nonblank parts of a comma string, where integer
+    parts may be inclusive a:b ranges ('1,4:8,16'). A number or a string is
+    never taken from a bool, which ``int`` and ``float`` read as 0 or 1,
+    nor an integer from a float, which ``int`` would truncate. A refusal
+    names the flag: ``--flag: expected <what>, got <value>``."""
+    if isinstance(kind, list):
+        parts = value if isinstance(value, list) else [
+            p.strip() for p in str(value).split(",") if p.strip()]
+        out = []
         for part in parts:
-            if kind is int and isinstance(part, str) and ":" in part:
-                lo, hi = (_scalar(int, end) for end in part.split(":"))
+            if kind[0] is int and isinstance(part, str) and ":" in part:
+                lo, _, hi = part.partition(":")
+                lo, hi = _read(flag, int, lo), _read(flag, int, hi)
                 if hi < lo:
-                    raise ConfigError(f"empty range {part}")
+                    raise ConfigError(f"{flag}: empty range {part}")
                 out.extend(range(lo, hi + 1))
             else:
-                out.append(_scalar(kind, part))
-    except ValueError as exc:
-        name = "integer" if kind is int else kind.__name__
-        raise ConfigError(f"bad {name} list {value!r}: {exc}") from exc
-    if not out:
-        raise ConfigError(f"no values in {value!r}")
-    return out
+                out.append(_read(flag, kind[0], part))
+        if not out:
+            raise ConfigError(f"{flag}: no values in {value!r}")
+        return out
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        what = f"one of {_choices(kind)}"
+    else:
+        what = _EXPECTED[kind]
+        if not (isinstance(value, bool) or kind is int and isinstance(value, float)):
+            try:
+                return kind(value)
+            except (TypeError, ValueError):
+                pass
+    raise ConfigError(f"{flag}: expected {what}, got {value!r}")
 
 
-def _merge_config(args, flags: dict) -> None:
-    """Fill each flag that was not given from the ``--config`` file, which
-    may hold only keys the command has flags for, and the family only as
-    one object. A null counts as not given."""
+def _choices(kind: tuple) -> str:
+    """A choice flag's choices as argparse shows them, ``{a,b}``."""
+    return "{" + ",".join(kind) + "}"
+
+
+def _config(args, flags: dict) -> dict:
+    """The ``--config`` file's values, none without one. It may hold only
+    keys the command has flags for, and the family only as one object."""
     path = getattr(args, "config", None)
     if path is None:
-        return
+        return {}
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -140,9 +146,21 @@ def _merge_config(args, flags: dict) -> None:
     family = cfg.get("family")
     if family is not None and not isinstance(family, dict):
         raise ConfigError("config 'family' must be an object")
-    for key, value in cfg.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+    return cfg
+
+
+def _settle(args, flags: dict) -> None:
+    """The one pass over a command's flags: each takes its command-line
+    value, else its ``--config`` value (a null counts as not given), else
+    its default from the command's table entry, and is read once by its
+    flag's type. A config file's family object is checked as it is built."""
+    cfg = _config(args, flags)
+    for dest, (kind, default, _) in flags.items():
+        value = next((v for v in (getattr(args, dest, None), cfg.get(dest), default)
+                      if v is not None), None)
+        if value is not None and not (dest == "family" and isinstance(value, dict)):
+            value = _read(f"--{dest.replace('_', '-')}", kind, value)
+        setattr(args, dest, value)
 
 
 def _resolve_family(args):
@@ -186,26 +204,6 @@ def _resolve_scenario(args, n: int):
     if len(budgets) != n:
         raise ConfigError(f"need 1 or {n} budgets, got {len(budgets)}")
     return Budgeted(budgets=tuple(budgets))
-
-
-def _set_defaults(args, flags: dict) -> None:
-    """Give each flag that neither the command line nor the config file
-    set its default from the command's table entry, and convert every value
-    by its flag's type, the one conversion of each flag: a scalar type, a
-    list ``[type]``, or a tuple of choices."""
-    for dest, (kind, default, _) in flags.items():
-        value = getattr(args, dest, None)
-        if value is None:
-            value = default
-        if value is None or dest == "family" and isinstance(value, dict):
-            pass  # unset, or a config file's family object, checked as read
-        elif isinstance(kind, list):
-            value = _list(kind[0], value)
-        elif not isinstance(kind, tuple):
-            value = _scalar(kind, value)
-        elif _scalar(str, value) not in kind:
-            raise ConfigError(f"{dest} must be one of {kind}, got {value!r}")
-        setattr(args, dest, value)
 
 
 def _run_settings(args) -> dict:
@@ -415,10 +413,6 @@ def _cmd_batch(args) -> Table:
 
 def _cmd_verify(args) -> Table:
     family = _resolve_family(args)
-    unknown = set(args.conditions) - {"chord", "linear", "rosen"}
-    if unknown:
-        raise ConfigError(f"unknown conditions: {sorted(unknown)}")
-
     rows = []
     for name in args.conditions:
         if name == "rosen":
@@ -445,23 +439,25 @@ def _whale_fish(n_values, max_fish) -> dict:
     return {"n_fish_values": n_values}
 
 
-# Each figure is a preset run of a command: (handler, reference family kind,
-# the figure flags it reads with their defaults, the command's settings from
-# those flags), on the command's defaults. A setting left None keeps the
-# default; a given one, even zero or empty, goes to the handler's checks.
+# Each figure is a preset run of a command: (the command whose flags it
+# sets, the handler, reference family kind, the figure flags it reads with
+# their defaults, the command's settings from those flags). The settings
+# pass through the command's flags as its command line would: a setting
+# left None keeps the command's default, and a given one, even zero or
+# empty, goes to the handler's checks.
 FIGURES = {
-    "scenario1": (_cmd_study, "cfmm", {"n_values": None}, dict),
-    "scenario2-delta": (_delta_sweep, "power",
+    "scenario1": ("study", _cmd_study, "cfmm", {"n_values": None}, dict),
+    "scenario2-delta": ("study", _delta_sweep, "power",
                         {"n": 10, "deltas": (0.5, 1.0, 2.0, 5.0, 10.0)},
                         lambda n, deltas: {"n_values": [n], "deltas": deltas}),
-    "whale": (_cmd_whale, "cfmm", {"n_values": None, "max_fish": None},
+    "whale": ("whale", _cmd_whale, "cfmm", {"n_values": None, "max_fish": None},
               _whale_fish),
-    "poa-curve": (_cmd_poa, "power", {"n_values": None}, dict),
+    "poa-curve": ("poa", _cmd_poa, "power", {"n_values": None}, dict),
 }
 
 
 def _cmd_reproduce(args) -> Table:
-    handler, kind, reads, preset = FIGURES[args.figure]
+    command, handler, kind, reads, preset = FIGURES[args.figure]
     given = {flag: value for flag in ("n", "n_values", "max_fish", "deltas")
              if (value := getattr(args, flag)) is not None}
     unread = [flag for flag in given if flag not in reads]
@@ -471,9 +467,7 @@ def _cmd_reproduce(args) -> Table:
     settings = argparse.Namespace(family=REFERENCE[args.family or kind],
                                   trials=args.trials, seed=args.seed,
                                   **preset(**{**reads, **given}))
-    # the rest are the command's defaults; the delta sweep runs studies
-    _set_defaults(settings, next((flags for _, fn, flags in COMMANDS.values()
-                                  if fn is handler), COMMANDS["study"][2]))
+    _settle(settings, COMMANDS[command][2])
     return handler(settings)
 
 
@@ -504,14 +498,14 @@ _IO = {
 _RUN = {"seed": (int, 0, None), "threshold": (float, 0.1, None),
         "max_iterations": (int, 2000, None)}
 _SCENARIO = {
-    "update_order": (("sequential", "synchronous"), "sequential", None),
+    "update_order": (UPDATE_ORDERS, "sequential", None),
     "scenario": (("unconstrained", "bounded", "budgeted"), "unconstrained", None),
     "delta": (float, None, "bounded-update step cap"),
     "budgets": ([float], None, "comma list (1 value broadcasts)"),
 }
 _ALIASES = {"conditions": ("--condition",)}
 
-# Every command: (help, handler, flags). A flag's type converts its value
+# Every command: (help, handler, flags). A flag's type reads its value
 # once, whether given by flag, by config or by default.
 COMMANDS = {
     "equilibrium": ("symmetric equilibrium", _cmd_equilibrium, {
@@ -539,7 +533,8 @@ COMMANDS = {
         "r2": (float, None, None)}),
     "verify": ("certify concavity side conditions", _cmd_verify, {
         **_FAMILY, **_IO,
-        "conditions": ([str], "chord,linear,rosen", "subset of chord,linear,rosen"),
+        "conditions": ([("chord", "linear", "rosen")], "chord,linear,rosen",
+                       "subset of chord,linear,rosen"),
         "domain_hi": (float, None, "end of the checked range, default the zero of f"),
         "rosen_n": (int, 2, None)}),
     # each figure reads the figure flags its FIGURES entry names, and one
@@ -569,11 +564,11 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=FIGURES)
             p.set_defaults(format="csv")
         for dest, (kind, default, text) in flags.items():
-            # a list flag stays a string here, read with its config value
+            # every value stays a string here, read once by _settle; a
+            # choice flag's metavar lists its choices
             p.add_argument(f"--{dest.replace('_', '-')}", *_ALIASES.get(dest, ()),
-                           dest=dest, type=kind if callable(kind) else None,
-                           choices=kind if isinstance(kind, tuple) else None,
-                           help=text)
+                           dest=dest, help=text,
+                           metavar=_choices(kind) if isinstance(kind, tuple) else None)
     parser.commands = sub.choices  # each command's own parser, for its errors
     return parser
 
@@ -598,8 +593,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     _, run, flags = COMMANDS[args.command]
     try:
-        _merge_config(args, flags)
-        _set_defaults(args, flags)
+        _settle(args, flags)
         fmt, path = _io_args(args)
         columns, rows, after = run(args)
         _emit(columns, rows, fmt, path)

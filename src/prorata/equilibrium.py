@@ -107,7 +107,13 @@ def _require_concave(family: PayoffFamily) -> None:
 def _closed_form_power(family: PowerPayoff, n: int) -> float:
     beta, gamma = family.beta, family.gamma
     # n - 1 is exact: beta's low bits survive into the base
-    return ((beta + (n - 1.0)) / (n * gamma)) ** (1.0 / (1.0 - beta))
+    try:
+        return ((beta + (n - 1.0)) / (n * gamma)) ** (1.0 / (1.0 - beta))
+    except OverflowError:
+        # q < w = gamma**(-1/(1-beta)), so the zero of f overflows too, as
+        # power_tender reports it
+        raise NoFiniteRoot(
+            f"equilibrium total overflows for {family} at n={n}") from None
 
 
 def _closed_form_cfmm(family: CfmmArbitragePayoff, n: int) -> float:

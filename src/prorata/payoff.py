@@ -34,9 +34,11 @@ from .errors import (
 from .search import bisect_root
 
 # Geometric scan for a point with f > 0: by concavity the positive region
-# (if any) touches (0, 1] whenever f(1) <= 0, so scanning down dominates;
-# a short upward leg covers non-concave callables.
-_SCAN_DOWN_STEPS = 200
+# (if any) touches (0, 1] whenever f(1) <= 0, so scanning down dominates,
+# to 2**-1074, the smallest subnormal: a power family's zero w can lie far
+# below 2**-200 (w = 1e-100 for beta 0.99, gamma 10); a short upward leg
+# covers non-concave callables.
+_SCAN_DOWN_STEPS = 1074
 _SCAN_UP_STEPS = 60
 _SCAN_DOWN = [2.0**-k for k in range(_SCAN_DOWN_STEPS + 1)]
 # the root's bisection stops at this bracket width relative to the root; the

@@ -26,6 +26,16 @@ from prorata import (
 )
 
 
+def test_a_power_zero_near_the_smallest_floats_is_found():
+    # w = gamma**(-1/(1 - beta)) = 10**-100, far below the 2**-200 that the
+    # positive-point scan once stopped at; poa follows the closed form
+    family = PowerPayoff(beta=0.99, gamma=10.0)
+    assert diagnostics(family).root == pytest.approx(1e-100, rel=1e-9)
+    for n in (1, 2, 10, 1000):
+        assert poa(family, n).poa == pytest.approx(
+            power_poa_closed_form(0.99, n), rel=1e-9)
+
+
 def test_two_player_power_report(power):
     rep = poa(power, 2)
     assert rep.eq_payoff == pytest.approx(1.875, rel=1e-12)

@@ -23,7 +23,7 @@ from prorata import (
     power_poa_closed_form,
     pro_rata_payoff,
 )
-from prorata.cli import _ERROR_SLUGS, FIGURES, build_parser, main
+from prorata.cli import _ERROR_SLUGS, COMMANDS, FIGURES, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -476,10 +476,10 @@ BAD_RUN_PARAMETERS = [
     (["reproduce", "scenario2-delta", "--n", "0"],
      "n_values[0] must be at least 1, got 0"),
     (["reproduce", "whale", "--max-fish", "0"],
-     "bad integer list '1:0': empty range 1:0"),
-    (["reproduce", "scenario1", "--n-values="], "no values in ''"),
-    (["reproduce", "whale", "--n-values="], "no values in ''"),
-    (["reproduce", "scenario2-delta", "--deltas="], "no values in ''"),
+     "--n-fish-values: empty range 1:0"),
+    (["reproduce", "scenario1", "--n-values="], "--n-values: no values in ''"),
+    (["reproduce", "whale", "--n-values="], "--n-values: no values in ''"),
+    (["reproduce", "scenario2-delta", "--deltas="], "--deltas: no values in ''"),
     # the library's own argument checks, with no copy in the CLI
     (["bestresponse", *CFMM, "--y", "-1"], "y must be nonnegative, got -1.0"),
     (["bestresponse", *CFMM, "--budget", "-1"],
@@ -542,9 +542,9 @@ BAD_RUN_PARAMETERS = [
      "scenario 'bounded' needs --delta"),
     # the table's knots are list flags too
     (["equilibrium", "--family", "table", "--ts=", "--fs", "0,8,-2"],
-     "no values in ''"),
+     "--ts: no values in ''"),
     (["equilibrium", "--family", "table", "--ts", "0,10,20", "--fs="],
-     "no values in ''"),
+     "--fs: no values in ''"),
     # each of the two sets the whale figure's fish counts
     (["reproduce", "whale", "--n-values", "1:2", "--max-fish", "5",
       "--trials", "1"],
@@ -762,6 +762,40 @@ def test_config_keys_follow_the_flags(capsys, tmp_path, command):
                        f"{command}: [{key!r}]\n")
 
 
+def _malformed(kind) -> str:
+    """A value that a flag of this type refuses: a list's first part reads,
+    its second does not."""
+    if isinstance(kind, list):
+        item = kind[0]
+        return f"{item[0] if isinstance(item, tuple) else 2},{_malformed(item)}"
+    return "nope" if isinstance(kind, tuple) else {int: "2.5", float: "x"}[kind]
+
+
+# every flag of every command whose value reads as more than a string
+TYPED_FLAGS = [(command, dest, kind) for command, (_, _, flags) in COMMANDS.items()
+               for dest, (kind, _, _) in flags.items() if kind is not str]
+
+
+@pytest.mark.parametrize("command, dest, kind", TYPED_FLAGS,
+                         ids=[f"{c}-{d}" for c, d, _ in TYPED_FLAGS])
+def test_a_malformed_value_is_refused_in_one_line_naming_its_flag(
+        capsys, tmp_path, command, dest, kind):
+    flag = "--" + dest.replace("_", "-")
+    value = _malformed(kind)
+    figure = ["scenario1"] if command == "reproduce" else []
+    runs = [[command, *figure, f"{flag}={value}"]]
+    # a config file gives the family as one object, checked as it is built
+    if dest in (CONFIG_KEYS.get(command, set()) | {"format"}) - {"family"}:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({dest: value}))
+        runs.append([command, "--config", str(path)])
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: config-error: {flag}: expected "), line
+
+
 CFMM_SPEC = {"kind": "cfmm", "gamma": 0.99, "r1": 200.0, "r2": 250.0, "c": 1.0}
 
 # (command, config) pairs, each with one value of the wrong type
@@ -812,21 +846,25 @@ def test_fractional_config_integers_exit_2(capsys, tmp_path, command, cfg):
         capsys, tmp_path, command, {"family": CFMM_SPEC, **cfg}
     )
     assert (code, out) == (2, "")
-    if command == "study":  # a list's refusal names the list, then the part
-        assert err == ("error: config-error: bad integer list [2, 2.5]: "
+    # the refusal names the flag, then the value or a list's part
+    flag = "--" + next(iter(cfg)).replace("_", "-")
+    if command == "study":
+        assert err == ("error: config-error: --n-values: "
                        "expected an integer, got 2.5\n")
     else:
-        assert err.startswith("error: config-error: expected an integer, got ")
+        assert err.startswith(f"error: config-error: {flag}: expected an integer, got ")
 
 
 @pytest.mark.parametrize("command, cfg, message", [
-    ("bestresponse", {"y": True}, "expected a number, got True"),
-    ("bestresponse", {"budget": False}, "expected a number, got False"),
-    ("study", {"n_values": "2", "threshold": True}, "expected a number, got True"),
+    ("bestresponse", {"y": True}, "--y: expected a number, got True"),
+    ("bestresponse", {"budget": False}, "--budget: expected a number, got False"),
+    ("study", {"n_values": "2", "threshold": True},
+     "--threshold: expected a number, got True"),
     ("study", {"n_values": "3", "scenario": "budgeted", "budgets": [1, True]},
-     "bad float list [1, True]: expected a number, got True"),
-    ("simulate", {"update_order": True}, "expected a string, got True"),
-    ("equilibrium", {"output": True}, "expected a string, got True"),
+     "--budgets: expected a number, got True"),
+    ("simulate", {"update_order": True},
+     "--update-order: expected one of {sequential,synchronous}, got True"),
+    ("equilibrium", {"output": True}, "--output: expected a string, got True"),
     ("equilibrium", {"family": {"kind": "power", "beta": 0.5, "gamma": True}},
      "bad power family parameters: gamma must be a number, got True"),
     ("equilibrium", {"family": {"kind": "table", "ts": [0, 10, 20],
@@ -956,15 +994,15 @@ def test_a_list_flag_reads_one_way_from_flags_and_config(
         path.write_text(json.dumps({key: value}))
         assert run(capsys, command, *flags, "--config", str(path)) == by_flag
     assert run(capsys, command, *flags, f"{flag}=") == (
-        2, "", "error: config-error: no values in ''\n")
+        2, "", f"error: config-error: {flag}: no values in ''\n")
 
 
 @pytest.mark.parametrize("command, cfg, message", [
     ("verify", {"family": POWER_SPEC, "conditions": 5},
-     "unknown conditions: ['5']"),
+     "--conditions: expected one of {chord,linear,rosen}, got '5'"),
     ("batch", {"deltas": ["a", 1], "gamma": 0.99, "r1": 200, "r2": 250},
-     "bad float list ['a', 1]: could not convert string to float: 'a'"),
-    ("study", {"family": CFMM_SPEC, "n_values": []}, "no values in []"),
+     "--deltas: expected a number, got 'a'"),
+    ("study", {"family": CFMM_SPEC, "n_values": []}, "--n-values: no values in []"),
     ("simulate", {"family": CFMM_SPEC, "delta": 0.5},
      "--delta needs --scenario bounded"),
     ("study", {"family": CFMM_SPEC, "n_values": [3], "budgets": [1]},
@@ -972,13 +1010,13 @@ def test_a_list_flag_reads_one_way_from_flags_and_config(
     ("equilibrium", {"family": "power"}, "config 'family' must be an object"),
     # a choice flag's config value outside its choices
     ("study", {"family": CFMM_SPEC, "format": "nope"},
-     "format must be one of ('csv', 'table'), got 'nope'"),
+     "--format: expected one of {csv,table}, got 'nope'"),
     ("study", {"family": CFMM_SPEC, "scenario": "nope"},
-     "scenario must be one of ('unconstrained', 'bounded', 'budgeted'), got 'nope'"),
+     "--scenario: expected one of {unconstrained,bounded,budgeted}, got 'nope'"),
     ("simulate", {"family": CFMM_SPEC, "update_order": "nope"},
-     "update_order must be one of ('sequential', 'synchronous'), got 'nope'"),
+     "--update-order: expected one of {sequential,synchronous}, got 'nope'"),
     ("equilibrium", {"family": CFMM_SPEC, "method": "nope"},
-     "method must be one of ('auto', 'closed', 'numeric'), got 'nope'"),
+     "--method: expected one of {auto,closed,numeric}, got 'nope'"),
 ], ids=["verify-conditions-number", "batch-deltas-word", "study-no-n-values",
         "simulate-delta-unbounded", "study-budgets-unbudgeted",
         "family-not-an-object", "format-choice", "scenario-choice",
@@ -1017,6 +1055,11 @@ ERROR_LINES = [
     (["bestresponse", "--family", "power", "--beta", "0.999", "--gamma", "1e-300",
       "--y", "1"], 3, "no-finite-root: payoff zero gamma**(-1/(1-beta)) overflows "
      "for PowerPayoff(beta=0.999, gamma=1e-300)"),
+    # the closed route's equilibrium total overflows, and so does the zero
+    (["equilibrium", "--family", "power", "--beta", "0.9973748341073528",
+      "--gamma", "0.15021323171746095", "--n", "1"], 3,
+     "no-finite-root: equilibrium total overflows for "
+     "PowerPayoff(beta=0.9973748341073528, gamma=0.15021323171746095) at n=1"),
     (["equilibrium", *TABLE_0_10_20, "--fs", "0,nan,-5"],
      2, "config-error: bad table family parameters: knots must be finite"),
     # the price is 7/3 rounded up: f'(0) is one ulp below zero, and f is
@@ -1038,6 +1081,7 @@ ERROR_LINES = [
     "table-one-knot", "cfmm-price", "batch-no-demands", "batch-reserve",
     "table-nowhere-positive", "table-positive-end-equilibrium",
     "table-positive-end-study", "table-positive-end-poa", "power-overflow",
+    "power-total-overflow",
     "table-nan-knot", "poa-zero-payoff", "simulate-past-the-last-knot"])
 def test_error_branches_print_one_line(capsys, argv, code, line):
     assert run(capsys, *argv) == (code, "", f"error: {line}\n")
@@ -1094,10 +1138,11 @@ def test_verify_reads_no_sampling_flags(capsys, tmp_path, key, value):
 
 def test_verify_with_no_conditions_exits_2(capsys, tmp_path):
     assert run(capsys, "verify", *POWER, "--conditions", ",") == (
-        2, "", "error: config-error: no values in ','\n")
+        2, "", "error: config-error: --conditions: no values in ','\n")
     code, out, err = _with_config(capsys, tmp_path, "verify",
                                   {"family": POWER_SPEC, "conditions": []})
-    assert (code, out, err) == (2, "", "error: config-error: no values in []\n")
+    assert (code, out, err) == (
+        2, "", "error: config-error: --conditions: no values in []\n")
 
 
 def test_output_and_format_are_checked_before_the_command_runs(
@@ -1116,7 +1161,7 @@ def test_output_and_format_are_checked_before_the_command_runs(
     assert not missing.parent.exists()
     assert _with_config(capsys, tmp_path, "study",
                         {"family": CFMM_SPEC, "format": "xml"}) == (
-        2, "", "error: config-error: format must be one of ('csv', 'table'), "
+        2, "", "error: config-error: --format: expected one of {csv,table}, "
                "got 'xml'\n")
 
 
@@ -1133,14 +1178,17 @@ def test_output_file_is_left_alone_when_the_command_fails(capsys, tmp_path):
 
 def test_a_power_family_with_a_far_zero_runs_poa_and_simulate(capsys):
     # the zero of f is 0.001**-5 = 1e15: the root search doubles from t = 1
-    # up to it, past any fixed multiple of its start
-    family = ["--family", "power", "--beta", "0.8", "--gamma", "0.001"]
-    code, out, err = run(capsys, "poa", *family, "--n-values", "1:4",
-                         "--format", "csv")
-    assert (code, err) == (0, "")
-    assert [float(r["poa"]) for r in rows_of(out)] == pytest.approx(
-        [power_poa_closed_form(0.8, n) for n in range(1, 5)], rel=1e-9)
-    code, out, err = run(capsys, "simulate", *family, "--n", "3", "--format", "csv")
+    # up to it, past any fixed multiple of its start; for poa also 10**-100,
+    # which the positive-point scan reaches halving down from t = 1
+    for beta, gamma in (("0.8", "0.001"), ("0.99", "10")):
+        family = ["--family", "power", "--beta", beta, "--gamma", gamma]
+        code, out, err = run(capsys, "poa", *family, "--n-values", "1:4",
+                             "--format", "csv")
+        assert (code, err) == (0, "")
+        assert [float(r["poa"]) for r in rows_of(out)] == pytest.approx(
+            [power_poa_closed_form(float(beta), n) for n in range(1, 5)], rel=1e-9)
+    code, out, err = run(capsys, "simulate", "--family", "power", "--beta", "0.8",
+                         "--gamma", "0.001", "--n", "3", "--format", "csv")
     assert (code, err) == (0, "") and len(rows_of(out)) > 3
 
 

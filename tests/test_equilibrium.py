@@ -20,6 +20,7 @@ from prorata import (
     CallablePayoff,
     CfmmArbitragePayoff,
     InvalidArgument,
+    NoFiniteRoot,
     NoPositiveRegion,
     PowerPayoff,
     ProRataError,
@@ -33,7 +34,7 @@ from prorata import (
     solve_symmetric,
 )
 from prorata import equilibrium
-from prorata.equilibrium import unconstrained_tender
+from prorata.equilibrium import power_tender, unconstrained_tender
 
 CFMM_Q1 = (math.sqrt(0.99 * 200.0 * 250.0) - 200.0) / 0.99  # argmax f
 
@@ -287,6 +288,17 @@ def test_nowhere_positive_family_has_no_equilibrium():
         for method in ("closed", "numeric"):
             with pytest.raises(NoPositiveRegion):
                 solve_symmetric(bad, 2, method=method)
+
+
+def test_an_overflowing_power_total_has_no_finite_root():
+    # q = ((beta + n - 1)/(n gamma))**(1/(1 - beta)) = (0.9974/0.1502)**381
+    # overflows at n = 1: every route and the tender say NoFiniteRoot
+    family = PowerPayoff(beta=0.9973748341073528, gamma=0.15021323171746095)
+    for solve in (lambda: solve_symmetric(family, 1), lambda: poa(family, 1),
+                  lambda: solve_symmetric(family, 1, method="numeric"),
+                  lambda: power_tender(family)):
+        with pytest.raises(NoFiniteRoot):
+            solve()
 
 
 def decimal_cfmm_total(family: CfmmArbitragePayoff, n: int) -> Decimal:
