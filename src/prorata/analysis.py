@@ -8,7 +8,7 @@ equilibrium the pool pays f(q) < sup f, and the gap grows linearly in n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .equilibrium import _positive_payoff, _symmetric_total
 from .errors import NoPositiveRegion, integer
@@ -22,8 +22,7 @@ _CLOSED_FORM_CHECK_RTOL = 1e-6
 _SHORTFALL_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PoaReport:
+class PoaReport(NamedTuple):
     """The price of anarchy of the n-player game.
 
     ``poa`` is never below 1. sup f >= f(q) by definition, but both are
@@ -36,6 +35,9 @@ class PoaReport:
     1/(1 - beta). For the other families it is 1e-12 relative; cfmm near
     its no-arbitrage boundary rounds short by a few ulps. ``eq_payoff``
     and ``fair_payoff`` keep their computed values.
+
+    A named tuple, built positionally on every call: immutable, hashable,
+    and equal to any record, or plain tuple, of the same fields in order.
     """
 
     n: int
@@ -78,12 +80,7 @@ def poa(family: PayoffFamily, n: int) -> PoaReport:
             )
     elif ratio < 1.0 - _SHORTFALL_RTOL:
         raise ArithmeticError(f"PoA check failed: sup f / f(q) = {ratio!r} < 1")
-    return PoaReport(
-        n=n,
-        eq_payoff=eq_payoff,
-        fair_payoff=diag.max_value / n,
-        poa=max(ratio, 1.0),
-    )
+    return PoaReport(n, eq_payoff, diag.max_value / n, max(ratio, 1.0))
 
 
 @dataclass(frozen=True)

@@ -431,6 +431,8 @@ def _cmd_verify(args) -> Table:
 
 def _whale_fish(n_values, max_fish) -> dict:
     """The whale figure's fish counts: --n-values, or 1 to --max-fish (20)."""
+    if max_fish is not None and max_fish < 1:
+        raise ConfigError(f"--max-fish: expected at least 1, got {max_fish!r}")
     if n_values is None:
         return {"n_fish_values": f"1:{20 if max_fish is None else max_fish}"}
     if max_fish is not None:

@@ -78,6 +78,18 @@ Scenario = Union[Unconstrained, BoundedUpdate, Budgeted]
 
 @dataclass(frozen=True)
 class GameConfig:
+    """The rules of one game, each checked once here: the family, the n
+    players, the scenario, the stop rule and the update order.
+
+    ``convergence_threshold`` is an absolute distance in units of tender,
+    not scaled to the family: a trial converges when its profile is within
+    it of the symmetric equilibrium (sup norm), or, for the whale, when no
+    player moved by it or more. A family whose tenders all lie far below
+    it reads as converged at round 0: the power family with beta 0.99 and
+    gamma 10 has its zero at 1e-100, so at n = 3 the default 0.1 stops
+    every trial at round 0, and 1e-110 takes 16 rounds.
+    """
+
     family: PayoffFamily
     n: int
     scenario: Scenario = Unconstrained()

@@ -25,11 +25,11 @@ clamp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InvalidArgument, NoFiniteRoot, NoPositiveRegion, integer, number
 from .payoff import (
+    _NOWHERE_POSITIVE,
     CfmmArbitragePayoff,
     PayoffFamily,
     PowerPayoff,
@@ -43,8 +43,13 @@ from .search import bisect_root
 SOLVE_METHODS = ("auto", "closed", "numeric")
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(NamedTuple):
+    """The symmetric equilibrium :func:`solve_symmetric` found, and how.
+
+    A named tuple, built positionally on every call: immutable, hashable,
+    and equal to any record, or plain tuple, of the same fields in order.
+    """
+
     q: float                  # total tendered at equilibrium
     n: int
     per_player: float         # q / n
@@ -66,8 +71,11 @@ def _positive_payoff(payoff: float, n: int) -> float:
     return payoff
 
 
-@dataclass(frozen=True)
-class BestResponseResult:
+class BestResponseResult(NamedTuple):
+    """One player's best response from :func:`best_response`: the tender,
+    its payoff, and which bound, if any, it sits on. A named tuple, as
+    :class:`EquilibriumResult` is."""
+
     x: float
     achieved_payoff: float
     at_boundary: str  # "zero", "budget", or "interior"
@@ -130,7 +138,7 @@ def _closed_form_cfmm(family: CfmmArbitragePayoff, n: int) -> float:
     # c0 = -n r1**2 f'(0): when c0 >= 0 the concave f is nowhere positive
     # (both roots are <= 0), and when c0 < 0 the roots have opposite signs
     if c0 >= 0.0:
-        raise NoPositiveRegion("payoff is nonpositive everywhere: f'(0) <= 0")
+        raise NoPositiveRegion(_NOWHERE_POSITIVE)
     sq = math.sqrt(b * b - 4.0 * a * c0)
     if b >= 0.0:
         root1 = (-b - sq) / (2.0 * a)
@@ -159,14 +167,8 @@ def solve_symmetric(
     """
     n = integer("n", n, 1)
     q, used = _symmetric_total(family, n, method)
-    return EquilibriumResult(
-        q=q,
-        n=n,
-        per_player=q / n,
-        equilibrium_payoff=family.value(q) / n,
-        foc_residual=foc_residual(family, n, q),
-        method=used,
-    )
+    return EquilibriumResult(q, n, q / n, family.value(q) / n,
+                             foc_residual(family, n, q), used)
 
 
 def _symmetric_total(family: PayoffFamily, n: int, method: str) -> tuple[float, str]:

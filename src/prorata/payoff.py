@@ -44,6 +44,8 @@ _SCAN_DOWN = [2.0**-k for k in range(_SCAN_DOWN_STEPS + 1)]
 # the root's bisection stops at this bracket width relative to the root; the
 # root scales every seeded initial draw, so changing it changes the figures
 _ROOT_RTOL = 1e-10
+# what a cfmm family with f'(0) <= 0 raises, on every route
+_NOWHERE_POSITIVE = "payoff is nonpositive everywhere: f'(0) <= 0"
 # finite-difference step of callable families, relative to max(|t|, s) with
 # s the callable's own scale (see CallablePayoff)
 _FD_STEP_SCALE = 1e-6
@@ -322,6 +324,14 @@ def _find_positive_point(family: PayoffFamily) -> float:
         if np.max(fs) <= 0.0:
             raise NoPositiveRegion("payoff is nonpositive at every knot")
         return family.ts[int(np.argmax(fs))]
+    if isinstance(family, CfmmArbitragePayoff):
+        # f'(0) = m/r1 decides it: the exact margin inside its band, and
+        # outside it the rounded terms, which cannot cancel there
+        m = family.margin
+        if m is None:
+            m = family.gamma * family.r2 - family.c * family.r1
+        if not m > 0.0:
+            raise NoPositiveRegion(_NOWHERE_POSITIVE)
     candidates = _SCAN_DOWN + [2.0**k for k in range(1, _SCAN_UP_STEPS + 1)]
     for t in candidates:
         if family.value(t) > 0.0:
@@ -329,7 +339,6 @@ def _find_positive_point(family: PayoffFamily) -> float:
     raise NoPositiveRegion("no point with f > 0 found on a geometric scan")
 
 
-@functools.lru_cache(maxsize=256)
 def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
     """Locate the positive root and the maximum.
 
@@ -339,8 +348,16 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
     the zero of f' on [0, root], bracketed to adjacent floats by the
     safeguarded search of :mod:`prorata.search`; for tabulated
     families it is read off the knots, where piecewise-linear maxima live.
-    Results are memoized per family (families are frozen and hashable).
+    The result is memoized on the family object itself, as ``_diagnostics``,
+    which is not a field: equality, hash, repr and the spec keys ignore it.
+    An equal but separate family object computes its own, equal, report.
+    An error is not memoized, so a nowhere-positive family raises on every
+    call.
     """
+    try:
+        return family._diagnostics
+    except AttributeError:
+        pass
     t_pos = _find_positive_point(family)
     end = family.domain_max
     # double until f <= 0 (a NaN doubles on, as a positive value does)
@@ -362,7 +379,12 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
     else:
         argmax = bisect_root(family.derivative, 0.0, root)
         max_value = family.value(argmax)
-    return PayoffDiagnostics(root=root, max_value=max_value, argmax=argmax)
+    diag = PayoffDiagnostics(root=root, max_value=max_value, argmax=argmax)
+    # set as margin and _slopes are: through __dict__ would turn the
+    # instance's inline attribute values into a real dict, and every later
+    # read of a parameter in value/derivative would slow down
+    object.__setattr__(family, "_diagnostics", diag)
+    return diag
 
 
 def search_end(family: PayoffFamily) -> float:

@@ -4,6 +4,7 @@ For power(beta=0.5, gamma=0.05) the ratio has the closed form
 poa(n) = n^2/(2n - 1): poa(1) = 1, poa(2) = 4/3, poa(100) = 10000/199.
 """
 
+import hashlib
 import math
 import random
 
@@ -12,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prorata import (
+    BestResponseResult,
     CallablePayoff,
     CfmmArbitragePayoff,
+    EquilibriumResult,
     NoPositiveRegion,
     PoaReport,
     PowerPayoff,
     TabulatedPayoff,
+    best_response,
     diagnostics,
     poa,
     poa_growth_check,
@@ -244,3 +248,91 @@ def test_a_ratio_below_one_beyond_rounding_raises(a, ratio):
     assert poa(family, 1).poa == 1.0
     with pytest.raises(ArithmeticError, match=rf"sup f / f\(q\) = {ratio} < 1"):
         poa(family, 2)
+
+
+# ------------------------------------------------------ per-call records
+
+
+def test_the_per_call_records_are_immutable_hashable_and_rebuild_equal(cfmm):
+    records = [poa(cfmm, 3), solve_symmetric(cfmm, 3), best_response(cfmm, 5.0)]
+    for rec in records:
+        fields = type(rec)._fields
+        assert type(rec)(*(getattr(rec, f) for f in fields)) == rec
+        assert hash(type(rec)(**{f: getattr(rec, f) for f in fields})) == hash(rec)
+        with pytest.raises(AttributeError):
+            setattr(rec, fields[0], 0.0)
+    assert PoaReport._fields == ("n", "eq_payoff", "fair_payoff", "poa")
+    assert EquilibriumResult._fields == (
+        "q", "n", "per_player", "equilibrium_payoff", "foc_residual", "method")
+    assert BestResponseResult._fields == ("x", "achieved_payoff", "at_boundary")
+    assert repr(records[2]) == (
+        f"BestResponseResult(x={records[2].x!r}, "
+        f"achieved_payoff={records[2].achieved_payoff!r}, at_boundary='interior')")
+    assert records[1].positive_payoff() == records[1].equilibrium_payoff
+
+
+def _bits(value) -> str:
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def _listing(family) -> str:
+    # every field of poa, of solve_symmetric on each route and of
+    # best_response over a grid of y and budgets, as exact bits; a call
+    # that raises is listed by its error
+    lines = []
+
+    def add(label, call, fields):
+        try:
+            rec = call()
+        except Exception as exc:
+            lines.append(f"{label} {type(exc).__name__}: {exc}")
+        else:
+            lines.append(" ".join([label, *(_bits(getattr(rec, f)) for f in fields)]))
+
+    root = diagnostics(family).root
+    for n in (1, 2, 3, 5, 10, 50, 200):
+        add(f"poa {n}", lambda: poa(family, n),
+            ("n", "eq_payoff", "fair_payoff", "poa"))
+        for method in ("auto", "closed", "numeric"):
+            add(f"solve {n} {method}", lambda: solve_symmetric(family, n, method),
+                ("q", "n", "per_player", "equilibrium_payoff", "foc_residual",
+                 "method"))
+    for k in (0.0, 0.01, 0.1, 0.5, 0.9, 1.5):
+        for budget in (math.inf, 0.05 * root):
+            add(f"best {k} {_bits(budget)}",
+                lambda: best_response(family, k * root, budget),
+                ("x", "achieved_payoff", "at_boundary"))
+    return "\n".join(lines)
+
+
+# sha256 of _listing as the records gave it when they were frozen
+# dataclasses, before they became named tuples: no arithmetic changed
+_LISTING_SHA256 = {
+    "power":
+        "dff16b3858f604045b64e84f920098373cd3f225e243c55cb8c05899d84ca8a0",
+    "power-beta-0.948":
+        "ad59fa39d92b4a697bc9dbf1f6c4ffb1eae6429e7bd5cc99f21486d91cf41f70",
+    "cfmm":
+        "75edbc75c5bc442de0df43244cc472269379ff795840742622917633f82b6d33",
+    "cfmm-one-ulp-inside":
+        "cfeb11f6b1e0eadf746dbd30d1ea4fbb1785063ecd4056d3b43c7b7204533f33",
+    "cfmm-eps-1.3e-4":
+        "639429f880cfe6f35de058d105dadfebe913a87596ac71c4e252f26214ce80f8",
+    "cfmm-sweep-0":
+        "1b31e47b1b25445c755cb9bdee65d6b09b12a0bb3b8353594fa3bbd497ace14c",
+    "cfmm-sweep-1":
+        "c60c8b162ceaff3621e14959fa247ca5e159717a4326b70974b6fb05454d8c9d",
+    "cfmm-sweep-2":
+        "a7e9970e237359e44222311d8740e0cf011fc547b360bba7f8fbc978f39bd0c1",
+    "kinked-table":
+        "f58fbd370d1ea04e2a28a6adcd58b41c2da6c3a7579cd63a9ef7d998ae10b6ce",
+    "callable":
+        "edc7d8dacabb66df784c282c71469f1ff92cfcca661862b4f811bf2ac0feb36c",
+}
+
+
+@pytest.mark.parametrize("family, digest", zip(_REFERENCE_FAMILIES,
+                                               _LISTING_SHA256.values()),
+                         ids=list(_LISTING_SHA256))
+def test_the_records_keep_their_values_bit_for_bit(family, digest):
+    assert hashlib.sha256(_listing(family).encode()).hexdigest() == digest

@@ -476,7 +476,7 @@ BAD_RUN_PARAMETERS = [
     (["reproduce", "scenario2-delta", "--n", "0"],
      "n_values[0] must be at least 1, got 0"),
     (["reproduce", "whale", "--max-fish", "0"],
-     "--n-fish-values: empty range 1:0"),
+     "--max-fish: expected at least 1, got 0"),
     (["reproduce", "scenario1", "--n-values="], "--n-values: no values in ''"),
     (["reproduce", "whale", "--n-values="], "--n-values: no values in ''"),
     (["reproduce", "scenario2-delta", "--deltas="], "--deltas: no values in ''"),

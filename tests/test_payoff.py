@@ -13,6 +13,8 @@ Closed-form reference values for the two default families:
 """
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -325,6 +327,56 @@ def test_everywhere_nonpositive_family_flagged():
     hopeless = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=2.0)
     with pytest.raises(NoPositiveRegion):
         diagnostics(hopeless)
+
+
+@given(gamma=st.floats(0.5, 1.0), r1=st.floats(1.0, 1e4), r2=st.floats(1.0, 1e4),
+       eps=st.floats(-15.0, math.log10(0.5)).map(lambda k: 10.0**k),
+       above=st.booleans())
+@settings(deadline=None, max_examples=300)
+def test_a_cfmm_family_is_nowhere_positive_exactly_when_its_margin_is_not(
+        gamma, r1, r2, eps, above):
+    # c = (g r2/r1)(1 +- eps) about the no-arbitrage boundary: f'(0) = m/r1
+    # with m = g r2 - c r1 taken exactly, and a concave f is positive
+    # somewhere exactly when f'(0) > 0
+    c = gamma * r2 / r1 * (1.0 + eps if above else 1.0 - eps)
+    family = CfmmArbitragePayoff(gamma, r1, r2, c)
+    m = Fraction(gamma) * Fraction(r2) - Fraction(c) * Fraction(r1)
+    if m <= 0:
+        with pytest.raises(NoPositiveRegion) as caught:
+            diagnostics(family)
+        assert str(caught.value) == "payoff is nonpositive everywhere: f'(0) <= 0"
+    else:
+        assert diagnostics(family).max_value > 0.0
+
+
+def test_diagnostics_are_kept_on_the_family_object(cfmm):
+    first = diagnostics(cfmm)
+    assert diagnostics(cfmm) is first
+    twin = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0)
+    assert diagnostics(twin) == first and diagnostics(twin) is not first
+
+
+@pytest.mark.parametrize("family", [
+    PowerPayoff(beta=0.5, gamma=0.05),
+    CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0),
+    TabulatedPayoff(ts=(0.0, 1.0, 2.0, 3.0, 4.0), fs=(0.0, 1.0, 1.6, 1.8, -0.5)),
+], ids=["power", "cfmm", "table"])
+def test_the_diagnostics_memo_is_not_a_field(family):
+    fresh = replace(family)
+    before = (hash(family), repr(family), spec_keys(family.kind))
+    diagnostics(family)
+    assert family == fresh and fresh == family
+    assert (hash(family), repr(family), spec_keys(family.kind)) == before
+    assert list(vars(fresh)) + ["_diagnostics"] == list(vars(family))
+
+
+def test_a_nowhere_positive_family_raises_on_every_call():
+    for family in (CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=2.0),
+                   TabulatedPayoff(ts=(0, 1, 2), fs=(0, -1, -3))):
+        for _ in range(3):
+            with pytest.raises(NoPositiveRegion):
+                diagnostics(family)
+        assert not hasattr(family, "_diagnostics")
 
 
 # -------------------------------------------------------- dict -> family

@@ -291,9 +291,9 @@ def test_a_first_segment_below_the_ladder_is_found_only_exactly():
 
 @pytest.mark.parametrize("family, kwargs, error, message", [
     (CfmmArbitragePayoff(0.99, 200.0, 250.0, 2.0), {}, NoPositiveRegion,
-     "no point with f > 0 found on a geometric scan"),
+     "payoff is nonpositive everywhere: f'(0) <= 0"),
     (CfmmArbitragePayoff(1.0, 4.0, 2.0, 0.5), {}, NoPositiveRegion,
-     "no point with f > 0 found on a geometric scan"),
+     "payoff is nonpositive everywhere: f'(0) <= 0"),
     (TabulatedPayoff(ts=(0, 1, 2), fs=(0, -1, -3)), {}, NoPositiveRegion,
      "payoff is nonpositive at every knot"),
     (TabulatedPayoff(ts=(0, 1, 2), fs=(0, 0, 0)), {}, NoPositiveRegion,
