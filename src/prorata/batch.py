@@ -4,7 +4,7 @@ Traders submit signed amounts of asset A (positive = sell A for B). The
 batch nets internally at the pool's average price: sellers fund the net
 amount pro rata, the net is traded once through the pool, and the output
 is split in proportion to contribution. Global sums are exact and rounded
-once, computed in numpy (``_exact_sum``): the float ``math.fsum`` returns, so
+once, computed in numpy (``_fixed_sums``): the float ``math.fsum`` returns, so
 reordering traders cannot change anyone's fill, bit for bit.
 """
 
@@ -22,6 +22,9 @@ from .payoff import ForwardExchange
 
 MAX_TRADERS = 10_000
 _SUM_LIMIT = sys.float_info.max / 2
+_BLOCK = 12  # exponent bins merged per float; see _fixed_sums
+_BLOCK_SCALE = 2.0 ** np.arange(_BLOCK)
+_LOW_SCALE = _BLOCK_SCALE * 2.0**26  # the low halves count units of 2**-26
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +46,7 @@ class BatchInstance:
             bounded = np.abs(arr).sum() < _SUM_LIMIT
         if not bounded:
             try:
-                _exact_sum(arr)
-                _exact_sum(np.maximum(arr, 0.0))
+                _net_and_gross(arr)
             except OverflowError:
                 raise InvalidArgument("the sum of the deltas overflows") from None
         arr.setflags(write=False)
@@ -67,17 +69,19 @@ def clear(instance: BatchInstance) -> BatchOutcome:
     fills net out internally in asset A. When no demand is netted
     (all deltas >= 0) the scale is exactly 1 and residuals equal deltas.
     The net, the gross and the pool input are exact sums rounded once, so
-    permuting the traders permutes the fills and changes no bit.
+    permuting the traders permutes the fills and changes no bit. They take
+    two passes over the traders: the net and the gross share one, the pool
+    input takes the other. Each pass is exact for fewer than 2**15 entries
+    (MAX_TRADERS = 10,000; see ``_fixed_sums``).
     Raises :class:`NonPositiveNetDemand` when the batch nets to <= 0, and
     :class:`InvalidArgument` when the net is so large that the quote
     overflows a float.
     """
     deltas = instance.deltas
-    net = _exact_sum(deltas)
+    net, gross = _net_and_gross(deltas)
     if net <= 0.0:
         raise NonPositiveNetDemand(f"batch nets to {net}, nothing to trade")
     residuals = np.maximum(deltas, 0.0)
-    gross = _exact_sum(residuals)
     residuals *= net / gross
     pool_input = _exact_sum(residuals)
     pool_output = instance.pool.quote(pool_input)
@@ -95,36 +99,71 @@ def clear(instance: BatchInstance) -> BatchOutcome:
 
 
 def _exact_sum(a: np.ndarray) -> float:
-    """The sum of the finite floats in ``a`` (at least one), rounded once:
-    the float ``math.fsum`` returns, +0.0 when the sum is exactly zero.
+    """The sum of the finite floats in ``a`` (1 to 2**15 - 1 of them), rounded
+    once: the float ``math.fsum`` returns, +0.0 when the sum is exactly zero.
     Raises ``OverflowError`` when the rounded sum is not finite; unlike
-    ``math.fsum``, never for an intermediate sum.
+    ``math.fsum``, never for an intermediate sum. See ``_fixed_sums``."""
+    total, _, shift = _fixed_sums(a)
+    return _rounded(total, shift)
+
+
+def _net_and_gross(a: np.ndarray) -> tuple[float, float]:
+    """The exact sums of ``a`` and of its positive entries, as ``_exact_sum``
+    rounds them, from one pass. Raises ``OverflowError`` when either is not
+    finite."""
+    net, gross, shift = _fixed_sums(a)
+    return _rounded(net, shift), _rounded(gross, shift)
+
+
+def _fixed_sums(a: np.ndarray) -> tuple[int, int, int]:
+    """``(net, gross, shift)``: the sum of ``a`` and the sum of its positive
+    entries are exactly ``net * 2**shift`` and ``gross * 2**shift``.
 
     ``np.frexp`` writes each entry as M * 2**(e-53) with M an integer,
     |M| < 2**53. M splits into a high half of at most 27 bits and a low half
-    of at most 26, and ``np.bincount`` sums each half per exponent e. A bin
-    sum stays below 2**53, so it is exact, for up to 2**26 entries, far above
-    MAX_TRADERS. One Python int gathers the nonzero bins, and one
-    int-to-float conversion or int/int division, both correctly rounded,
-    rounds it.
+    of at most 26, and ``np.bincount`` sums each half per exponent e. When
+    ``a`` has a negative entry, entries with the sign bit set are binned
+    ``width`` above the rest, so the same two bincounts give the net (both
+    halves) and the gross (the lower half). Each run of ``_BLOCK`` = 12
+    adjacent bins is then merged into one float, bin k scaled by 2**k: every
+    entry adds at most 2**27 * 2**11 = 2**38 to it in absolute value, so
+    with fewer than 2**15 entries (MAX_TRADERS = 10,000) every partial sum,
+    in any order, is an integer below 2**53 and exact. One Python int per
+    sum gathers the blocks, and ``_rounded`` rounds it once.
     """
-    # in place where it can be: at MAX_TRADERS fresh 80 kB temporaries can
-    # page-fault on every call, which measured up to 3x slower
-    m, e = np.frexp(a)
-    e0 = int(e.min())
-    e -= e0
-    bins = e.astype(np.intp)  # cast once, not in each bincount
+    # in place where it can be, each temporary freed before the next is made:
+    # at MAX_TRADERS fresh 80 kB temporaries can page-fault on every call,
+    # which measured up to 3x slower. The exponents come out as intp, the
+    # type np.bincount takes, and become the bin indices in place.
+    m, bins = np.frexp(a, out=(np.empty_like(a), np.empty(a.shape, np.intp)))
+    e0 = int(bins.min())
+    bins -= e0
+    width = (int(bins.max()) // _BLOCK + 1) * _BLOCK  # whole blocks per half
+    if a.min() < 0.0:
+        signed = a.view(np.int64) >> 63  # -1 where the sign bit is set
+        signed &= width
+        bins += signed
+        del signed  # so np.trunc below can reuse its memory
     m *= 2.0**27  # M / 2**26: the high half is its integer part
     high = np.trunc(m)
-    his = np.bincount(bins, weights=high)  # in units of 2**(e0 + k - 27)
+    his = np.bincount(bins, weights=high, minlength=2 * width)
     m -= high
-    los = np.bincount(bins, weights=m) * 2.0**26  # of 2**(e0 + k - 53)
-    nonzero = np.flatnonzero((his != 0.0) | (los != 0.0))
-    total = 0
-    for k, hi, lo in zip(nonzero.tolist(), his[nonzero].tolist(),
-                         los[nonzero].tolist()):
-        total += ((int(hi) << 26) + int(lo)) << k
-    shift = e0 - 53  # total counts units of 2**shift
+    los = np.bincount(bins, weights=m, minlength=2 * width)
+    # block sums: integers below 2**53, so exact as int64
+    his = (his.reshape(-1, _BLOCK) @ _BLOCK_SCALE).astype(np.int64).tolist()
+    los = (los.reshape(-1, _BLOCK) @ _LOW_SCALE).astype(np.int64).tolist()
+    half = width // _BLOCK
+    net = gross = 0  # in units of 2**(e0 - 53), gathered from the top block down
+    for b in range(half - 1, -1, -1):
+        positive = (his[b] << 26) + los[b]
+        gross = (gross << _BLOCK) + positive
+        net = (net << _BLOCK) + positive + (his[b + half] << 26) + los[b + half]
+    return net, gross, e0 - 53
+
+
+def _rounded(total: int, shift: int) -> float:
+    """``total * 2**shift`` correctly rounded: one int-to-float conversion or
+    int/int division. Raises ``OverflowError`` when it is not finite."""
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 

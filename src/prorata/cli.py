@@ -307,7 +307,10 @@ def _cmd_simulate(args) -> Table:
 
 
 def _cmd_study(args) -> Table:
-    family = _resolve_family(args)
+    return _study(args, _resolve_family(args))
+
+
+def _study(args, family) -> Table:
     scenario = _resolve_scenario(args, args.n_values[0])
     if isinstance(scenario, Budgeted) and len(set(args.n_values)) > 1:
         raise ConfigError("a budgeted study needs a single n value")
@@ -330,11 +333,12 @@ def _cmd_study(args) -> Table:
 
 def _delta_sweep(args) -> Table:
     """The study at one n for each movement cap delta, keyed by delta."""
+    family = _resolve_family(args)  # one object, so its diagnostics memo is reused
     rows = []
     for delta in args.deltas:
         bounded = argparse.Namespace(**{**vars(args), "scenario": "bounded",
                                         "delta": delta})
-        rows.extend([delta, *row[1:]] for row in _cmd_study(bounded)[1])
+        rows.extend([delta, *row[1:]] for row in _study(bounded, family)[1])
     return ["delta", "trial", "iterations", "converged"], rows, ""
 
 

@@ -51,6 +51,14 @@ _NOWHERE_POSITIVE = "payoff is nonpositive everywhere: f'(0) <= 0"
 _FD_STEP_SCALE = 1e-6
 
 
+def _store_floats(family, *names: str) -> None:
+    """Store the checked parameters ``names`` as Python floats, so a family
+    given numpy numbers computes in Python floats, as ``TabulatedPayoff``
+    does with its knots."""
+    for name in names:
+        object.__setattr__(family, name, float(getattr(family, name)))
+
+
 @dataclass(frozen=True)
 class ForwardExchange:
     """Quote curve g(t) = gamma*r2*t / (r1 + gamma*t) of a two-asset
@@ -65,6 +73,7 @@ class ForwardExchange:
             raise InvalidArgument(f"gamma must be in (0, 1], got {self.gamma}")
         number("r1", self.r1, positive=True)
         number("r2", self.r2, positive=True)
+        _store_floats(self, "gamma", "r1", "r2")
 
     def quote(self, t):
         return self.gamma * self.r2 * t / (self.r1 + self.gamma * t)
@@ -105,9 +114,10 @@ class CfmmArbitragePayoff(ForwardExchange):
     def __post_init__(self) -> None:
         ForwardExchange.__post_init__(self)
         number("c", self.c, positive=True)
-        # float() reads numpy numbers too; int / int rounds once, correctly
+        _store_floats(self, "c")
+        # int / int rounds once, correctly
         (gn, gd), (sn, sd), (cn, cd), (rn, rd) = (
-            float(v).as_integer_ratio() for v in (self.gamma, self.r2, self.c, self.r1))
+            v.as_integer_ratio() for v in (self.gamma, self.r2, self.c, self.r1))
         num, den = gn * sn * cd * rd - cn * rn * gd * sd, gd * sd * cd * rd
         # |m| < gamma*r2/8, decided in integers
         margin = num / den if 8 * abs(num) < gn * sn * cd * rd else None
@@ -144,6 +154,7 @@ class PowerPayoff:
         if not 0.0 < self.beta < 1.0:
             raise InvalidArgument(f"beta must be in (0, 1), got {self.beta}")
         number("gamma", self.gamma, positive=True)
+        _store_floats(self, "beta", "gamma")
 
     def value(self, t):
         return t**self.beta - self.gamma * t

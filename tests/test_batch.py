@@ -25,7 +25,7 @@ from prorata import (
     pro_rata_payoff,
     solve_symmetric,
 )
-from prorata.batch import MAX_TRADERS, _exact_sum
+from prorata.batch import MAX_TRADERS, _exact_sum, _net_and_gross
 
 POOL = ForwardExchange(gamma=0.99, r1=200.0, r2=250.0)
 
@@ -94,7 +94,9 @@ def test_instance_validation(pool):
 def test_overflowing_sums_rejected(pool):
     # the exact sums clear() takes would overflow: an InvalidArgument up front,
     # not an OverflowError from math.fsum
-    for deltas in ([1e308, 1e308], [1e308, -1e308, 1e308]):
+    # the last: the net 1.3e308 is finite, the positive parts' 3e308 is not
+    for deltas in ([1e308, 1e308], [1e308, -1e308, 1e308],
+                   [1.5e308, 1.5e308, -1.7e308]):
         with pytest.raises(InvalidArgument, match="overflows"):
             BatchInstance(deltas=np.array(deltas), pool=pool)
     out = clear(BatchInstance(deltas=np.array([1e308, -1e308, 5.0]), pool=pool))
@@ -230,6 +232,40 @@ def test_exact_sum_is_fsum_bit_for_bit_over_wide_magnitudes(n, seed, span):
     for b in (magnitudes, a):
         assert _exact_sum(b) == math.fsum(b)
     assert _exact_sum(_cancelling(a)) == 0.0
+
+
+def _fsum_or_overflow(a):
+    # fsum refuses a sum that overflows only part way; rationals decide
+    want = _sum_or_overflow(math.fsum, a)
+    return _sum_or_overflow(_fraction_sum, a) if want is OverflowError else want
+
+
+# the worst case of the 12-bin block bound: 2 * MAX_TRADERS entries, all but
+# one positive, nearly all a maximal mantissa (2**53 - 1) on the top exponent
+# of a block (bin 11, above the first entry's bin 0), so each half's block sum
+# is an odd integer just below 2**53
+_MAX_MANTISSA = np.nextafter(1.0, 0.0)
+_WORST_BLOCK = np.concatenate([[_MAX_MANTISSA * 2.0**-11, -_MAX_MANTISSA],
+                               np.full(2 * MAX_TRADERS - 2, _MAX_MANTISSA)])
+
+
+@given(a=arrays(dtype=float, shape=st.integers(min_value=1, max_value=64),
+                elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(a=np.array([-1.5, -0.0, 4.0, -5e-324, -2.0**-1060, -0.25]))
+@example(a=np.array([-0.0, 5e-324, -1e-310, -0.0]))
+@example(a=np.array([1.5e308, 1.5e308, -1.7e308]))
+@example(a=_WORST_BLOCK)
+@example(a=-_WORST_BLOCK)
+@settings(deadline=None, max_examples=300)
+def test_net_and_gross_are_fsum_bit_for_bit(a):
+    want = (_fsum_or_overflow(a), _fsum_or_overflow(np.maximum(a, 0.0)))
+    if OverflowError in want:
+        with pytest.raises(OverflowError):
+            _net_and_gross(a)
+        return
+    got = _net_and_gross(a)
+    assert got == want
+    assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
 
 
 def test_delegation_matches_direct_pro_rata(pool):

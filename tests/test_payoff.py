@@ -13,7 +13,8 @@ Closed-form reference values for the two default families:
 """
 
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from prorata import (
     CfmmArbitragePayoff,
     ConfigError,
     DomainExceeded,
+    ForwardExchange,
     InvalidArgument,
     NoPositiveRegion,
     PowerPayoff,
@@ -35,6 +37,7 @@ from prorata import (
     detect_linear_segment_at_zero,
     diagnostics,
     family_from_dict,
+    poa,
     pro_rata_payoff,
     solve_symmetric,
 )
@@ -94,6 +97,41 @@ def test_invalid_parameters_rejected():
         PowerPayoff(beta=1.0, gamma=0.05)
     with pytest.raises(InvalidArgument):
         PowerPayoff(beta=0.5, gamma=0.0)
+
+
+@pytest.mark.parametrize("kind, params", [
+    (PowerPayoff, (0.5, np.float64(0.05))),
+    (PowerPayoff, (np.float32(0.25), np.float64(0.05))),
+    (CfmmArbitragePayoff, (np.float64(0.99), np.float32(200.0), np.int64(250),
+                           np.float64(1.0))),
+], ids=["power-gamma", "power-both", "cfmm"])
+def test_numpy_parameters_compute_in_python_floats(kind, params):
+    family = kind(*params)
+    assert {type(getattr(family, f.name)) for f in fields(family)} == {float}
+    twin = kind(*map(float, params))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in ("auto", "numeric"):
+            eq = solve_symmetric(family, 3, method=method)
+            assert eq == solve_symmetric(twin, 3, method=method)
+            assert {type(v) for v in (eq.q, eq.per_player, eq.equilibrium_payoff,
+                                      eq.foc_residual)} == {float}
+        report = poa(family, 3)
+        assert report == poa(twin, 3)
+        assert {type(v) for v in report[1:]} == {float}
+        assert {type(v) for v in vars(diagnostics(family)).values()} == {float}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PowerPayoff(beta="0.5", gamma=0.05),
+    lambda: PowerPayoff(beta=0.5, gamma="0.05"),
+    lambda: ForwardExchange(gamma=0.99, r1="200", r2=250.0),
+    lambda: CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c="1"),
+], ids=["power-beta", "power-gamma", "pool-r1", "cfmm-c"])
+def test_a_str_parameter_is_refused(make):
+    # a range check compares it before it could be stored as a float
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_tabulated_interpolates_and_guards_domain():
