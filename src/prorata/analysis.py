@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 from .equilibrium import _positive_payoff, _symmetric_total
 from .errors import NoPositiveRegion, integer
-from .payoff import PayoffFamily, PowerPayoff, diagnostics
+from .payoff import PayoffFamily, diagnostics, power_poa_closed_form
 
 # relative tolerance of the power closed-form cross-check
 _CLOSED_FORM_CHECK_RTOL = 1e-6
@@ -46,19 +46,12 @@ class PoaReport(NamedTuple):
     poa: float          # sup f / f(q) >= 1
 
 
-def power_poa_closed_form(beta: float, n: int) -> float:
-    """PoA for the power family: n * (beta*n / (beta + n - 1))**(beta/(1-beta)).
-
-    ``n - 1`` is exact, so it is taken first: beta keeps its low bits.
-    """
-    return n * (beta * n / (beta + (n - 1.0))) ** (beta / (1.0 - beta))
-
-
 def poa(family: PayoffFamily, n: int) -> PoaReport:
     """Price of anarchy sup f / f(q) for the n-player game.
 
-    For the power family the closed form doubles as a consistency check
-    on the solver; disagreement means a numeric failure. An equilibrium
+    Where the family has a closed form (``closed_poa``: power's
+    :func:`power_poa_closed_form`), it doubles as a consistency check on
+    the solver; disagreement means a numeric failure. An equilibrium
     payoff or sup f that is not positive raises :class:`NoPositiveRegion`.
     The ratio reads at least 1, by the rule :class:`PoaReport` states.
     """
@@ -72,8 +65,8 @@ def poa(family: PayoffFamily, n: int) -> PoaReport:
         # rounds above 0 (the cfmm family takes its exact margin, and a
         # table's maximum is a knot): no ratio >= 1 to report
         raise NoPositiveRegion(f"sup f={diag.max_value!r} is not positive")
-    if isinstance(family, PowerPayoff):
-        expected = power_poa_closed_form(family.beta, n)
+    expected = family.closed_poa(n)
+    if expected is not None:
         if abs(ratio - expected) > _CLOSED_FORM_CHECK_RTOL * expected:
             raise ArithmeticError(
                 f"PoA cross-check failed: solver {ratio!r} vs closed form {expected!r}"

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import cfmm_tender
 from .errors import InvalidArgument, NonPositiveNetDemand
 from .payoff import ForwardExchange
 
@@ -56,7 +55,11 @@ class BatchInstance:
 @dataclass(frozen=True, eq=False)
 class BatchOutcome:
     residuals: np.ndarray     # nonnegative per-trader amounts sent to the pool
-    pool_input: float         # sum of residuals == net demand
+    # the exact sum of the residuals, rounded once: the net demand to within
+    # the residuals' own rounding, a few ulps while they are normal; but a
+    # subnormal residual rounds by up to half of 5e-324, so deltas
+    # (5e-324, 5e-324, 5e-324, -5e-324) send 1.5e-323 for a net of 1e-323
+    pool_input: float
     pool_output: float        # g(pool_input), asset B produced
     per_trader_b: np.ndarray  # pro-rata split of pool_output
 
@@ -171,4 +174,4 @@ def optimal_arbitrage(pool: ForwardExchange, price: float) -> float:
     """The t* maximizing g(t) - price*t: where the pool's marginal quote
     meets the external price, or 0 when the pool already quotes below it."""
     # argmax f is the best response of a lone player (y = 0)
-    return cfmm_tender(pool.arbitrage_family(price))(0.0)
+    return pool.arbitrage_family(price).exact_tender()(0.0)

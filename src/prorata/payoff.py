@@ -9,6 +9,9 @@ the verification probes.
 
 All ``value``/``derivative`` methods accept floats or numpy arrays. Every
 family's domain ends at its ``domain_max``: a table's last knot, else inf.
+Each family class derives from :class:`PayoffFamily` and is the one place
+that states what is known exactly about its kind; the solvers, the
+checks and :func:`diagnostics` read those members and name no kind.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Union
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -59,6 +62,63 @@ def _store_floats(family, *names: str) -> None:
         object.__setattr__(family, name, float(getattr(family, name)))
 
 
+def power_poa_closed_form(beta: float, n: int) -> float:
+    """PoA for the power family: n * (beta*n / (beta + n - 1))**(beta/(1-beta)).
+
+    ``n - 1`` is exact, so it is taken first: beta keeps its low bits.
+    """
+    return n * (beta * n / (beta + (n - 1.0))) ** (beta / (1.0 - beta))
+
+
+class PayoffFamily:
+    """What is known exactly about a payoff kind, beyond f and f'.
+
+    Every family class derives from this one. The defaults here describe a
+    kind known only through ``value`` and ``derivative``; each class
+    overrides what it knows:
+
+    * ``closed_route`` is None when the numeric route is the only one;
+      otherwise it names the route of ``closed_total(n)``, the symmetric
+      equilibrium total in closed form, which such a class defines.
+    * ``exact_tender()`` builds the kind's own best-response tender (see
+      :func:`prorata.equilibrium.unconstrained_tender`), or gives None,
+      and the bracketed slope search serves.
+    * ``_positive_point()`` and ``_peak(root)`` give :func:`diagnostics`
+      a point with f > 0 and (argmax, sup f) on [0, root]: here a halving
+      scan and the zero of f'.
+    * ``linear_until`` is where f stops being linear through the origin,
+      which the exact side-condition verdicts read: 0 when f(t)/t is
+      strictly decreasing, None when it is not known.
+    * ``derivative_nature`` says how ``derivative`` is computed:
+      "analytic", "one-sided" (exact slopes, kinks between them) or
+      "finite-difference".
+    * ``concave`` is False only for a family known not to be concave.
+    * ``closed_poa(n)`` is the price of anarchy in closed form, or None.
+    """
+
+    domain_max: ClassVar[float] = math.inf
+    closed_route: ClassVar[str | None] = None
+    linear_until: ClassVar[float | None] = None
+    derivative_nature: ClassVar[str] = "analytic"
+    concave: ClassVar[bool] = True
+
+    def exact_tender(self) -> Callable[..., float] | None:
+        return None
+
+    def closed_poa(self, n: int) -> float | None:
+        return None
+
+    def _positive_point(self) -> float:
+        for t in _SCAN_DOWN + [2.0**k for k in range(1, _SCAN_UP_STEPS + 1)]:
+            if self.value(t) > 0.0:
+                return t
+        raise NoPositiveRegion("no point with f > 0 found on a geometric scan")
+
+    def _peak(self, root: float) -> tuple[float, float]:
+        argmax = bisect_root(self.derivative, 0.0, root)
+        return argmax, self.value(argmax)
+
+
 @dataclass(frozen=True)
 class ForwardExchange:
     """Quote curve g(t) = gamma*r2*t / (r1 + gamma*t) of a two-asset
@@ -88,7 +148,7 @@ class ForwardExchange:
 
 
 @dataclass(frozen=True)
-class CfmmArbitragePayoff(ForwardExchange):
+class CfmmArbitragePayoff(ForwardExchange, PayoffFamily):
     """Arbitrage profit against a two-asset constant-product pool.
 
     f(t) = g(t) - c*t with g the pool's quote: the pool's output for input
@@ -109,7 +169,8 @@ class CfmmArbitragePayoff(ForwardExchange):
     c: float
 
     kind: ClassVar[str] = "cfmm"
-    domain_max: ClassVar[float] = math.inf
+    closed_route: ClassVar[str] = "closed-form-quadratic"
+    linear_until: ClassVar[float] = 0.0  # f(t)/t = g(t)/t - c decreases
 
     def __post_init__(self) -> None:
         ForwardExchange.__post_init__(self)
@@ -139,16 +200,86 @@ class CfmmArbitragePayoff(ForwardExchange):
         denom = r1 + g * t
         return (r1 * m - self.c * g * t * (2.0 * r1 + g * t)) / (denom * denom)
 
+    def _positive_point(self) -> float:
+        # f'(0) = m/r1 decides it: the exact margin inside its band, and
+        # outside it the rounded terms, which cannot cancel there
+        m = self.margin
+        if m is None:
+            m = self.gamma * self.r2 - self.c * self.r1
+        if not m > 0.0:
+            raise NoPositiveRegion(_NOWHERE_POSITIVE)
+        return PayoffFamily._positive_point(self)
+
+    def closed_total(self, n: int) -> float:
+        # Roots of (c n g^2) q^2 + (g^2 r2 + 2 c n r1 g - g^2 n r2) q
+        #          + (c n r1^2 - g n r1 r2) = 0; the equilibrium is the larger.
+        g, r1, r2, c = self.gamma, self.r1, self.r2, self.c
+        a = c * n * g * g
+        b = g * g * r2 + 2.0 * c * n * r1 * g - g * g * n * r2
+        # the terms cancel near the no-arbitrage boundary c r1 = g r2, and
+        # their rounding errors swamp the difference: there c0 = -n r1 m
+        # with the family's exact margin m = g r2 - c r1
+        m = self.margin
+        c0 = c * n * r1 * r1 - g * n * r1 * r2 if m is None else -(n * r1) * m
+        # c0 = -n r1**2 f'(0): when c0 >= 0 the concave f is nowhere positive
+        # (both roots are <= 0), and when c0 < 0 the roots have opposite signs
+        if c0 >= 0.0:
+            raise NoPositiveRegion(_NOWHERE_POSITIVE)
+        sq = math.sqrt(b * b - 4.0 * a * c0)
+        if b >= 0.0:
+            root1 = (-b - sq) / (2.0 * a)
+        else:
+            root1 = (-b + sq) / (2.0 * a)
+        return max(root1, c0 / (a * root1))
+
+    def exact_tender(self) -> Callable[..., float]:
+        """Best-response tender (y, lo=0, hi=inf) -> x = t - y in closed
+        form, projected onto [lo, hi]."""
+        # The first-order condition reduces to (r1 + g t)**2 = (g r1 r2 + g**2 r2 y)/c,
+        # so t = (sqrt(k0 + k1 y) - r1)/g with k0 = g r1 r2/c and k1 = g**2 r2/c.
+        # Near the no-arbitrage boundary sqrt(k0 + k1 y) - r1 cancels, so with
+        # the family's exact margin m it is (r1 m/c + k1 y)/(sqrt(k0 + k1 y) + r1)
+        g, r1, r2, c = self.gamma, self.r1, self.r2, self.c
+        k0, k1, m = g * r1 * r2 / c, g * g * r2 / c, self.margin
+        km = None if m is None else r1 * m / c
+
+        def tender(y: float, lo: float = 0.0, hi: float = math.inf) -> float:
+            if km is None:
+                x = (math.sqrt(k0 + k1 * y) - r1) / g - y
+            else:
+                x = (km + k1 * y) / (g * (math.sqrt(k0 + k1 * y) + r1)) - y
+            if not x > 0.0:
+                x = 0.0
+            if x < lo:
+                x = lo
+            if hi < x:
+                x = hi
+            return x
+
+        return tender
+
+
+_NEWTON_MAX_STEPS = 100
+# A Newton step shorter than this fraction of t is the last one: the error
+# it leaves is of the order of its square.
+_NEWTON_LAST_STEP = 1e-9
+# The chord's lower bound on the root must clear hi by this fraction of t.
+# The bound's rounding error and the final iterate's are both below
+# 1e-13 t for beta <= 0.99; a margin relative to x would fail near y = w,
+# where x is tiny beside t.
+_BOUND_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
-class PowerPayoff:
+class PowerPayoff(PayoffFamily):
     """f(t) = t**beta - gamma*t with 0 < beta < 1 and gamma > 0."""
 
     beta: float
     gamma: float
 
     kind: ClassVar[str] = "power"
-    domain_max: ClassVar[float] = math.inf
+    closed_route: ClassVar[str] = "closed-form-power"
+    linear_until: ClassVar[float] = 0.0  # f(t)/t = t**(beta-1) - gamma decreases
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
@@ -165,9 +296,100 @@ class PowerPayoff:
             return math.inf
         return self.beta * t ** (self.beta - 1.0) - self.gamma
 
+    def closed_total(self, n: int) -> float:
+        beta, gamma = self.beta, self.gamma
+        # n - 1 is exact: beta's low bits survive into the base
+        try:
+            return ((beta + (n - 1.0)) / (n * gamma)) ** (1.0 / (1.0 - beta))
+        except OverflowError:
+            # q < w = gamma**(-1/(1-beta)), so the zero of f overflows too,
+            # as the tender reports it
+            raise NoFiniteRoot(
+                f"equilibrium total overflows for {self} at n={n}") from None
+
+    def closed_poa(self, n: int) -> float:
+        return power_poa_closed_form(self.beta, n)
+
+    def exact_tender(self) -> Callable[..., float]:
+        """Best-response tender (y, lo=0, hi=inf) -> x, projected onto
+        [lo, hi] for 0 <= lo <= hi.
+
+        Dividing the first-order condition by t**beta leaves the root t* of
+        h(t) = gamma t**(2-beta) - beta t - (1-beta) y, which is convex, with
+        h(y) < 0 whenever y < w = gamma**(-1/(1-beta)), the zero of f; when
+        h(y) >= 0 no positive tender pays. As a function of y, t* is concave
+        and passes through (w, w) with slope 1/2, so t* <= (w + y)/2: Newton
+        starts there and descends monotonically onto the root. The first step
+        is taken whatever the sign of h: rounding can put the start a hair
+        below the root when y is near w, and from there, h being convex, the
+        step lands above it. An iterate where h > 0 bounds the result from
+        above, since no later iterate exceeds it, and the zero of the chord
+        from (y, h(y)) to that iterate bounds the root from below, again since
+        h is convex. So the tender returns ``lo`` as soon as such an iterate
+        is at or below it, and ``hi`` as soon as the chord's bound clears it
+        by a margin relative to t; either way the result is the one a full
+        solve would clamp to. A Newton step below 1e-9 t is the last. A
+        result that small beside t is kept only where f(y + x) is positive:
+        within a few ulps of w the rounded root can land past the zero of f,
+        where no positive tender pays. Raises :class:`NoFiniteRoot` when w
+        overflows the float range.
+        """
+        beta, gamma, value = self.beta, self.gamma, self.value
+        e = 1.0 - beta
+        try:
+            w = gamma ** (-1.0 / e)
+        except OverflowError:
+            raise NoFiniteRoot(
+                f"payoff zero gamma**(-1/(1-beta)) overflows for {self}"
+            ) from None
+        half_w = 0.5 * w
+        slope = (2.0 - beta) * gamma
+        # closure cells: the loop reads them faster than module globals
+        margin, last_step = _BOUND_MARGIN, _NEWTON_LAST_STEP
+
+        def tender(y: float, lo: float = 0.0, hi: float = math.inf) -> float:
+            gy = gamma * y**e
+            x = 0.0  # for y >= w
+            # gy can round below 1 at y = w: no positive tender pays there
+            if gy < 1.0 and y < w:
+                hy = y * (gy - 1.0)  # h(y) < 0
+                t = half_w + 0.5 * y
+                for k in range(_NEWTON_MAX_STEPS):
+                    p = t**e
+                    h = t * (gamma * p - beta) - e * y
+                    if h > 0.0:
+                        # no later iterate exceeds t
+                        x = t - y
+                        if x <= lo:
+                            return lo
+                        # x * hy / (hy - h) is the chord's bound on the root's x
+                        if hi < x and x * (hy / (hy - h)) - margin * t >= hi:
+                            return hi
+                    elif k:
+                        break  # at the root, to rounding
+                    step = h / (slope * p - beta)
+                    t -= step
+                    # a step up (from a start rounded below the root) ends it
+                    # too: rounding alone put the start there, so the step is
+                    # tiny and lands on the root
+                    if step < last_step * t:
+                        break
+                x = t - y
+                # so tiny an x can round past the zero of f, where no
+                # positive tender pays
+                if not (x > last_step * t or x > 0.0 and value(y + x) > 0.0):
+                    x = 0.0
+            if x < lo:
+                x = lo
+            if hi < x:
+                x = hi
+            return x
+
+        return tender
+
 
 @dataclass(frozen=True)
-class TabulatedPayoff:
+class TabulatedPayoff(PayoffFamily):
     """Piecewise-linear payoff through the knots ``(ts, fs)``.
 
     The knots must be finite and start at (0, 0); evaluation past the last knot raises
@@ -186,6 +408,7 @@ class TabulatedPayoff:
     fs: tuple[float, ...]
 
     kind: ClassVar[str] = "table"
+    derivative_nature: ClassVar[str] = "one-sided"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ts", tuple(float(t) for t in self.ts))
@@ -219,6 +442,23 @@ class TabulatedPayoff:
     def domain_max(self) -> float:
         return self.ts[-1]
 
+    @property
+    def linear_until(self) -> float:
+        # the first segment runs through (0, 0)
+        return self.ts[1]
+
+    def _positive_point(self) -> float:
+        fs = self._fs_arr
+        if np.max(fs) <= 0.0:
+            raise NoPositiveRegion("payoff is nonpositive at every knot")
+        return self.ts[int(np.argmax(fs))]
+
+    def _peak(self, root: float) -> tuple[float, float]:
+        # piecewise-linear maxima live on the knots
+        ts, fs = self._ts_arr, self._fs_arr
+        idx = int(np.argmax(np.where(ts <= root, fs, -np.inf)))
+        return float(ts[idx]), float(fs[idx])
+
     def _check_domain(self, arr: np.ndarray) -> None:
         if np.any(arr > self.ts[-1]):
             raise DomainExceeded(
@@ -249,7 +489,7 @@ class TabulatedPayoff:
 
 
 @dataclass(frozen=True)
-class CallablePayoff:
+class CallablePayoff(PayoffFamily):
     """Adapter for ad-hoc payoffs given as plain functions.
 
     Used for probe curves that none of the parametric families express
@@ -268,11 +508,14 @@ class CallablePayoff:
     deriv: Callable[[float], float] | None = None
 
     kind: ClassVar[str] = "callable"
-    domain_max: ClassVar[float] = math.inf
 
     def __post_init__(self) -> None:
         if not abs(float(self.fn(0.0))) <= 1e-12:  # NaN too
             raise InvalidArgument("payoff must satisfy f(0) = 0")
+
+    @property
+    def derivative_nature(self) -> str:
+        return "analytic" if self.deriv is not None else "finite-difference"
 
     @functools.cached_property
     def _fd_scale(self) -> float:
@@ -291,9 +534,6 @@ class CallablePayoff:
         lo = np.maximum(t - h, 0.0)
         out = (self.fn(t + h) - self.fn(lo)) / (t + h - lo)
         return float(out) if np.ndim(t) == 0 else out
-
-
-PayoffFamily = Union[CfmmArbitragePayoff, PowerPayoff, TabulatedPayoff, CallablePayoff]
 
 
 def pro_rata_payoff(family: PayoffFamily, x, y):
@@ -329,36 +569,17 @@ class PayoffDiagnostics:
     argmax: float
 
 
-def _find_positive_point(family: PayoffFamily) -> float:
-    if isinstance(family, TabulatedPayoff):
-        fs = family._fs_arr
-        if np.max(fs) <= 0.0:
-            raise NoPositiveRegion("payoff is nonpositive at every knot")
-        return family.ts[int(np.argmax(fs))]
-    if isinstance(family, CfmmArbitragePayoff):
-        # f'(0) = m/r1 decides it: the exact margin inside its band, and
-        # outside it the rounded terms, which cannot cancel there
-        m = family.margin
-        if m is None:
-            m = family.gamma * family.r2 - family.c * family.r1
-        if not m > 0.0:
-            raise NoPositiveRegion(_NOWHERE_POSITIVE)
-    candidates = _SCAN_DOWN + [2.0**k for k in range(1, _SCAN_UP_STEPS + 1)]
-    for t in candidates:
-        if family.value(t) > 0.0:
-            return t
-    raise NoPositiveRegion("no point with f > 0 found on a geometric scan")
-
-
 def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
     """Locate the positive root and the maximum.
 
     The root is bracketed by doubling from a point with f > 0 until the
     sign flips (up to the end of the float range, or to the last knot for
-    tabulated families) and then bisected to 1e-10 relative. The argmax is
-    the zero of f' on [0, root], bracketed to adjacent floats by the
-    safeguarded search of :mod:`prorata.search`; for tabulated
-    families it is read off the knots, where piecewise-linear maxima live.
+    tabulated families) and then bisected to 1e-10 relative. The point and
+    the argmax come from the family (see :class:`PayoffFamily`): by
+    default a halving scan, and the zero of f' on [0, root] bracketed to
+    adjacent floats by the safeguarded search of :mod:`prorata.search`;
+    a cfmm family decides from the sign of f'(0) whether it has a point,
+    and a table reads both off its knots.
     The result is memoized on the family object itself, as ``_diagnostics``,
     which is not a field: equality, hash, repr and the spec keys ignore it.
     An equal but separate family object computes its own, equal, report.
@@ -369,7 +590,7 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
         return family._diagnostics
     except AttributeError:
         pass
-    t_pos = _find_positive_point(family)
+    t_pos = family._positive_point()
     end = family.domain_max
     # double until f <= 0 (a NaN doubles on, as a positive value does)
     lo = hi = t_pos
@@ -380,16 +601,7 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
             raise NoFiniteRoot(f"payoff still positive at t={hi:g} (cap reached)")
         lo, hi = hi, min(2.0 * hi, end)
     root = bisect_root(family.value, lo, hi, _ROOT_RTOL)
-
-    if isinstance(family, TabulatedPayoff):
-        ts = family._ts_arr
-        fs = family._fs_arr
-        inside = ts <= root
-        idx = int(np.argmax(np.where(inside, fs, -np.inf)))
-        argmax, max_value = float(ts[idx]), float(fs[idx])
-    else:
-        argmax = bisect_root(family.derivative, 0.0, root)
-        max_value = family.value(argmax)
+    argmax, max_value = family._peak(root)
     diag = PayoffDiagnostics(root=root, max_value=max_value, argmax=argmax)
     # set as margin and _slopes are: through __dict__ would turn the
     # instance's inline attribute values into a real dict, and every later

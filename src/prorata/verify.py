@@ -17,15 +17,16 @@ witnesses:
 The first two run one pipeline (``_decide``) over a table of the two
 conditions: check the arguments, take the exact verdict, or else draw
 seeded rows, apply the condition's row test and build the report, whose
-verdict is read off its witness rows. For the built-in kinds the verdict
-follows from the kind, and the report says why in ``details["reason"]``.
-For power and cfmm f(t)/t is strictly decreasing, so the chord holds and no
-segment exists. A table's first segment runs through (0, 0), so the chord
-fails there and a segment is found, each with one exact witness row. Only a
-:class:`CallablePayoff`, or a table whose row floating point cannot
-confirm, is sampled: 10,000 seeded uniform draws plus a ladder of probes
-toward zero. :func:`replay_witness` runs a report's rows through the same
-row test.
+verdict is read off its witness rows. The exact verdict follows from
+where the family says f is linear through the origin (``linear_until``),
+and the report says why in ``details["reason"]``. At 0 (power and cfmm)
+f(t)/t is strictly decreasing, so the chord holds and no segment exists.
+Up to a table's first knot f runs through (0, 0), so the chord fails
+there and a segment is found, each with one exact witness row. A family
+that does not know (a :class:`~prorata.payoff.CallablePayoff`), or a table
+whose row floating point cannot confirm, is sampled: 10,000 seeded uniform
+draws plus a ladder of probes toward zero. :func:`replay_witness` runs a
+report's rows through the same row test.
 """
 
 from __future__ import annotations
@@ -36,14 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidArgument, integer, number
-from .payoff import (
-    CallablePayoff,
-    CfmmArbitragePayoff,
-    PayoffFamily,
-    PowerPayoff,
-    TabulatedPayoff,
-    search_end,
-)
+from .payoff import PayoffFamily, search_end
 
 CHORD_STRICT = "chord-strict"
 LINEAR_SEGMENT_AT_ZERO = "linear-segment-at-zero"
@@ -176,13 +170,14 @@ def _decide(cond: _Condition, family: PayoffFamily, samples: int = DEFAULT_SAMPL
     overflows raises here, whichever path then decides. ``samples = 0``
     leaves a callable only the deterministic ladder.
 
-    Power (t**(beta-1) - gamma) and cfmm (gamma*r2/(r1 + gamma*t) - c) have
-    f(t)/t strictly decreasing: the chord holds, no segment exists, and
-    neither verdict has witnesses. A table is linear through (0, 0) up to
-    t1 = min(ts[1], hi), so the row probing at t1 is its witness; a table
-    whose row floating point cannot confirm (a first slope that overflows,
-    say) is sampled instead, as a callable is: the seeded draws, then the
-    ladder's probes toward zero.
+    A family whose ``linear_until`` is 0 (power, cfmm) has f(t)/t strictly
+    decreasing: the chord holds, no segment exists, and neither verdict
+    has witnesses. One linear through (0, 0) up to a positive
+    ``linear_until`` (a table's ts[1]) has the row probing at
+    t1 = min(linear_until, hi) as its witness; when floating point cannot
+    confirm that row (a first slope that overflows, say), and where
+    ``linear_until`` is None (a callable), the family is sampled: the
+    seeded draws, then the ladder's probes toward zero.
     """
     if rows is None:
         integer("samples", samples, 0)
@@ -194,10 +189,11 @@ def _decide(cond: _Condition, family: PayoffFamily, samples: int = DEFAULT_SAMPL
                                   f"last knot {family.domain_max}")
         else:
             hi = float(domain_hi)
-        if isinstance(family, (PowerPayoff, CfmmArbitragePayoff)):
+        linear_until = family.linear_until
+        if linear_until == 0.0:
             return _report(cond, (), {"reason": DECREASING, "hi": hi})
-        if isinstance(family, TabulatedPayoff):
-            t1 = np.array([min(family.ts[1], hi)])
+        if linear_until is not None:
+            t1 = np.array([min(linear_until, hi)])
             witness, _ = cond.test(family, *cond.probe(t1))
             if witness:
                 return _report(cond, witness, {"reason": FIRST_SEGMENT, "hi": hi})
@@ -274,12 +270,6 @@ def rosen_probe(family: PayoffFamily, n: int) -> ConditionReport:
     the condition needs E > 0, so ``holds=False`` whenever E <= 0.
     """
     n = integer("n", n, 2)
-    if isinstance(family, TabulatedPayoff):
-        derivative = "one-sided"
-    elif isinstance(family, CallablePayoff) and family.deriv is None:
-        derivative = "finite-difference"
-    else:
-        derivative = "analytic"
     f_hi, f_lo = float(family.value(float(n))), float(family.value(n / 2.0))
     d_hi, d_lo = float(family.derivative(float(n))), float(family.derivative(n / 2.0))
     e_value = (d_hi - d_lo) / n + (1.0 - 1.0 / n) * (f_hi - 2.0 * f_lo)
@@ -289,7 +279,7 @@ def rosen_probe(family: PayoffFamily, n: int) -> ConditionReport:
         witness=((float(n), f_hi, d_hi), (n / 2.0, f_lo, d_lo)),
         details={
             "e_value": e_value,
-            "derivative": derivative,
+            "derivative": family.derivative_nature,
         },
     )
 

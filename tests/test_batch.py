@@ -74,6 +74,16 @@ def test_sellers_net_out(pool):
     assert np.array_equal(out.residuals, [4.0, 4.0, 0.0])
 
 
+def test_subnormal_residuals_send_their_exact_sum_not_the_net(pool):
+    # the net is 1e-323, but each seller's residual 5e-324 * (2/3) rounds
+    # back up to 5e-324: the pool gets the residuals' sum, 50% over the net
+    deltas = np.array([5e-324, 5e-324, 5e-324, -5e-324])
+    out = clear(BatchInstance(deltas=deltas, pool=pool))
+    assert math.fsum(deltas) == 1e-323
+    assert np.array_equal(out.residuals, [5e-324, 5e-324, 5e-324, 0.0])
+    assert out.pool_input == math.fsum(out.residuals) == 1.5e-323
+
+
 def test_nonpositive_net_demand_rejected(pool):
     for deltas in ([-1.0, -2.0], [2.0, -2.0], [0.0]):
         with pytest.raises(NonPositiveNetDemand):

@@ -34,7 +34,7 @@ from prorata import (
     solve_symmetric,
 )
 from prorata import equilibrium
-from prorata.equilibrium import power_tender, unconstrained_tender
+from prorata.equilibrium import unconstrained_tender
 
 CFMM_Q1 = (math.sqrt(0.99 * 200.0 * 250.0) - 200.0) / 0.99  # argmax f
 
@@ -296,7 +296,7 @@ def test_an_overflowing_power_total_has_no_finite_root():
     family = PowerPayoff(beta=0.9973748341073528, gamma=0.15021323171746095)
     for solve in (lambda: solve_symmetric(family, 1), lambda: poa(family, 1),
                   lambda: solve_symmetric(family, 1, method="numeric"),
-                  lambda: power_tender(family)):
+                  lambda: unconstrained_tender(family)):
         with pytest.raises(NoFiniteRoot):
             solve()
 
@@ -464,6 +464,10 @@ def decimal_power_payoff(family: PowerPayoff, x: float, y: float) -> Decimal:
 @example(beta=0.5, gamma=1.0, y_frac=0.99999, budget_frac=0.001)
 # at y = w, gamma * y**(1-beta) rounds below 1
 @example(beta=0.4375, gamma=0.25, y_frac=1.0, budget_frac=math.inf)
+# one ulp below w the rounded Newton root lands past the zero of f, where
+# f(t) < 0: no positive tender pays there
+@example(beta=0.875, gamma=0.896484375, y_frac=0.9999999999999999,
+         budget_frac=math.inf)
 def test_power_best_response_never_loses_to_a_grid(beta, gamma, y_frac,
                                                    budget_frac):
     family = PowerPayoff(beta=beta, gamma=gamma)
@@ -675,3 +679,19 @@ def test_power_tender_matches_a_decimal_oracle(beta, gamma, y_frac):
     slope = (2.0 - beta) * gamma * t ** (1.0 - beta) - beta
     kappa = (gamma * t ** (2.0 - beta) + beta * t + (1.0 - beta) * y) / (t * slope)
     assert abs(Decimal(x) - x_dec) <= Decimal(4.0 * kappa * math.ulp(t))
+
+
+@given(beta=st.floats(0.01, 0.99), gamma=st.floats(1e-3, 10.0),
+       ulps=st.integers(1, 1000))
+@settings(deadline=None, max_examples=300)
+@example(beta=0.875, gamma=0.896484375, ulps=1)
+def test_power_tender_near_the_zero_of_f_never_tenders_at_a_loss(beta, gamma,
+                                                                 ulps):
+    # y a few ulps below w: the root is a hair above y, and rounding can
+    # put it past the zero of f, where every positive tender loses
+    family = PowerPayoff(beta=beta, gamma=gamma)
+    y = power_root(beta, gamma)
+    for _ in range(ulps):
+        y = math.nextafter(y, 0.0)
+    x = unconstrained_tender(family)(y)
+    assert x == 0.0 or decimal_power_payoff(family, x, y) >= 0
