@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .errors import InvalidArgument, NoPositiveRegion, integer, number
-from .payoff import PayoffFamily, diagnostics, pro_rata_payoff, search_end
+from .errors import InvalidArgument, NoFiniteRoot, NoPositiveRegion, integer, number
+from .payoff import PayoffFamily, diagnostics, pro_rata_payoff
 from .search import bisect_root
 
 SOLVE_METHODS = ("auto", "closed", "numeric")
@@ -120,7 +120,9 @@ def solve_symmetric(
     argmax f itself.
     A payoff that is nowhere positive raises :class:`NoPositiveRegion` on
     either route, and a table that is not concave raises
-    :class:`InvalidArgument`, as :func:`best_response` does.
+    :class:`InvalidArgument`, as :func:`best_response` does. A table whose
+    g is still positive at its last knot has its equilibrium past the
+    table and raises :class:`NoFiniteRoot`.
     """
     n = integer("n", n, 1)
     q, used = _symmetric_total(family, n, method)
@@ -143,9 +145,13 @@ def _symmetric_total(family: PayoffFamily, n: int, method: str) -> tuple[float, 
         return family.closed_total(n), route
     _require_concave(family)
     diag = diagnostics(family)
-    q = diag.argmax
+    q, end = diag.argmax, diag.root
     if _signed_foc(family, n, q) > 0.0:
-        q = bisect_root(lambda q: _signed_foc(family, n, q), q, diag.root)
+        # a table's last knot as its root: g still positive there puts the
+        # equilibrium past the table
+        if end == family.domain_max and _signed_foc(family, n, end) > 0.0:
+            raise NoFiniteRoot(f"payoff still positive at the domain end t={end}")
+        q = bisect_root(lambda q: _signed_foc(family, n, q), q, end)
     return q, "foc-bisection"
 
 
@@ -155,16 +161,17 @@ def _slope_tender(family: PayoffFamily) -> Callable[..., float]:
 
     It brackets the sign change of the own payoff's slope in x,
     y f(t) + x t f'(t) (f'(x) itself when y = 0), on [0, w] with w the
-    zero of f, or on the table up to its last knot. The slope is
-    nonincreasing because the own payoff is concave, so its sign change
-    is the maximizer, and an end of the range where it does not change
-    sign is. The concavity check and the diagnostics run once, here. A
-    table that is not concave raises :class:`InvalidArgument`; a callable
-    whose f stays positive raises :class:`NoFiniteRoot`.
+    family's ``diagnostics`` root: the zero of f, or a table's last knot
+    when f is still positive there. The slope is nonincreasing because
+    the own payoff is concave, so its sign change is the maximizer, and
+    an end of the range where it does not change sign is. The concavity
+    check and the diagnostics run once, here. A table that is not concave
+    raises :class:`InvalidArgument`; a callable whose f stays positive
+    raises :class:`NoFiniteRoot`.
     """
     _require_concave(family)
     try:
-        root = search_end(family)
+        root = diagnostics(family).root
     except NoPositiveRegion:
         root = 0.0  # nothing positive to gain at any tender
     end = family.domain_max

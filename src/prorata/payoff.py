@@ -561,7 +561,9 @@ class PayoffDiagnostics:
     """Key landmarks of a payoff curve on its positive region.
 
     ``root`` is the smallest positive zero past the region where f > 0,
-    and ``max_value``/``argmax`` describe sup f over [0, root].
+    or a table's last knot when f is still positive there: the end of
+    every search on the family. ``max_value``/``argmax`` describe sup f
+    over [0, root].
     """
 
     root: float
@@ -573,18 +575,19 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
     """Locate the positive root and the maximum.
 
     The root is bracketed by doubling from a point with f > 0 until the
-    sign flips (up to the end of the float range, or to the last knot for
-    tabulated families) and then bisected to 1e-10 relative. The point and
-    the argmax come from the family (see :class:`PayoffFamily`): by
-    default a halving scan, and the zero of f' on [0, root] bracketed to
-    adjacent floats by the safeguarded search of :mod:`prorata.search`;
-    a cfmm family decides from the sign of f'(0) whether it has a point,
-    and a table reads both off its knots.
+    sign flips, up to the end of the float range, and then bisected to
+    1e-10 relative; a table still positive at its last knot stops the
+    doubling there, and the knot is its root. The point and the argmax
+    come from the family (see :class:`PayoffFamily`): by default a halving
+    scan, and the zero of f' on [0, root] bracketed to adjacent floats by
+    the safeguarded search of :mod:`prorata.search`; a cfmm family decides
+    from the sign of f'(0) whether it has a point, and a table reads both
+    off its knots.
     The result is memoized on the family object itself, as ``_diagnostics``,
     which is not a field: equality, hash, repr and the spec keys ignore it.
     An equal but separate family object computes its own, equal, report.
-    An error is not memoized, so a nowhere-positive family raises on every
-    call.
+    A table still positive at its last knot is memoized as any family is;
+    an error is not, so a nowhere-positive family raises on every call.
     """
     try:
         return family._diagnostics
@@ -595,12 +598,14 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
     # double until f <= 0 (a NaN doubles on, as a positive value does)
     lo = hi = t_pos
     while not family.value(hi) <= 0.0:
-        if hi >= end:
-            raise NoFiniteRoot(f"payoff still positive at the domain end t={end}")
+        if hi >= end:  # a table still positive at its last knot: the root
+            root = end
+            break
         if hi > 0.5 * sys.float_info.max:  # the next doubling would overflow
             raise NoFiniteRoot(f"payoff still positive at t={hi:g} (cap reached)")
         lo, hi = hi, min(2.0 * hi, end)
-    root = bisect_root(family.value, lo, hi, _ROOT_RTOL)
+    else:
+        root = bisect_root(family.value, lo, hi, _ROOT_RTOL)
     argmax, max_value = family._peak(root)
     diag = PayoffDiagnostics(root=root, max_value=max_value, argmax=argmax)
     # set as margin and _slopes are: through __dict__ would turn the
@@ -608,17 +613,6 @@ def diagnostics(family: PayoffFamily) -> PayoffDiagnostics:
     # read of a parameter in value/derivative would slow down
     object.__setattr__(family, "_diagnostics", diag)
     return diag
-
-
-def search_end(family: PayoffFamily) -> float:
-    """Where a search for a tender or a sample ends: the zero of f, or a
-    table's last knot when f is still positive there."""
-    try:
-        return diagnostics(family).root
-    except NoFiniteRoot:
-        if family.domain_max == math.inf:
-            raise
-        return family.domain_max
 
 
 # the parametric families by kind

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidArgument, integer, number
-from .payoff import PayoffFamily, search_end
+from .payoff import PayoffFamily, diagnostics
 
 CHORD_STRICT = "chord-strict"
 LINEAR_SEGMENT_AT_ZERO = "linear-segment-at-zero"
@@ -163,7 +163,8 @@ def _decide(cond: _Condition, family: PayoffFamily, samples: int = DEFAULT_SAMPL
             seed: int = 0, domain_hi: float | None = None,
             rows: Rows | None = None) -> ConditionReport:
     """The one pipeline of both checks, on the given ``rows`` or else on
-    (0, hi], hi the zero of f (or the table end) or ``domain_hi``.
+    (0, hi], hi the family's ``diagnostics`` root (the zero of f, or a
+    table's last knot when f is still positive there) or ``domain_hi``.
 
     The sampling arguments are checked first, for every family, and so is
     the end of the range: a family that is nowhere positive or whose root
@@ -183,7 +184,7 @@ def _decide(cond: _Condition, family: PayoffFamily, samples: int = DEFAULT_SAMPL
         integer("samples", samples, 0)
         integer("seed", seed, 0)
         if domain_hi is None:
-            hi = search_end(family)
+            hi = diagnostics(family).root
         elif number("domain_hi", domain_hi, positive=True) > family.domain_max:
             raise InvalidArgument(f"domain_hi {domain_hi} is past the table's "
                                   f"last knot {family.domain_max}")

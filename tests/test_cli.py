@@ -119,6 +119,16 @@ def test_study_table_prints_summary(capsys):
     assert "n=2:" in out and "n=3:" in out
 
 
+def test_study_of_a_table_positive_at_its_last_knot_converges(capsys):
+    # q f(q) peaks inside the table at n = 2 and 3, though f(2) > 0
+    code, out, _ = run(capsys, "study", "--family", "table", "--ts", "0,1,2",
+                       "--fs", "0,1,0.5", "--n-values", "2:3", "--trials", "2",
+                       "--format", "csv")
+    assert code == 0
+    rows = rows_of(out)
+    assert len(rows) == 4 and all(r["converged"] == "true" for r in rows)
+
+
 def test_study_scenario_flags(capsys):
     code, out, _ = run(
         capsys, "study", *POWER, "--n-values", "3", "--trials", "2",
@@ -1051,7 +1061,7 @@ ERROR_LINES = [
      3, "no-positive-region: payoff is nonpositive at every knot"),
     *[([command, *TABLE_0_10_20, "--fs", "0,5,8"], 3,
        "no-finite-root: payoff still positive at the domain end t=20.0")
-      for command in ("equilibrium", "study", "poa")],
+      for command in ("equilibrium", "study", "poa", "simulate", "whale")],
     (["bestresponse", "--family", "power", "--beta", "0.999", "--gamma", "1e-300",
       "--y", "1"], 3, "no-finite-root: payoff zero gamma**(-1/(1-beta)) overflows "
      "for PowerPayoff(beta=0.999, gamma=1e-300)"),
@@ -1080,7 +1090,8 @@ ERROR_LINES = [
     "simulate-budget-count", "study-budgeted-n-values", "table-lengths",
     "table-one-knot", "cfmm-price", "batch-no-demands", "batch-reserve",
     "table-nowhere-positive", "table-positive-end-equilibrium",
-    "table-positive-end-study", "table-positive-end-poa", "power-overflow",
+    "table-positive-end-study", "table-positive-end-poa",
+    "table-positive-end-simulate", "table-positive-end-whale", "power-overflow",
     "power-total-overflow",
     "table-nan-knot", "poa-zero-payoff", "simulate-past-the-last-knot"])
 def test_error_branches_print_one_line(capsys, argv, code, line):

@@ -271,6 +271,27 @@ def test_table_positive_at_its_last_knot_needs_no_budget(y):
     assert free.x == 20.0 - y and free.at_boundary == "interior"
 
 
+# q f(q) peaks at 1.5 inside the table, though f is still positive at its
+# last knot; g(q) = (n-1) f(q) + q f'(q) changes sign at q = 1, 1.5 and 2
+# for n = 1, 2, 3, and at q = 2.25, past the table, for n = 4
+OPEN_TABLE = TabulatedPayoff((0.0, 1.0, 2.0), (0.0, 1.0, 0.5))
+
+
+@pytest.mark.parametrize("n, q, price", [(1, 1.0, 1.0), (2, 1.5, 4.0 / 3.0),
+                                         (3, 2.0, 2.0)])
+def test_a_table_positive_at_its_last_knot_solves_inside_it(n, q, price):
+    eq = solve_symmetric(OPEN_TABLE, n)
+    assert (eq.q, eq.foc_residual) == (q, 0.0)
+    assert poa(OPEN_TABLE, n).poa == price
+
+
+def test_a_table_whose_equilibrium_lies_past_its_last_knot_has_none():
+    for solve in (solve_symmetric, poa):
+        with pytest.raises(NoFiniteRoot) as caught:
+            solve(OPEN_TABLE, 4)
+        assert str(caught.value) == "payoff still positive at the domain end t=2.0"
+
+
 def test_solver_input_validation(power):
     with pytest.raises(InvalidArgument):
         solve_symmetric(power, 0)

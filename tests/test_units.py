@@ -13,11 +13,16 @@ are bit for bit and need no closed form:
   makes exact, so the price of anarchy is checked to depend on beta alone
   up to a stated bound.
 
-Left out are the results that an absolute constant ties to one scale:
-``GameConfig.convergence_threshold`` (0.1 by default, a distance in units
-of tender), ``CallablePayoff``'s |f(0)| <= 1e-12 check, the sampled
-checks' floors (``verify._collinear_through_origin`` and the chord test's
-1e-300) and a callable's finite-difference step scale, capped at 1.
+``simulate`` is checked with its threshold and movement cap scaled too,
+and so are the sampled verdicts of ``CallablePayoff`` wrappers of cfmm
+families, whose checked range scales with the reserves. Left out are the results that an absolute
+constant ties to one scale: ``GameConfig.convergence_threshold`` left at
+its default (0.1, a distance in units of tender), ``CallablePayoff``'s
+|f(0)| <= 1e-12 check, the sampled checks' floors
+(``verify._collinear_through_origin`` and the chord test's 1e-300), a
+callable's finite-difference step scale, capped at 1, and its positive
+point scan, which starts at t = 1: a wrapped table ending below 1 raises
+``DomainExceeded`` there.
 """
 
 import math
@@ -27,15 +32,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prorata import (
+    BoundedUpdate,
+    CallablePayoff,
     CfmmArbitragePayoff,
+    GameConfig,
     PowerPayoff,
     ProRataError,
     TabulatedPayoff,
+    Unconstrained,
     best_response,
     check_chord_condition,
     detect_linear_segment_at_zero,
     diagnostics,
     poa,
+    simulate,
     solve_symmetric,
 )
 
@@ -68,6 +78,27 @@ def _scaled(result, *factors):
                  for v, s in zip(result, factors))
 
 
+# the threshold and the movement cap as log-uniform shares of the family's
+# scale: the zero of f, or a table's last knot
+_SHARES = st.floats(-9.0, -0.3).map(lambda e: 10.0**e)
+
+
+def _trace(family, lam, a, n, order, threshold, delta):
+    """A seeded ``simulate`` run with its threshold and cap scaled by lam,
+    as (stop, tenders / lam, equilibrium record, payoffs / a), or the
+    error's type."""
+    scenario = Unconstrained() if delta is None else BoundedUpdate(delta * lam)
+    config = GameConfig(family, n, scenario, convergence_threshold=threshold * lam,
+                        max_iterations=60, seed=3, update_order=order)
+    trace = _outcome(lambda: simulate(config))
+    if isinstance(trace, type):
+        return trace
+    eq = _scaled(trace.equilibrium, 1.0 / lam, None, 1.0 / lam, 1.0 / a,
+                 1.0 / a, None)
+    return (trace.stop_reason, (trace.tenders / lam).tolist(), eq,
+            (trace.final_payoffs / a).tolist())
+
+
 # ----------------------------------------------------------------- cfmm
 
 _CFMM = st.builds(
@@ -95,6 +126,35 @@ def test_cfmm_scaled_reserves_scale_every_result(family, k, n, y_frac):
     assert best_response(scaled, y * lam) == _scaled(
         best_response(family, y), lam, lam, None)
     assert poa(scaled, n).poa == poa(family, n).poa
+
+
+@given(family=_CFMM, k=st.sampled_from([-30, -7, 5, 30]),
+       n=st.sampled_from([2, 3, 5]),
+       order=st.sampled_from(["sequential", "synchronous"]),
+       threshold=_SHARES, delta=st.none() | _SHARES)
+@settings(deadline=None, max_examples=200)
+def test_cfmm_scaled_reserves_scale_a_simulation(family, k, n, order, threshold,
+                                                 delta):
+    lam, w = 2.0**k, diagnostics(family).root
+    scaled = CfmmArbitragePayoff(family.gamma, family.r1 * lam, family.r2 * lam,
+                                 family.c)
+    delta = None if delta is None else delta * w
+    assert _trace(scaled, lam, lam, n, order, threshold * w, delta) == _trace(
+        family, 1.0, 1.0, n, order, threshold * w, delta)
+
+
+@given(family=_CFMM, k=st.sampled_from([-30, -7, 5, 30]))
+@settings(deadline=None, max_examples=150)
+def test_cfmm_scaled_reserves_keep_the_sampled_verdicts(family, k):
+    # a callable is sampled on (0, hi], hi its own zero of f, found from
+    # powers of two, which the scaling maps onto powers of two
+    lam = 2.0**k
+    scaled = CfmmArbitragePayoff(family.gamma, family.r1 * lam, family.r2 * lam,
+                                 family.c)
+    for check in (check_chord_condition, detect_linear_segment_at_zero):
+        report = _outcome(lambda: check(CallablePayoff(family.value)))
+        assert _verdict(_outcome(lambda: check(CallablePayoff(scaled.value))),
+                        lam, lam) == _verdict(report, 1.0, 1.0)
 
 
 # --------------------------------------------------------------- tables
@@ -154,6 +214,22 @@ def test_tables_scaled_in_t_and_f_scale_every_result(table, k, j, n, y_frac):
         report = _outcome(lambda: check(table))
         assert _verdict(_outcome(lambda: check(scaled)), lam, a) == _verdict(
             report, 1.0, 1.0)
+
+
+@given(table=_tables(), k=st.integers(-60, 59), j=st.integers(-60, 59),
+       n=st.sampled_from([2, 3, 5]),
+       order=st.sampled_from(["sequential", "synchronous"]),
+       threshold=_SHARES, delta=st.none() | _SHARES)
+@settings(deadline=None, max_examples=300)
+def test_tables_scaled_in_t_and_f_scale_a_simulation(table, k, j, n, order,
+                                                    threshold, delta):
+    lam, a = 2.0**k, 2.0**j
+    scaled = TabulatedPayoff(tuple(t * lam for t in table.ts),
+                             tuple(f * a for f in table.fs))
+    end = table.ts[-1]
+    delta = None if delta is None else delta * end
+    assert _trace(scaled, lam, a, n, order, threshold * end, delta) == _trace(
+        table, 1.0, 1.0, n, order, threshold * end, delta)
 
 
 # ---------------------------------------------------------------- power

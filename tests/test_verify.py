@@ -28,10 +28,10 @@ from prorata import (
     TabulatedPayoff,
     check_chord_condition,
     detect_linear_segment_at_zero,
+    diagnostics,
     replay_witness,
     rosen_probe,
 )
-from prorata.payoff import search_end
 from prorata.verify import (
     CHORD_STRICT,
     DECREASING,
@@ -202,7 +202,8 @@ def test_built_in_kinds_get_their_exact_verdicts(cfmm, power):
                              (detect_linear_segment_at_zero, False)):
             rep = check(family, seed=5)
             assert (rep.holds, rep.witness) == (holds, ())
-            assert rep.details == {"reason": DECREASING, "hi": search_end(family)}
+            assert rep.details == {"reason": DECREASING,
+                                   "hi": diagnostics(family).root}
             assert replay_witness(family, rep)
     # the table's witnesses sit at its first knot, or at domain_hi below it
     table = min_t_table(3.0, 60.0)
@@ -234,7 +235,7 @@ def tables(draw):
                                fs=(0.0, 5e-324, 1.0, *[0.0] * 8)), hi_share=None)
 @settings(deadline=None, max_examples=200)
 def test_exact_table_witnesses_replay(table, hi_share):
-    domain_hi = None if hi_share is None else hi_share * search_end(table)
+    domain_hi = None if hi_share is None else hi_share * diagnostics(table).root
     chord = check_chord_condition(table, domain_hi=domain_hi)
     segment = detect_linear_segment_at_zero(table, domain_hi=domain_hi)
     t1 = min(table.ts[1], chord.details["hi"])
@@ -454,7 +455,7 @@ def test_certify_families_script_separates_reference_from_counterexamples(capsys
 
 
 def _reference_hi(family, domain_hi):
-    return search_end(family) if domain_hi is None else float(domain_hi)
+    return diagnostics(family).root if domain_hi is None else float(domain_hi)
 
 
 def _reference_chord(family, samples, seed, domain_hi=None):
@@ -515,7 +516,7 @@ def as_callable(family, domain_hi=None):
     if isinstance(family, CallablePayoff):
         return family, domain_hi
     if isinstance(family, TabulatedPayoff) and domain_hi is None:
-        domain_hi = search_end(family)
+        domain_hi = diagnostics(family).root
     return CallablePayoff(family.value), domain_hi
 
 
@@ -525,7 +526,7 @@ def ladder_sees_the_verdict(family, domain_hi):
     hi/2**12, lies on the first segment."""
     if not isinstance(family, TabulatedPayoff):
         return True
-    hi = search_end(family) if domain_hi is None else domain_hi
+    hi = diagnostics(family).root if domain_hi is None else domain_hi
     return hi * 2.0 ** -12 <= family.ts[1]
 
 
@@ -591,7 +592,7 @@ def sampled_families(draw):
 def test_samplers_equal_the_uniform_mask_and_concatenate_reference(
     family, seed, samples, hi_share
 ):
-    domain_hi = None if hi_share is None else hi_share * search_end(family)
+    domain_hi = None if hi_share is None else hi_share * diagnostics(family).root
     sampled, domain_hi = as_callable(family, domain_hi)
     reports = same_reports(sampled, samples, seed, domain_hi)
     for report in reports:
