@@ -501,10 +501,11 @@ _IO = {
     "format": (("csv", "table"), None,
                "output format (default: table on stdout, csv to files)"),
 }
-_RUN = {"seed": (int, 0, None), "threshold": (float, 0.1, None),
-        "max_iterations": (int, 2000, None)}
+_RUN = {"seed": (int, GameConfig.seed, None),
+        "threshold": (float, GameConfig.convergence_threshold, None),
+        "max_iterations": (int, GameConfig.max_iterations, None)}
 _SCENARIO = {
-    "update_order": (UPDATE_ORDERS, "sequential", None),
+    "update_order": (UPDATE_ORDERS, GameConfig.update_order, None),
     "scenario": (("unconstrained", "bounded", "budgeted"), "unconstrained", None),
     "delta": (float, None, "bounded-update step cap"),
     "budgets": ([float], None, "comma list (1 value broadcasts)"),

@@ -14,21 +14,11 @@ for concave payoffs; the family's tender takes the bounds and projects.
 One round engine, :func:`_play`, serves :func:`simulate`,
 :func:`convergence_study` and :func:`whale_fish_experiment`: it plays all
 trials of a study point (or a whale row) in lockstep as the rows of a
-(trials, n) profile, and each row leaves at the round it stops. Its one
-stop rule gives every row a reason: "converged" (near the symmetric
-equilibrium, or for the whale no move as large as the threshold),
-"fixed-point" (no move beyond a few ulps of the row total: binding
-budgets, or a kinked table where the symmetric equilibrium is not the only
-rest point) or "iteration-cap". One loop plays every round: each live
-row is a record of its index, its tenders (a Python float list), its caps
-and its total. The round moves each row's players one after another
-through the family's one best-response tender, :func:`unconstrained_tender`
-(the one :func:`best_response` calls), which takes the player's bounds
-itself, and notes the row's largest move. It then builds one array, for
-the row totals (numpy's sums) and the trace, and each row either stops or
-stays live; the distance to the equilibrium is measured the same way at
-round 0 and after every round. Rows never mix, so a trial ends exactly as
-it would alone. The engine reads its rules from a :class:`GameConfig`.
+(trials, n) profile, and each row leaves at the round it stops. Its
+docstring gives the stop reasons, the row records and the one array each
+round builds. Rows never mix, so a trial ends exactly as it would alone.
+The engine reads its rules from a :class:`GameConfig`, whose defaults are
+the run defaults of every function here.
 """
 
 from __future__ import annotations
@@ -150,10 +140,11 @@ def _play(
     list, its caps (``upper``) and its total. In a round players move one
     after another, each row on its own: sequential order sees the moves
     already made this round, synchronous order only last round's profile.
-    Each tender is bounded to [0, u], u the player's entry of ``upper``,
-    or, under a ``BoundedUpdate`` movement cap delta, to [max(0, x - delta),
-    x + delta] around the player's last tender x; the family's tender takes
-    the bounds itself.
+    A move is one call of the family's tender on the window [0, u], u the
+    player's entry of ``upper``, or, under a ``BoundedUpdate`` movement cap
+    delta, [x - delta, x + delta] around the player's last tender x; the
+    tender itself keeps the answer at or above 0 (see
+    :func:`~prorata.equilibrium.unconstrained_tender`).
     The round then builds one array, for the row totals (numpy's sum, the
     bits the array would give) and for ``history``, which collects every
     round's active rows. A stopped row leaves the live list, so rows stop
@@ -201,10 +192,7 @@ def _play(
                 if delta is None:
                     v = tender(y, 0.0, up)
                 else:
-                    lo = xi - delta
-                    if lo < 0.0:
-                        lo = 0.0
-                    v = tender(y, lo, xi + delta)
+                    v = tender(y, xi - delta, xi + delta)
                 if sequential:
                     total += v - xi
                 step = abs(v - xi)
@@ -307,10 +295,10 @@ def convergence_study(
     n_values: Sequence[int],
     trials: int,
     seed: int,
-    scenario: Scenario = Unconstrained(),
-    convergence_threshold: float = 0.1,
-    max_iterations: int = 2000,
-    update_order: str = "sequential",
+    scenario: Scenario = GameConfig.scenario,
+    convergence_threshold: float = GameConfig.convergence_threshold,
+    max_iterations: int = GameConfig.max_iterations,
+    update_order: str = GameConfig.update_order,
 ) -> StudyResult:
     """Rounds-to-convergence statistics over seeded random restarts.
 
@@ -368,8 +356,8 @@ def whale_fish_experiment(
     n_fish: int,
     trials: int,
     seed: int,
-    convergence_threshold: float = 0.1,
-    max_iterations: int = 2000,
+    convergence_threshold: float = GameConfig.convergence_threshold,
+    max_iterations: int = GameConfig.max_iterations,
 ) -> WhaleFishReport:
     """Budgeted dynamics with one deep-pocketed player.
 

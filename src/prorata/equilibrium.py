@@ -15,12 +15,11 @@ for cfmm and a monotone Newton iteration for power. The others (tables
 and callables) search for the sign change of the same condition, which is
 nonincreasing in x because the own payoff is concave (:func:`_slope_tender`).
 :func:`unconstrained_tender` gives each family's one tender, which
-:func:`best_response` and the dynamics share. A tender takes the bounds of
-the move, ``tender(y, lo, hi)``, and returns the best response projected
-onto [lo, hi]: exactly the free answer clamped, since the payoff is
-concave in x. The power tender uses the bounds to stop its iteration once
-the answer is known to lie outside them; the others solve in full and
-clamp. No function here names a kind: each reads the family's members.
+:func:`best_response` and the dynamics share, and states the window every
+tender takes, ``tender(y, lo, hi)``. The power tender uses the bounds to
+stop its iteration once the answer is known to lie outside them; the
+others solve in full and clamp. No function here names a kind: each reads
+the family's members.
 """
 
 from __future__ import annotations
@@ -157,7 +156,7 @@ def _symmetric_total(family: PayoffFamily, n: int, method: str) -> tuple[float, 
 
 def _slope_tender(family: PayoffFamily) -> Callable[..., float]:
     """Best-response tender (y, lo=0, hi=inf) -> x for a table or callable,
-    projected onto [lo, hi].
+    on the window :func:`unconstrained_tender` states.
 
     It brackets the sign change of the own payoff's slope in x,
     y f(t) + x t f'(t) (f'(x) itself when y = 0), on [0, w] with w the
@@ -211,11 +210,17 @@ def _slope_tender(family: PayoffFamily) -> Callable[..., float]:
 
 
 def unconstrained_tender(family: PayoffFamily) -> Callable[..., float]:
-    """The best-response tender ``tender(y, lo=0.0, hi=inf)`` of any family:
-    the best response to the others' total y, projected onto [lo, hi]
-    (0 <= lo <= hi), bit for bit the answer with no bounds, clamped. The
-    clamp replaces only a value strictly past a bound, so a zero of either
-    sign, or a NaN, is kept as computed. The tender is the family's own
+    """The best-response tender ``tender(y, lo=0.0, hi=inf)`` of any family.
+
+    Every tender keeps this window contract. It takes any window
+    lo <= hi with hi >= 0, lo below 0 included, and answers the best
+    response to the others' total y projected onto [max(lo, 0), hi]: bit
+    for bit the answer with no bounds, clamped to [lo, hi]. That answer is
+    never below 0 (the cfmm closed form floors at 0, the power iteration
+    gives 0 at or past the zero of f, the slope search runs on [0, w]), so
+    a lo below 0 never binds and a caller need not floor it. The clamp
+    replaces only a value strictly past a bound, so a zero of either sign,
+    or a NaN, is kept as computed. The tender is the family's own
     ``exact_tender()`` when it has one (the cfmm closed form; the power
     Newton iteration, which stops early once the answer is known to lie
     outside the bounds), else the bracketed slope search of a table or

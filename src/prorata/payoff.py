@@ -234,7 +234,8 @@ class CfmmArbitragePayoff(ForwardExchange, PayoffFamily):
 
     def exact_tender(self) -> Callable[..., float]:
         """Best-response tender (y, lo=0, hi=inf) -> x = t - y in closed
-        form, projected onto [lo, hi]."""
+        form, on the window :func:`prorata.equilibrium.unconstrained_tender`
+        states."""
         # The first-order condition reduces to (r1 + g t)**2 = (g r1 r2 + g**2 r2 y)/c,
         # so t = (sqrt(k0 + k1 y) - r1)/g with k0 = g r1 r2/c and k1 = g**2 r2/c.
         # Near the no-arbitrage boundary sqrt(k0 + k1 y) - r1 cancels, so with
@@ -311,8 +312,8 @@ class PowerPayoff(PayoffFamily):
         return power_poa_closed_form(self.beta, n)
 
     def exact_tender(self) -> Callable[..., float]:
-        """Best-response tender (y, lo=0, hi=inf) -> x, projected onto
-        [lo, hi] for 0 <= lo <= hi.
+        """Best-response tender (y, lo=0, hi=inf) -> x, on the window
+        :func:`prorata.equilibrium.unconstrained_tender` states.
 
         Dividing the first-order condition by t**beta leaves the root t* of
         h(t) = gamma t**(2-beta) - beta t - (1-beta) y, which is convex, with

@@ -1,5 +1,7 @@
 """Best-response dynamics: convergence, scenarios, seeded experiments."""
 
+import inspect
+import itertools
 import math
 
 import numpy as np
@@ -268,6 +270,19 @@ def test_whale_checks_its_run_settings_like_a_study(cfmm, settings):
         whale_fish_experiment(cfmm, n_fish=2, trials=3, seed=0, **settings)
     with pytest.raises(InvalidArgument):
         convergence_study(cfmm, [3], trials=3, seed=0, **settings)
+
+
+def test_the_experiments_run_defaults_are_the_game_configs(cfmm):
+    defaults = {
+        name: p.default
+        for run in (convergence_study, whale_fish_experiment)
+        for name, p in inspect.signature(run).parameters.items()
+        if p.default is not p.empty
+    }
+    assert defaults == {"scenario": Unconstrained(), "convergence_threshold": 0.1,
+                        "max_iterations": 2000, "update_order": "sequential"}
+    config = GameConfig(cfmm, 2)
+    assert {name: getattr(config, name) for name in defaults} == defaults
 
 
 @pytest.mark.parametrize("run, message", [
@@ -569,6 +584,45 @@ def test_sweep_equals_reference_round_on_wide_rows(family, order):
     for t, got in enumerate(history, 1):
         live = [k for k, played in enumerate(rounds) if played >= t]
         assert got.tolist() == [trials[k][0][t].tolist() for k in live]
+
+
+def _outcome(run):
+    """What a run gives, or the error it raises, as comparable values."""
+    try:
+        return run()
+    except DomainExceeded as exc:
+        return type(exc), str(exc)
+
+
+def _trace_bits(trace):
+    return (trace.tenders.tobytes(), trace.tenders.shape, trace.stop_reason,
+            trace.equilibrium, trace.final_payoffs.tobytes())
+
+
+@pytest.mark.parametrize("order", ["sequential", "synchronous"])
+@pytest.mark.parametrize("family", [CFMM, POWER, TABLE, KINKED, KINKED_WIDE],
+                         ids=["cfmm", "power", "table", "kinked", "kinked-wide"])
+def test_a_movement_cap_wider_than_any_move_changes_nothing(family, order):
+    # no best response exceeds the root w, so a cap of w or more never
+    # binds; the starts lie below w, so the windows reach below 0 and the
+    # tender alone keeps a move at or above 0. The runs converge, come to
+    # rest, hit the cap or leave the table, the same way on both sides.
+    w = diagnostics(family).root
+    for delta in (w, 2.0 * w, 1e6 * w):
+        for n, seed in itertools.product((2, 3, 5), (0, 1)):
+            def trace(scenario):
+                return _trace_bits(simulate(GameConfig(
+                    family, n, scenario, max_iterations=100, seed=seed,
+                    update_order=order)))
+            assert _outcome(lambda: trace(BoundedUpdate(delta))) == _outcome(
+                lambda: trace(Unconstrained()))
+
+        def study(scenario):
+            return convergence_study(family, [2, 3, 5], trials=4, seed=7,
+                                     scenario=scenario, max_iterations=100,
+                                     update_order=order)
+        assert _outcome(lambda: study(BoundedUpdate(delta))) == _outcome(
+            lambda: study(Unconstrained()))
 
 
 # ------------------------------------------------------- stop reasons

@@ -654,6 +654,48 @@ def test_bounded_tender_is_the_clamped_free_tender_bit_for_bit(family, y_frac,
     assert tender(y, lo, hi).hex() == _clamp(x, lo, hi).hex()
 
 
+_WINDOW_FAMILIES = st.one_of(
+    _TENDER_FAMILIES,
+    st.sampled_from([
+        CallablePayoff(lambda t: t**0.5 - 0.05 * t),
+        CallablePayoff(CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0,
+                                           c=1.0).value),
+        CallablePayoff(lambda t: -t * (1.0 + t)),
+        TabulatedPayoff((0.0, 1.0, 2.0), (0.0, -1.0, -3.0)),
+    ]),
+)
+
+
+@given(family=_WINDOW_FAMILIES, y_frac=_Y_FRACTIONS,
+       lo=st.one_of(st.just(-math.inf), st.just(-5e-324),
+                    st.floats(-2.0, 0.0, exclude_max=True)),
+       hi=st.one_of(st.tuples(st.just("abs"), st.sampled_from([0.0, -0.0, math.inf])),
+                    st.tuples(st.just("near"), _OFFSETS),
+                    st.tuples(st.just("wide"), st.floats(0.0, 2.0))))
+@settings(deadline=None, max_examples=500)
+def test_a_window_reaching_below_zero_answers_as_one_floored_at_zero(
+    family, y_frac, lo, hi
+):
+    # the contract of unconstrained_tender: any lo <= hi with hi >= 0, the
+    # answer within [max(lo, 0), hi]; lo is a fraction of the scale, and hi
+    # an absolute value, or near or a fraction of the free answer x
+    tender = unconstrained_tender(family)
+    try:
+        scale = diagnostics(family).root
+    except NoPositiveRegion:
+        scale = 1.0
+    y = y_frac * scale
+    x = tender(y)
+    kind, a = hi
+    hi = a if kind == "abs" else x * (1.0 + a) if kind == "near" else x * a
+    lo *= scale
+    if not lo < 0.0:  # a tiny fraction of a small scale rounds to -0.0
+        lo = -5e-324
+    got = tender(y, lo, hi)
+    assert got.hex() == tender(y, 0.0, hi).hex()
+    assert got >= 0.0
+
+
 def decimal_power_tender(beta: float, gamma: float, y: float) -> Decimal:
     """The power best response to y in 60-digit decimal: Newton on
     h(t) = gamma t**(2-beta) - beta t - (1-beta) y from the zero w of f,
