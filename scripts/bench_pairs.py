@@ -8,12 +8,14 @@ working tree.
 
 ``--workload`` takes one name, a comma-separated list, or ``all`` (every
 workload in ``BENCHMARK.json``). The base (default ``HEAD~1``, the parent of
-a committed change; pass ``--base HEAD`` for uncommitted work) is checked
-out into a temporary ``git worktree``, which is removed at the end. Each
-pair runs ``perfbench/run.py`` once in each checkout, untraced, alternating
-which side goes first; each side keeps its bytecode in its own cache in the
-temporary directory (``PYTHONPYCACHEPREFIX``, writing on), so a
-``__pycache__`` left in the working tree does not lower its ``setup_s``.
+a committed change; pass ``--base HEAD`` for uncommitted work) is extracted
+from ``git archive`` into a temporary directory, which goes at the end with
+everything else the script wrote; nothing is written into the repository,
+so no ``git worktree`` is left behind. Each pair runs ``perfbench/run.py``
+once in each checkout, untraced, alternating which side goes first; each
+side keeps its bytecode in its own cache in the temporary directory
+(``PYTHONPYCACHEPREFIX``, writing on), so a ``__pycache__`` left in the
+working tree does not lower its ``setup_s``.
 For every end-to-end metric in ``BENCHMARK.json`` the script prints each
 side's median and quartiles, the change's wins (ties count for neither
 side), whether a gain is shown (at least nine tenths of the pairs won and
@@ -28,11 +30,13 @@ rejects. Standard library only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -43,6 +47,14 @@ def _git(*args: str) -> str:
     proc = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
                           text=True, check=True)
     return proc.stdout.strip()
+
+
+def _extract(rev: str, dest: Path) -> None:
+    """Extract the committed tree of ``rev`` into ``dest``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
 
 
 def _run(checkout: Path, pycache: Path, workload: str, args) -> dict:
@@ -137,35 +149,32 @@ def main(argv=None) -> int:
     verdicts = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         checkout = Path(tmp) / "base"
-        _git("worktree", "add", "--detach", str(checkout), base_rev)
-        try:
-            sides = {"base": checkout, "change": ROOT}
-            for workload in workloads:
-                print(f"# workload {workload}, seed {args.seed}, {args.seconds:g} s "
-                      f"runs, {args.pairs} pairs; base {base_rev[:12]} against the "
-                      f"working tree at {ROOT}")
-                values = {side: {m["name"]: [] for m in metrics}
-                          for side in ("base", "change")}
-                failed = {"base": 0, "change": 0}
-                for i in range(args.pairs):
-                    order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                    line = []
-                    for side in order:
-                        result = _run(sides[side], Path(tmp) / "pycache" / side,
-                                      workload, args)
-                        failed[side] += result["failed"]
-                        for name, series in values[side].items():
-                            series.append(result["metrics"][name]["value"])
-                        line.append(f"{side} "
-                                    f"{result['metrics']['ops_per_s']['value']:.6g}")
-                    print(f"# pair {i + 1}: " + ", ".join(line) + " ops/s", flush=True)
-                for m in metrics:
-                    print(_report(m, values["base"][m["name"]],
-                                  values["change"][m["name"]]))
-                print(f"failed: base {failed['base']}, change {failed['change']}")
-                verdicts.append(_verdict(workload, metrics, values, failed))
-        finally:
-            _git("worktree", "remove", "--force", str(checkout))
+        _extract(base_rev, checkout)
+        sides = {"base": checkout, "change": ROOT}
+        for workload in workloads:
+            print(f"# workload {workload}, seed {args.seed}, {args.seconds:g} s "
+                  f"runs, {args.pairs} pairs; base {base_rev[:12]} against the "
+                  f"working tree at {ROOT}")
+            values = {side: {m["name"]: [] for m in metrics}
+                      for side in ("base", "change")}
+            failed = {"base": 0, "change": 0}
+            for i in range(args.pairs):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                line = []
+                for side in order:
+                    result = _run(sides[side], Path(tmp) / "pycache" / side,
+                                  workload, args)
+                    failed[side] += result["failed"]
+                    for name, series in values[side].items():
+                        series.append(result["metrics"][name]["value"])
+                    line.append(f"{side} "
+                                f"{result['metrics']['ops_per_s']['value']:.6g}")
+                print(f"# pair {i + 1}: " + ", ".join(line) + " ops/s", flush=True)
+            for m in metrics:
+                print(_report(m, values["base"][m["name"]],
+                              values["change"][m["name"]]))
+            print(f"failed: base {failed['base']}, change {failed['change']}")
+            verdicts.append(_verdict(workload, metrics, values, failed))
     print("\n".join(verdicts))
     return 1 if any("REJECT" in verdict for verdict in verdicts) else 0
 

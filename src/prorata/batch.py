@@ -174,4 +174,4 @@ def optimal_arbitrage(pool: ForwardExchange, price: float) -> float:
     """The t* maximizing g(t) - price*t: where the pool's marginal quote
     meets the external price, or 0 when the pool already quotes below it."""
     # argmax f is the best response of a lone player (y = 0)
-    return pool.arbitrage_family(price).exact_tender()(0.0)
+    return pool.arbitrage_family(price).tender()(0.0)

@@ -9,7 +9,8 @@ round map's eigenvalue (n-1)·BR' leaves the unit disk).
 Three scenarios: unconstrained responses, per-round movement caps
 (BoundedUpdate), and hard per-player budgets (Budgeted). Caps and budgets
 are applied by projecting the unconstrained best response, which is exact
-for concave payoffs; the family's tender takes the bounds and projects.
+for concave payoffs; the family's own tender, ``family.tender()``, takes
+the bounds and projects (see :meth:`~prorata.payoff.PayoffFamily.tender`).
 
 One round engine, :func:`_play`, serves :func:`simulate`,
 :func:`convergence_study` and :func:`whale_fish_experiment`: it plays all
@@ -29,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .equilibrium import EquilibriumResult, solve_symmetric, unconstrained_tender
+from .equilibrium import EquilibriumResult, solve_symmetric
 from .errors import DomainExceeded, InvalidArgument, integer, number
 from .payoff import PayoffFamily, diagnostics, pro_rata_payoff
 
@@ -144,7 +145,7 @@ def _play(
     player's entry of ``upper``, or, under a ``BoundedUpdate`` movement cap
     delta, [x - delta, x + delta] around the player's last tender x; the
     tender itself keeps the answer at or above 0 (see
-    :func:`~prorata.equilibrium.unconstrained_tender`).
+    :meth:`~prorata.payoff.PayoffFamily.tender`).
     The round then builds one array, for the row totals (numpy's sum, the
     bits the array would give) and for ``history``, which collects every
     round's active rows. A stopped row leaves the live list, so rows stop
@@ -158,7 +159,7 @@ def _play(
     delta = scenario.delta if isinstance(scenario, BoundedUpdate) else None
     sequential = config.update_order == "sequential"
     end = family.domain_max
-    tender = unconstrained_tender(family)
+    tender = family.tender()
 
     def distance(row: list[float]) -> float:
         """The row's sup-norm distance to target; infinite at a NaN."""

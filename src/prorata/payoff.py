@@ -11,7 +11,11 @@ All ``value``/``derivative`` methods accept floats or numpy arrays. Every
 family's domain ends at its ``domain_max``: a table's last knot, else inf.
 Each family class derives from :class:`PayoffFamily` and is the one place
 that states what is known exactly about its kind; the solvers, the
-checks and :func:`diagnostics` read those members and name no kind.
+checks and :func:`diagnostics` read those members and name no kind. Every
+solver asks the family itself: a best response goes through its
+``tender()`` (by default the bracketed slope search; power and cfmm solve
+exactly) and a closed symmetric route through its ``closed_total(n)``,
+which the base class refuses.
 """
 
 from __future__ import annotations
@@ -77,15 +81,15 @@ class PayoffFamily:
     kind known only through ``value`` and ``derivative``; each class
     overrides what it knows:
 
-    * ``closed_route`` is None when the numeric route is the only one;
-      otherwise it names the route of ``closed_total(n)``, the symmetric
-      equilibrium total in closed form, which such a class defines.
-    * ``exact_tender()`` builds the kind's own best-response tender (see
-      :func:`prorata.equilibrium.unconstrained_tender`), or gives None,
-      and the bracketed slope search serves.
+    * ``closed_route`` is None when the numeric route is the only one, and
+      ``closed_total(n)`` then refuses; otherwise it names the route of
+      ``closed_total(n)``, the symmetric equilibrium total in closed form.
+    * ``tender()`` builds the kind's best-response tender: here the
+      bracketed slope search, which tables and callables use.
     * ``_positive_point()`` and ``_peak(root)`` give :func:`diagnostics`
       a point with f > 0 and (argmax, sup f) on [0, root]: here a halving
-      scan and the zero of f'.
+      scan, which passes over points where ``value`` raises
+      :class:`DomainExceeded`, and the zero of f'.
     * ``linear_until`` is where f stops being linear through the origin,
       which the exact side-condition verdicts read: 0 when f(t)/t is
       strictly decreasing, None when it is not known.
@@ -102,21 +106,97 @@ class PayoffFamily:
     derivative_nature: ClassVar[str] = "analytic"
     concave: ClassVar[bool] = True
 
-    def exact_tender(self) -> Callable[..., float] | None:
-        return None
+    def closed_total(self, n: int) -> float:
+        raise InvalidArgument(f"no closed form for {self.kind} families")
 
     def closed_poa(self, n: int) -> float | None:
         return None
 
+    def tender(self) -> Callable[..., float]:
+        """The best-response tender ``tender(y, lo=0.0, hi=inf)`` -> x.
+
+        Every tender keeps this window contract. It takes any window
+        lo <= hi with hi >= 0, lo below 0 included, and answers the best
+        response to the others' total y projected onto [max(lo, 0), hi]: bit
+        for bit the answer with no bounds, clamped to [lo, hi]. That answer is
+        never below 0 (the cfmm closed form floors at 0, the power iteration
+        gives 0 at or past the zero of f, the slope search runs on [0, w]), so
+        a lo below 0 never binds and a caller need not floor it. The clamp
+        replaces only a value strictly past a bound, so a zero of either sign,
+        or a NaN, is kept as computed.
+
+        This default, the tender of tables and callables, brackets the sign
+        change of the own payoff's slope in x, y f(t) + x t f'(t) (f'(x)
+        itself when y = 0), on [0, w] with w the family's ``diagnostics``
+        root: the zero of f, or a table's last knot when f is still positive
+        there. The slope is nonincreasing because the own payoff is concave,
+        so its sign change is the maximizer, and an end of the range where it
+        does not change sign is. The concavity check and the diagnostics run
+        once, here. A table that is not concave raises
+        :class:`InvalidArgument`; a callable whose f stays positive raises
+        :class:`NoFiniteRoot`.
+        """
+        _require_concave(self)
+        try:
+            root = diagnostics(self).root
+        except NoPositiveRegion:
+            root = 0.0  # nothing positive to gain at any tender
+        end = self.domain_max
+
+        def tender(y: float, lo: float = 0.0, hi: float = math.inf) -> float:
+            top = min(root, end - y)
+            # (end - y) + y can round past the last knot: step top down by the
+            # excess (at least one ulp) until the sum stays on the table
+            while top > 0.0 and top + y > end:
+                top = min(math.nextafter(top, 0.0), top - (top + y - end))
+            if top <= 0.0:
+                x = 0.0
+            else:
+                if y == 0.0:
+                    # the payoff is f itself; the scaled slope below would read
+                    # x**2 f'(x), which vanishes at x = 0
+                    slope = self.derivative
+                else:
+                    def slope(x: float) -> float:
+                        # d/dx [x f(t) / t] times t**2
+                        t = x + y
+                        return y * self.value(t) + x * t * self.derivative(t)
+
+                if slope(top) >= 0.0:
+                    x = top
+                elif slope(0.0) <= 0.0:
+                    x = 0.0
+                else:
+                    x = bisect_root(slope, 0.0, top)
+            if x < lo:
+                x = lo
+            if hi < x:
+                x = hi
+            return x
+
+        return tender
+
     def _positive_point(self) -> float:
         for t in _SCAN_DOWN + [2.0**k for k in range(1, _SCAN_UP_STEPS + 1)]:
-            if self.value(t) > 0.0:
-                return t
+            try:
+                if self.value(t) > 0.0:
+                    return t
+            except DomainExceeded:  # a callable defined only below t
+                pass
         raise NoPositiveRegion("no point with f > 0 found on a geometric scan")
 
     def _peak(self, root: float) -> tuple[float, float]:
         argmax = bisect_root(self.derivative, 0.0, root)
         return argmax, self.value(argmax)
+
+
+def _require_concave(family: PayoffFamily) -> None:
+    # a slope's sign change is the maximizer, of the own payoff and of
+    # q**(n-1) f(q), only for concave f: the default tender and the numeric
+    # route both refuse other tables
+    if not family.concave:
+        raise InvalidArgument("table must be concave: its segment slopes must "
+                              "not increase")
 
 
 @dataclass(frozen=True)
@@ -232,10 +312,9 @@ class CfmmArbitragePayoff(ForwardExchange, PayoffFamily):
             root1 = (-b + sq) / (2.0 * a)
         return max(root1, c0 / (a * root1))
 
-    def exact_tender(self) -> Callable[..., float]:
+    def tender(self) -> Callable[..., float]:
         """Best-response tender (y, lo=0, hi=inf) -> x = t - y in closed
-        form, on the window :func:`prorata.equilibrium.unconstrained_tender`
-        states."""
+        form, on the window :meth:`PayoffFamily.tender` states."""
         # The first-order condition reduces to (r1 + g t)**2 = (g r1 r2 + g**2 r2 y)/c,
         # so t = (sqrt(k0 + k1 y) - r1)/g with k0 = g r1 r2/c and k1 = g**2 r2/c.
         # Near the no-arbitrage boundary sqrt(k0 + k1 y) - r1 cancels, so with
@@ -311,9 +390,9 @@ class PowerPayoff(PayoffFamily):
     def closed_poa(self, n: int) -> float:
         return power_poa_closed_form(self.beta, n)
 
-    def exact_tender(self) -> Callable[..., float]:
+    def tender(self) -> Callable[..., float]:
         """Best-response tender (y, lo=0, hi=inf) -> x, on the window
-        :func:`prorata.equilibrium.unconstrained_tender` states.
+        :meth:`PayoffFamily.tender` states.
 
         Dividing the first-order condition by t**beta leaves the root t* of
         h(t) = gamma t**(2-beta) - beta t - (1-beta) y, which is convex, with
@@ -499,7 +578,8 @@ class CallablePayoff(PayoffFamily):
     a step of 0, where ``fn`` need not be defined to the left), the one
     approximate derivative in the package; every other family's is exact.
     Its step is 1e-6*max(|t|, s), with s the first of 1, 1/2, 1/4, ... where
-    f > 0 (1 if there is none): an absolute 1e-6 below t = 1 when
+    f > 0, passing over points where f raises :class:`DomainExceeded` (1 if
+    there is none): an absolute 1e-6 below t = 1 when
     f(1) > 0, so terms that cancel near 0 keep their precision, and within
     a factor 2 of a concave f's root when the positive region is narrower
     than 1, so the slope keeps its sign change on a region like (0, 1e-7).
@@ -520,8 +600,12 @@ class CallablePayoff(PayoffFamily):
 
     @functools.cached_property
     def _fd_scale(self) -> float:
-        # found once, on the first finite difference; not a field
-        return next((t for t in _SCAN_DOWN if self.fn(t) > 0.0), 1.0)
+        # found once, on the first finite difference, by the positive point
+        # scan; not a field
+        try:
+            return min(self._positive_point(), 1.0)
+        except NoPositiveRegion:
+            return 1.0
 
     def value(self, t):
         return self.fn(t)

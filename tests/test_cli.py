@@ -718,6 +718,7 @@ def test_bench_pairs_counts_wins_and_applies_the_gain_rule(capsys, monkeypatch):
 
     monkeypatch.setattr(script, "_run", fake_run)
     monkeypatch.setattr(script, "_git", lambda *args: "0" * 40 if args[0] == "rev-parse" else "")
+    monkeypatch.setattr(script, "_extract", lambda rev, dest: None)
     argv = ["--workload", "one-shot,study-cfmm", "--pairs", "2", "--seconds", "1"]
     assert script.main(argv) == 0
     change_ops["study-cfmm"] = 80.0

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from prorata import (
     TabulatedPayoff,
     Unconstrained,
     WhaleFishReport,
+    best_response,
     convergence_study,
     diagnostics,
     draw_initial_profile,
@@ -30,7 +32,6 @@ from prorata import (
     whale_fish_experiment,
 )
 from prorata.dynamics import _play
-from prorata.equilibrium import unconstrained_tender
 
 CFMM = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0)
 POWER = PowerPayoff(beta=0.5, gamma=0.05)
@@ -364,7 +365,7 @@ def _check_on_table(family, x, t):
 def _reference_trial(config, x):
     """The profiles of one trial, the rounds it played and why it stopped."""
     target = solve_symmetric(config.family, config.n).per_player
-    br = unconstrained_tender(config.family)
+    br = config.family.tender()
     profiles = [x]
     if float(np.max(np.abs(x - target))) < config.convergence_threshold:
         return profiles, 0, "converged"
@@ -453,7 +454,7 @@ def _reference_whale(family, n_fish, trials, seed, threshold, cap):
     eq = solve_symmetric(family, n_total)
     fair_strategy, fair_payoff = eq.per_player, eq.equilibrium_payoff
     w = diagnostics(family).root
-    br = unconstrained_tender(family)
+    br = family.tender()
     strategies, profits = np.empty(trials), np.empty(trials)
     converged = saturated = 0
     for trial in range(trials):
@@ -664,3 +665,54 @@ def test_table_total_past_the_last_knot_raises_at_that_round():
     with pytest.raises(DomainExceeded, match="^round [0-9]+: tender total ") as got:
         simulate(config, initial=x0)
     assert str(got.value) == str(want.value)
+
+
+@dataclass(frozen=True)
+class _RecordingTable(TabulatedPayoff):
+    """A table whose ``tender()`` wraps the default and records each build
+    and each call of the tender it returns."""
+
+    calls: list = field(default_factory=list, compare=False)
+
+    def tender(self):
+        inner = super().tender()
+        self.calls.append("built")
+
+        def tender(y, lo=0.0, hi=math.inf):
+            self.calls.append((y, lo, hi))
+            return inner(y, lo, hi)
+
+        return tender
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("scenario", [Unconstrained(), BoundedUpdate(5.0),
+                                      Budgeted((40.0, 60.0, math.inf))],
+                         ids=["unconstrained", "bounded", "budgeted"])
+def test_best_response_and_simulate_ask_the_family_for_its_tender(scenario):
+    # every move goes through the family's own tender(), and a subclass
+    # that only wraps the default answers as the plain table, bit for bit
+    knots = np.linspace(0.0, 400.0, 41)
+    ts, fs = tuple(knots), tuple(knots**0.5 - 0.05 * knots)
+    plain, recording = TabulatedPayoff(ts, fs), _RecordingTable(ts, fs)
+    ys, budgets = (0.0, 50.0, 300.0, 400.0), (math.inf, 10.0)
+    for y in ys:
+        for budget in budgets:
+            got, want = (best_response(f, y, budget) for f in (recording, plain))
+            assert _bits(got[:2]) == _bits(want[:2])
+            assert got.at_boundary == want.at_boundary
+    assert recording.calls == [c for y in ys for _ in budgets
+                               for c in ("built", (y, 0.0, math.inf))]
+    recording.calls.clear()
+    config = dict(n=3, scenario=scenario, convergence_threshold=1e-9, seed=2)
+    want = simulate(GameConfig(plain, **config))
+    got = simulate(GameConfig(recording, **config))
+    assert got.stop_reason == want.stop_reason
+    assert _bits(got.tenders) == _bits(want.tenders)
+    assert _bits(got.final_payoffs) == _bits(want.final_payoffs)
+    moves = 3 * (len(got.tenders) - 1)
+    assert recording.calls[0] == "built"
+    assert len(recording.calls) == 1 + moves

@@ -33,8 +33,7 @@ from prorata import (
     pro_rata_payoff,
     solve_symmetric,
 )
-from prorata import equilibrium
-from prorata.equilibrium import unconstrained_tender
+from prorata import equilibrium, payoff
 
 CFMM_Q1 = (math.sqrt(0.99 * 200.0 * 250.0) - 200.0) / 0.99  # argmax f
 
@@ -317,7 +316,7 @@ def test_an_overflowing_power_total_has_no_finite_root():
     family = PowerPayoff(beta=0.9973748341073528, gamma=0.15021323171746095)
     for solve in (lambda: solve_symmetric(family, 1), lambda: poa(family, 1),
                   lambda: solve_symmetric(family, 1, method="numeric"),
-                  lambda: unconstrained_tender(family)):
+                  lambda: family.tender()):
         with pytest.raises(NoFiniteRoot):
             solve()
 
@@ -496,7 +495,7 @@ def test_power_best_response_never_loses_to_a_grid(beta, gamma, y_frac,
     y, budget = y_frac * root, budget_frac * root
     r = best_response(family, y, budget)
     free = best_response(family, y).x
-    assert unconstrained_tender(family)(y) == free
+    assert family.tender()(y) == free
     if y >= root:
         assert r == BestResponseResult(0.0, 0.0, "zero")
         return
@@ -563,7 +562,10 @@ def test_power_and_cfmm_best_responses_skip_the_search(
     def forbidden(*args, **kwargs):
         raise AssertionError("bisection search on a closed route")
 
-    monkeypatch.setattr(equilibrium, "bisect_root", forbidden)
+    # the symmetric route's search lives in equilibrium, the default
+    # tender's in payoff
+    for module in (equilibrium, payoff):
+        monkeypatch.setattr(module, "bisect_root", forbidden)
     for family in (cfmm, power):
         for y in (0.0, 3.0, 30.0, 1e4):
             for budget in (math.inf, 5.0):
@@ -637,7 +639,7 @@ _BOUNDS = st.one_of(
          bounds=("near", 1e-15, 1e-14))
 def test_bounded_tender_is_the_clamped_free_tender_bit_for_bit(family, y_frac,
                                                               bounds):
-    tender = unconstrained_tender(family)
+    tender = family.tender()
     y = y_frac * _tender_scale(family)
     x = tender(y)
     kind, a, b = bounds
@@ -676,10 +678,10 @@ _WINDOW_FAMILIES = st.one_of(
 def test_a_window_reaching_below_zero_answers_as_one_floored_at_zero(
     family, y_frac, lo, hi
 ):
-    # the contract of unconstrained_tender: any lo <= hi with hi >= 0, the
+    # the contract of PayoffFamily.tender: any lo <= hi with hi >= 0, the
     # answer within [max(lo, 0), hi]; lo is a fraction of the scale, and hi
     # an absolute value, or near or a fraction of the free answer x
-    tender = unconstrained_tender(family)
+    tender = family.tender()
     try:
         scale = diagnostics(family).root
     except NoPositiveRegion:
@@ -735,7 +737,7 @@ def test_power_tender_matches_a_decimal_oracle(beta, gamma, y_frac):
     y = y_frac * w
     if y >= w:
         return
-    x = unconstrained_tender(PowerPayoff(beta=beta, gamma=gamma))(y)
+    x = PowerPayoff(beta=beta, gamma=gamma).tender()(y)
     x_dec = decimal_power_tender(beta, gamma, y)
     # the root's condition number: how far rounding of h's terms moves t
     t = float(Decimal(y) + x_dec)
@@ -756,5 +758,5 @@ def test_power_tender_near_the_zero_of_f_never_tenders_at_a_loss(beta, gamma,
     y = power_root(beta, gamma)
     for _ in range(ulps):
         y = math.nextafter(y, 0.0)
-    x = unconstrained_tender(family)(y)
+    x = family.tender()(y)
     assert x == 0.0 or decimal_power_payoff(family, x, y) >= 0

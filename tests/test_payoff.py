@@ -289,6 +289,23 @@ def test_callable_finite_difference_reads_the_slope_at_the_family_scale(
     assert best_response(f, 0.0).x == pytest.approx(argmax, rel=1e-6)
 
 
+def test_a_callable_defined_only_below_1_is_diagnosed_and_checked():
+    # the positive point scan starts at t = 1, past this wrapped table's last
+    # knot: it passes over the points where f raises DomainExceeded, and the
+    # finite-difference step scale reads the same scan
+    table = TabulatedPayoff((0, 0.25, 0.5), (0, 0.25, -0.1))
+    f = CallablePayoff(table.value)
+    with pytest.raises(DomainExceeded):
+        f.value(1.0)
+    assert diagnostics(f).root == diagnostics(table).root == 0.42857142856519204
+    assert diagnostics(f).argmax == pytest.approx(0.25, rel=1e-6)
+    assert f.derivative(0.0) == pytest.approx(1.0, rel=1e-12)
+    for check, holds in ((check_chord_condition, False),
+                         (detect_linear_segment_at_zero, True)):
+        assert check(f).holds is check(table).holds is holds
+    assert best_response(f, 0.0).x == pytest.approx(0.25, rel=1e-6)
+
+
 # ---------------------------------------------------- pro-rata allocation
 
 

@@ -252,10 +252,10 @@ def test_a_clean_sign_change_returns_bisections_float(lo, log_width, frac,
     assert r == plain_bisection(fn, lo, hi)[0] == peak
 
 
-def _count_solves(monkeypatch, module):
-    """Patch ``module.bisect_root`` to record, per default-``rtol`` call, its
-    evaluations and plain bisection's on the same bracket (and whether
-    bisection stopped on an exact zero)."""
+def _count_solves(monkeypatch, *modules):
+    """Patch each module's ``bisect_root`` to record in one shared list, per
+    default-``rtol`` call, its evaluations and plain bisection's on the same
+    bracket (and whether bisection stopped on an exact zero)."""
     calls = []
 
     def counted(fn, lo, hi, rtol=0.0):
@@ -266,7 +266,8 @@ def _count_solves(monkeypatch, module):
         calls.append((len(points), len(ref_points), fn(ref) == 0.0, r, ref))
         return r
 
-    monkeypatch.setattr(module, "bisect_root", counted)
+    for module in modules:
+        monkeypatch.setattr(module, "bisect_root", counted)
     return calls
 
 
@@ -311,10 +312,11 @@ def test_diagnostics_argmax_takes_few_evaluations(monkeypatch):
 def test_kinked_table_solves_stay_within_two_evaluations_of_bisection(monkeypatch):
     # most of these answers sit on a knot, where interpolation gains nothing
     table = TabulatedPayoff((0, 10, 20, 30, 40, 50), (0, 8, 13, 15, 14, -2))
-    calls = _count_solves(monkeypatch, equilibrium)
+    # the symmetric route's search lives in equilibrium, the tender's in payoff
+    calls = _count_solves(monkeypatch, equilibrium, payoff)
     for n in range(1, 51):
         solve_symmetric(table, n, "numeric")
-    tender = equilibrium.unconstrained_tender(table)
+    tender = table.tender()
     for y in np.linspace(0.0, 49.0, 200):
         tender(float(y))
     assert len(calls) > 200

@@ -15,14 +15,13 @@ are bit for bit and need no closed form:
 
 ``simulate`` is checked with its threshold and movement cap scaled too,
 and so are the sampled verdicts of ``CallablePayoff`` wrappers of cfmm
-families, whose checked range scales with the reserves. Left out are the results that an absolute
-constant ties to one scale: ``GameConfig.convergence_threshold`` left at
-its default (0.1, a distance in units of tender), ``CallablePayoff``'s
-|f(0)| <= 1e-12 check, the sampled checks' floors
-(``verify._collinear_through_origin`` and the chord test's 1e-300), a
-callable's finite-difference step scale, capped at 1, and its positive
-point scan, which starts at t = 1: a wrapped table ending below 1 raises
-``DomainExceeded`` there.
+families and of tables, whose checked range scales with the reserves or
+the knots. Left out are the results that an absolute constant ties to one
+scale: ``GameConfig.convergence_threshold`` left at its default (0.1, a
+distance in units of tender), ``CallablePayoff``'s |f(0)| <= 1e-12 check,
+the sampled checks' floors (``verify._collinear_through_origin`` and the
+chord test's 1e-300) and a callable's finite-difference step scale, capped
+at 1.
 """
 
 import math
@@ -214,6 +213,20 @@ def test_tables_scaled_in_t_and_f_scale_every_result(table, k, j, n, y_frac):
         report = _outcome(lambda: check(table))
         assert _verdict(_outcome(lambda: check(scaled)), lam, a) == _verdict(
             report, 1.0, 1.0)
+
+
+@given(table=_tables(), k=st.integers(-60, 59), j=st.integers(-60, 59))
+@settings(deadline=None, max_examples=300)
+def test_tables_scaled_in_t_and_f_keep_the_sampled_verdicts(table, k, j):
+    # a wrapped table is sampled on (0, hi], hi its own zero of f found from
+    # powers of two, passing over those past the last knot, where it raises
+    lam, a = 2.0**k, 2.0**j
+    scaled = TabulatedPayoff(tuple(t * lam for t in table.ts),
+                             tuple(f * a for f in table.fs))
+    for check in (check_chord_condition, detect_linear_segment_at_zero):
+        report = _outcome(lambda: check(CallablePayoff(table.value)))
+        assert _verdict(_outcome(lambda: check(CallablePayoff(scaled.value))),
+                        lam, a) == _verdict(report, 1.0, 1.0)
 
 
 @given(table=_tables(), k=st.integers(-60, 59), j=st.integers(-60, 59),
