@@ -28,6 +28,7 @@ from .dynamics import (
     draw_initial_profile,
     simulate,
     whale_fish_experiment,
+    whale_fish_sweep,
 )
 from .equilibrium import (
     BestResponseResult,

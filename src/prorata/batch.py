@@ -72,9 +72,10 @@ def clear(instance: BatchInstance) -> BatchOutcome:
     fills net out internally in asset A. When no demand is netted
     (all deltas >= 0) the scale is exactly 1 and residuals equal deltas.
     The net, the gross and the pool input are exact sums rounded once, so
-    permuting the traders permutes the fills and changes no bit. They take
-    two passes over the traders: the net and the gross share one, the pool
-    input takes the other. Each pass is exact for fewer than 2**15 entries
+    permuting the traders permutes the fills and changes no bit. The net
+    and the gross share one pass over the traders; the pool input takes a
+    second only when the net differs from the gross, and is the gross
+    otherwise. Each pass is exact for fewer than 2**15 entries
     (MAX_TRADERS = 10,000; see ``_fixed_sums``).
     Raises :class:`NonPositiveNetDemand` when the batch nets to <= 0, and
     :class:`InvalidArgument` when the net is so large that the quote
@@ -85,8 +86,13 @@ def clear(instance: BatchInstance) -> BatchOutcome:
     if net <= 0.0:
         raise NonPositiveNetDemand(f"batch nets to {net}, nothing to trade")
     residuals = np.maximum(deltas, 0.0)
-    residuals *= net / gross
-    pool_input = _exact_sum(residuals)
+    if net == gross:
+        # the scale net/gross is exactly 1: the residuals are the positive
+        # parts, whose exact sum, rounded once, is the gross
+        pool_input = gross
+    else:
+        residuals *= net / gross
+        pool_input = _exact_sum(residuals)
     pool_output = instance.pool.quote(pool_input)
     if not math.isfinite(pool_output):
         raise InvalidArgument(f"the pool quote for input {pool_input!r} overflows")

@@ -43,7 +43,7 @@ from .dynamics import (
     convergence_study,
     draw_initial_profile,
     simulate,
-    whale_fish_experiment,
+    whale_fish_sweep,
 )
 from .equilibrium import SOLVE_METHODS, best_response, solve_symmetric
 from .errors import (
@@ -344,15 +344,13 @@ def _delta_sweep(args) -> Table:
 
 def _cmd_whale(args) -> Table:
     family = _resolve_family(args)
-    rows = []
-    for n_fish in args.n_fish_values:
-        rep = whale_fish_experiment(family, n_fish, args.trials, **_run_settings(args))
-        rows.append([
-            rep.n_fish, rep.trials, rep.whale_strategy, rep.whale_profit,
-            rep.pct_strategy_increase, rep.pct_strategy_std,
-            rep.pct_profit_increase, rep.pct_profit_std,
-            rep.converged_trials, rep.fish_saturated_trials,
-        ])
+    rows = [[
+        rep.n_fish, rep.trials, rep.whale_strategy, rep.whale_profit,
+        rep.pct_strategy_increase, rep.pct_strategy_std,
+        rep.pct_profit_increase, rep.pct_profit_std,
+        rep.converged_trials, rep.fish_saturated_trials,
+    ] for rep in whale_fish_sweep(family, args.n_fish_values, args.trials,
+                                  **_run_settings(args))]
     return (
         ["n_fish", "trials", "whale_strategy", "whale_profit",
          "pct_strategy_increase", "pct_strategy_increase_std",

@@ -12,21 +12,25 @@ are applied by projecting the unconstrained best response, which is exact
 for concave payoffs; the family's own tender, ``family.tender()``, takes
 the bounds and projects (see :meth:`~prorata.payoff.PayoffFamily.tender`).
 
-One round engine, :func:`_play`, serves :func:`simulate`,
-:func:`convergence_study` and :func:`whale_fish_experiment`: it plays all
-trials of a study point (or a whale row) in lockstep as the rows of a
-(trials, n) profile, and each row leaves at the round it stops. Its
-docstring gives the stop reasons, the row records and the one array each
-round builds. Rows never mix, so a trial ends exactly as it would alone.
-The engine reads its rules from a :class:`GameConfig`, whose defaults are
-the run defaults of every function here.
+One round engine, :func:`_play_batch`, serves :func:`simulate`,
+:func:`convergence_study` and :func:`whale_fish_sweep` (and so
+:func:`whale_fish_experiment`, its one-count call): a run's trials, of
+every n value or fish count, play in lockstep as the rows of one batch,
+and each row leaves at the round it stops. Rows never mix, so a trial ends
+exactly as it would alone. Two kernels move the rows, chosen by the family:
+a column kernel, one array call per player for every row, where the family
+has a ``column_tender()`` (cfmm), and a scalar loop over rows otherwise.
+The engine's docstring gives the stop reasons, the layout of the batch and
+why each kernel is kept. The engine reads its rules from a
+:class:`GameConfig`, whose defaults are the run defaults of every function
+here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -117,6 +121,10 @@ class DynamicsTrace:
 # A row whose players all moved by at most this many ulps of the row total
 # is at rest: rounding, not the dynamics, moves it.
 _FIXED_POINT_ULPS = 4
+_REASONS = ("iteration-cap", "converged", "fixed-point")
+
+_Point = tuple[np.ndarray, np.ndarray, Union[float, None]]
+_Outcome = tuple[np.ndarray, list[int], list[str]]
 
 
 def _play(
@@ -125,10 +133,25 @@ def _play(
     upper: np.ndarray,
     target: float | None = None,
     history: list[np.ndarray] | None = None,
-) -> tuple[np.ndarray, list[int], list[str]]:
-    """Run rounds of ``config``'s game on every row of X until the row stops.
+) -> _Outcome:
+    """:func:`_play_batch` on the one point (X, upper, target)."""
+    (outcome,) = _play_batch(config, [(X, upper, target)], history)
+    return outcome
 
-    A row stops at the first round where one of these holds, and says which:
+
+def _play_batch(
+    config: GameConfig,
+    points: Sequence[_Point],
+    history: list[np.ndarray] | None = None,
+) -> list[_Outcome]:
+    """Run rounds of ``config``'s game on the rows of every point, each row
+    until it stops.
+
+    A point is (X, upper, target): its trials as the rows of X, as wide as
+    its n, their tender caps and the symmetric tender they aim at, or None
+    (for every point or for none); the points share ``config``'s family,
+    scenario, threshold, round cap and update order. A row stops at the first round where one of these
+    holds, and says which:
 
     - ``"converged"``: the row is within the threshold of ``target`` (sup
       norm), checked from round 0; with no target, no player moved by the
@@ -137,22 +160,50 @@ def _play(
       ulps of the row total;
     - ``"iteration-cap"``: the row played the config's round cap.
 
+    In a round players move one after another, each row on its own:
+    sequential order sees the moves already made this round, synchronous
+    order only last round's profile. A move is one call of the family's
+    tender on the window [0, u], u the player's entry of ``upper``, or,
+    under a ``BoundedUpdate`` movement cap delta, [x - delta, x + delta]
+    around the player's last tender x; the tender itself keeps the answer
+    at or above 0 (see :meth:`~prorata.payoff.PayoffFamily.tender`). Each
+    round then sums every live row with numpy. A stopped row leaves, so
+    rows stop independently and a row ends exactly as it would alone.
+
+    The family alone picks one of two kernels, which give the same bits.
+    With a ``column_tender()`` (cfmm) the rows of all points play as one
+    batch, and player j of every live row moves in one array call (see
+    :func:`_column_play`); a run's points share each call because at 10
+    trials one point's rows are too few to repay numpy's cost per call.
+    Otherwise the points play one after another, each row in Python floats
+    through ``tender()`` (see :func:`_scalar_play`): a search (tables,
+    callables) has no array form, and power's Newton iteration, called per
+    element of an array, is several times slower than its scalar loop. On
+    a table family, a row total past the last knot raises
+    :class:`DomainExceeded` at that round, for the first listed point whose
+    rows leave the table. ``history``, given one point, collects every
+    round's live rows. Returns, per point, its final rows, the rounds each
+    played and why each stopped.
+    """
+    tender = config.family.column_tender()
+    if tender is None:
+        return [_scalar_play(config, *point, history) for point in points]
+    return _column_play(config, tender, points, history)
+
+
+def _scalar_play(
+    config: GameConfig,
+    X: np.ndarray,
+    upper: np.ndarray,
+    target: float | None,
+    history: list[np.ndarray] | None,
+) -> _Outcome:
+    """The rounds of one point, each row moved in Python floats.
+
     Each live row is one record: its index, its tenders as a Python float
-    list, its caps (``upper``) and its total. In a round players move one
-    after another, each row on its own: sequential order sees the moves
-    already made this round, synchronous order only last round's profile.
-    A move is one call of the family's tender on the window [0, u], u the
-    player's entry of ``upper``, or, under a ``BoundedUpdate`` movement cap
-    delta, [x - delta, x + delta] around the player's last tender x; the
-    tender itself keeps the answer at or above 0 (see
-    :meth:`~prorata.payoff.PayoffFamily.tender`).
-    The round then builds one array, for the row totals (numpy's sum, the
-    bits the array would give) and for ``history``, which collects every
-    round's active rows. A stopped row leaves the live list, so rows stop
-    independently and a row ends exactly as it would alone. Returns the
-    final rows, the rounds each row played and why it stopped. On a table
-    family, a row total past the last knot raises :class:`DomainExceeded`
-    at that round.
+    list, its caps and its total. The round builds one array, for the row
+    totals (numpy's sum, the bits the array would give) and for
+    ``history``.
     """
     family, scenario = config.family, config.scenario
     threshold, cap = config.convergence_threshold, config.max_iterations
@@ -219,6 +270,123 @@ def _play(
                 keep.append((i, row, caps, total))
         live = keep
     return np.array(final), rounds, reasons
+
+
+def _column_play(
+    config: GameConfig,
+    tender: Callable[..., np.ndarray],
+    points: Sequence[_Point],
+    history: list[np.ndarray] | None,
+) -> list[_Outcome]:
+    """The rounds of all points as one batch, moved by the column tender.
+
+    The live rows are one array, sorted by width, widest first (stably),
+    so the rows that have a player j are a prefix of it, and player j of
+    all of them moves in one call. Past its width a row holds its target,
+    which the distance reads as 0. Each row total is numpy's sum over the
+    view of the row's width group: numpy gives a row summed in an array,
+    or in a view of a wider one, the bits of the row summed alone, but not
+    of the row summed with zeros after it. The stop tests run on arrays.
+    The column kernel does not check totals against ``domain_max``: no
+    family with a column tender has a last knot.
+    """
+    scenario = config.scenario
+    delta = scenario.delta if isinstance(scenario, BoundedUpdate) else None
+    sequential = config.update_order == "sequential"
+    threshold, cap = config.convergence_threshold, config.max_iterations
+
+    order = sorted(range(len(points)), key=lambda i: -points[i][0].shape[1])
+    spans, first = [], 0
+    for i in order:
+        spans.append((first, first + len(points[i][0])))
+        first += len(points[i][0])
+    X = np.empty((first, points[order[0]][0].shape[1]))
+    hi = np.full(X.shape, math.inf)
+    width = np.empty(first, dtype=int)
+    for i, (a, b) in zip(order, spans):
+        x, upper, target = points[i]
+        n = x.shape[1]
+        X[a:b, :n], X[a:b, n:], hi[a:b, :n], width[a:b] = x, target or 0.0, upper, n
+    goal = None if points[0][2] is None else np.repeat(
+        [points[i][2] for i in order], [b - a for a, b in spans])
+    if not np.isfinite(hi).any():
+        hi = None  # a cap of inf never binds, and the tender skips it
+    final = np.empty_like(X)
+    rounds, reasons = np.full(first, cap), np.zeros(first, dtype=int)
+    ids = np.arange(first)  # each live row's index in X
+    groups = _groups(width)
+    B = _totals(X, groups)
+
+    def distance() -> np.ndarray:
+        """Each row's sup-norm distance to its target, NaN at a NaN, which
+        fails the threshold test as inf does."""
+        return np.abs(X - goal[:, None]).max(axis=1)
+
+    def retire(t: int, converged: np.ndarray, stop: np.ndarray) -> None:
+        nonlocal X, hi, B, goal, ids, width, groups
+        done = ids[stop]
+        rounds[done] = t
+        reasons[done] = np.where(converged[stop], 1, 2)
+        final[done] = X[stop]
+        keep = ~stop
+        X, B, ids, width = X[keep], B[keep], ids[keep], width[keep]
+        if hi is not None:
+            hi = hi[keep]
+        if goal is not None:
+            goal = goal[keep]
+        groups = _groups(width)
+
+    if goal is not None and (converged := distance() < threshold).any():
+        retire(0, converged, converged)
+    for t in range(1, cap + 1):
+        if not len(ids):
+            break
+        new = X.copy()
+        running = B.copy() if sequential else B
+        reach = [0] * groups[0][2]  # rows [0, reach[j]) have a player j
+        for _, b, n in groups:
+            reach[:n] = [b] * n
+        # a total of inf meets inf - inf, as in the scalar rule, which answers 0
+        with np.errstate(invalid="ignore"):
+            for j, k in enumerate(reach):
+                # before its move column j is still last round's, in either order
+                x = new[:k, j]
+                y = running[:k] - x
+                y = np.where(y < 0.0, 0.0, y)
+                if delta is not None:
+                    v = tender(y, x - delta, x + delta)
+                else:
+                    v = tender(y, 0.0, math.inf if hi is None else hi[:k, j])
+                if sequential:
+                    running[:k] += v - x
+                new[:k, j] = v
+        # each row's largest step |v - x|; the padding does not move
+        moves = np.abs(new - X).max(axis=1)
+        X = new
+        if history is not None:
+            history.append(X)
+        converged = (moves if goal is None else distance()) < threshold
+        # moves <= 4 ulps of B, as math.ulp gives them: np.spacing(inf) is
+        # NaN, where math.ulp(inf) is inf and every move is at or below it
+        stop = converged | ~(moves > _FIXED_POINT_ULPS * np.spacing(B))
+        B = _totals(X, groups)
+        if stop.any():
+            retire(t, converged, stop)
+    final[ids] = X
+    rounds, reasons = rounds.tolist(), [_REASONS[r] for r in reasons.tolist()]
+    return [(final[a:b, :points[i][0].shape[1]], rounds[a:b], reasons[a:b])
+            for i, (a, b) in sorted(zip(order, spans))]
+
+
+def _groups(width: np.ndarray) -> list[tuple[int, int, int]]:
+    """(first, end, width) of each run of rows of one width."""
+    cuts = [0, *(np.flatnonzero(width[1:] != width[:-1]) + 1).tolist(), len(width)]
+    return [(a, b, int(width[a])) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _totals(X: np.ndarray, groups: list[tuple[int, int, int]]) -> np.ndarray:
+    """Each row's total: numpy's sum over its width group's view."""
+    return np.concatenate([X[a:b, :n].sum(axis=1) for a, b, n in groups])
 
 
 def _caps(config: GameConfig, rows: int) -> np.ndarray:
@@ -304,13 +472,13 @@ def convergence_study(
     """Rounds-to-convergence statistics over seeded random restarts.
 
     Trial (n, k) draws its initial profile from a child generator seeded
-    with [seed, n, k], so any subset of the grid reproduces exactly. The
-    trials of one n run in lockstep, as the rows of one array; each row
-    stops on its own, for its own reason, and ends exactly as it would
-    alone.
+    with [seed, n, k], so any subset of the grid reproduces exactly. Every
+    point is set up and checked before any is played; then the trials of
+    all n values run in lockstep, as the rows of one batch. Each row stops
+    on its own, for its own reason, and ends exactly as it would alone.
     """
     trials = integer("trials", trials, 1)
-    records = []
+    ns, points = [], []
     for i, n in enumerate(n_values):
         n = integer(f"n_values[{i}]", n, 1)
         config = GameConfig(
@@ -326,8 +494,10 @@ def convergence_study(
             draw_initial_profile(family, n, np.random.default_rng([seed, n, trial]))
             for trial in range(trials)
         ])
-        _, rounds, reasons = _play(config, X, _caps(config, trials),
-                                   solve_symmetric(family, n).per_player)
+        ns.append(n)
+        points.append((X, _caps(config, trials), solve_symmetric(family, n).per_player))
+    records = []  # the points differ only in n, so the last config rules them all
+    for n, (_, rounds, reasons) in zip(ns, _play_batch(config, points) if points else ()):
         records.extend(StudyRecord(n, trial, played, stop)
                        for trial, (played, stop) in enumerate(zip(rounds, reasons)))
     return StudyResult(records=tuple(records))
@@ -360,54 +530,79 @@ def whale_fish_experiment(
     convergence_threshold: float = GameConfig.convergence_threshold,
     max_iterations: int = GameConfig.max_iterations,
 ) -> WhaleFishReport:
-    """Budgeted dynamics with one deep-pocketed player.
+    """Budgeted dynamics with one deep-pocketed player: the
+    :func:`whale_fish_sweep` of the one count ``n_fish``."""
+    (report,) = whale_fish_sweep(family, [n_fish], trials, seed,
+                                 convergence_threshold, max_iterations)
+    return report
+
+
+def whale_fish_sweep(
+    family: PayoffFamily,
+    n_fish_values: Sequence[int],
+    trials: int,
+    seed: int,
+    convergence_threshold: float = GameConfig.convergence_threshold,
+    max_iterations: int = GameConfig.max_iterations,
+) -> tuple[WhaleFishReport, ...]:
+    """Budgeted dynamics with one deep-pocketed player, one report per
+    count of fish.
 
     Fish budgets are drawn uniform on (0, q/n_total) — below the fair
     equilibrium tender — and fish start uniform within budget; the whale
     starts uniform on (0, w/n_total) and is uncapped. A trial converges
     when no player moved by ``convergence_threshold`` or more in the last
-    round. All trials run in lockstep, as the rows of one array.
+    round. Each count is set up and checked, its ``n_fish``, then
+    ``trials``, then the run settings, before any is played; then the
+    trials of all counts run in lockstep, as the rows of one batch, each
+    ending exactly as it would alone.
     """
-    n_fish, trials = integer("n_fish", n_fish, 0), integer("trials", trials, 1)
-    n_total = n_fish + 1
-    # the run settings get the same checks as a study's
-    config = GameConfig(family, n_total, convergence_threshold=convergence_threshold,
-                        max_iterations=max_iterations, seed=seed)
-    eq = solve_symmetric(family, n_total)
-    fair_strategy = eq.per_player
-    fair_payoff = eq.positive_payoff()  # the percentage columns divide by it
-    w = diagnostics(family).root
+    setups, points = [], []
+    for n_fish in n_fish_values:
+        n_fish, trials = integer("n_fish", n_fish, 0), integer("trials", trials, 1)
+        n_total = n_fish + 1
+        # the run settings get the same checks as a study's
+        config = GameConfig(family, n_total, convergence_threshold=convergence_threshold,
+                            max_iterations=max_iterations, seed=seed)
+        eq = solve_symmetric(family, n_total)
+        fair_strategy = eq.per_player
+        fair_payoff = eq.positive_payoff()  # the percentage columns divide by it
+        w = diagnostics(family).root
 
-    # one draw of 2*n_fish + 1 doubles u per trial: the fish budgets, the
-    # whale start, the fish starts; each value is its upper end times u,
-    # the bits of numpy's uniform(0, upper)
-    U = np.array([np.random.default_rng([seed, n_fish, trial]).random(2 * n_fish + 1)
-                  for trial in range(trials)])
-    budgets = fair_strategy * U[:, :n_fish]
-    upper = np.hstack((np.full((trials, 1), math.inf), budgets))
-    X = np.hstack(((w / n_total) * U[:, n_fish:n_fish + 1], budgets * U[:, n_fish + 1:]))
+        # one draw of 2*n_fish + 1 doubles u per trial: the fish budgets, the
+        # whale start, the fish starts; each value is its upper end times u,
+        # the bits of numpy's uniform(0, upper)
+        U = np.array([np.random.default_rng([seed, n_fish, trial]).random(2 * n_fish + 1)
+                      for trial in range(trials)])
+        budgets = fair_strategy * U[:, :n_fish]
+        upper = np.hstack((np.full((trials, 1), math.inf), budgets))
+        X = np.hstack(((w / n_total) * U[:, n_fish:n_fish + 1],
+                       budgets * U[:, n_fish + 1:]))
+        setups.append((n_fish, fair_strategy, fair_payoff, budgets))
+        points.append((X, upper, None))
 
-    final, _, reasons = _play(config, X, upper)
-    strategies = final[:, 0]
-    profits = np.array([
-        pro_rata_payoff(family, float(x[0]), float(x[1:].sum())) for x in final
-    ])
-    pct_strategy = 100.0 * (strategies - fair_strategy) / fair_strategy
-    pct_profit = 100.0 * (profits - fair_payoff) / fair_payoff
-    converged = reasons.count("converged")
-    saturated = int(np.count_nonzero((final[:, 1:] == budgets).all(axis=1)))
-
-    return WhaleFishReport(
-        n_fish=n_fish,
-        trials=trials,
-        fair_strategy=fair_strategy,
-        fair_payoff=fair_payoff,
-        whale_strategy=float(strategies.mean()),
-        whale_profit=float(profits.mean()),
-        pct_strategy_increase=float(pct_strategy.mean()),
-        pct_profit_increase=float(pct_profit.mean()),
-        pct_strategy_std=float(pct_strategy.std()),
-        pct_profit_std=float(pct_profit.std()),
-        converged_trials=converged,
-        fish_saturated_trials=saturated,
-    )
+    reports = []  # the counts differ only in n, so the last config rules them all
+    for (n_fish, fair_strategy, fair_payoff, budgets), (final, _, reasons) in zip(
+            setups, _play_batch(config, points) if points else ()):
+        strategies = final[:, 0]
+        profits = np.array([
+            pro_rata_payoff(family, float(x[0]), float(x[1:].sum())) for x in final
+        ])
+        pct_strategy = 100.0 * (strategies - fair_strategy) / fair_strategy
+        pct_profit = 100.0 * (profits - fair_payoff) / fair_payoff
+        saturated = int(np.count_nonzero((final[:, 1:] == budgets).all(axis=1)))
+        reports.append(WhaleFishReport(
+            n_fish=n_fish,
+            trials=trials,
+            fair_strategy=fair_strategy,
+            fair_payoff=fair_payoff,
+            whale_strategy=float(strategies.mean()),
+            whale_profit=float(profits.mean()),
+            pct_strategy_increase=float(pct_strategy.mean()),
+            pct_profit_increase=float(pct_profit.mean()),
+            pct_strategy_std=float(pct_strategy.std()),
+            pct_profit_std=float(pct_profit.std()),
+            converged_trials=reasons.count("converged"),
+            fish_saturated_trials=saturated,
+        ))
+    return tuple(reports)

@@ -14,8 +14,9 @@ that states what is known exactly about its kind; the solvers, the
 checks and :func:`diagnostics` read those members and name no kind. Every
 solver asks the family itself: a best response goes through its
 ``tender()`` (by default the bracketed slope search; power and cfmm solve
-exactly) and a closed symmetric route through its ``closed_total(n)``,
-which the base class refuses.
+exactly), a dynamics round through its ``column_tender()`` where the kind
+has one (cfmm), and a closed symmetric route through its
+``closed_total(n)``, which the base class refuses.
 """
 
 from __future__ import annotations
@@ -86,6 +87,11 @@ class PayoffFamily:
       ``closed_total(n)``, the symmetric equilibrium total in closed form.
     * ``tender()`` builds the kind's best-response tender: here the
       bracketed slope search, which tables and callables use.
+    * ``column_tender()`` builds the same tender on arrays, one answer per
+      element, bit for bit the scalar tender's; None, here, for a kind with
+      no closed form to write on arrays. The dynamics move whole columns of
+      rows with it and do not check their totals against ``domain_max``,
+      so a kind with a last knot gives none.
     * ``_positive_point()`` and ``_peak(root)`` give :func:`diagnostics`
       a point with f > 0 and (argmax, sup f) on [0, root]: here a halving
       scan, which passes over points where ``value`` raises
@@ -110,6 +116,9 @@ class PayoffFamily:
         raise InvalidArgument(f"no closed form for {self.kind} families")
 
     def closed_poa(self, n: int) -> float | None:
+        return None
+
+    def column_tender(self) -> Callable[..., np.ndarray] | None:
         return None
 
     def tender(self) -> Callable[..., float]:
@@ -312,28 +321,55 @@ class CfmmArbitragePayoff(ForwardExchange, PayoffFamily):
             root1 = (-b + sq) / (2.0 * a)
         return max(root1, c0 / (a * root1))
 
-    def tender(self) -> Callable[..., float]:
-        """Best-response tender (y, lo=0, hi=inf) -> x = t - y in closed
-        form, on the window :meth:`PayoffFamily.tender` states."""
+    def _free_tender(self, sqrt: Callable) -> Callable:
+        """The closed-form best response x = t - y to the others' total y,
+        before the floor at 0 and the window: on floats with ``math.sqrt``,
+        on arrays with ``np.sqrt``, rounding each step alike."""
         # The first-order condition reduces to (r1 + g t)**2 = (g r1 r2 + g**2 r2 y)/c,
         # so t = (sqrt(k0 + k1 y) - r1)/g with k0 = g r1 r2/c and k1 = g**2 r2/c.
         # Near the no-arbitrage boundary sqrt(k0 + k1 y) - r1 cancels, so with
         # the family's exact margin m it is (r1 m/c + k1 y)/(sqrt(k0 + k1 y) + r1)
         g, r1, r2, c = self.gamma, self.r1, self.r2, self.c
         k0, k1, m = g * r1 * r2 / c, g * g * r2 / c, self.margin
-        km = None if m is None else r1 * m / c
+        if m is None:
+            return lambda y: (sqrt(k0 + k1 * y) - r1) / g - y
+        km = r1 * m / c
+        return lambda y: (km + k1 * y) / (g * (sqrt(k0 + k1 * y) + r1)) - y
+
+    def tender(self) -> Callable[..., float]:
+        """Best-response tender (y, lo=0, hi=inf) -> x = t - y in closed
+        form, on the window :meth:`PayoffFamily.tender` states."""
+        free = self._free_tender(math.sqrt)
 
         def tender(y: float, lo: float = 0.0, hi: float = math.inf) -> float:
-            if km is None:
-                x = (math.sqrt(k0 + k1 * y) - r1) / g - y
-            else:
-                x = (km + k1 * y) / (g * (math.sqrt(k0 + k1 * y) + r1)) - y
+            x = free(y)
             if not x > 0.0:
                 x = 0.0
             if x < lo:
                 x = lo
             if hi < x:
                 x = hi
+            return x
+
+        return tender
+
+    def column_tender(self) -> Callable[..., np.ndarray]:
+        """:meth:`tender` on arrays: ``tender(y, lo=0.0, hi=inf)`` with y an
+        array and each bound a float or an array of y's shape, answering
+        per element the bits the scalar tender gives. A y of inf meets
+        inf - inf here as there, and answers 0; numpy warns of it unless
+        the caller silences invalid values."""
+        free = self._free_tender(np.sqrt)
+
+        def tender(y: np.ndarray, lo=0.0, hi=math.inf) -> np.ndarray:
+            x = free(y)
+            x = np.where(x > 0.0, x, 0.0)  # NaN to 0, as ``not x > 0.0``
+            # the answer is now at or above +0.0: a float lo at or below 0 or
+            # a float hi of inf cannot bind, and is skipped
+            if isinstance(lo, np.ndarray) or lo > 0.0:
+                x = np.where(x < lo, lo, x)
+            if isinstance(hi, np.ndarray) or hi < math.inf:
+                x = np.where(hi < x, hi, x)
             return x
 
         return tender

@@ -191,6 +191,37 @@ def test_clear_matches_an_fsum_reference(seed):
     assert (out.pool_input, out.pool_output) == (pool_input, pool_output)
 
 
+def _outcome_bits(out):
+    return (out.residuals.tobytes(), out.pool_input.hex(), out.pool_output.hex(),
+            out.per_trader_b.tobytes())
+
+
+@given(deltas=arrays(dtype=float, shape=st.integers(1, 64), elements=st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324]),
+    st.floats(0.0, 1e6, allow_subnormal=True),
+    st.floats(1e-300, 1e300))),
+    tiny=st.sampled_from([None, -5e-324, -1e-300]))
+@example(deltas=np.array([0.0, -0.0, 7.5]), tiny=None)
+@example(deltas=np.array([1e300, 3.0]), tiny=-5e-324)
+@settings(deadline=None, max_examples=200)
+def test_a_batch_that_nets_nothing_clears_as_the_two_pass_reference(deltas, tiny):
+    # with net == gross the scale is exactly 1 and clear skips its second
+    # exact sum; a negative entry too small to move the rounded net takes
+    # the same path
+    if tiny is not None:
+        deltas = np.append(deltas, tiny)
+    instance = BatchInstance(deltas=deltas, pool=POOL)
+    try:
+        want = _reference_clear(instance)
+    except NonPositiveNetDemand:
+        with pytest.raises(NonPositiveNetDemand):
+            clear(instance)
+        return
+    got = clear(instance)
+    assert _outcome_bits(got) == (want[0].tobytes(), want[1].hex(), want[2].hex(),
+                                  want[3].tobytes())
+
+
 def _sum_or_overflow(f, a):
     try:
         return f(a)

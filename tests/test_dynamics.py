@@ -30,8 +30,9 @@ from prorata import (
     simulate,
     solve_symmetric,
     whale_fish_experiment,
+    whale_fish_sweep,
 )
-from prorata.dynamics import _play
+from prorata.dynamics import _play, _play_batch
 
 CFMM = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0)
 POWER = PowerPayoff(beta=0.5, gamma=0.05)
@@ -716,3 +717,156 @@ def test_best_response_and_simulate_ask_the_family_for_its_tender(scenario):
     moves = 3 * (len(got.tenders) - 1)
     assert recording.calls[0] == "built"
     assert len(recording.calls) == 1 + moves
+
+
+# --------------------------------------- one batch per run, two kernels
+
+
+@dataclass(frozen=True)
+class _ScalarCfmm(CfmmArbitragePayoff):
+    """The cfmm family without its column form: the engine moves its rows
+    in Python floats, through the scalar tender."""
+
+    def column_tender(self):
+        return None
+
+
+SCALAR_CFMM = _ScalarCfmm(gamma=0.99, r1=200.0, r2=250.0, c=1.0)
+
+
+def _points(family, n_values, trials, scenario, aim):
+    """A batch of study points, with finite caps on some players when the
+    scenario has no budgets."""
+    w = diagnostics(family).root
+    points = []
+    for n in n_values:
+        rng = np.random.default_rng([8, n])
+        X = rng.uniform(0.0, w / n, size=(trials, n))
+        if isinstance(scenario, Budgeted):
+            upper = np.full(X.shape, scenario.budgets)
+        else:
+            upper = np.where(rng.random(X.shape) < 0.3,
+                             rng.uniform(0.0, 2.0 * w / n, X.shape), math.inf)
+        points.append((X, upper, solve_symmetric(family, n).per_player if aim else None))
+    return points
+
+
+def _batch_bits(outcomes):
+    return [(final.tobytes(), final.shape, rounds, stops)
+            for final, rounds, stops in outcomes]
+
+
+@pytest.mark.parametrize("order", ["sequential", "synchronous"])
+@pytest.mark.parametrize("scenario", [Unconstrained(), BoundedUpdate(delta=0.7),
+                                      Budgeted(budgets=(30.0, math.inf, 12.5)),
+                                      Budgeted(budgets=(5.0, 5.0, 5.0))],
+                         ids=["unconstrained", "bounded", "budgeted", "binding"])
+def test_the_column_kernel_equals_the_scalar_kernel(scenario, order):
+    n_values = (3, 3) if isinstance(scenario, Budgeted) else (5, 2, 5, 1, 16, 3)
+    outcomes, reasons = {}, set()
+    for aim, threshold, cap in ((True, 0.5, 30), (False, 1e-3, 30), (True, 1e-9, 5)):
+        config = dict(scenario=scenario, convergence_threshold=threshold,
+                      max_iterations=cap, update_order=order)
+        got = [_batch_bits(_play_batch(GameConfig(family, 3, **config),
+                                       _points(family, n_values, 6, scenario, aim)))
+               for family in (CFMM, SCALAR_CFMM)]
+        assert got[0] == got[1]
+        reasons |= {stop for _, _, _, stops in got[0] for stop in stops}
+        for n in n_values:
+            traces = [simulate(GameConfig(family, n, seed=n, **config))
+                      for family in (CFMM, SCALAR_CFMM)]
+            assert len({(t.tenders.tobytes(), t.tenders.shape, t.stop_reason,
+                         t.final_payoffs.tobytes()) for t in traces}) == 1
+    # binding budgets bring every row to rest by round 2
+    binding = scenario == Budgeted(budgets=(5.0, 5.0, 5.0))
+    assert ({"fixed-point"} if binding else {"converged", "iteration-cap"}) <= reasons
+
+
+def test_the_column_kernel_answers_an_overflowing_total_as_the_scalar_kernel():
+    # the total of the start overflows to inf, which numpy's sum reports;
+    # the cfmm form then meets inf - inf, and both kernels answer 0 without
+    # an invalid-value warning
+    for order in ("sequential", "synchronous"):
+        with np.errstate(over="ignore"):
+            traces = [simulate(GameConfig(family, 3, update_order=order),
+                               initial=[1e308, 1e308, 1.0])
+                      for family in (CFMM, SCALAR_CFMM)]
+        assert traces[0].stop_reason == traces[1].stop_reason
+        assert traces[0].tenders.tobytes() == traces[1].tenders.tobytes()
+
+
+@pytest.mark.parametrize("family", [CFMM, POWER, KINKED_WIDE],
+                         ids=["cfmm", "power", "kinked-wide"])
+@pytest.mark.parametrize("scenario", [Unconstrained(), BoundedUpdate(delta=2.0)],
+                         ids=["unconstrained", "bounded"])
+def test_a_study_of_unsorted_repeated_n_values_is_its_one_point_studies(
+        family, scenario):
+    n_values = [5, 2, 5, 1, 16]
+    config = dict(trials=4, seed=6, scenario=scenario, max_iterations=60,
+                  convergence_threshold=0.5)
+    study = convergence_study(family, n_values, **config)
+    assert study.records == tuple(
+        record for n in n_values
+        for record in convergence_study(family, [n], **config).records)
+
+
+@pytest.mark.parametrize("family", [CFMM, POWER], ids=["cfmm", "power"])
+def test_a_whale_sweep_is_its_one_count_experiments(family):
+    counts = [3, 0, 1, 3, 12]
+    for cap in (2, 2000):
+        assert whale_fish_sweep(family, counts, 5, 4, max_iterations=cap) == tuple(
+            whale_fish_experiment(family, k, 5, 4, max_iterations=cap) for k in counts)
+    assert whale_fish_sweep(family, [], 5, 4) == ()
+
+
+# a table that three or more synchronous players leave: with seed 1 and
+# two trials, n = 3 leaves it at round 1 and n = 4 at round 3
+LEFT_TABLE = TabulatedPayoff((0, 50, 100, 200, 300, 400), (0, 6, 8, 9, 7, 0))
+
+
+@pytest.mark.parametrize("run, error, message", [
+    (lambda f: convergence_study(f, [2, 0], trials=0, seed=0), InvalidArgument,
+     "trials must be at least 1, got 0"),
+    (lambda f: convergence_study(f, [2, 2.5, 0], 3, 0), InvalidArgument,
+     "n_values[1] must be an integer, got 2.5"),
+    (lambda f: convergence_study(f, [0, 3], 3, 0, convergence_threshold=0),
+     InvalidArgument, "n_values[0] must be at least 1, got 0"),
+    (lambda f: convergence_study(f, [3, 0], 3, 0, convergence_threshold=0),
+     InvalidArgument, "convergence_threshold must be finite and positive, got 0"),
+    (lambda f: convergence_study(f, [2, 3], 3, 0, scenario=Budgeted((1.0, 1.0))),
+     InvalidArgument, "need 3 budgets, got 2"),
+    (lambda f: whale_fish_sweep(f, [1, -1], trials=0, seed=0), InvalidArgument,
+     "trials must be at least 1, got 0"),
+    (lambda f: whale_fish_sweep(f, [-1, 1], trials=0, seed=0), InvalidArgument,
+     "n_fish must be nonnegative, got -1"),
+    (lambda f: whale_fish_sweep(f, [1, -1], 2, 0, max_iterations=0), InvalidArgument,
+     "max_iterations must be at least 1, got 0"),
+    (lambda f: whale_fish_sweep(f, [1, True], 2, 0), InvalidArgument,
+     "n_fish must be an integer, got True"),
+], ids=["study-trials", "study-n", "study-n-before-config", "study-config",
+        "study-budgets", "whale-trials", "whale-n-fish", "whale-settings",
+        "whale-second-n-fish"])
+def test_a_run_checks_every_point_in_order_before_playing_any(run, error, message):
+    # the first check that fails, in the order the points are listed: no
+    # point plays first, so a later point's error is not hidden behind an
+    # earlier point's play
+    with pytest.raises(error) as info:
+        run(CFMM)
+    assert str(info.value) == message
+    with pytest.raises(error) as info:
+        run(LEFT_TABLE)
+    assert str(info.value) == message
+
+
+def test_a_table_run_raises_for_the_first_listed_point_that_leaves_the_table():
+    config = dict(trials=2, seed=1, update_order="synchronous", max_iterations=40)
+
+    def message(n_values):
+        with pytest.raises(DomainExceeded) as info:
+            convergence_study(LEFT_TABLE, n_values, **config)
+        return str(info.value)
+
+    assert message([3]).startswith("round 1: ")
+    assert message([4]).startswith("round 3: ")
+    assert message([4, 3]) == message([4])
+    assert message([3, 4]) == message([3])

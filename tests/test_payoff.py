@@ -404,6 +404,41 @@ def test_a_cfmm_family_is_nowhere_positive_exactly_when_its_margin_is_not(
         assert diagnostics(family).max_value > 0.0
 
 
+@given(gamma=st.floats(0.5, 1.0), r1=st.floats(1.0, 1e4), r2=st.floats(1.0, 1e4),
+       eps=st.floats(-15.0, math.log10(0.5)).map(lambda k: 10.0**k),
+       above=st.booleans(), ys=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+       bounds=st.lists(st.tuples(st.floats(-2.0, 2.0),
+                                 st.sampled_from([0.0, 0.5, 1.0, 3.0, math.inf])),
+                       min_size=14, max_size=14))
+@settings(deadline=None, max_examples=300)
+def test_the_cfmm_column_tender_is_the_scalar_tender_per_element(
+        gamma, r1, r2, eps, above, ys, bounds):
+    # c = (g r2/r1)(1 +- eps): families inside the margin band, outside it
+    # and nowhere positive. y runs from 0 to 4 times the lone player's
+    # tender x0 and past the zero of f; the windows reach below 0, shut at
+    # hi = 0 and open to hi = inf, as multiples of x0.
+    family = CfmmArbitragePayoff(gamma, r1, r2,
+                                 gamma * r2 / r1 * (1.0 + eps if above else 1.0 - eps))
+    scalar, column = family.tender(), family.column_tender()
+    scale = max(scalar(0.0), 1e-3)
+    y = np.array([0.0, 1e12 * scale, *(4.0 * scale * np.array(ys))])
+    lo = scale * np.array([lo for lo, _ in bounds])[:len(y)]
+    hi = scale * np.array([hi for _, hi in bounds])[:len(y)]
+    hi = np.maximum(lo, hi)  # a window lo <= hi
+    for args, want in (
+        ((y,), [scalar(v) for v in y]),
+        ((y, lo, hi), [scalar(*w) for w in zip(y, lo, hi)]),
+        ((y, 0.0, hi), [scalar(v, 0.0, h) for v, h in zip(y, hi)]),
+        ((y, lo, math.inf), [scalar(v, lo_, math.inf) for v, lo_ in zip(y, lo)]),
+    ):
+        assert [v.hex() for v in column(*args).tolist()] == [v.hex() for v in want]
+
+
+def test_a_family_without_a_closed_form_has_no_column_tender(power):
+    table = TabulatedPayoff(ts=(0.0, 1.0, 2.0), fs=(0.0, 1.0, 0.5))
+    assert power.column_tender() is None and table.column_tender() is None
+
+
 def test_diagnostics_are_kept_on_the_family_object(cfmm):
     first = diagnostics(cfmm)
     assert diagnostics(cfmm) is first
