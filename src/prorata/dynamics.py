@@ -12,16 +12,18 @@ are applied by projecting the unconstrained best response, which is exact
 for concave payoffs; the family's own tender, ``family.tender()``, takes
 the bounds and projects (see :meth:`~prorata.payoff.PayoffFamily.tender`).
 
-One round engine, :func:`_play_batch`, serves :func:`simulate`,
-:func:`convergence_study` and :func:`whale_fish_sweep` (and so
-:func:`whale_fish_experiment`, its one-count call): a run's trials, of
-every n value or fish count, play in lockstep as the rows of one batch,
-and each row leaves at the round it stops. Rows never mix, so a trial ends
-exactly as it would alone. Two kernels move the rows, chosen by the family:
-a column kernel, one array call per player for every row, where the family
-has a ``column_tender()`` (cfmm), and a scalar loop over rows otherwise.
-The engine's docstring gives the stop reasons, the layout of the batch and
-why each kernel is kept. The engine reads its rules from a
+Two kernels play the rounds and give the same bits. A run,
+:func:`convergence_study` or :func:`whale_fish_sweep` (and so
+:func:`whale_fish_experiment`, its one-count call), plays on its family's
+kernel through :func:`_play_batch`: the run's trials, of every n value or
+fish count, play in lockstep as the rows of one batch, and each row leaves
+at the round it stops. Rows never mix, so a trial ends exactly as it would
+alone. The kernel is a column kernel, one array call per player for every
+row, where the family has a ``column_tender()`` (cfmm), and a scalar loop
+over rows in Python floats otherwise. A trace, :func:`simulate`, plays its
+one row in Python floats on the scalar kernel, which keeps every round.
+The docstring of :func:`_play_batch` gives the stop reasons, the layout of
+the batch and why each kernel is kept. The kernels read their rules from a
 :class:`GameConfig`, whose defaults are the run defaults of every function
 here.
 """
@@ -127,31 +129,15 @@ _Point = tuple[np.ndarray, np.ndarray, Union[float, None]]
 _Outcome = tuple[np.ndarray, list[int], list[str]]
 
 
-def _play(
-    config: GameConfig,
-    X: np.ndarray,
-    upper: np.ndarray,
-    target: float | None = None,
-    history: list[np.ndarray] | None = None,
-) -> _Outcome:
-    """:func:`_play_batch` on the one point (X, upper, target)."""
-    (outcome,) = _play_batch(config, [(X, upper, target)], history)
-    return outcome
-
-
-def _play_batch(
-    config: GameConfig,
-    points: Sequence[_Point],
-    history: list[np.ndarray] | None = None,
-) -> list[_Outcome]:
+def _play_batch(config: GameConfig, points: Sequence[_Point]) -> list[_Outcome]:
     """Run rounds of ``config``'s game on the rows of every point, each row
     until it stops.
 
     A point is (X, upper, target): its trials as the rows of X, as wide as
     its n, their tender caps and the symmetric tender they aim at, or None
     (for every point or for none); the points share ``config``'s family,
-    scenario, threshold, round cap and update order. A row stops at the first round where one of these
-    holds, and says which:
+    scenario, threshold, round cap and update order. A row stops at the
+    first round where one of these holds, and says which:
 
     - ``"converged"``: the row is within the threshold of ``target`` (sup
       norm), checked from round 0; with no target, no player moved by the
@@ -170,25 +156,28 @@ def _play_batch(
     round then sums every live row with numpy. A stopped row leaves, so
     rows stop independently and a row ends exactly as it would alone.
 
-    The family alone picks one of two kernels, which give the same bits.
-    With a ``column_tender()`` (cfmm) the rows of all points play as one
-    batch, and player j of every live row moves in one array call (see
-    :func:`_column_play`); a run's points share each call because at 10
-    trials one point's rows are too few to repay numpy's cost per call.
-    Otherwise the points play one after another, each row in Python floats
-    through ``tender()`` (see :func:`_scalar_play`): a search (tables,
-    callables) has no array form, and power's Newton iteration, called per
-    element of an array, is several times slower than its scalar loop. On
-    a table family, a row total past the last knot raises
-    :class:`DomainExceeded` at that round, for the first listed point whose
-    rows leave the table. ``history``, given one point, collects every
-    round's live rows. Returns, per point, its final rows, the rounds each
-    played and why each stopped.
+    The rule for kernels: a run plays on its family's kernel, and a trace
+    plays in Python floats. Here the family alone picks one of two kernels,
+    which give the same bits. With a ``column_tender()`` (cfmm) the rows of
+    all points play as one batch, and player j of every live row moves in
+    one array call (see :func:`_column_play`); a run's points share each
+    call because at 10 trials one point's rows are too few to repay numpy's
+    cost per call. Otherwise the points play one after another, each row in
+    Python floats through ``tender()`` (see :func:`_scalar_play`): a search
+    (tables, callables) has no array form, and power's Newton iteration,
+    called per element of an array, is several times slower than its
+    scalar loop. :func:`simulate` calls the scalar kernel directly for its
+    one row, whatever the family, since one row on the column kernel pays
+    numpy's cost per call on every move; the scalar kernel alone keeps
+    every round's profile. On a table family, a row total past the last
+    knot raises :class:`DomainExceeded` at that round, for the first listed
+    point whose rows leave the table. Returns, per point, its final rows,
+    the rounds each played and why each stopped.
     """
     tender = config.family.column_tender()
     if tender is None:
-        return [_scalar_play(config, *point, history) for point in points]
-    return _column_play(config, tender, points, history)
+        return [_scalar_play(config, *point) for point in points]
+    return _column_play(config, tender, points)
 
 
 def _scalar_play(
@@ -196,14 +185,14 @@ def _scalar_play(
     X: np.ndarray,
     upper: np.ndarray,
     target: float | None,
-    history: list[np.ndarray] | None,
+    history: list[np.ndarray] | None = None,
 ) -> _Outcome:
     """The rounds of one point, each row moved in Python floats.
 
     Each live row is one record: its index, its tenders as a Python float
-    list, its caps and its total. The round builds one array, for the row
-    totals (numpy's sum, the bits the array would give) and for
-    ``history``.
+    list, its caps and its total. The round builds one array of the live
+    rows: numpy sums it for the row totals (the bits the array would
+    give), and ``history``, when given, collects it.
     """
     family, scenario = config.family, config.scenario
     threshold, cap = config.convergence_threshold, config.max_iterations
@@ -276,7 +265,6 @@ def _column_play(
     config: GameConfig,
     tender: Callable[..., np.ndarray],
     points: Sequence[_Point],
-    history: list[np.ndarray] | None,
 ) -> list[_Outcome]:
     """The rounds of all points as one batch, moved by the column tender.
 
@@ -363,8 +351,6 @@ def _column_play(
         # each row's largest step |v - x|; the padding does not move
         moves = np.abs(new - X).max(axis=1)
         X = new
-        if history is not None:
-            history.append(X)
         converged = (moves if goal is None else distance()) < threshold
         # moves <= 4 ulps of B, as math.ulp gives them: np.spacing(inf) is
         # NaN, where math.ulp(inf) is inf and every move is at or below it
@@ -412,7 +398,8 @@ def simulate(
     """Run best-response rounds until the profile is within
     ``convergence_threshold`` of the symmetric equilibrium (sup norm), no
     longer moves, or hits the round cap. ``initial=None`` draws a uniform
-    profile from the config seed."""
+    profile from the config seed. The one row plays in Python floats, on
+    :func:`_scalar_play`, whatever the family."""
     family, n = config.family, config.n
     eq = solve_symmetric(family, n)
     if initial is None:
@@ -425,8 +412,8 @@ def simulate(
         raise InvalidArgument("initial tenders must be finite and nonnegative")
 
     history = [x[None, :]]
-    _, _, (reason,) = _play(config, history[0], _caps(config, 1), eq.per_player,
-                            history)
+    _, _, (reason,) = _scalar_play(config, history[0], _caps(config, 1),
+                                   eq.per_player, history)
     tenders = np.concatenate(history)
     tenders.setflags(write=False)
     final = tenders[-1]

@@ -32,7 +32,7 @@ from prorata import (
     whale_fish_experiment,
     whale_fish_sweep,
 )
-from prorata.dynamics import _play, _play_batch
+from prorata.dynamics import _play_batch
 
 CFMM = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0)
 POWER = PowerPayoff(beta=0.5, gamma=0.05)
@@ -554,11 +554,11 @@ def test_lockstep_trial_equals_trial_alone(family, scenario, threshold, order):
     caps = scenario.budgets if isinstance(scenario, Budgeted) else math.inf
     upper = np.full(X.shape, caps)
 
-    final, rounds, stops = _play(config, X, upper, target)
+    ((final, rounds, stops),) = _play_batch(config, [(X, upper, target)])
     for k, record in enumerate(study.records):
         trace = simulate(config, initial=X[k])
-        alone, alone_rounds, alone_stops = _play(
-            config, X[k:k + 1], upper[k:k + 1], target
+        ((alone, alone_rounds, alone_stops),) = _play_batch(
+            config, [(X[k:k + 1], upper[k:k + 1], target)]
         )
         assert (record.iterations, record.stop) == (rounds[k], stops[k]) == (
             alone_rounds[0], alone_stops[0]
@@ -574,18 +574,19 @@ def test_sweep_equals_reference_round_on_wide_rows(family, order):
     # ones, so some totals fall below a player's tender and y is clamped
     rng = np.random.default_rng(4)
     X = 10.0 ** rng.uniform(-3.0, 17.0, size=(64, 5))
-    config = GameConfig(family=family, n=5, max_iterations=2, update_order=order)
     target = solve_symmetric(family, 5).per_player
-    history = []
-    _, rounds, stops = _play(config, X, np.full_like(X, math.inf), target, history)
-    # the reference takes each row's total as numpy's sum of that row
-    # alone: the engine's totals, from the array of all rows, have its bits
-    trials = [_reference_trial(config, x) for x in X]
-    assert [(played, stop) for _, played, stop in trials] == list(zip(rounds, stops))
-    assert len(history) == 2
-    for t, got in enumerate(history, 1):
-        live = [k for k, played in enumerate(rounds) if played >= t]
-        assert got.tolist() == [trials[k][0][t].tolist() for k in live]
+    # a round cap of 1, then 2: the final rows are each row's round 1 and
+    # round 2, or the row where it stopped before
+    for cap in (1, 2):
+        config = GameConfig(family=family, n=5, max_iterations=cap, update_order=order)
+        ((final, rounds, stops),) = _play_batch(
+            config, [(X, np.full_like(X, math.inf), target)])
+        # the reference takes each row's total as numpy's sum of that row
+        # alone: the engine's totals, from the array of all rows, have its bits
+        trials = [_reference_trial(config, x) for x in X]
+        assert [(played, stop) for _, played, stop in trials] == list(zip(rounds, stops))
+        assert final.tolist() == [profiles[-1].tolist() for profiles, _, _ in trials]
+        assert max(rounds) == cap
 
 
 def _outcome(run):
@@ -772,11 +773,15 @@ def test_the_column_kernel_equals_the_scalar_kernel(scenario, order):
                for family in (CFMM, SCALAR_CFMM)]
         assert got[0] == got[1]
         reasons |= {stop for _, _, _, stops in got[0] for stop in stops}
+        # one row alone: the start simulate draws with seed n
+        caps = scenario.budgets if isinstance(scenario, Budgeted) else math.inf
         for n in n_values:
-            traces = [simulate(GameConfig(family, n, seed=n, **config))
-                      for family in (CFMM, SCALAR_CFMM)]
-            assert len({(t.tenders.tobytes(), t.tenders.shape, t.stop_reason,
-                         t.final_payoffs.tobytes()) for t in traces}) == 1
+            x = draw_initial_profile(CFMM, n, np.random.default_rng(n))
+            point = (x[None, :], np.full((1, n), caps),
+                     solve_symmetric(CFMM, n).per_player if aim else None)
+            alone = [_batch_bits(_play_batch(GameConfig(family, n, **config), [point]))
+                     for family in (CFMM, SCALAR_CFMM)]
+            assert alone[0] == alone[1]
     # binding budgets bring every row to rest by round 2
     binding = scenario == Budgeted(budgets=(5.0, 5.0, 5.0))
     assert ({"fixed-point"} if binding else {"converged", "iteration-cap"}) <= reasons
@@ -786,13 +791,36 @@ def test_the_column_kernel_answers_an_overflowing_total_as_the_scalar_kernel():
     # the total of the start overflows to inf, which numpy's sum reports;
     # the cfmm form then meets inf - inf, and both kernels answer 0 without
     # an invalid-value warning
+    point = (np.array([[1e308, 1e308, 1.0]]), np.full((1, 3), math.inf),
+             solve_symmetric(CFMM, 3).per_player)
     for order in ("sequential", "synchronous"):
         with np.errstate(over="ignore"):
-            traces = [simulate(GameConfig(family, 3, update_order=order),
-                               initial=[1e308, 1e308, 1.0])
-                      for family in (CFMM, SCALAR_CFMM)]
-        assert traces[0].stop_reason == traces[1].stop_reason
-        assert traces[0].tenders.tobytes() == traces[1].tenders.tobytes()
+            got = [_batch_bits(_play_batch(GameConfig(family, 3, update_order=order),
+                                           [point]))
+                   for family in (CFMM, SCALAR_CFMM)]
+        assert got[0] == got[1]
+
+
+@dataclass(frozen=True)
+class _NoColumnCfmm(CfmmArbitragePayoff):
+    """The cfmm family whose column form fails when asked for."""
+
+    def column_tender(self):
+        raise AssertionError("column_tender() asked for")
+
+
+@pytest.mark.parametrize("order", ["sequential", "synchronous"])
+@pytest.mark.parametrize("scenario", [Unconstrained(), BoundedUpdate(delta=0.7),
+                                      Budgeted(budgets=(30.0, math.inf, 12.5))],
+                         ids=["unconstrained", "bounded", "budgeted"])
+def test_simulate_never_asks_for_a_column_tender(scenario, order):
+    # a trace plays in Python floats, whatever the family offers
+    config = dict(n=3, scenario=scenario, convergence_threshold=1e-6, seed=2,
+                  update_order=order)
+    family = _NoColumnCfmm(gamma=0.99, r1=200.0, r2=250.0, c=1.0)
+    got = simulate(GameConfig(family, **config))
+    assert _trace_bits(got) == _trace_bits(simulate(GameConfig(CFMM, **config)))
+    assert len(got.tenders) > 2
 
 
 @pytest.mark.parametrize("family", [CFMM, POWER, KINKED_WIDE],
