@@ -2,8 +2,10 @@
 """Count the physical and code lines of Python modules.
 
     python3 scripts/code_lines.py src/prorata/*.py
+    python3 scripts/code_lines.py src
 
-A code line is a physical line that holds at least one token other than a
+A directory stands for every ``*.py`` file under it, in sorted order. A
+code line is a physical line that holds at least one token other than a
 comment, a docstring or layout (newlines, indentation). A docstring is a
 string statement standing alone as the first statement of a module, class
 or function body. The script prints one row per module and a total row.
@@ -46,9 +48,11 @@ def count(source: str) -> tuple[int, int]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("paths", nargs="+", type=pathlib.Path, help="Python files")
+    ap.add_argument("paths", nargs="+", type=pathlib.Path,
+                    help="Python files, or directories to search for them")
     args = ap.parse_args(argv)
-    rows = [(str(p), *count(p.read_text(encoding="utf-8"))) for p in args.paths]
+    files = [f for p in args.paths for f in (sorted(p.rglob("*.py")) if p.is_dir() else [p])]
+    rows = [(str(f), *count(f.read_text(encoding="utf-8"))) for f in files]
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     width = max(len(r[0]) for r in rows)
     print(f"{'module':<{width}}  {'physical':>8}  {'code':>6}")

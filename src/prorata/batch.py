@@ -77,7 +77,8 @@ def clear(instance: BatchInstance) -> BatchOutcome:
     second only when the net differs from the gross, and is the gross
     otherwise. Each pass is exact for fewer than 2**15 entries
     (MAX_TRADERS = 10,000; see ``_fixed_sums``).
-    Raises :class:`NonPositiveNetDemand` when the batch nets to <= 0, and
+    Raises :class:`NonPositiveNetDemand` when the batch nets to <= 0 or
+    every scaled residual rounds to 0 (so nothing reaches the pool), and
     :class:`InvalidArgument` when the net is so large that the quote
     overflows a float.
     """
@@ -93,6 +94,9 @@ def clear(instance: BatchInstance) -> BatchOutcome:
     else:
         residuals *= net / gross
         pool_input = _exact_sum(residuals)
+        if pool_input == 0.0:  # the scaled residuals all rounded to 0
+            raise NonPositiveNetDemand(
+                f"batch nets to {net}, but every residual rounds to 0: nothing to trade")
     pool_output = instance.pool.quote(pool_input)
     if not math.isfinite(pool_output):
         raise InvalidArgument(f"the pool quote for input {pool_input!r} overflows")

@@ -30,6 +30,7 @@ here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -201,20 +202,19 @@ def _scalar_play(
     end = family.domain_max
     tender = family.tender()
 
-    def distance(row: list[float]) -> float:
-        """The row's sup-norm distance to target; infinite at a NaN."""
-        dist = 0.0
+    def near(row: list[float]) -> bool:
+        """Every entry within the threshold of target (sup norm); a NaN is
+        not, and the test stops at the first entry that is not."""
         for v in row:
-            d = abs(v - target)
-            if not d <= dist:
-                dist = d if d == d else math.inf
-        return dist
+            if not abs(v - target) < threshold:
+                return False
+        return True
 
     final = X.tolist()
     rounds, reasons = [cap] * len(final), ["iteration-cap"] * len(final)
     live = []
     for i, record in enumerate(zip(final, upper.tolist(), X.sum(axis=1).tolist())):
-        if target is not None and distance(record[0]) < threshold:
+        if target is not None and near(record[0]):
             rounds[i], reasons[i] = 0, "converged"
         else:
             live.append((i, *record))
@@ -222,24 +222,30 @@ def _scalar_play(
         if not live:
             break
         swept = []
+        # before its move a player's entry is still last round's, in either
+        # order; the window is [0, cap], or delta either side of it
         for _, x, caps, total in live:
             out, move = [], 0.0
-            for xi, up in zip(x, caps):
-                # before its move a player's entry is still last round's,
-                # in either order
-                y = total - xi
-                if y < 0.0:
-                    y = 0.0
-                if delta is None:
-                    v = tender(y, 0.0, up)
-                else:
-                    v = tender(y, xi - delta, xi + delta)
-                if sequential:
-                    total += v - xi
-                step = abs(v - xi)
-                if step > move:
-                    move = step
-                out.append(v)
+            if delta is None:
+                for xi, up in zip(x, caps):
+                    y = total - xi
+                    v = tender(0.0 if y < 0.0 else y, 0.0, up)
+                    if sequential:
+                        total += v - xi
+                    step = abs(v - xi)
+                    if step > move:
+                        move = step
+                    out.append(v)
+            else:
+                for xi in x:
+                    y = total - xi
+                    v = tender(0.0 if y < 0.0 else y, xi - delta, xi + delta)
+                    if sequential:
+                        total += v - xi
+                    step = abs(v - xi)
+                    if step > move:
+                        move = step
+                    out.append(v)
             swept.append((out, move))
         X = np.array([row for row, _ in swept])
         totals = X.sum(axis=1).tolist()
@@ -251,7 +257,7 @@ def _scalar_play(
         keep = []
         for (i, _, caps, before), (row, move), total in zip(live, swept, totals):
             final[i] = row
-            if (move if target is None else distance(row)) < threshold:
+            if (move < threshold) if target is None else near(row):
                 rounds[i], reasons[i] = t, "converged"
             elif move <= _FIXED_POINT_ULPS * math.ulp(before):
                 rounds[i], reasons[i] = t, "fixed-point"
@@ -391,6 +397,80 @@ def draw_initial_profile(
     return rng.uniform(0.0, w / n, size=n)
 
 
+# SeedSequence.generate_state's hash: step k of eight xors a pool word with
+# h_k, multiplies by h_{k+1} and xors in its own top half, where h_k is
+# INIT_B * MULT_B**k mod 2**32; the eight steps cycle the four-word pool
+# twice and make PCG64's four 64-bit words.
+_HASH_XOR, _HASH_MUL = (
+    np.array([0x8B51F9DD * 0x58F38DED**k % 2**32 for k in steps],
+             dtype=np.uint32).reshape(2, 4)
+    for steps in (range(8), range(1, 9)))
+
+
+@functools.cache
+def _seeding():
+    """numpy.random's seeding pieces, imported when a run first draws (an
+    import with the package would raise every process's peak memory), and
+    the seed sequence that hands PCG64 state words already computed."""
+    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        """PCG64's four seed words, as ``generate_state(4, np.uint64)``
+        would give them; PCG64 asks for nothing else."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedSequence, StateWords, PCG64, Generator
+
+
+def _trial_uniforms(keys: Sequence[Sequence[int]], counts: Sequence[int]) -> np.ndarray:
+    """The bytes of ``np.random.default_rng(list(key)).random(count)`` for
+    every key and its count, one after another in one array.
+
+    The keys hold nonnegative ints. It is NumPy's algorithm, done for all
+    keys at once where that is cheaper: NumPy's ``SeedSequence`` mixes
+    each key's entropy, passed as its little-endian uint32 words (the words
+    NumPy makes of an int list, and the same pool); the hash of
+    ``SeedSequence.generate_state(4, np.uint64)``, the only state PCG64
+    asks for, runs once over the pools of every key; and each key's
+    ``Generator(PCG64(...))`` is seeded from its four words by NumPy, then
+    draws. NEP 19 keeps both SeedSequence's output and PCG64's stream fixed
+    across NumPy versions, and the tests compare with ``default_rng``
+    itself. Each key has its own generator, so nothing is shared between
+    calls or threads.
+    """
+    SeedSequence, StateWords, PCG64, Generator = _seeding()
+    words, ends = [], []
+    for key in keys:
+        for k in key:
+            words.append(k & 0xFFFFFFFF)
+            while k := k >> 32:
+                words.append(k & 0xFFFFFFFF)
+        ends.append(len(words))
+    flat = np.array(words, dtype=np.uint32)
+    pools = np.array([SeedSequence(flat[a:b]).pool for a, b in zip([0, *ends], ends)],
+                     dtype=np.uint32).reshape(-1, 1, 4)
+    state = pools ^ _HASH_XOR
+    state *= _HASH_MUL
+    state ^= state >> 16
+    # as NumPy orders the words: little-endian pairs, then native uint64
+    state = state.reshape(-1, 8).astype("<u4", copy=False).view("<u8")
+    state = state.astype(np.uint64, copy=False)
+    out = np.empty(sum(counts))
+    stop = 0
+    for row, count in zip(state, counts):
+        start, stop = stop, stop + count
+        Generator(PCG64(StateWords(row))).random(out=out[start:stop])
+    return out
+
+
 def simulate(
     config: GameConfig,
     initial: Sequence[float] | np.ndarray | None = None,
@@ -458,33 +538,38 @@ def convergence_study(
 ) -> StudyResult:
     """Rounds-to-convergence statistics over seeded random restarts.
 
-    Trial (n, k) draws its initial profile from a child generator seeded
-    with [seed, n, k], so any subset of the grid reproduces exactly. Every
-    point is set up and checked before any is played; then the trials of
-    all n values run in lockstep, as the rows of one batch. Each row stops
-    on its own, for its own reason, and ends exactly as it would alone.
+    Trial (n, k) draws its initial profile as
+    :func:`draw_initial_profile` would from ``np.random.default_rng([seed,
+    n, k])``, so any subset of the grid reproduces exactly; the run makes
+    the streams of all its trials in one pass (:func:`_trial_uniforms`:
+    NumPy's SeedSequence and PCG64 seeding, which NEP 19 keeps stable).
+    Every point is set up and checked before any is played, and an empty
+    ``n_values`` still checks ``trials`` and the run settings; then the
+    trials of all n values run in lockstep, as the rows of one batch. Each
+    row stops on its own, for its own reason, and ends exactly as it would
+    alone.
     """
     trials = integer("trials", trials, 1)
-    ns, points = [], []
+    settings = dict(convergence_threshold=convergence_threshold,
+                    max_iterations=max_iterations, seed=seed, update_order=update_order)
+    setups = []
     for i, n in enumerate(n_values):
         n = integer(f"n_values[{i}]", n, 1)
-        config = GameConfig(
-            family=family,
-            n=n,
-            scenario=scenario,
-            convergence_threshold=convergence_threshold,
-            max_iterations=max_iterations,
-            seed=seed,
-            update_order=update_order,
-        )
-        X = np.array([
-            draw_initial_profile(family, n, np.random.default_rng([seed, n, trial]))
-            for trial in range(trials)
-        ])
-        ns.append(n)
-        points.append((X, _caps(config, trials), solve_symmetric(family, n).per_player))
+        config = GameConfig(family, n, scenario, **settings)
+        # the scale of numpy's uniform(0, w/n), which is w/n times its u
+        scale = diagnostics(family).root / n
+        setups.append((n, scale, _caps(config, trials), solve_symmetric(family, n).per_player))
+    if not setups:
+        GameConfig(family, 1, **settings)
+        return StudyResult(records=())
+
+    keys = [(config.seed, n, trial) for n, *_ in setups for trial in range(trials)]
+    U, first, points = _trial_uniforms(keys, [n for _, n, _ in keys]), 0, []
+    for n, scale, caps, target in setups:
+        points.append((scale * U[first:first + trials * n].reshape(trials, n), caps, target))
+        first += trials * n
     records = []  # the points differ only in n, so the last config rules them all
-    for n, (_, rounds, reasons) in zip(ns, _play_batch(config, points) if points else ()):
+    for (n, *_), (_, rounds, reasons) in zip(setups, _play_batch(config, points)):
         records.extend(StudyRecord(n, trial, played, stop)
                        for trial, (played, stop) in enumerate(zip(rounds, reasons)))
     return StudyResult(records=tuple(records))
@@ -540,44 +625,56 @@ def whale_fish_sweep(
     starts uniform on (0, w/n_total) and is uncapped. A trial converges
     when no player moved by ``convergence_threshold`` or more in the last
     round. Each count is set up and checked, its ``n_fish``, then
-    ``trials``, then the run settings, before any is played; then the
-    trials of all counts run in lockstep, as the rows of one batch, each
-    ending exactly as it would alone.
+    ``trials``, then the run settings, before any is played, and an empty
+    ``n_fish_values`` still checks ``trials`` and the run settings. Trial k
+    of a count draws from ``np.random.default_rng([seed, n_fish, k])``'s
+    stream, which the run makes for all its trials in one pass
+    (:func:`_trial_uniforms`: NumPy's SeedSequence and PCG64 seeding,
+    which NEP 19 keeps stable). Then the trials of all counts run in
+    lockstep, as the rows of one batch, each ending exactly as it would
+    alone.
     """
-    setups, points = [], []
+    # the run settings get the same checks as a study's
+    settings = dict(convergence_threshold=convergence_threshold,
+                    max_iterations=max_iterations, seed=seed)
+    setups = []
     for n_fish in n_fish_values:
         n_fish, trials = integer("n_fish", n_fish, 0), integer("trials", trials, 1)
         n_total = n_fish + 1
-        # the run settings get the same checks as a study's
-        config = GameConfig(family, n_total, convergence_threshold=convergence_threshold,
-                            max_iterations=max_iterations, seed=seed)
+        config = GameConfig(family, n_total, **settings)
         eq = solve_symmetric(family, n_total)
-        fair_strategy = eq.per_player
         fair_payoff = eq.positive_payoff()  # the percentage columns divide by it
-        w = diagnostics(family).root
+        setups.append((n_fish, eq.per_player, fair_payoff, diagnostics(family).root / n_total))
+    if not setups:
+        integer("trials", trials, 1)
+        GameConfig(family, 1, **settings)
+        return ()
 
-        # one draw of 2*n_fish + 1 doubles u per trial: the fish budgets, the
-        # whale start, the fish starts; each value is its upper end times u,
-        # the bits of numpy's uniform(0, upper)
-        U = np.array([np.random.default_rng([seed, n_fish, trial]).random(2 * n_fish + 1)
-                      for trial in range(trials)])
-        budgets = fair_strategy * U[:, :n_fish]
+    # one draw of 2*n_fish + 1 doubles u per trial: the fish budgets, the
+    # whale start, the fish starts; each value is its upper end times u,
+    # the bits of numpy's uniform(0, upper)
+    keys = [(config.seed, n_fish, trial) for n_fish, *_ in setups for trial in range(trials)]
+    U, first, points = _trial_uniforms(keys, [2 * n_fish + 1 for _, n_fish, _ in keys]), 0, []
+    for n_fish, fair_strategy, _, scale in setups:
+        size = trials * (2 * n_fish + 1)
+        u = U[first:first + size].reshape(trials, 2 * n_fish + 1)
+        first += size
+        budgets = fair_strategy * u[:, :n_fish]
         upper = np.hstack((np.full((trials, 1), math.inf), budgets))
-        X = np.hstack(((w / n_total) * U[:, n_fish:n_fish + 1],
-                       budgets * U[:, n_fish + 1:]))
-        setups.append((n_fish, fair_strategy, fair_payoff, budgets))
+        X = np.hstack((scale * u[:, n_fish:n_fish + 1], budgets * u[:, n_fish + 1:]))
         points.append((X, upper, None))
 
     reports = []  # the counts differ only in n, so the last config rules them all
-    for (n_fish, fair_strategy, fair_payoff, budgets), (final, _, reasons) in zip(
-            setups, _play_batch(config, points) if points else ()):
+    for (n_fish, fair_strategy, fair_payoff, _), (_, upper, _), (final, _, reasons) in zip(
+            setups, points, _play_batch(config, points)):
         strategies = final[:, 0]
         profits = np.array([
             pro_rata_payoff(family, float(x[0]), float(x[1:].sum())) for x in final
         ])
         pct_strategy = 100.0 * (strategies - fair_strategy) / fair_strategy
         pct_profit = 100.0 * (profits - fair_payoff) / fair_payoff
-        saturated = int(np.count_nonzero((final[:, 1:] == budgets).all(axis=1)))
+        # every fish at its budget
+        saturated = int(np.count_nonzero((final[:, 1:] == upper[:, 1:]).all(axis=1)))
         reports.append(WhaleFishReport(
             n_fish=n_fish,
             trials=trials,

@@ -87,7 +87,9 @@ def test_subnormal_residuals_send_their_exact_sum_not_the_net(pool):
 
 
 def test_nonpositive_net_demand_rejected(pool):
-    for deltas in ([-1.0, -2.0], [2.0, -2.0], [0.0]):
+    # the last two net to 5e-324, but the scaled residuals all round to 0
+    for deltas in ([-1.0, -2.0], [2.0, -2.0], [0.0], [5e-324, 5e-324, -5e-324],
+                   [1e300, 5e-324, -1e300]):
         with pytest.raises(NonPositiveNetDemand):
             clear(BatchInstance(deltas=np.array(deltas), pool=pool))
 
@@ -172,6 +174,8 @@ def _reference_clear(instance):
     positive = np.maximum(deltas, 0.0)
     residuals = positive * (net / math.fsum(memoryview(positive)))
     pool_input = math.fsum(memoryview(residuals))
+    if pool_input == 0.0:
+        raise NonPositiveNetDemand(f"batch nets to {net}, every residual rounds to 0")
     pool_output = instance.pool.quote(pool_input)
     return residuals, pool_input, pool_output, residuals * (pool_output / pool_input)
 
@@ -205,6 +209,7 @@ def _outcome_bits(out):
     tiny=st.sampled_from([None, -5e-324, -1e-300]))
 @example(deltas=np.array([0.0, -0.0, 7.5]), tiny=None)
 @example(deltas=np.array([1e300, 3.0]), tiny=-5e-324)
+@example(deltas=np.array([5e-324, 5e-324]), tiny=-5e-324)
 @settings(deadline=None, max_examples=200)
 def test_a_batch_that_nets_nothing_clears_as_the_two_pass_reference(deltas, tiny):
     # with net == gross the scale is exactly 1 and clear skips its second

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prorata import (
@@ -32,7 +32,7 @@ from prorata import (
     whale_fish_experiment,
     whale_fish_sweep,
 )
-from prorata.dynamics import _play_batch
+from prorata.dynamics import _play_batch, _trial_uniforms
 
 CFMM = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0)
 POWER = PowerPayoff(beta=0.5, gamma=0.05)
@@ -836,6 +836,7 @@ def test_a_study_of_unsorted_repeated_n_values_is_its_one_point_studies(
     assert study.records == tuple(
         record for n in n_values
         for record in convergence_study(family, [n], **config).records)
+    assert convergence_study(family, [], **config).records == ()
 
 
 @pytest.mark.parametrize("family", [CFMM, POWER], ids=["cfmm", "power"])
@@ -871,9 +872,19 @@ LEFT_TABLE = TabulatedPayoff((0, 50, 100, 200, 300, 400), (0, 6, 8, 9, 7, 0))
      "max_iterations must be at least 1, got 0"),
     (lambda f: whale_fish_sweep(f, [1, True], 2, 0), InvalidArgument,
      "n_fish must be an integer, got True"),
+    # a run with no points checks what a point would
+    (lambda f: convergence_study(f, [], 2, 0, max_iterations=0), InvalidArgument,
+     "max_iterations must be at least 1, got 0"),
+    (lambda f: convergence_study(f, [], 2, 0, update_order="x"), InvalidArgument,
+     "update_order must be one of ('sequential', 'synchronous'), got 'x'"),
+    (lambda f: whale_fish_sweep(f, [], trials=0, seed=0), InvalidArgument,
+     "trials must be at least 1, got 0"),
+    (lambda f: whale_fish_sweep(f, [], 2, 0, convergence_threshold=0), InvalidArgument,
+     "convergence_threshold must be finite and positive, got 0"),
 ], ids=["study-trials", "study-n", "study-n-before-config", "study-config",
         "study-budgets", "whale-trials", "whale-n-fish", "whale-settings",
-        "whale-second-n-fish"])
+        "whale-second-n-fish", "study-empty-settings", "study-empty-order",
+        "whale-empty-trials", "whale-empty-settings"])
 def test_a_run_checks_every_point_in_order_before_playing_any(run, error, message):
     # the first check that fails, in the order the points are listed: no
     # point plays first, so a later point's error is not hidden behind an
@@ -884,6 +895,33 @@ def test_a_run_checks_every_point_in_order_before_playing_any(run, error, messag
     with pytest.raises(error) as info:
         run(LEFT_TABLE)
     assert str(info.value) == message
+
+
+# ints at the 32-bit word edges, so that keys mix one-, two- and
+# many-word entries; NumPy makes each int its little-endian 32-bit words
+_KEY_INTS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 1,
+                     2**96 + 7, 2**200 - 1]),
+    st.integers(0, 2**70),
+)
+
+
+@given(runs=st.lists(st.tuples(st.lists(_KEY_INTS, min_size=1, max_size=6),
+                               st.integers(0, 9)), max_size=8))
+@example(runs=[])
+@example(runs=[((0,), 0)])
+@example(runs=[((0,), 3), ((2**32 - 1,), 0), ((2**32, 5), 2), ((1, 2, 3, 4, 5), 4),
+               ((2**64 + 1, 0, 2**200 - 1), 1), ((7, 2, 9), 5)])
+@settings(deadline=None, max_examples=200)
+def test_trial_uniforms_are_each_keys_default_rng_draws(runs):
+    keys, counts = [key for key, _ in runs], [count for _, count in runs]
+    out = _trial_uniforms(keys, counts)
+    assert out.dtype == np.float64 and out.shape == (sum(counts),)
+    first = 0
+    for key, count in runs:
+        want = np.random.default_rng(list(key)).random(count)
+        assert out[first:first + count].tobytes() == want.tobytes()
+        first += count
 
 
 def test_a_table_run_raises_for_the_first_listed_point_that_leaves_the_table():
