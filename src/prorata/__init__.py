@@ -24,6 +24,7 @@ from .dynamics import (
     StudyResult,
     Unconstrained,
     WhaleFishReport,
+    bounded_update_sweep,
     convergence_study,
     draw_initial_profile,
     simulate,

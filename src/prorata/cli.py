@@ -40,6 +40,7 @@ from .dynamics import (
     Budgeted,
     GameConfig,
     Unconstrained,
+    bounded_update_sweep,
     convergence_study,
     draw_initial_profile,
     simulate,
@@ -307,10 +308,7 @@ def _cmd_simulate(args) -> Table:
 
 
 def _cmd_study(args) -> Table:
-    return _study(args, _resolve_family(args))
-
-
-def _study(args, family) -> Table:
+    family = _resolve_family(args)
     scenario = _resolve_scenario(args, args.n_values[0])
     if isinstance(scenario, Budgeted) and len(set(args.n_values)) > 1:
         raise ConfigError("a budgeted study needs a single n value")
@@ -322,23 +320,27 @@ def _study(args, family) -> Table:
         update_order=args.update_order,
         **_run_settings(args),
     )
-    # iterations counts the rounds to convergence: blank for the other stops
-    rows = [[r.n, r.trial, r.iterations if r.stop == "converged" else None,
-             r.stop == "converged"] for r in result.records]
+    rows = [_study_row(r.n, r) for r in result.records]
     summary = "".join(f"  n={n}: {mean:.2f}\n"
                       for n, mean in result.mean_iterations().items())
     return (["n", "trial", "iterations", "converged"], rows,
             "\nmean iterations to converge:\n" + summary)
 
 
+def _study_row(key, record) -> list:
+    # iterations counts the rounds to convergence: blank for the other stops
+    converged = record.stop == "converged"
+    return [key, record.trial, record.iterations if converged else None, converged]
+
+
 def _delta_sweep(args) -> Table:
-    """The study at one n for each movement cap delta, keyed by delta."""
-    family = _resolve_family(args)  # one object, so its diagnostics memo is reused
-    rows = []
-    for delta in args.deltas:
-        bounded = argparse.Namespace(**{**vars(args), "scenario": "bounded",
-                                        "delta": delta})
-        rows.extend([delta, *row[1:]] for row in _study(bounded, family)[1])
+    """The bounded study at one n for each movement cap delta, keyed by
+    delta: one sweep, whose trials all play as one batch."""
+    results = bounded_update_sweep(
+        _resolve_family(args), args.n_values[0], args.deltas, args.trials,
+        update_order=args.update_order, **_run_settings(args))
+    rows = [_study_row(delta, r)
+            for delta, result in zip(args.deltas, results) for r in result.records]
     return ["delta", "trial", "iterations", "converged"], rows, ""
 
 

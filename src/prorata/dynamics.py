@@ -13,17 +13,20 @@ for concave payoffs; the family's own tender, ``family.tender()``, takes
 the bounds and projects (see :meth:`~prorata.payoff.PayoffFamily.tender`).
 
 Two kernels play the rounds and give the same bits. A run,
-:func:`convergence_study` or :func:`whale_fish_sweep` (and so
-:func:`whale_fish_experiment`, its one-count call), plays on its family's
-kernel through :func:`_play_batch`: the run's trials, of every n value or
-fish count, play in lockstep as the rows of one batch, and each row leaves
-at the round it stops. Rows never mix, so a trial ends exactly as it would
-alone. The kernel is a column kernel, one array call per player for every
-row, where the family has a ``column_tender()`` (cfmm), and a scalar loop
-over rows in Python floats otherwise. A trace, :func:`simulate`, plays its
-one row in Python floats on the scalar kernel, which keeps every round.
-The docstring of :func:`_play_batch` gives the stop reasons, the layout of
-the batch and why each kernel is kept. The kernels read their rules from a
+:func:`convergence_study`, :func:`bounded_update_sweep` or
+:func:`whale_fish_sweep` (and so :func:`whale_fish_experiment`, its
+one-count call), plays on its family's kernel through :func:`_play_batch`:
+the run's trials, of every n value, movement cap or fish count, play in
+lockstep as the rows of one batch, and each row leaves at the round it
+stops. The points of a batch share everything but n and the movement cap,
+which is data of each row, as the tender caps are. Rows never mix, so a
+trial ends exactly as it would alone. The kernel is a column kernel, one
+array call per player for every row, where the family has a
+``column_tender()`` (cfmm), and a scalar loop over rows in Python floats
+otherwise. A trace, :func:`simulate`, plays its one row in Python floats
+on the scalar kernel, which keeps every round. The docstring of
+:func:`_play_batch` gives the stop reasons, the layout of the batch and
+why each kernel is kept. The kernels read their rules from a
 :class:`GameConfig`, whose defaults are the run defaults of every function
 here.
 """
@@ -126,7 +129,7 @@ class DynamicsTrace:
 _FIXED_POINT_ULPS = 4
 _REASONS = ("iteration-cap", "converged", "fixed-point")
 
-_Point = tuple[np.ndarray, np.ndarray, Union[float, None]]
+_Point = tuple[np.ndarray, np.ndarray, Union[np.ndarray, None], Union[float, None]]
 _Outcome = tuple[np.ndarray, list[int], list[str]]
 
 
@@ -134,11 +137,14 @@ def _play_batch(config: GameConfig, points: Sequence[_Point]) -> list[_Outcome]:
     """Run rounds of ``config``'s game on the rows of every point, each row
     until it stops.
 
-    A point is (X, upper, target): its trials as the rows of X, as wide as
-    its n, their tender caps and the symmetric tender they aim at, or None
-    (for every point or for none); the points share ``config``'s family,
-    scenario, threshold, round cap and update order. A row stops at the
-    first round where one of these holds, and says which:
+    A point is (X, upper, step, target): its trials as the rows of X, as
+    wide as its n, their tender caps, each row's movement cap (an array
+    with one entry per row, or None for no cap) and the symmetric tender
+    they aim at, or None. Movement caps and targets are given for every
+    point or for none. The points share everything else: ``config``'s
+    family, threshold, round cap and update order (the kernels read the
+    scenario only through the caps, which :func:`_caps` makes from it). A
+    row stops at the first round where one of these holds, and says which:
 
     - ``"converged"``: the row is within the threshold of ``target`` (sup
       norm), checked from round 0; with no target, no player moved by the
@@ -151,10 +157,10 @@ def _play_batch(config: GameConfig, points: Sequence[_Point]) -> list[_Outcome]:
     sequential order sees the moves already made this round, synchronous
     order only last round's profile. A move is one call of the family's
     tender on the window [0, u], u the player's entry of ``upper``, or,
-    under a ``BoundedUpdate`` movement cap delta, [x - delta, x + delta]
-    around the player's last tender x; the tender itself keeps the answer
-    at or above 0 (see :meth:`~prorata.payoff.PayoffFamily.tender`). Each
-    round then sums every live row with numpy. A stopped row leaves, so
+    under the row's movement cap delta, [x - delta, x + delta] around the
+    player's last tender x; the tender itself keeps the answer at or above
+    0 (see :meth:`~prorata.payoff.PayoffFamily.tender`). Each round then
+    sums every live row with numpy. A stopped row leaves, so
     rows stop independently and a row ends exactly as it would alone.
 
     The rule for kernels: a run plays on its family's kernel, and a trace
@@ -167,10 +173,12 @@ def _play_batch(config: GameConfig, points: Sequence[_Point]) -> list[_Outcome]:
     Python floats through ``tender()`` (see :func:`_scalar_play`): a search
     (tables, callables) has no array form, and power's Newton iteration,
     called per element of an array, is several times slower than its
-    scalar loop. :func:`simulate` calls the scalar kernel directly for its
-    one row, whatever the family, since one row on the column kernel pays
-    numpy's cost per call on every move; the scalar kernel alone keeps
-    every round's profile. On a table family, a row total past the last
+    scalar loop; rows of one width but of several movement caps are one
+    point, so they share each round's array and numpy sum (a movement-cap
+    sweep is one point). :func:`simulate` calls the scalar kernel directly
+    for its one row, whatever the family, since one row on the column
+    kernel pays numpy's cost per call on every move; the scalar kernel
+    alone keeps every round's profile. On a table family, a row total past the last
     knot raises :class:`DomainExceeded` at that round, for the first listed
     point whose rows leave the table. Returns, per point, its final rows,
     the rounds each played and why each stopped.
@@ -185,19 +193,20 @@ def _scalar_play(
     config: GameConfig,
     X: np.ndarray,
     upper: np.ndarray,
+    step: np.ndarray | None,
     target: float | None,
     history: list[np.ndarray] | None = None,
 ) -> _Outcome:
     """The rounds of one point, each row moved in Python floats.
 
     Each live row is one record: its index, its tenders as a Python float
-    list, its caps and its total. The round builds one array of the live
-    rows: numpy sums it for the row totals (the bits the array would
-    give), and ``history``, when given, collects it.
+    list, its caps, its movement cap (None for none) and its total. The
+    round builds one array of the live rows: numpy sums it for the row
+    totals (the bits the array would give), and ``history``, when given,
+    collects it.
     """
-    family, scenario = config.family, config.scenario
+    family = config.family
     threshold, cap = config.convergence_threshold, config.max_iterations
-    delta = scenario.delta if isinstance(scenario, BoundedUpdate) else None
     sequential = config.update_order == "sequential"
     end = family.domain_max
     tender = family.tender()
@@ -212,8 +221,10 @@ def _scalar_play(
 
     final = X.tolist()
     rounds, reasons = [cap] * len(final), ["iteration-cap"] * len(final)
+    steps = [None] * len(final) if step is None else step.tolist()
     live = []
-    for i, record in enumerate(zip(final, upper.tolist(), X.sum(axis=1).tolist())):
+    for i, record in enumerate(zip(final, upper.tolist(), steps,
+                                   X.sum(axis=1).tolist())):
         if target is not None and near(record[0]):
             rounds[i], reasons[i] = 0, "converged"
         else:
@@ -224,7 +235,7 @@ def _scalar_play(
         swept = []
         # before its move a player's entry is still last round's, in either
         # order; the window is [0, cap], or delta either side of it
-        for _, x, caps, total in live:
+        for _, x, caps, delta, total in live:
             out, move = [], 0.0
             if delta is None:
                 for xi, up in zip(x, caps):
@@ -255,14 +266,14 @@ def _scalar_play(
         if history is not None:
             history.append(X)
         keep = []
-        for (i, _, caps, before), (row, move), total in zip(live, swept, totals):
+        for (i, _, caps, delta, before), (row, move), total in zip(live, swept, totals):
             final[i] = row
             if (move < threshold) if target is None else near(row):
                 rounds[i], reasons[i] = t, "converged"
             elif move <= _FIXED_POINT_ULPS * math.ulp(before):
                 rounds[i], reasons[i] = t, "fixed-point"
             else:
-                keep.append((i, row, caps, total))
+                keep.append((i, row, caps, delta, total))
         live = keep
     return np.array(final), rounds, reasons
 
@@ -281,11 +292,10 @@ def _column_play(
     view of the row's width group: numpy gives a row summed in an array,
     or in a view of a wider one, the bits of the row summed alone, but not
     of the row summed with zeros after it. The stop tests run on arrays.
-    The column kernel does not check totals against ``domain_max``: no
-    family with a column tender has a last knot.
+    The movement caps are one array of the live rows, which leave it with
+    their rows. The column kernel does not check totals against
+    ``domain_max``: no family with a column tender has a last knot.
     """
-    scenario = config.scenario
-    delta = scenario.delta if isinstance(scenario, BoundedUpdate) else None
     sequential = config.update_order == "sequential"
     threshold, cap = config.convergence_threshold, config.max_iterations
 
@@ -298,11 +308,13 @@ def _column_play(
     hi = np.full(X.shape, math.inf)
     width = np.empty(first, dtype=int)
     for i, (a, b) in zip(order, spans):
-        x, upper, target = points[i]
+        x, upper, _, target = points[i]
         n = x.shape[1]
         X[a:b, :n], X[a:b, n:], hi[a:b, :n], width[a:b] = x, target or 0.0, upper, n
-    goal = None if points[0][2] is None else np.repeat(
-        [points[i][2] for i in order], [b - a for a, b in spans])
+    step = None if points[0][2] is None else np.concatenate(
+        [points[i][2] for i in order])
+    goal = None if points[0][3] is None else np.repeat(
+        [points[i][3] for i in order], [b - a for a, b in spans])
     if not np.isfinite(hi).any():
         hi = None  # a cap of inf never binds, and the tender skips it
     final = np.empty_like(X)
@@ -317,7 +329,7 @@ def _column_play(
         return np.abs(X - goal[:, None]).max(axis=1)
 
     def retire(t: int, converged: np.ndarray, stop: np.ndarray) -> None:
-        nonlocal X, hi, B, goal, ids, width, groups
+        nonlocal X, hi, step, B, goal, ids, width, groups
         done = ids[stop]
         rounds[done] = t
         reasons[done] = np.where(converged[stop], 1, 2)
@@ -326,6 +338,8 @@ def _column_play(
         X, B, ids, width = X[keep], B[keep], ids[keep], width[keep]
         if hi is not None:
             hi = hi[keep]
+        if step is not None:
+            step = step[keep]
         if goal is not None:
             goal = goal[keep]
         groups = _groups(width)
@@ -347,8 +361,8 @@ def _column_play(
                 x = new[:k, j]
                 y = running[:k] - x
                 y = np.where(y < 0.0, 0.0, y)
-                if delta is not None:
-                    v = tender(y, x - delta, x + delta)
+                if step is not None:
+                    v = tender(y, x - step[:k], x + step[:k])
                 else:
                     v = tender(y, 0.0, math.inf if hi is None else hi[:k, j])
                 if sequential:
@@ -381,11 +395,14 @@ def _totals(X: np.ndarray, groups: list[tuple[int, int, int]]) -> np.ndarray:
     return np.concatenate([X[a:b, :n].sum(axis=1) for a, b, n in groups])
 
 
-def _caps(config: GameConfig, rows: int) -> np.ndarray:
-    """The tender caps of ``rows`` trials: the scenario's budgets, or none."""
+def _caps(config: GameConfig, rows: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The caps of ``rows`` trials: their tender caps, the scenario's
+    budgets or none, and their movement caps, its delta or None."""
     scenario = config.scenario
     budgets = scenario.budgets if isinstance(scenario, Budgeted) else math.inf
-    return np.full((rows, config.n), budgets)
+    step = np.full(rows, float(scenario.delta)) \
+        if isinstance(scenario, BoundedUpdate) else None
+    return np.full((rows, config.n), budgets), step
 
 
 def draw_initial_profile(
@@ -492,7 +509,7 @@ def simulate(
         raise InvalidArgument("initial tenders must be finite and nonnegative")
 
     history = [x[None, :]]
-    _, _, (reason,) = _scalar_play(config, history[0], _caps(config, 1),
+    _, _, (reason,) = _scalar_play(config, history[0], *_caps(config, 1),
                                    eq.per_player, history)
     tenders = np.concatenate(history)
     tenders.setflags(write=False)
@@ -566,13 +583,66 @@ def convergence_study(
     keys = [(config.seed, n, trial) for n, *_ in setups for trial in range(trials)]
     U, first, points = _trial_uniforms(keys, [n for _, n, _ in keys]), 0, []
     for n, scale, caps, target in setups:
-        points.append((scale * U[first:first + trials * n].reshape(trials, n), caps, target))
+        points.append((scale * U[first:first + trials * n].reshape(trials, n), *caps, target))
         first += trials * n
     records = []  # the points differ only in n, so the last config rules them all
     for (n, *_), (_, rounds, reasons) in zip(setups, _play_batch(config, points)):
         records.extend(StudyRecord(n, trial, played, stop)
                        for trial, (played, stop) in enumerate(zip(rounds, reasons)))
     return StudyResult(records=tuple(records))
+
+
+def bounded_update_sweep(
+    family: PayoffFamily,
+    n: int,
+    deltas: Sequence[float],
+    trials: int,
+    seed: int,
+    convergence_threshold: float = GameConfig.convergence_threshold,
+    max_iterations: int = GameConfig.max_iterations,
+    update_order: str = GameConfig.update_order,
+) -> tuple[StudyResult, ...]:
+    """Rounds-to-convergence statistics at one n under each movement cap,
+    one result per delta in the order given. Result i is, bit for bit,
+    ``convergence_study(family, [n], trials, seed, BoundedUpdate(deltas[i]),
+    ...)``.
+
+    Every delta's trial k starts where that study's does, from
+    ``np.random.default_rng([seed, n, k])``, so the sweep draws the
+    ``trials`` starts once and every delta shares them. Everything is
+    checked before any trial plays, in the order the studies one delta at a
+    time meet it: ``deltas[0]``, ``trials``, n (named ``n_values[0]``, as
+    the study names it), the run settings, the family's equilibrium at n,
+    then the other deltas. An empty
+    ``deltas`` still checks ``trials``, n and the settings, then returns
+    ``()``. The trials of every delta then run in lockstep, as the rows of
+    one batch, each row under its own movement cap. On a table family a
+    row total past the last knot raises :class:`DomainExceeded` at the
+    first round where a row of any delta leaves the table, naming the
+    largest total of that round; the studies one delta at a time raise for
+    the first listed delta that leaves, so the round they name can differ.
+    """
+    deltas = list(deltas)
+    steps = [float(BoundedUpdate(delta).delta) for delta in deltas[:1]]
+    trials = integer("trials", trials, 1)
+    config = GameConfig(family, integer("n_values[0]", n, 1),
+                        convergence_threshold=convergence_threshold,
+                        max_iterations=max_iterations, seed=seed,
+                        update_order=update_order)
+    if not deltas:
+        return ()
+    n = config.n
+    scale = diagnostics(family).root / n
+    target = solve_symmetric(family, n).per_player
+    steps += [float(BoundedUpdate(delta).delta) for delta in deltas[1:]]
+
+    starts = _trial_uniforms([(config.seed, n, k) for k in range(trials)], [n] * trials)
+    X = np.tile(scale * starts.reshape(trials, n), (len(steps), 1))
+    ((_, rounds, reasons),) = _play_batch(config, [(
+        X, np.full(X.shape, math.inf), np.repeat(steps, trials), target)])
+    return tuple(StudyResult(records=tuple(
+        StudyRecord(n, k, rounds[first + k], reasons[first + k]) for k in range(trials)))
+        for first in range(0, len(X), trials))
 
 
 @dataclass(frozen=True)
@@ -662,10 +732,10 @@ def whale_fish_sweep(
         budgets = fair_strategy * u[:, :n_fish]
         upper = np.hstack((np.full((trials, 1), math.inf), budgets))
         X = np.hstack((scale * u[:, n_fish:n_fish + 1], budgets * u[:, n_fish + 1:]))
-        points.append((X, upper, None))
+        points.append((X, upper, None, None))
 
     reports = []  # the counts differ only in n, so the last config rules them all
-    for (n_fish, fair_strategy, fair_payoff, _), (_, upper, _), (final, _, reasons) in zip(
+    for (n_fish, fair_strategy, fair_payoff, _), (_, upper, *_), (final, _, reasons) in zip(
             setups, points, _play_batch(config, points)):
         strategies = final[:, 0]
         profits = np.array([

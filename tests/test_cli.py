@@ -490,6 +490,16 @@ BAD_RUN_PARAMETERS = [
     (["reproduce", "scenario1", "--n-values="], "--n-values: no values in ''"),
     (["reproduce", "whale", "--n-values="], "--n-values: no values in ''"),
     (["reproduce", "scenario2-delta", "--deltas="], "--deltas: no values in ''"),
+    # the delta sweep meets its checks in the order the studies one delta at
+    # a time did: the first delta, the trials, n, then the other deltas
+    (["reproduce", "scenario2-delta", "--deltas", "1,0", "--trials", "0"],
+     "trials must be at least 1, got 0"),
+    (["reproduce", "scenario2-delta", "--deltas", "0", "--trials", "0"],
+     "delta must be finite and positive, got 0.0"),
+    (["reproduce", "scenario2-delta", "--deltas", "1,0", "--n", "0"],
+     "n_values[0] must be at least 1, got 0"),
+    (["reproduce", "scenario2-delta", "--deltas", "0,1", "--n", "0"],
+     "delta must be finite and positive, got 0.0"),
     # the library's own argument checks, with no copy in the CLI
     (["bestresponse", *CFMM, "--y", "-1"], "y must be nonnegative, got -1.0"),
     (["bestresponse", *CFMM, "--budget", "-1"],
@@ -569,6 +579,8 @@ BAD_RUN_PARAMETERS = [
     "study-trials", "simulate-trials", "reproduce-delta-n",
     "reproduce-whale-max-fish", "reproduce-scenario1-n-values",
     "reproduce-whale-n-values", "reproduce-delta-deltas",
+    "reproduce-delta-trials-first", "reproduce-delta-first-delta-first",
+    "reproduce-delta-n-first", "reproduce-delta-first-delta-before-n",
     "bestresponse-y", "bestresponse-budget", "bestresponse-non-concave",
     "equilibrium-closed-table", "equilibrium-n", "whale-n-fish-first",
     "verify-domain-hi", "verify-domain-hi-nan",
@@ -614,19 +626,33 @@ def test_reproduce_figures_are_command_presets(capsys):
 
 
 def test_reproduce_delta_sweep_is_bounded_studies(capsys):
-    code, out, _ = run(capsys, "reproduce", "scenario2-delta", "--n", "3",
-                       "--deltas", "1,5", "--trials", "2", "--seed", "4")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "delta,trial,iterations,converged"
-    expected = []
-    for delta in ("1", "5"):
-        _, study, _ = run(capsys, "study", *POWER, "--n-values", "3",
-                          "--trials", "2", "--seed", "4", "--scenario",
-                          "bounded", "--delta", delta, "--format", "csv")
-        expected += [f"{float(delta)!r},{line.split(',', 1)[1]}"
-                     for line in study.splitlines()[1:]]
-    assert lines[1:] == expected
+    # the figure's default family, power, then cfmm
+    for kind, family in (("power", POWER), ("cfmm", CFMM)):
+        code, out, _ = run(capsys, "reproduce", "scenario2-delta", "--n", "3",
+                           "--deltas", "1,5", "--trials", "2", "--seed", "4",
+                           *(["--family", kind] if kind == "cfmm" else []))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "delta,trial,iterations,converged"
+        expected = []
+        for delta in ("1", "5"):
+            _, study, _ = run(capsys, "study", *family, "--n-values", "3",
+                              "--trials", "2", "--seed", "4", "--scenario",
+                              "bounded", "--delta", delta, "--format", "csv")
+            expected += [f"{float(delta)!r},{line.split(',', 1)[1]}"
+                         for line in study.splitlines()[1:]]
+        assert lines[1:] == expected
+
+
+def test_reproduce_delta_sweep_checks_every_delta_before_playing(capsys, monkeypatch):
+    # a bad second delta is refused before the first delta's trials play
+    def play(*args):
+        raise AssertionError("a trial played")
+
+    monkeypatch.setattr("prorata.dynamics._play_batch", play)
+    assert run(capsys, "reproduce", "scenario2-delta", "--deltas", "1,0",
+               "--trials", "3000") == (
+        2, "", "error: config-error: delta must be finite and positive, got 0.0\n")
 
 
 # the figure flags each figure reads; --family, --trials, --seed and

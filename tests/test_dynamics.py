@@ -23,6 +23,7 @@ from prorata import (
     Unconstrained,
     WhaleFishReport,
     best_response,
+    bounded_update_sweep,
     convergence_study,
     diagnostics,
     draw_initial_profile,
@@ -352,6 +353,11 @@ def _reference_bounds(scenario, x):
     return np.zeros_like(x), np.full_like(x, math.inf)
 
 
+def _steps(scenario, rows):
+    """The movement cap of each of ``rows`` rows under ``scenario``, or None."""
+    return np.full(rows, scenario.delta) if isinstance(scenario, BoundedUpdate) else None
+
+
 def _at_rest(prev, x):
     """No player moved more than 4 ulps of the total before the round."""
     return float(np.max(np.abs(x - prev))) <= 4 * math.ulp(float(prev.sum()))
@@ -554,11 +560,12 @@ def test_lockstep_trial_equals_trial_alone(family, scenario, threshold, order):
     caps = scenario.budgets if isinstance(scenario, Budgeted) else math.inf
     upper = np.full(X.shape, caps)
 
-    ((final, rounds, stops),) = _play_batch(config, [(X, upper, target)])
+    ((final, rounds, stops),) = _play_batch(
+        config, [(X, upper, _steps(scenario, trials), target)])
     for k, record in enumerate(study.records):
         trace = simulate(config, initial=X[k])
         ((alone, alone_rounds, alone_stops),) = _play_batch(
-            config, [(X[k:k + 1], upper[k:k + 1], target)]
+            config, [(X[k:k + 1], upper[k:k + 1], _steps(scenario, 1), target)]
         )
         assert (record.iterations, record.stop) == (rounds[k], stops[k]) == (
             alone_rounds[0], alone_stops[0]
@@ -580,7 +587,7 @@ def test_sweep_equals_reference_round_on_wide_rows(family, order):
     for cap in (1, 2):
         config = GameConfig(family=family, n=5, max_iterations=cap, update_order=order)
         ((final, rounds, stops),) = _play_batch(
-            config, [(X, np.full_like(X, math.inf), target)])
+            config, [(X, np.full_like(X, math.inf), None, target)])
         # the reference takes each row's total as numpy's sum of that row
         # alone: the engine's totals, from the array of all rows, have its bits
         trials = [_reference_trial(config, x) for x in X]
@@ -748,7 +755,8 @@ def _points(family, n_values, trials, scenario, aim):
         else:
             upper = np.where(rng.random(X.shape) < 0.3,
                              rng.uniform(0.0, 2.0 * w / n, X.shape), math.inf)
-        points.append((X, upper, solve_symmetric(family, n).per_player if aim else None))
+        points.append((X, upper, _steps(scenario, trials),
+                       solve_symmetric(family, n).per_player if aim else None))
     return points
 
 
@@ -777,7 +785,7 @@ def test_the_column_kernel_equals_the_scalar_kernel(scenario, order):
         caps = scenario.budgets if isinstance(scenario, Budgeted) else math.inf
         for n in n_values:
             x = draw_initial_profile(CFMM, n, np.random.default_rng(n))
-            point = (x[None, :], np.full((1, n), caps),
+            point = (x[None, :], np.full((1, n), caps), _steps(scenario, 1),
                      solve_symmetric(CFMM, n).per_player if aim else None)
             alone = [_batch_bits(_play_batch(GameConfig(family, n, **config), [point]))
                      for family in (CFMM, SCALAR_CFMM)]
@@ -791,7 +799,7 @@ def test_the_column_kernel_answers_an_overflowing_total_as_the_scalar_kernel():
     # the total of the start overflows to inf, which numpy's sum reports;
     # the cfmm form then meets inf - inf, and both kernels answer 0 without
     # an invalid-value warning
-    point = (np.array([[1e308, 1e308, 1.0]]), np.full((1, 3), math.inf),
+    point = (np.array([[1e308, 1e308, 1.0]]), np.full((1, 3), math.inf), None,
              solve_symmetric(CFMM, 3).per_player)
     for order in ("sequential", "synchronous"):
         with np.errstate(over="ignore"):
@@ -936,3 +944,129 @@ def test_a_table_run_raises_for_the_first_listed_point_that_leaves_the_table():
     assert message([4]).startswith("round 3: ")
     assert message([4, 3]) == message([4])
     assert message([3, 4]) == message([3])
+
+
+# ---------------------------------------------- the movement-cap sweep
+
+ORDERS = ["sequential", "synchronous"]
+
+
+def _one_delta_at_a_time(family, n, deltas, **config):
+    """The studies the sweep stands for, one per delta, in order."""
+    return tuple(convergence_study(family, [n], scenario=BoundedUpdate(delta), **config)
+                 for delta in deltas)
+
+
+@given(family=st.sampled_from([CFMM, POWER, SCALAR_CFMM]), n=st.integers(1, 6),
+       deltas=st.lists(st.sampled_from([0.3, 0.7, 2.0, 5.0, 40.0, 1e6]), max_size=6),
+       trials=st.integers(1, 4), seed=st.integers(0, 2**40),
+       threshold=st.sampled_from([0.5, 5.0, 20.0]), cap=st.integers(1, 8),
+       order=st.sampled_from(ORDERS))
+@example(family=POWER, n=4, deltas=[5.0, 0.5, 5.0, 2.0], trials=6, seed=9,
+         threshold=5.0, cap=6, order="sequential")
+@example(family=CFMM, n=4, deltas=[5.0, 0.5, 5.0, 2.0], trials=6, seed=9,
+         threshold=5.0, cap=6, order="synchronous")
+@settings(deadline=None, max_examples=60)
+def test_a_delta_sweep_is_its_one_delta_studies(
+        family, n, deltas, trials, seed, threshold, cap, order):
+    config = dict(trials=trials, seed=seed, convergence_threshold=threshold,
+                  max_iterations=cap, update_order=order)
+    sweep = bounded_update_sweep(family, n, deltas, **config)
+    # repr tells a numpy integer from an int, which == does not
+    assert repr(sweep) == repr(_one_delta_at_a_time(family, n, deltas, **config))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("family", [CFMM, POWER, SCALAR_CFMM],
+                         ids=["cfmm", "power", "scalar-cfmm"])
+def test_a_delta_sweep_draws_each_start_once(family, order, monkeypatch):
+    asked = []
+
+    def recording(keys, counts):
+        asked.append((list(keys), list(counts)))
+        return _trial_uniforms(keys, counts)
+
+    monkeypatch.setattr("prorata.dynamics._trial_uniforms", recording)
+    deltas = [5.0, 0.5, 5.0, 2.0]
+    config = dict(trials=6, seed=9, convergence_threshold=5.0, max_iterations=6,
+                  update_order=order)
+    sweep = bounded_update_sweep(family, 4, deltas, **config)
+    assert asked == [([(9, 4, k) for k in range(6)], [4] * 6)]
+    assert sweep == _one_delta_at_a_time(family, 4, deltas, **config)
+    assert {"converged", "iteration-cap"} <= {
+        r.stop for result in sweep for r in result.records}
+    assert bounded_update_sweep(family, 4, [], **config) == ()
+
+
+def _first_error(run):
+    try:
+        run()
+    except InvalidArgument as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("deltas, settings, message", [
+    ([1, 0], dict(trials=0), "trials must be at least 1, got 0"),
+    ([0], dict(trials=0), "delta must be finite and positive, got 0"),
+    ([1, 0], dict(n=0), "n_values[0] must be at least 1, got 0"),
+    ([0, 1], dict(n=0), "delta must be finite and positive, got 0"),
+    ([1, 2, 0], dict(max_iterations=0), "max_iterations must be at least 1, got 0"),
+    ([1, 2, 0], dict(), "delta must be finite and positive, got 0"),
+    ([2, math.nan], dict(update_order="x"),
+     "update_order must be one of ('sequential', 'synchronous'), got 'x'"),
+    ([2, math.nan], dict(), "delta must be finite and positive, got nan"),
+    # with no deltas the sweep still checks the trials, n and the settings
+    ([], dict(trials=0, n=0), "trials must be at least 1, got 0"),
+    ([], dict(n=2.5), "n_values[0] must be an integer, got 2.5"),
+    ([], dict(convergence_threshold=0),
+     "convergence_threshold must be finite and positive, got 0"),
+], ids=["trials-before-second-delta", "first-delta-before-trials",
+        "n-before-second-delta", "first-delta-before-n",
+        "settings-before-later-delta", "later-delta", "order-before-later-delta",
+        "later-nan-delta", "empty-trials", "empty-n", "empty-settings"])
+def test_a_delta_sweep_checks_every_delta_before_any_trial_plays(
+        deltas, settings, message, monkeypatch):
+    # the first error of the studies one delta at a time, which played the
+    # first delta before they checked the second
+    config = {**dict(n=3, trials=2, seed=0, max_iterations=5), **settings}
+    n = config.pop("n")
+    assert _first_error(lambda: _one_delta_at_a_time(CFMM, n, deltas, **config)) \
+        == (message if deltas else None)
+
+    def play(*args):
+        raise AssertionError("a trial played")
+
+    monkeypatch.setattr("prorata.dynamics._play_batch", play)
+    for family in (CFMM, POWER, LEFT_TABLE):
+        with pytest.raises(InvalidArgument) as info:
+            bounded_update_sweep(family, n, deltas, **config)
+        assert str(info.value) == message
+
+
+def test_a_delta_sweep_on_a_table_raises_at_the_first_round_any_delta_leaves():
+    # with seed 1 and two synchronous trials at n = 3, delta 100 leaves the
+    # table at round 3, delta 1000 at round 1, and deltas of 40 or less stay
+    config = dict(trials=2, seed=1, update_order="synchronous", max_iterations=40)
+
+    def message(run):
+        with pytest.raises(DomainExceeded) as info:
+            run()
+        return str(info.value)
+
+    def study(delta):
+        return message(lambda: _one_delta_at_a_time(LEFT_TABLE, 3, [delta], **config))
+
+    def sweep(deltas):
+        return message(lambda: bounded_update_sweep(LEFT_TABLE, 3, deltas, **config))
+
+    assert study(100).startswith("round 3: ") and study(1000).startswith("round 1: ")
+    # the earliest round of any delta, in whatever order they are listed,
+    # where the studies one delta at a time raise for the first listed
+    assert sweep([100, 1000]) == sweep([1000, 100]) == study(1000)
+    assert message(lambda: _one_delta_at_a_time(LEFT_TABLE, 3, [100, 1000], **config)) \
+        == study(100)
+    assert sweep([40, 100, 1]) == study(100)
+    # no row leaves: the sweep is its studies
+    assert bounded_update_sweep(LEFT_TABLE, 3, [1, 40, 1], **config) == \
+        _one_delta_at_a_time(LEFT_TABLE, 3, [1, 40, 1], **config)
