@@ -21,12 +21,12 @@ lockstep as the rows of one batch, and each row leaves at the round it
 stops. The points of a batch share everything but n and the movement cap,
 which is data of each row, as the tender caps are. Rows never mix, so a
 trial ends exactly as it would alone. The kernel is a column kernel, one
-array call per player for every row, where the family has a
-``column_tender()`` (cfmm), and a scalar loop over rows in Python floats
-otherwise. A trace, :func:`simulate`, plays its one row in Python floats
-on the scalar kernel, which keeps every round. The docstring of
-:func:`_play_batch` gives the stop reasons, the layout of the batch and
-why each kernel is kept. The kernels read their rules from a
+in-place tender call per player for every row of a player-major batch,
+where the family has a ``column_tender()`` (cfmm), and a scalar loop over
+rows in Python floats otherwise. A trace, :func:`simulate`, plays its one
+row in Python floats on the scalar kernel, which keeps every round. The
+docstring of :func:`_play_batch` gives the stop reasons, the layout of the
+batch and why each kernel is kept. The kernels read their rules from a
 :class:`GameConfig`, whose defaults are the run defaults of every function
 here.
 """
@@ -166,22 +166,25 @@ def _play_batch(config: GameConfig, points: Sequence[_Point]) -> list[_Outcome]:
     The rule for kernels: a run plays on its family's kernel, and a trace
     plays in Python floats. Here the family alone picks one of two kernels,
     which give the same bits. With a ``column_tender()`` (cfmm) the rows of
-    all points play as one batch, and player j of every live row moves in
-    one array call (see :func:`_column_play`); a run's points share each
-    call because at 10 trials one point's rows are too few to repay numpy's
-    cost per call. Otherwise the points play one after another, each row in
-    Python floats through ``tender()`` (see :func:`_scalar_play`): a search
-    (tables, callables) has no array form, and power's Newton iteration,
-    called per element of an array, is several times slower than its
-    scalar loop; rows of one width but of several movement caps are one
-    point, so they share each round's array and numpy sum (a movement-cap
-    sweep is one point). :func:`simulate` calls the scalar kernel directly
-    for its one row, whatever the family, since one row on the column
-    kernel pays numpy's cost per call on every move; the scalar kernel
-    alone keeps every round's profile. On a table family, a row total past the last
-    knot raises :class:`DomainExceeded` at that round, for the first listed
-    point whose rows leave the table. Returns, per point, its final rows,
-    the rounds each played and why each stopped.
+    all points play as one batch, kept player-major, and player j of every
+    live row moves in one tender call that works in place and writes its
+    answer straight into the new round (see :func:`_column_play`); a run's
+    points share each call because at 10 trials one point's rows are too
+    few to repay numpy's cost per call, and that cost is why each move
+    makes as few array calls as it can. Otherwise the points play one after
+    another, each row in Python floats through ``tender()`` (see
+    :func:`_scalar_play`): a search (tables, callables) has no array form,
+    and power's Newton iteration, called per element of an array, is
+    several times slower than its scalar loop; rows of one width but of
+    several movement caps are one point, so they share each round's array
+    and numpy sum (a movement-cap sweep is one point). :func:`simulate`
+    calls the scalar kernel directly for its one row, whatever the family,
+    since one row on the column kernel pays numpy's cost per call on every
+    move; the scalar kernel alone keeps every round's profile. On a table
+    family, a row total past the last knot raises :class:`DomainExceeded`
+    at that round, for the first listed point whose rows leave the table.
+    Returns, per point, its final rows, the rounds each played and why
+    each stopped.
     """
     tender = config.family.column_tender()
     if tender is None:
@@ -285,15 +288,19 @@ def _column_play(
 ) -> list[_Outcome]:
     """The rounds of all points as one batch, moved by the column tender.
 
-    The live rows are one array, sorted by width, widest first (stably),
-    so the rows that have a player j are a prefix of it, and player j of
-    all of them moves in one call. Past its width a row holds its target,
-    which the distance reads as 0. Each row total is numpy's sum over the
-    view of the row's width group: numpy gives a row summed in an array,
-    or in a view of a wider one, the bits of the row summed alone, but not
-    of the row summed with zeros after it. The stop tests run on arrays.
-    The movement caps are one array of the live rows, which leave it with
-    their rows. The column kernel does not check totals against
+    The live rows are sorted by width, widest first (stably), and kept
+    player-major: X[j] holds player j of every live row, so the rows that
+    have a player j are a prefix of it, one contiguous array, and player j
+    of all of them moves in one tender call. Past its width a row holds its
+    target, which the distance reads as 0. A move works in place: the
+    others' totals go into one scratch array, and the tender writes its
+    answer straight into the new round's X[j] (its ``out``). Each row total
+    is numpy's sum over the row-major view of the row's width group: numpy
+    gives a row summed in an array, or in a view of a wider one, the bits of
+    the row summed alone, but not of the row summed with zeros after it,
+    nor of a column of player-major X summed down. The stop tests run on
+    arrays. The movement caps are one array of the live rows, which leave
+    it with their rows. The column kernel does not check totals against
     ``domain_max``: no family with a column tender has a last knot.
     """
     sequential = config.update_order == "sequential"
@@ -304,40 +311,41 @@ def _column_play(
     for i in order:
         spans.append((first, first + len(points[i][0])))
         first += len(points[i][0])
-    X = np.empty((first, points[order[0]][0].shape[1]))
+    X = np.empty((points[order[0]][0].shape[1], first))
     hi = np.full(X.shape, math.inf)
     width = np.empty(first, dtype=int)
     for i, (a, b) in zip(order, spans):
         x, upper, _, target = points[i]
         n = x.shape[1]
-        X[a:b, :n], X[a:b, n:], hi[a:b, :n], width[a:b] = x, target or 0.0, upper, n
+        X[:n, a:b], X[n:, a:b], hi[:n, a:b], width[a:b] = x.T, target or 0.0, upper.T, n
     step = None if points[0][2] is None else np.concatenate(
         [points[i][2] for i in order])
     goal = None if points[0][3] is None else np.repeat(
         [points[i][3] for i in order], [b - a for a, b in spans])
     if not np.isfinite(hi).any():
         hi = None  # a cap of inf never binds, and the tender skips it
-    final = np.empty_like(X)
+    final = np.empty((first, X.shape[0]))
     rounds, reasons = np.full(first, cap), np.zeros(first, dtype=int)
-    ids = np.arange(first)  # each live row's index in X
+    ids = np.arange(first)  # each live row's index in final
     groups = _groups(width)
     B = _totals(X, groups)
+    others = np.empty(first)  # scratch: the others' totals, then the steps
 
     def distance() -> np.ndarray:
         """Each row's sup-norm distance to its target, NaN at a NaN, which
         fails the threshold test as inf does."""
-        return np.abs(X - goal[:, None]).max(axis=1)
+        return np.abs(X - goal).max(axis=0)
 
     def retire(t: int, converged: np.ndarray, stop: np.ndarray) -> None:
         nonlocal X, hi, step, B, goal, ids, width, groups
         done = ids[stop]
         rounds[done] = t
         reasons[done] = np.where(converged[stop], 1, 2)
-        final[done] = X[stop]
+        final[done] = X[:, stop].T
         keep = ~stop
-        X, B, ids, width = X[keep], B[keep], ids[keep], width[keep]
+        X, B, ids, width = X[:, keep], B[keep], ids[keep], width[keep]
         if hi is not None:
-            hi = hi[keep]
+            hi = hi[:, keep]
         if step is not None:
             step = step[keep]
         if goal is not None:
@@ -357,19 +365,21 @@ def _column_play(
         # a total of inf meets inf - inf, as in the scalar rule, which answers 0
         with np.errstate(invalid="ignore"):
             for j, k in enumerate(reach):
-                # before its move column j is still last round's, in either order
-                x = new[:k, j]
-                y = running[:k] - x
-                y = np.where(y < 0.0, 0.0, y)
+                # before its move X[j] is still last round's, in either order
+                x, total, y = X[j, :k], running[:k], others[:k]
+                np.subtract(total, x, out=y)
+                # the floor at 0; numpy's maximum answers its second
+                # argument on a tie and keeps a NaN, as the scalar test does
+                np.maximum(0.0, y, out=y)
                 if step is not None:
-                    v = tender(y, x - step[:k], x + step[:k])
+                    v = tender(y, x - step[:k], x + step[:k], out=new[j, :k])
                 else:
-                    v = tender(y, 0.0, math.inf if hi is None else hi[:k, j])
+                    v = tender(y, 0.0, math.inf if hi is None else hi[j, :k],
+                               out=new[j, :k])
                 if sequential:
-                    running[:k] += v - x
-                new[:k, j] = v
+                    total += np.subtract(v, x, out=y)
         # each row's largest step |v - x|; the padding does not move
-        moves = np.abs(new - X).max(axis=1)
+        moves = np.abs(new - X).max(axis=0)
         X = new
         converged = (moves if goal is None else distance()) < threshold
         # moves <= 4 ulps of B, as math.ulp gives them: np.spacing(inf) is
@@ -378,7 +388,7 @@ def _column_play(
         B = _totals(X, groups)
         if stop.any():
             retire(t, converged, stop)
-    final[ids] = X
+    final[ids] = X.T
     rounds, reasons = rounds.tolist(), [_REASONS[r] for r in reasons.tolist()]
     return [(final[a:b, :points[i][0].shape[1]], rounds[a:b], reasons[a:b])
             for i, (a, b) in sorted(zip(order, spans))]
@@ -391,8 +401,10 @@ def _groups(width: np.ndarray) -> list[tuple[int, int, int]]:
 
 
 def _totals(X: np.ndarray, groups: list[tuple[int, int, int]]) -> np.ndarray:
-    """Each row's total: numpy's sum over its width group's view."""
-    return np.concatenate([X[a:b, :n].sum(axis=1) for a, b, n in groups])
+    """Each row total of player-major X: numpy's sum over its width group's
+    view of the rows, laid out row-major first."""
+    rows = X.T.copy()
+    return np.concatenate([rows[a:b, :n].sum(axis=1) for a, b, n in groups])
 
 
 def _caps(config: GameConfig, rows: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -702,7 +714,9 @@ def whale_fish_sweep(
     (:func:`_trial_uniforms`: NumPy's SeedSequence and PCG64 seeding,
     which NEP 19 keeps stable). Then the trials of all counts run in
     lockstep, as the rows of one batch, each ending exactly as it would
-    alone.
+    alone, and the run reports once: each trial's payoff in Python floats,
+    then every mean and standard deviation as one reduction over the
+    (counts x trials) array, row by row the bits of one count's trials.
     """
     # the run settings get the same checks as a study's
     settings = dict(convergence_threshold=convergence_threshold,
@@ -734,29 +748,30 @@ def whale_fish_sweep(
         X = np.hstack((scale * u[:, n_fish:n_fish + 1], budgets * u[:, n_fish + 1:]))
         points.append((X, upper, None, None))
 
-    reports = []  # the counts differ only in n, so the last config rules them all
-    for (n_fish, fair_strategy, fair_payoff, _), (_, upper, *_), (final, _, reasons) in zip(
-            setups, points, _play_batch(config, points)):
-        strategies = final[:, 0]
-        profits = np.array([
-            pro_rata_payoff(family, float(x[0]), float(x[1:].sum())) for x in final
-        ])
-        pct_strategy = 100.0 * (strategies - fair_strategy) / fair_strategy
-        pct_profit = 100.0 * (profits - fair_payoff) / fair_payoff
-        # every fish at its budget
-        saturated = int(np.count_nonzero((final[:, 1:] == upper[:, 1:]).all(axis=1)))
-        reports.append(WhaleFishReport(
-            n_fish=n_fish,
-            trials=trials,
-            fair_strategy=fair_strategy,
-            fair_payoff=fair_payoff,
-            whale_strategy=float(strategies.mean()),
-            whale_profit=float(profits.mean()),
-            pct_strategy_increase=float(pct_strategy.mean()),
-            pct_profit_increase=float(pct_profit.mean()),
-            pct_strategy_std=float(pct_strategy.std()),
-            pct_profit_std=float(pct_profit.std()),
-            converged_trials=reasons.count("converged"),
-            fish_saturated_trials=saturated,
-        ))
-    return tuple(reports)
+    # the counts differ only in n, so the last config rules them all; every
+    # count has ``trials`` rows, so each figure is one reduction over a
+    # (counts x trials) array, row by row the bits of one count's trials
+    plays = _play_batch(config, points)
+    strategies = np.array([final[:, 0] for final, _, _ in plays])
+    # each trial's payoff in Python floats, as the family's scalar value
+    # gives it, against its fish total summed as the row alone
+    profits = np.array([
+        [pro_rata_payoff(family, whale, fish) for whale, fish in zip(
+            final[:, 0].tolist(), final[:, 1:].sum(axis=1).tolist())]
+        for final, _, _ in plays])
+    fair_strategies = np.array([[fair_strategy] for _, fair_strategy, _, _ in setups])
+    fair_payoffs = np.array([[fair_payoff] for _, _, fair_payoff, _ in setups])
+    pct_strategy = 100.0 * (strategies - fair_strategies) / fair_strategies
+    pct_profit = 100.0 * (profits - fair_payoffs) / fair_payoffs
+    figures = zip(*(column.tolist() for column in (
+        strategies.mean(axis=1), profits.mean(axis=1),
+        pct_strategy.mean(axis=1), pct_profit.mean(axis=1),
+        pct_strategy.std(axis=1), pct_profit.std(axis=1))))
+    return tuple(
+        WhaleFishReport(n_fish, trials, fair_strategy, fair_payoff, *figure,
+                        converged_trials=reasons.count("converged"),
+                        # every fish at its budget
+                        fish_saturated_trials=int(np.count_nonzero(
+                            (final[:, 1:] == upper[:, 1:]).all(axis=1))))
+        for (n_fish, fair_strategy, fair_payoff, _), (_, upper, *_),
+            (final, _, reasons), figure in zip(setups, points, plays, figures))

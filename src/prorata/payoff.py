@@ -88,10 +88,12 @@ class PayoffFamily:
     * ``tender()`` builds the kind's best-response tender: here the
       bracketed slope search, which tables and callables use.
     * ``column_tender()`` builds the same tender on arrays, one answer per
-      element, bit for bit the scalar tender's; None, here, for a kind with
-      no closed form to write on arrays. The dynamics move whole columns of
-      rows with it and do not check their totals against ``domain_max``,
-      so a kind with a last knot gives none.
+      element, bit for bit the scalar tender's, written into an ``out``
+      buffer when one is given; None, here, for a kind with no closed form
+      to write on arrays. The dynamics move player j of every live row with
+      it, straight into the new round's player-major row X[j], and do not
+      check their totals against ``domain_max``, so a kind with a last knot
+      gives none.
     * ``_positive_point()`` and ``_peak(root)`` give :func:`diagnostics`
       a point with f > 0 and (argmax, sup f) on [0, root]: here a halving
       scan, which passes over points where ``value`` raises
@@ -319,31 +321,42 @@ class CfmmArbitragePayoff(ForwardExchange, PayoffFamily):
             root1 = (-b - sq) / (2.0 * a)
         else:
             root1 = (-b + sq) / (2.0 * a)
-        return max(root1, c0 / (a * root1))
+        q = max(root1, c0 / (a * root1))
+        if not 0.0 < q < math.inf:
+            # reserves near 1e154 overflow c0 or b*b, and the roots with them
+            raise NoFiniteRoot(f"equilibrium total overflows for {self} at n={n}")
+        return q
 
-    def _free_tender(self, sqrt: Callable) -> Callable:
-        """The closed-form best response x = t - y to the others' total y,
-        before the floor at 0 and the window: on floats with ``math.sqrt``,
-        on arrays with ``np.sqrt``, rounding each step alike."""
-        # The first-order condition reduces to (r1 + g t)**2 = (g r1 r2 + g**2 r2 y)/c,
-        # so t = (sqrt(k0 + k1 y) - r1)/g with k0 = g r1 r2/c and k1 = g**2 r2/c.
-        # Near the no-arbitrage boundary sqrt(k0 + k1 y) - r1 cancels, so with
-        # the family's exact margin m it is (r1 m/c + k1 y)/(sqrt(k0 + k1 y) + r1)
+    def _tender_terms(self) -> tuple[float, float, float, float, float | None]:
+        """(g, r1, k0, k1, km) of the closed-form best response x = t - y to
+        the others' total y, before the floor at 0 and the window.
+
+        The first-order condition reduces to (r1 + g t)**2 = (g r1 r2 + g**2
+        r2 y)/c, so x = (sqrt(k0 + k1 y) - r1)/g - y with k0 = g r1 r2/c and
+        k1 = g**2 r2/c. Near the no-arbitrage boundary sqrt(k0 + k1 y) - r1
+        cancels, so with the family's exact margin m it is x = (km + k1
+        y)/(g (sqrt(k0 + k1 y) + r1)) - y with km = r1 m/c, and km is None
+        outside the band. :meth:`tender` and :meth:`column_tender` round
+        each step of it alike.
+        """
         g, r1, r2, c = self.gamma, self.r1, self.r2, self.c
-        k0, k1, m = g * r1 * r2 / c, g * g * r2 / c, self.margin
-        if m is None:
-            return lambda y: (sqrt(k0 + k1 * y) - r1) / g - y
-        km = r1 * m / c
-        return lambda y: (km + k1 * y) / (g * (sqrt(k0 + k1 * y) + r1)) - y
+        km = None if self.margin is None else r1 * self.margin / c
+        return g, r1, g * r1 * r2 / c, g * g * r2 / c, km
 
     def tender(self) -> Callable[..., float]:
         """Best-response tender (y, lo=0, hi=inf) -> x = t - y in closed
-        form, on the window :meth:`PayoffFamily.tender` states."""
-        free = self._free_tender(math.sqrt)
+        form, on the window :meth:`PayoffFamily.tender` states. Where the
+        formula is not finite, as when k1 y overflows (y then lies past the
+        zero of f), the answer is 0."""
+        g, r1, k0, k1, km = self._tender_terms()
+        sqrt, inf = math.sqrt, math.inf
 
         def tender(y: float, lo: float = 0.0, hi: float = math.inf) -> float:
-            x = free(y)
-            if not x > 0.0:
+            if km is None:
+                x = (sqrt(k0 + k1 * y) - r1) / g - y
+            else:
+                x = (km + k1 * y) / (g * (sqrt(k0 + k1 * y) + r1)) - y
+            if not 0.0 < x < inf:
                 x = 0.0
             if x < lo:
                 x = lo
@@ -354,22 +367,44 @@ class CfmmArbitragePayoff(ForwardExchange, PayoffFamily):
         return tender
 
     def column_tender(self) -> Callable[..., np.ndarray]:
-        """:meth:`tender` on arrays: ``tender(y, lo=0.0, hi=inf)`` with y an
-        array and each bound a float or an array of y's shape, answering
-        per element the bits the scalar tender gives. A y of inf meets
-        inf - inf here as there, and answers 0; numpy warns of it unless
-        the caller silences invalid values."""
-        free = self._free_tender(np.sqrt)
+        """:meth:`tender` on arrays: ``tender(y, lo=0.0, hi=inf, out=None)``
+        with y an array and each bound a float or an array of y's shape,
+        answering per element the bits the scalar tender gives. The answer
+        is written into ``out``, an array of y's shape that is not y, when
+        one is given, and returned; every step works in place. A y of inf
+        meets inf - inf, and a y past the overflow of k1 y an infinite
+        formula, here as there, and both answer 0; numpy warns of the
+        invalid value and the overflow unless the caller silences them."""
+        g, r1, k0, k1, km = self._tender_terms()
+        inf = math.inf
 
-        def tender(y: np.ndarray, lo=0.0, hi=math.inf) -> np.ndarray:
-            x = free(y)
-            x = np.where(x > 0.0, x, 0.0)  # NaN to 0, as ``not x > 0.0``
+        def tender(y: np.ndarray, lo=0.0, hi=math.inf, out=None) -> np.ndarray:
+            x = np.multiply(y, k1, out=out)
+            if km is None:
+                x += k0
+                np.sqrt(x, out=x)
+                x -= r1
+                x /= g
+            else:
+                root = x + k0
+                x += km
+                np.sqrt(root, out=root)
+                root += r1
+                root *= g
+                x /= root
+            x -= y
+            # inf to NaN, which the floor takes to +0.0 with NaN and x <= 0,
+            # as ``not 0.0 < x < inf``; fmod(x, inf) is x for finite x
+            np.fmod(x, inf, out=x)
+            np.fmax(x, 0.0, out=x)
             # the answer is now at or above +0.0: a float lo at or below 0 or
-            # a float hi of inf cannot bind, and is skipped
+            # a float hi of inf cannot bind, and is skipped. numpy's maximum
+            # and minimum answer their second argument on a tie, so x stays,
+            # as the scalar test keeps it
             if isinstance(lo, np.ndarray) or lo > 0.0:
-                x = np.where(x < lo, lo, x)
-            if isinstance(hi, np.ndarray) or hi < math.inf:
-                x = np.where(hi < x, hi, x)
+                np.maximum(lo, x, out=x)
+            if isinstance(hi, np.ndarray) or hi < inf:
+                np.minimum(hi, x, out=x)
             return x
 
         return tender

@@ -37,6 +37,9 @@ from prorata.dynamics import _play_batch, _trial_uniforms
 
 CFMM = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.0)
 POWER = PowerPayoff(beta=0.5, gamma=0.05)
+# inside the margin band (m = gamma r2 - c r1 = 7.5): its tender takes the
+# exact margin
+BAND = CfmmArbitragePayoff(gamma=0.99, r1=200.0, r2=250.0, c=1.2)
 # the power family sampled at 41 knots: its best response is a search
 _KNOTS = np.linspace(0.0, 400.0, 41)
 TABLE = TabulatedPayoff(ts=tuple(_KNOTS), fs=tuple(_KNOTS**0.5 - 0.05 * _KNOTS))
@@ -494,7 +497,7 @@ def _reference_whale(family, n_fish, trials, seed, threshold, cap):
     )
 
 
-@pytest.mark.parametrize("family", [CFMM, POWER])
+@pytest.mark.parametrize("family", [CFMM, POWER, BAND])
 def test_whale_equals_trial_by_trial_reference(family):
     converged = set()
     for n_fish in range(5):
@@ -740,6 +743,7 @@ class _ScalarCfmm(CfmmArbitragePayoff):
 
 
 SCALAR_CFMM = _ScalarCfmm(gamma=0.99, r1=200.0, r2=250.0, c=1.0)
+SCALAR_BAND = _ScalarCfmm(gamma=0.99, r1=200.0, r2=250.0, c=1.2)
 
 
 def _points(family, n_values, trials, scenario, aim):
@@ -773,23 +777,26 @@ def _batch_bits(outcomes):
 def test_the_column_kernel_equals_the_scalar_kernel(scenario, order):
     n_values = (3, 3) if isinstance(scenario, Budgeted) else (5, 2, 5, 1, 16, 3)
     outcomes, reasons = {}, set()
-    for aim, threshold, cap in ((True, 0.5, 30), (False, 1e-3, 30), (True, 1e-9, 5)):
-        config = dict(scenario=scenario, convergence_threshold=threshold,
-                      max_iterations=cap, update_order=order)
-        got = [_batch_bits(_play_batch(GameConfig(family, 3, **config),
-                                       _points(family, n_values, 6, scenario, aim)))
-               for family in (CFMM, SCALAR_CFMM)]
-        assert got[0] == got[1]
-        reasons |= {stop for _, _, _, stops in got[0] for stop in stops}
-        # one row alone: the start simulate draws with seed n
-        caps = scenario.budgets if isinstance(scenario, Budgeted) else math.inf
-        for n in n_values:
-            x = draw_initial_profile(CFMM, n, np.random.default_rng(n))
-            point = (x[None, :], np.full((1, n), caps), _steps(scenario, 1),
-                     solve_symmetric(CFMM, n).per_player if aim else None)
-            alone = [_batch_bits(_play_batch(GameConfig(family, n, **config), [point]))
-                     for family in (CFMM, SCALAR_CFMM)]
-            assert alone[0] == alone[1]
+    # the reference family, and one inside the margin band
+    for column, scalar in ((CFMM, SCALAR_CFMM), (BAND, SCALAR_BAND)):
+        for aim, threshold, cap in ((True, 0.5, 30), (False, 1e-3, 30), (True, 1e-9, 5)):
+            config = dict(scenario=scenario, convergence_threshold=threshold,
+                          max_iterations=cap, update_order=order)
+            got = [_batch_bits(_play_batch(GameConfig(family, 3, **config),
+                                           _points(family, n_values, 6, scenario, aim)))
+                   for family in (column, scalar)]
+            assert got[0] == got[1]
+            reasons |= {stop for _, _, _, stops in got[0] for stop in stops}
+            # one row alone: the start simulate draws with seed n
+            caps = scenario.budgets if isinstance(scenario, Budgeted) else math.inf
+            for n in n_values:
+                x = draw_initial_profile(column, n, np.random.default_rng(n))
+                point = (x[None, :], np.full((1, n), caps), _steps(scenario, 1),
+                         solve_symmetric(column, n).per_player if aim else None)
+                alone = [_batch_bits(_play_batch(GameConfig(family, n, **config),
+                                                 [point]))
+                         for family in (column, scalar)]
+                assert alone[0] == alone[1]
     # binding budgets bring every row to rest by round 2
     binding = scenario == Budgeted(budgets=(5.0, 5.0, 5.0))
     assert ({"fixed-point"} if binding else {"converged", "iteration-cap"}) <= reasons

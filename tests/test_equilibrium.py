@@ -321,6 +321,25 @@ def test_an_overflowing_power_total_has_no_finite_root():
             solve()
 
 
+@pytest.mark.parametrize("r1, r2, c", [(1e154, 1e154, 0.5), (1.0, 1e160, 1.0)],
+                         ids=["c0-overflows", "b-squared-overflows"])
+def test_an_overflowing_cfmm_closed_route_has_no_finite_root(r1, r2, c):
+    # g n r1 r2 overflows c0 to -inf in the first family, b*b the
+    # discriminant in the second: the closed route and poa refuse, as they
+    # do for power, where they once answered q = -inf and f(q)/n = nan
+    family = CfmmArbitragePayoff(gamma=0.99, r1=r1, r2=r2, c=c)
+    for solve in (lambda: solve_symmetric(family, 2), lambda: poa(family, 2),
+                  lambda: family.closed_total(2)):
+        with pytest.raises(NoFiniteRoot) as caught:
+            solve()
+        assert str(caught.value) == (
+            f"equilibrium total overflows for {family} at n=2")
+    if r1 == r2:
+        # the numeric route still finds it
+        assert solve_symmetric(family, 2, method="numeric").q == pytest.approx(
+            3.442230232265249e153, rel=1e-9)
+
+
 def decimal_cfmm_total(family: CfmmArbitragePayoff, n: int) -> Decimal:
     """The cfmm equilibrium total in 60-digit decimal: the larger root of
     the closed form's quadratic, its coefficients taken exactly."""

@@ -13,6 +13,7 @@ Closed-form reference values for the two default families:
 """
 
 import math
+import sys
 import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -409,29 +410,50 @@ def test_a_cfmm_family_is_nowhere_positive_exactly_when_its_margin_is_not(
        above=st.booleans(), ys=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
        bounds=st.lists(st.tuples(st.floats(-2.0, 2.0),
                                  st.sampled_from([0.0, 0.5, 1.0, 3.0, math.inf])),
-                       min_size=14, max_size=14))
+                       min_size=17, max_size=17))
 @settings(deadline=None, max_examples=300)
 def test_the_cfmm_column_tender_is_the_scalar_tender_per_element(
         gamma, r1, r2, eps, above, ys, bounds):
     # c = (g r2/r1)(1 +- eps): families inside the margin band, outside it
     # and nowhere positive. y runs from 0 to 4 times the lone player's
-    # tender x0 and past the zero of f; the windows reach below 0, shut at
-    # hi = 0 and open to hi = inf, as multiples of x0.
+    # tender x0 and past the zero of f, up to where k1 y overflows (near
+    # float max) and to inf; the windows reach below 0, shut at hi = 0 and
+    # open to hi = inf, as multiples of x0.
     family = CfmmArbitragePayoff(gamma, r1, r2,
                                  gamma * r2 / r1 * (1.0 + eps if above else 1.0 - eps))
     scalar, column = family.tender(), family.column_tender()
     scale = max(scalar(0.0), 1e-3)
-    y = np.array([0.0, 1e12 * scale, *(4.0 * scale * np.array(ys))])
+    y = np.array([0.0, 1e12 * scale, 1e306, sys.float_info.max, math.inf,
+                  *(4.0 * scale * np.array(ys))])
     lo = scale * np.array([lo for lo, _ in bounds])[:len(y)]
     hi = scale * np.array([hi for _, hi in bounds])[:len(y)]
     hi = np.maximum(lo, hi)  # a window lo <= hi
-    for args, want in (
-        ((y,), [scalar(v) for v in y]),
-        ((y, lo, hi), [scalar(*w) for w in zip(y, lo, hi)]),
-        ((y, 0.0, hi), [scalar(v, 0.0, h) for v, h in zip(y, hi)]),
-        ((y, lo, math.inf), [scalar(v, lo_, math.inf) for v, lo_ in zip(y, lo)]),
-    ):
-        assert [v.hex() for v in column(*args).tolist()] == [v.hex() for v in want]
+    # numpy warns of k1 y overflowing and of inf - inf, on arrays and on
+    # the numpy floats the scalar tender is given here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for args, want in (
+            ((y,), [scalar(v) for v in y]),
+            ((y, lo, hi), [scalar(*w) for w in zip(y, lo, hi)]),
+            ((y, 0.0, hi), [scalar(v, 0.0, h) for v, h in zip(y, hi)]),
+            ((y, lo, math.inf), [scalar(v, lo_, math.inf) for v, lo_ in zip(y, lo)]),
+        ):
+            assert [v.hex() for v in column(*args).tolist()] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("c", [1.0, 1.2], ids=["reference", "band"])
+def test_the_cfmm_column_tender_writes_into_out(c):
+    # the answer lands in the buffer given, with the bits of a fresh array,
+    # and y is left as it was
+    column = CfmmArbitragePayoff(0.99, 200.0, 250.0, c).column_tender()
+    y = np.array([0.0, 3.0, 40.0, 1e3, 1e306])
+    lo, hi = np.array([-1.0, 0.5, 0.0, 2.0, 0.0]), np.array([5.0, 20.0, 1.0, 9.0, 3.0])
+    for args in ((y,), (y, lo, hi), (y, 0.0, hi), (y, 1.5)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = column(*args)
+            out = np.full(len(y), np.nan)
+            got = column(*args, out=out)
+        assert got is out and out.tobytes() == want.tobytes()
+        assert y.tolist() == [0.0, 3.0, 40.0, 1e3, 1e306]
 
 
 def test_a_family_without_a_closed_form_has_no_column_tender(power):
